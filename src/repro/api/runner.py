@@ -261,6 +261,15 @@ class ScenarioRunner:
                 qos_target_ms=target_ms,
                 hard_cap=scn.pool.bound_cap,
                 catalog=model.catalog,
+                # Bound simulations honor this runner's memo and counters.
+                simulator=InferenceServingSimulator(
+                    model,
+                    track_queue=False,
+                    service_cache=self._service_cache,
+                    result_cache=self._simulation_cache,
+                    dispatch=self._dispatch,
+                    dispatch_counters=self._dispatch_counters,
+                ),
             )
         objective = (
             self._shared_objective

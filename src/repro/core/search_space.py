@@ -277,6 +277,7 @@ def estimate_instance_bounds(
     saturation_eps: float = 1e-3,
     hard_cap: int = 16,
     catalog: InstanceCatalog = DEFAULT_CATALOG,
+    simulator: InferenceServingSimulator | None = None,
 ) -> SearchSpace:
     """Measure the paper's per-type upper bound :math:`m_i` by simulation.
 
@@ -287,24 +288,37 @@ def estimate_instance_bounds(
     :math:`m_i` is the smallest count reaching that plateau (within
     ``saturation_eps``), capped at ``hard_cap``.
 
+    The rate is non-decreasing in the count (a homogeneous pool's service
+    times do not depend on the instance, and an extra FCFS server never
+    delays a start), so the plateau is the rate at ``hard_cap`` and the
+    bound is bisected over ``1..hard_cap``: at most
+    ``1 + ceil(log2(hard_cap))`` simulations per family, run on
+    ``simulator`` (it must serve ``model``; by default a fresh one on the
+    process-wide caches).
+
     Returns a ready :class:`SearchSpace` over ``families``.
     """
+    if hard_cap < 1:
+        raise ValueError(f"hard_cap must be >= 1, got {hard_cap!r}")
     target = qos_target_ms if qos_target_ms is not None else model.qos_target_ms
-    sim = InferenceServingSimulator(model, track_queue=False)
+    if simulator is None:
+        simulator = InferenceServingSimulator(model, track_queue=False)
+    elif simulator.model is not model:
+        raise ValueError(f"simulator serves {simulator.model.name!r}, not {model.name!r}")
+
+    def rate(fam: str, count: int) -> float:
+        pool = PoolConfiguration.homogeneous(fam, count)
+        return simulator.simulate(trace, pool).qos_satisfaction_rate(target)
+
     bounds: list[int] = []
     for fam in families:
-        rates: list[float] = []
-        for count in range(1, hard_cap + 1):
-            res = sim.simulate(trace, PoolConfiguration.homogeneous(fam, count))
-            rate = res.qos_satisfaction_rate(target)
-            rates.append(rate)
-            if rate >= 1.0 - 1e-12:
-                break  # a perfect rate cannot improve further
-        plateau = max(rates)
-        m_i = next(
-            count
-            for count, rate in enumerate(rates, start=1)
-            if rate >= plateau - saturation_eps
-        )
-        bounds.append(max(m_i, 1))
+        floor = rate(fam, hard_cap) - saturation_eps
+        lo, hi = 1, hard_cap  # rate(hi) >= floor throughout
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if rate(fam, mid) >= floor:
+                hi = mid
+            else:
+                lo = mid + 1
+        bounds.append(lo)
     return SearchSpace(tuple(families), tuple(bounds), catalog)

@@ -64,11 +64,15 @@ Performance notes (per the profiling-first HPC guidance this repo follows):
   (:func:`global_dispatch_counters`), with vector *disengagements* split
   by reason, so benches can assert the substrate they mean to measure
   actually engaged;
-* the waiting-queue tracker exploits that FCFS start times are monotone
-  non-decreasing: the queue length seen by arrival q is exactly
-  ``q - #{j < q : start_j <= t_q}``, maintained by one moving pointer over
-  the start list — O(n) total (it used to be a sorted list with
-  ``pop(0)``, degrading quadratically on saturated traces).
+* the scalar loops emit only what dispatch decides — each query's start
+  time and chosen instance (plus the makespan) — and :meth:`simulate`
+  derives the rest with vector operations: ``service_s`` is a gather
+  from the service-time matrix by chosen instance type, ``busy`` is
+  ``np.bincount(chosen, weights=service_s)`` (which sums in query order,
+  so it matches a per-query running sum bit for bit), and the queue
+  length seen by arrival q is ``q - min(q, #{j : start_j <= t_q})``, one
+  ``searchsorted`` over the FCFS start times, which are monotone
+  non-decreasing.
 """
 
 from __future__ import annotations
@@ -516,30 +520,38 @@ class InferenceServingSimulator:
             if service_rows is None:
                 service_rows = cache.rows(self._model, trace, families)
             run = self._run_heap if path == "heap" else self._run_linear
-            starts, services, chosen, busy, queue_len, makespan = run(
-                cache.arrival_list(trace),
-                service_rows,
-                type_list,
-                n_instances,
+            starts, chosen, makespan = run(
+                cache.arrival_list(trace), service_rows, type_list, n_instances
             )
-            arrivals = trace.arrival_s
+            chosen = np.asarray(chosen, dtype=np.int64)
+            matrix = (
+                cache.matrix(self._model, trace, families)
+                if cache.maxsize > 0
+                else np.asarray(service_rows)
+            )
+            # A fresh gather, not a matrix view: a memoized result must not
+            # pin the whole multi-family matrix.
+            service_s = matrix[type_of_instance[chosen], np.arange(n)]
             start_s = np.asarray(starts, dtype=float)
-            service_s = np.asarray(services, dtype=float)
-            wait_s = start_s - arrivals
-            latency_s = wait_s + service_s
+            wait_s = start_s - trace.arrival_s
+            queue_len = np.empty(0)
+            if self._track_queue:
+                # FCFS starts are monotone, so the queries started by t_q are
+                # a prefix; the earlier arrivals past it are still queued.
+                q = np.arange(n)
+                started = np.searchsorted(start_s, trace.arrival_s, "right")
+                queue_len = q - np.minimum(q, started)
             result = SimulationResult(
-                latency_s=latency_s,
+                latency_s=wait_s + service_s,
                 wait_s=wait_s,
                 service_s=service_s,
-                instance_index=np.asarray(chosen, dtype=np.int64),
+                instance_index=chosen,
                 instance_family=instance_family,
-                busy_s_per_instance=np.asarray(busy, dtype=float),
-                makespan_s=makespan if n else 0.0,
-                queue_len_at_arrival=(
-                    np.asarray(queue_len, dtype=np.int64)
-                    if self._track_queue
-                    else np.empty(0)
+                busy_s_per_instance=np.bincount(
+                    chosen, weights=service_s, minlength=n_instances
                 ),
+                makespan_s=makespan,
+                queue_len_at_arrival=queue_len,
             )
         self._record_dispatch(path)
         if memoize:
@@ -632,26 +644,22 @@ class InferenceServingSimulator:
         type_list: list[int],
         n_instances: int,
     ):
-        """O(n·m) scalar scan; fastest below the heap crossover."""
-        track = self._track_queue
+        """O(n·m) scalar scan; fastest below the heap crossover.
+
+        Returns ``(starts, chosen, makespan)``: per-query start times and
+        instance indices, in arrival order.  Everything else a result
+        holds is derived from these by :meth:`simulate`.
+        """
         if n_instances == 1:
             return self._run_single(arrival_list, service_rows[type_list[0]])
         rows = [service_rows[t] for t in type_list]
         free_list = [0.0] * n_instances
-        busy = [0.0] * n_instances
         starts: list[float] = []
-        services: list[float] = []
         chosen: list[int] = []
-        queue_len: list[int] = []
-        # Queries before this pointer have started by the current arrival
-        # time (starts are monotone under FCFS, so one pointer suffices).
-        started = 0
         # Bound methods: the loop body runs hundreds of thousands of times
         # per search, where attribute lookups are a measurable cost.
         starts_append = starts.append
-        services_append = services.append
         chosen_append = chosen.append
-        queue_append = queue_len.append
         for q, t in enumerate(arrival_list):
             # First free instance in type order, else earliest-free.
             best_i = 0
@@ -666,45 +674,21 @@ class InferenceServingSimulator:
                     if f < best_free:
                         best_i, best_free = i, f
             start = t if found_free else best_free
-            s = rows[best_i][q]
-            free_list[best_i] = start + s
-            busy[best_i] += s
+            free_list[best_i] = start + rows[best_i][q]
             starts_append(start)
-            services_append(s)
             chosen_append(best_i)
-            if track:
-                # Queries that arrived earlier but have not started yet.
-                while started < q and starts[started] <= t:
-                    started += 1
-                queue_append(q - started)
-        makespan = float(max(free_list)) if arrival_list else 0.0
-        return starts, services, chosen, busy, queue_len, makespan
+        return starts, chosen, max(free_list)
 
     def _run_single(self, arrival_list: list[float], row: list[float]):
         """Single-instance pools: dispatch degenerates to one clock."""
-        track = self._track_queue
         free = 0.0
-        total_busy = 0.0
         starts: list[float] = []
-        services: list[float] = []
-        queue_len: list[int] = []
-        started = 0
         starts_append = starts.append
-        services_append = services.append
-        queue_append = queue_len.append
-        for q, t in enumerate(arrival_list):
+        for t, s in zip(arrival_list, row):
             start = t if free <= t else free
-            s = row[q]
             free = start + s
-            total_busy += s
             starts_append(start)
-            services_append(s)
-            if track:
-                while started < q and starts[started] <= t:
-                    started += 1
-                queue_append(q - started)
-        makespan = free if arrival_list else 0.0
-        return starts, services, [0] * len(arrival_list), [total_busy], queue_len, makespan
+        return starts, np.zeros(len(arrival_list), dtype=np.int64), free
 
     def _run_heap(
         self,
@@ -719,50 +703,34 @@ class InferenceServingSimulator:
         => lowest index => type-order preference).  ``busy_heap`` holds
         ``(free_at, index)`` pairs; its top is the earliest-free instance
         with the lowest-index tie-break — exactly the linear scan's argmin.
+        Returns ``(starts, chosen, makespan)`` like :meth:`_run_linear`.
         """
-        track = self._track_queue
         rows = [service_rows[t] for t in type_list]
         free = list(range(n_instances))
         heapify(free)
         busy_heap: list[tuple[float, int]] = []
-        free_at = [0.0] * n_instances
-        busy = [0.0] * n_instances
         starts: list[float] = []
-        services: list[float] = []
         chosen: list[int] = []
-        queue_len: list[int] = []
-        started = 0
         push, pop, replace = heappush, heappop, heapreplace
         starts_append = starts.append
-        services_append = services.append
         chosen_append = chosen.append
-        queue_append = queue_len.append
         for q, t in enumerate(arrival_list):
             while busy_heap and busy_heap[0][0] <= t:
                 push(free, pop(busy_heap)[1])
             if free:
                 i = pop(free)
                 start = t
-                s = rows[i][q]
-                end = start + s
-                push(busy_heap, (end, i))
+                push(busy_heap, (start + rows[i][q], i))
             else:
                 # Saturated: the root instance serves this query; replace
                 # in place (one sift) instead of pop + push.  Tuples are
                 # strictly ordered (indices unique), so the pop sequence —
                 # the only observable — is unchanged.
                 start, i = busy_heap[0]
-                s = rows[i][q]
-                end = start + s
-                replace(busy_heap, (end, i))
-            free_at[i] = end
-            busy[i] += s
+                replace(busy_heap, (start + rows[i][q], i))
             starts_append(start)
-            services_append(s)
             chosen_append(i)
-            if track:
-                while started < q and starts[started] <= t:
-                    started += 1
-                queue_append(q - started)
-        makespan = float(max(free_at)) if arrival_list else 0.0
-        return starts, services, chosen, busy, queue_len, makespan
+        # The last query's finish is still on the busy heap, and every
+        # instance already moved back to ``free`` finished before it.
+        makespan = float(max(busy_heap)[0]) if busy_heap else 0.0
+        return starts, chosen, makespan

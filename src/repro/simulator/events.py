@@ -93,7 +93,12 @@ class EventHeapSimulator:
             if kind == _COMPLETION:
                 makespan = max(makespan, t)
                 heapq.heappush(free, payload)
-                if waiting:
+                # Instances finishing at one instant all free up before a
+                # waiting query is dispatched, so it takes the lowest index
+                # among them (the earliest-free tie-break of the policy).
+                while events and events[0][:2] == (t, _COMPLETION):
+                    heapq.heappush(free, heapq.heappop(events)[3])
+                while waiting and free:
                     start_query(waiting.popleft(), t)
             else:  # arrival of query `payload`
                 queue_len[payload] = len(waiting)

@@ -7,6 +7,7 @@ run the full paper-scale workloads.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cloud.catalog import DEFAULT_CATALOG
@@ -16,7 +17,7 @@ from repro.core.search_space import SearchSpace
 from repro.models.base import LatencyProfile, ModelCategory, ModelProfile
 from repro.workload.arrival import PoissonArrivalProcess
 from repro.workload.batch import HeavyTailLogNormalBatch
-from repro.workload.trace import TraceGenerator
+from repro.workload.trace import QueryTrace, TraceGenerator
 
 
 def make_toy_model(
@@ -53,6 +54,21 @@ def make_toy_trace(model: ModelProfile, n: int = 400, seed: int = 7):
         HeavyTailLogNormalBatch(model.batch_median, model.batch_sigma, model.max_batch),
         seed=seed,
     ).generate(n)
+
+
+def make_tied_trace(seed: int, n: int, rate: float = 300.0) -> QueryTrace:
+    """Arrivals in clumps of 1-5 queries sharing one timestamp (a batch of
+    requests landing at once): queries tie with each other and, on
+    zero-noise services, with the finish times of earlier ones."""
+    rng = np.random.default_rng(seed)
+    clumps = rng.integers(1, 6, size=n)
+    stamps = np.cumsum(rng.exponential(clumps / rate))
+    batches = np.clip(
+        np.rint(rng.lognormal(np.log(30.0), 0.8, size=n)), 1, 256
+    ).astype(np.int64)
+    return QueryTrace(
+        np.repeat(stamps, clumps)[:n], batches, rate_qps=rate, seed=seed
+    )
 
 
 @pytest.fixture

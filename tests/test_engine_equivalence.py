@@ -15,7 +15,7 @@ from repro.simulator.events import EventHeapSimulator
 from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import SimulationResultCache
 from repro.workload.trace import QueryTrace
-from tests.conftest import make_toy_model
+from tests.conftest import make_tied_trace, make_toy_model
 
 
 def fast_sim(model, **kwargs) -> InferenceServingSimulator:
@@ -95,26 +95,29 @@ def test_three_type_pool_equivalence():
 
 
 def assert_dispatch_modes_match_reference(model, trace, pool):
-    """Every forced dispatch path must equal the event-heap reference
-    bit-for-bit (``vector`` serves single-instance/homogeneous pools with
-    the shared-row NumPy kernels and heterogeneous pools with the
-    grouped-family fixpoint kernel — every substrate, one contract)."""
+    """Every dispatch policy must equal the event-heap reference
+    bit-for-bit on every result array (``vector`` serves
+    single-instance/homogeneous pools with the shared-row NumPy kernels and
+    heterogeneous pools with the grouped-family fixpoint kernel; the scalar
+    loops emit only starts and choices, and the service, busy and queue
+    arrays are derived from them — every substrate, one contract)."""
     ref = EventHeapSimulator(model).simulate(trace, pool)
-    for mode in ("linear", "heap", "vector"):
+    for mode in ("linear", "heap", "vector", "auto"):
         sim = fast_sim(model, track_queue=True, dispatch=mode)
         res = sim.simulate(trace, pool)
-        np.testing.assert_array_equal(res.latency_s, ref.latency_s, err_msg=mode)
-        np.testing.assert_array_equal(res.wait_s, ref.wait_s, err_msg=mode)
-        np.testing.assert_array_equal(
-            res.instance_index, ref.instance_index, err_msg=mode
-        )
-        np.testing.assert_array_equal(
-            res.queue_len_at_arrival, ref.queue_len_at_arrival, err_msg=mode
-        )
-        np.testing.assert_array_equal(
-            res.busy_s_per_instance, ref.busy_s_per_instance, err_msg=mode
-        )
-        assert res.makespan_s == ref.makespan_s
+        for field in (
+            "latency_s",
+            "wait_s",
+            "service_s",
+            "instance_index",
+            "busy_s_per_instance",
+            "queue_len_at_arrival",
+        ):
+            np.testing.assert_array_equal(
+                getattr(res, field), getattr(ref, field), err_msg=f"{mode}: {field}"
+            )
+        assert res.queue_len_at_arrival.dtype == np.int64, mode
+        assert res.makespan_s == ref.makespan_s, mode
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -190,6 +193,58 @@ def test_vector_hetero_matches_event_reference(seed):
         res.queue_len_at_arrival, ref.queue_len_at_arrival
     )
     assert res.makespan_s == ref.makespan_s
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    g=st.integers(min_value=0, max_value=4),
+    t=st.integers(min_value=0, max_value=4),
+    noise=st.sampled_from([0.0, 0.2]),
+)
+@settings(max_examples=25, deadline=None)
+def test_tied_arrivals_match_reference(seed, g, t, noise):
+    """Tied arrivals, and zero-noise ties between arrivals and finishes, are
+    where the queue derivation's ``searchsorted`` side matters: a query
+    starting exactly at a later arrival has left the queue by then."""
+    if g + t == 0:
+        t = 1
+    model = make_toy_model(noise=noise, arrival_rate_qps=600.0)
+    trace = make_tied_trace(seed, 250, rate=600.0)
+    assert_dispatch_modes_match_reference(
+        model, trace, PoolConfiguration(("g4dn", "t3"), (g, t))
+    )
+
+
+def test_exact_start_arrival_ties_leave_the_queue():
+    """Hand-built ties: each query of a clump starts exactly when the
+    previous one finishes, at the next clump's arrival instant."""
+    model = make_toy_model()
+    service = float(model.service_time_s("g4dn", np.array([30]))[0])
+    arrivals = np.array([0.0, 0.0, service, service, 2 * service])
+    trace = QueryTrace(arrivals, np.full(5, 30), rate_qps=1.0, seed=1)
+    pool = PoolConfiguration.homogeneous("g4dn", 1)
+    assert_dispatch_modes_match_reference(model, trace, pool)
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=10, deadline=None)
+def test_untracked_queue_is_empty(seed):
+    """With ``track_queue=False`` no queue array is derived, on any path;
+    every other array still matches the tracked run."""
+    model = make_toy_model(noise={"g4dn": 0.1, "t3": 0.2})
+    trace = make_tied_trace(seed, 200)
+    for counts in ((1, 0), (2, 3), (0, 6)):
+        pool = PoolConfiguration(("g4dn", "t3"), counts)
+        for mode in ("linear", "heap", "vector", "auto"):
+            tracked = fast_sim(model, dispatch=mode).simulate(trace, pool)
+            res = fast_sim(model, track_queue=False, dispatch=mode).simulate(
+                trace, pool
+            )
+            assert res.queue_len_at_arrival.shape == (0,), mode
+            np.testing.assert_array_equal(res.latency_s, tracked.latency_s)
+            np.testing.assert_array_equal(
+                res.busy_s_per_instance, tracked.busy_s_per_instance
+            )
 
 
 def test_auto_dispatch_equals_forced_paths(toy_model, toy_trace):

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from repro.models.base import LatencyProfile
 from repro.simulator.engine import InferenceServingSimulator
 from repro.simulator.pool import PoolConfiguration
+from repro.simulator.result_cache import SimulationResultCache
 from repro.workload.trace import QueryTrace
-from tests.conftest import make_toy_model, make_toy_trace
+from tests.conftest import make_tied_trace, make_toy_model, make_toy_trace
 
 
 def random_trace(seed: int, n: int, rate: float = 300.0) -> QueryTrace:
@@ -25,6 +26,20 @@ def random_trace(seed: int, n: int, rate: float = 300.0) -> QueryTrace:
         np.rint(rng.lognormal(np.log(30.0), 0.8, size=n)), 1, 256
     ).astype(np.int64)
     return QueryTrace(arrivals, batches, rate_qps=rate, seed=seed)
+
+
+def bursty_trace(seed: int, n: int, rate: float = 300.0) -> QueryTrace:
+    """Alternating bursts (5x the mean rate) and lulls of 40 queries."""
+    rng = np.random.default_rng(seed)
+    phase = np.where((np.arange(n) // 40) % 2 == 0, 0.2, 1.8)
+    arrivals = np.cumsum(rng.exponential(1.0 / rate, size=n) * phase)
+    batches = np.clip(
+        np.rint(rng.lognormal(np.log(30.0), 0.8, size=n)), 1, 256
+    ).astype(np.int64)
+    return QueryTrace(arrivals, batches, rate_qps=rate, seed=seed)
+
+
+TRACE_LAWS = {"random": random_trace, "bursty": bursty_trace, "tied": make_tied_trace}
 
 
 class TestSingleServerRecurrence:
@@ -117,8 +132,6 @@ class TestQoSMonotonicity:
     def test_prices_never_affect_serving(self, toy_model):
         """The simulator must be oblivious to prices — only the optimizer
         sees cost."""
-        from repro.simulator.result_cache import SimulationResultCache
-
         trace = make_toy_trace(toy_model, n=300)
         pool = PoolConfiguration(("g4dn", "t3"), (1, 2))
         # Memo disabled: the second run must actually re-simulate for the
@@ -148,3 +161,39 @@ class TestLoadMonotonicity:
         np.testing.assert_allclose(
             full.latency_s[:150], short.latency_s, rtol=1e-12
         )
+
+
+class TestInstanceCountMonotonicity:
+    """On a homogeneous pool a query's service time does not depend on the
+    instance, and an extra FCFS server never delays a start: every
+    latency is non-increasing in the instance count, so the QoS rate at
+    any target is non-decreasing (the premise of the bisected instance
+    bounds)."""
+
+    @given(
+        seed=st.integers(0, 5000),
+        law=st.sampled_from(sorted(TRACE_LAWS)),
+        family=st.sampled_from(["g4dn", "t3"]),
+        noise=st.sampled_from([0.0, 0.25]),
+        target_ms=st.floats(2.0, 80.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_latency_non_increasing_in_count(
+        self, seed, law, family, noise, target_ms
+    ):
+        model = make_toy_model(noise=noise, arrival_rate_qps=600.0)
+        trace = TRACE_LAWS[law](seed, 200, rate=600.0)
+        sim = InferenceServingSimulator(
+            model,
+            track_queue=False,
+            result_cache=SimulationResultCache(maxsize=0),
+        )
+        prev = None
+        for count in range(1, 9):
+            res = sim.simulate(trace, PoolConfiguration.homogeneous(family, count))
+            if prev is not None:
+                assert np.all(res.latency_s <= prev.latency_s), count
+                assert res.qos_satisfaction_rate(
+                    target_ms
+                ) >= prev.qos_satisfaction_rate(target_ms)
+            prev = res
