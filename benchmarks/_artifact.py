@@ -1,7 +1,7 @@
 """Shared persistence for the ``BENCH_*.json`` perf/figure artifacts.
 
 Every benchmark that tracks a trajectory — the search-core and memo-sweep
-perf benches, the vector-kernel bench, and the figure benches — records
+perf benches and the figure benches — records
 into one artifact format at the repo root:
 
 * ``workload``: the pinned spec the numbers were measured on (never

@@ -52,9 +52,8 @@ def test_perf_fast_engine_with_queue_tracking(benchmark, workload):
 
 @pytest.fixture(scope="module")
 def hetero_workload():
-    """A saturated 128-instance three-family mix: the grouped-family
-    vector kernel's target regime (see bench_hetero_kernel.py for the
-    kernel-vs-heap trajectory; this bench tracks absolute engine cost)."""
+    """A saturated 128-instance three-family mix: the heap dispatcher's
+    target regime (this bench tracks absolute engine cost there)."""
     model = get_model("MT-WND")
     trace = trace_for_model(model, n_queries=4000, seed=1, load_factor=60.0)
     pool = PoolConfiguration(("g4dn", "c5", "r5n"), (64, 32, 32))
@@ -68,16 +67,6 @@ def test_perf_fast_engine_hetero_heap(benchmark, hetero_workload):
     )
     res = benchmark(sim.simulate, trace, pool)
     assert len(res) == len(trace)
-
-
-def test_perf_fast_engine_hetero_vector(benchmark, hetero_workload):
-    model, trace, pool = hetero_workload
-    sim = InferenceServingSimulator(
-        model, dispatch="vector", track_queue=False, **_NO_MEMO
-    )
-    res = benchmark(sim.simulate, trace, pool)
-    assert len(res) == len(trace)
-    assert sim.dispatch_counts["vector_hetero"] > 0
 
 
 def test_perf_event_heap_reference(benchmark, workload):

@@ -109,11 +109,6 @@ class ScenarioRunner:
         (every evaluation re-simulates).  :meth:`cache_stats` reports
         hit/miss/eviction counters for both caches plus this runner's
         dispatch-path engagement counts.
-    dispatch:
-        Dispatch policy handed to every evaluator this runner builds
-        (``"auto"`` default, or a forced ``"linear"``/``"heap"``/
-        ``"vector"`` substrate — all bit-identical).  :meth:`fork`
-        propagates it.
     eval_backend, eval_workers:
         Evaluation backend for batched evaluations — a registered name
         (``"serial"``/``"thread"``/``"process"``) or an
@@ -138,7 +133,6 @@ class ScenarioRunner:
         objective: RibbonObjective | None = None,
         service_cache: ServiceTimeCache | None = None,
         simulation_cache: SimulationResultCache | None = None,
-        dispatch: str = "auto",
         dispatch_counters: DispatchCounters | None = None,
         eval_backend: "EvaluationBackend | str | None" = None,
         eval_workers: int | None = None,
@@ -175,15 +169,6 @@ class ScenarioRunner:
             self._eval_backend = resolve_backend(eval_backend, eval_workers)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
-        if dispatch not in InferenceServingSimulator.DISPATCH_POLICIES:
-            raise ScenarioError(
-                "dispatch must be one of "
-                + ", ".join(
-                    repr(p) for p in InferenceServingSimulator.DISPATCH_POLICIES
-                )
-                + f", got {dispatch!r}"
-            )
-        self._dispatch = dispatch
         # One counter sink for every evaluator (and fork) this runner
         # builds: sweeps report their whole dispatch mix from one place.
         self._dispatch_counters = (
@@ -267,7 +252,6 @@ class ScenarioRunner:
                     track_queue=False,
                     service_cache=self._service_cache,
                     result_cache=self._simulation_cache,
-                    dispatch=self._dispatch,
                     dispatch_counters=self._dispatch_counters,
                 ),
             )
@@ -284,7 +268,6 @@ class ScenarioRunner:
             eval_duration_hours=scn.budget.eval_duration_hours,
             service_cache=self._service_cache,
             result_cache=self._simulation_cache,
-            dispatch=self._dispatch,
             dispatch_counters=self._dispatch_counters,
             backend=self._eval_backend,
         )
@@ -315,11 +298,6 @@ class ScenarioRunner:
         return self._service_cache
 
     @property
-    def dispatch(self) -> str:
-        """The dispatch policy this runner's evaluators simulate with."""
-        return self._dispatch
-
-    @property
     def eval_backend(self) -> EvaluationBackend | None:
         """The evaluation backend this runner's evaluators batch on (or
         None, meaning the process-wide default thread backend)."""
@@ -337,12 +315,9 @@ class ScenarioRunner:
             disk.close()
 
     def dispatch_counts(self) -> dict[str, int]:
-        """Per-substrate dispatch run counts across this runner's
-        evaluators and their forks
-        (``linear``/``heap``/``vector``/``vector_hetero`` plus the
-        aggregate ``vector_fallback`` and its ``vector_fallback_*``
-        reason split; result-memo hits never dispatch, so warmed sweeps
-        can legitimately report zeros)."""
+        """Per-loop dispatch run counts across this runner's evaluators
+        and their forks (see :class:`DispatchCounters`; result-memo hits
+        never dispatch, so warmed sweeps can legitimately report zeros)."""
         return self._dispatch_counters.snapshot()
 
     def cache_stats(self) -> dict[str, dict[str, int]]:
@@ -352,7 +327,7 @@ class ScenarioRunner:
         Keys: ``"simulation"`` (the :class:`SimulationResultCache` —
         whole-result reuse across seeds/forks), ``"service"`` (the
         :class:`ServiceTimeCache` — per-workload service-time matrices)
-        and ``"dispatch"`` (per-substrate run counts, see
+        and ``"dispatch"`` (per-loop run counts, see
         :meth:`dispatch_counts`).  Cache counters are cumulative over each
         cache's lifetime; with the default process-wide caches that spans
         every runner in the process, not just this one.  Dispatch counts
@@ -539,7 +514,6 @@ class ScenarioRunner:
             objective=mat.objective,
             service_cache=self._service_cache,
             simulation_cache=self._simulation_cache,
-            dispatch=self._dispatch,
             dispatch_counters=self._dispatch_counters,
             eval_backend=self._eval_backend,
         )
@@ -572,14 +546,13 @@ class ScenarioRunner:
         # The single-family scenario shares this runner's workload, so when
         # this runner already materialized (make_experiment does), its trace
         # is reused; otherwise the scan generates its own without forcing
-        # the parent's (possibly expensive) bound estimation.  Caches,
-        # dispatch policy and counters carry over: the scan must honor the
+        # the parent's (possibly expensive) bound estimation.  Caches
+        # and dispatch counters carry over: the scan must honor the
         # parent's memo opt-out and report into the parent's stats.
         single_runner = ScenarioRunner(
             single,
             service_cache=self._service_cache,
             simulation_cache=self._simulation_cache,
-            dispatch=self._dispatch,
             dispatch_counters=self._dispatch_counters,
             eval_backend=self._eval_backend,
         )

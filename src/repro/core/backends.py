@@ -4,7 +4,7 @@
 parallelize the *simulations* of a proposal batch while admitting records
 sequentially, so batched searches replay bit-for-bit.  PR 5 ran those
 simulations on a thread pool, which the GIL caps hard on the scalar
-dispatch substrates (only ~0-10% of the measured batch win came from
+dispatch loops (only ~0-10% of the measured batch win came from
 parallelism).  This module makes the execution substrate pluggable:
 
 ``SerialBackend``
@@ -12,8 +12,7 @@ parallelism).  This module makes the execution substrate pluggable:
     else must match bit-for-bit.
 ``ThreadBackend``
     The PR-5 behavior, verbatim: a per-call ``ThreadPoolExecutor`` over
-    ``simulator.simulate``.  Cheap to engage (no worker startup), wins
-    when the vector substrate releases the GIL inside NumPy, and is the
+    ``simulator.simulate``.  Cheap to engage (no worker startup), and the
     default when no backend is configured.
 ``ProcessBackend``
     A persistent ``ProcessPoolExecutor`` whose workers rehydrate the
@@ -22,13 +21,13 @@ parallelism).  This module makes the execution substrate pluggable:
     plus the trace arrays through one ``multiprocessing.shared_memory``
     segment per workload, and each worker maps them zero-copy, seeds a
     worker-local service cache, and runs the *real*
-    :class:`~repro.simulator.engine.InferenceServingSimulator` — same
-    dispatch policy, same substrates, so results are bit-identical by
-    construction.  Results and per-path dispatch deltas flow back to the
-    parent, which admits the frozen results into its own
+    :class:`~repro.simulator.engine.InferenceServingSimulator` on its
+    default dispatch policy — both loops are exact, so results are
+    bit-identical by construction.  Results and per-path dispatch deltas
+    flow back to the parent, which admits the frozen results into its own
     :class:`~repro.simulator.result_cache.SimulationResultCache` and
     merges the counters.  This is the backend that beats the GIL on the
-    scalar (heterogeneous-pool) dispatch floor.
+    scalar dispatch loops.
 
 Backends only decide *where* ``simulate`` runs; all record admission,
 sample indexing and exploration accounting stay sequential in the
@@ -318,18 +317,16 @@ class _WorkerWorkload:
         # Small worker-local memo: the parent filters its own cache hits
         # before dispatching, so repeats here are rare cross-batch echoes.
         self.memo = SimulationResultCache(maxsize=64, max_bytes=64 * 1024 * 1024)
-        self.sims: dict[tuple[bool, str], InferenceServingSimulator] = {}
+        self.sims: dict[bool, InferenceServingSimulator] = {}
 
-    def simulator(self, track_queue: bool, dispatch: str):
-        key = (track_queue, dispatch)
-        sim = self.sims.get(key)
+    def simulator(self, track_queue: bool):
+        sim = self.sims.get(track_queue)
         if sim is None:
-            sim = self.sims[key] = InferenceServingSimulator(
+            sim = self.sims[track_queue] = InferenceServingSimulator(
                 self.model,
                 track_queue=track_queue,
                 service_cache=self.cache,
                 result_cache=self.memo,
-                dispatch=dispatch,
                 dispatch_counters=DispatchCounters(),
             )
         return sim
@@ -349,11 +346,11 @@ _WORKER_WORKLOAD_LIMIT = 4
 def _worker_simulate(task):
     """Run one simulation in a worker process.
 
-    ``task`` is ``(spec, counts, track_queue, dispatch)``; returns the
+    ``task`` is ``(spec, counts, track_queue)``; returns the
     result plus this simulation's dispatch-counter delta so the parent
     can aggregate engagement stats across processes.
     """
-    spec, counts, track_queue, dispatch = task
+    spec, counts, track_queue = task
     token = spec["token"]
     workload = _WORKER_WORKLOADS.get(token)
     if workload is None:
@@ -363,7 +360,7 @@ def _worker_simulate(task):
             _, old = _WORKER_WORKLOADS.popitem(last=False)
             old.release()
     _WORKER_WORKLOADS.move_to_end(token)
-    sim = workload.simulator(track_queue, dispatch)
+    sim = workload.simulator(track_queue)
     before = sim.dispatch_counters.snapshot()
     result = sim.simulate(
         workload.trace, PoolConfiguration(workload.families, counts)
@@ -495,7 +492,6 @@ class ProcessBackend(EvaluationBackend):
                     self._spec(simulator, trace, pool.families),
                     pool.counts,
                     simulator.track_queue,
-                    simulator.dispatch,
                 )
                 for _, pool in todo
             ]

@@ -84,10 +84,6 @@ class ConfigurationEvaluator:
         re-evaluations of one configuration free *across* evaluators —
         every seed of a sweep, every load-change fork.  Pass
         ``SimulationResultCache(maxsize=0)`` to opt out.
-    dispatch:
-        Dispatch policy handed to the simulator — ``"auto"`` (default)
-        or a forced ``"linear"``/``"heap"``/``"vector"`` substrate; all
-        produce bit-identical results.  Propagated by :meth:`fork`.
     dispatch_counters:
         Per-path engagement counter sink shared with the simulator (and
         every fork), so a whole sweep's dispatch mix can be reported from
@@ -120,7 +116,6 @@ class ConfigurationEvaluator:
         eval_duration_hours: float | None = None,
         service_cache: ServiceTimeCache | None = None,
         result_cache: SimulationResultCache | None = None,
-        dispatch: str = "auto",
         dispatch_counters: DispatchCounters | None = None,
         backend: "EvaluationBackend | str | None" = None,
     ):
@@ -153,7 +148,6 @@ class ConfigurationEvaluator:
             track_queue=True,
             service_cache=service_cache,
             result_cache=result_cache,
-            dispatch=dispatch,
             dispatch_counters=dispatch_counters,
         )
         self._backend = resolve_backend(backend)
@@ -196,7 +190,7 @@ class ConfigurationEvaluator:
     @property
     def simulator(self) -> InferenceServingSimulator:
         """The serving simulator behind this evaluator (introspection:
-        dispatch policy, engagement counters, caches)."""
+        dispatch counters, caches)."""
         return self._sim
 
     @property
@@ -391,7 +385,6 @@ class ConfigurationEvaluator:
             ),
             service_cache=self._sim.service_cache,
             result_cache=self._sim.result_cache,
-            dispatch=self._sim.dispatch,
             dispatch_counters=self._sim.dispatch_counters,
             backend=self._backend,
         )

@@ -115,7 +115,7 @@ class RibbonOptimizer(SearchStrategy):
         Simulate the proposals of one batch in parallel on the selected
         evaluation backend (``batch_size > 1`` only).  Record order —
         and therefore the search result — is deterministic either way;
-        simulations are bit-identical by the dispatch-substrate and
+        simulations are bit-identical by the dispatch-loop and
         backend contracts.
     eval_backend:
         Where batch simulations execute: an
@@ -123,7 +123,7 @@ class RibbonOptimizer(SearchStrategy):
         registry name (``"serial"``/``"thread"``/``"process"``); None
         (default) defers to the evaluator's configured backend, falling
         back to the thread backend.  ``"process"`` sidesteps the GIL on
-        the scalar dispatch substrates (heterogeneous pools); every
+        the scalar dispatch loops; every
         backend replays the same golden search sequence bit-for-bit.
     eval_workers:
         Worker count for ``eval_backend`` (None = CPU-derived default;

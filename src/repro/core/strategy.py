@@ -15,7 +15,6 @@ Strategies become selectable by name (``Scenario.run("my-strategy")``,
 from __future__ import annotations
 
 import abc
-import warnings
 from collections.abc import Sequence
 
 from repro.core.evaluator import ConfigurationEvaluator, EvaluationRecord
@@ -202,18 +201,3 @@ class Budget:
             return None
         return min(meeting, key=lambda r: r.cost_per_hour)
 
-
-def __getattr__(name: str):
-    # Deprecated alias — ``Budget`` has been public since the Scenario API
-    # landed; the underscore name is kept (with a warning) for older
-    # strategy subclasses.  A module-level __getattr__ (PEP 562) instead
-    # of a plain alias so every access actually emits the warning.
-    if name == "_Budget":
-        warnings.warn(
-            "repro.core.strategy._Budget is deprecated; use the public "
-            "repro.core.strategy.Budget instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return Budget
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

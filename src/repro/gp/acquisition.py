@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import norm
 
 _PDF_C = np.sqrt(2.0 * np.pi)
 
@@ -79,7 +78,7 @@ def probability_of_improvement(
     improve = mean - best_observed - xi
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(std > 0, improve / std, np.where(improve > 0, np.inf, -np.inf))
-    return norm.cdf(z)
+    return ndtr(z)
 
 
 def upper_confidence_bound(

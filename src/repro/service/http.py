@@ -24,7 +24,9 @@ JobManager` — no web framework, no new dependencies.  Endpoints:
 All responses are JSON.  Malformed scenarios surface as structured 400
 bodies — ``{"error": {"type": "ScenarioError", "message": ...}}`` — with
 the validation message produced by :meth:`Scenario.from_dict`, unknown
-jobs as 404, results-not-ready as 409.
+jobs as 404, results-not-ready as 409.  A ``Content-Length`` that is not
+a non-negative integer is a 400, and one above :data:`MAX_BODY_BYTES` a
+413; both are refused before any of the body is read.
 
 The handler is deliberately free of optimization logic: everything it
 does is translate HTTP to :class:`JobManager` calls, which is why the
@@ -42,7 +44,18 @@ from repro.api.registry import UnknownStrategyError
 from repro.api.scenario import ScenarioError
 from repro.service.jobs import TERMINAL_STATES, JobManager
 
-__all__ = ["ServiceHandler", "ServiceServer", "make_server"]
+__all__ = ["MAX_BODY_BYTES", "ServiceHandler", "ServiceServer", "make_server"]
+
+#: Largest request body the service reads, in bytes.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _BodyError(Exception):
+    """A request body refused before reading it (``status`` is 400 or 413)."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 class ServiceServer(ThreadingHTTPServer):
@@ -83,7 +96,18 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": {"type": exc_type, "message": message}})
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        if not (header.isascii() and header.isdigit()):
+            raise _BodyError(
+                400, f"Content-Length must be a non-negative integer, got {header!r}"
+            )
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            raise _BodyError(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -111,6 +135,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._route_post(urlparse(self.path).path.rstrip("/") or "/")
         except (ScenarioError, UnknownStrategyError) as exc:
             self._send_error_json(400, type(exc).__name__, str(exc))
+        except _BodyError as exc:
+            # The unread body is still on the socket: do not reuse it.
+            self.close_connection = True
+            self._send_error_json(exc.status, "RequestBodyError", str(exc))
         except KeyError as exc:
             self._send_error_json(404, "NotFound", str(exc.args[0]))
         except (BrokenPipeError, ConnectionResetError):

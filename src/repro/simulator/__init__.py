@@ -7,10 +7,9 @@ paper).  Two independently written engines are provided:
 * :class:`~repro.simulator.engine.InferenceServingSimulator` — the fast
   arrival-order engine used everywhere (a query either starts immediately on
   the first free instance in type order, or waits for the earliest-free
-  instance).  It dispatches on one of three bit-identical substrates —
-  the linear scan, the heap dispatcher, or the exact NumPy busy-period
-  kernels of :mod:`repro.simulator.vector_kernel` — picked per simulation
-  by pool shape and offered load (``dispatch="auto"``).
+  instance).  It dispatches on one of two bit-identical scalar loops —
+  the linear scan or the heap dispatcher — picked per simulation by
+  offered load (``dispatch="auto"``).
 * :class:`~repro.simulator.events.EventHeapSimulator` — an event-heap
   reference implementation used to cross-validate the fast engine in the
   test suite.
@@ -44,7 +43,6 @@ from repro.simulator.service import (
     service_time_matrix,
     shared_service_cache,
 )
-from repro.simulator.vector_kernel import homogeneous_pool, lindley_single
 
 __all__ = [
     "PoolConfiguration",
@@ -55,8 +53,6 @@ __all__ = [
     "ServiceTimeCache",
     "SimulationResultCache",
     "global_dispatch_counters",
-    "homogeneous_pool",
-    "lindley_single",
     "service_time_matrix",
     "shared_service_cache",
     "shared_simulation_cache",

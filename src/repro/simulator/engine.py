@@ -30,40 +30,22 @@ Performance notes (per the profiling-first HPC guidance this repo follows):
   engine is deterministic per ``(model, trace, pool)``, so re-simulating
   a configuration another seed/fork already served returns the stored
   :class:`SimulationResult` without touching the dispatch loop;
-* dispatch runs on one of four substrates, all bit-identical
-  (property-tested against each other and the event-heap reference):
+* dispatch runs on one of two scalar loops, bit-identical to each other
+  and to the event-heap reference (property-tested):
 
-  - ``linear`` — the O(n·m) scalar scan; O(1) per query on underloaded
-    pools of any size because it short-circuits on the first free
-    instance;
+  - ``linear`` — the O(n·m) scan; O(1) per query on underloaded pools of
+    any size because it short-circuits on the first free instance, and a
+    single clock on single-instance pools;
   - ``heap`` — O(n log m) on two heaps (a min-heap of free instance
     indices for the type-order preference, and a min-heap of
     ``(free_at, index)`` busy instances for the earliest-free pick), which
-    wins on big saturated pools where the scan stops short-circuiting;
-  - ``vector`` — the exact NumPy busy-period kernels of
-    :mod:`repro.simulator.vector_kernel`, fed directly from the
-    :class:`ServiceTimeCache` ndarray rows with no list round-trips.
-    Single-instance pools run the re-anchored Lindley cumsum (the big
-    win: the scalar loops floor at ~0.5 us/query where the kernel runs at
-    ~0.05); homogeneous pools run the pop-multiset fixpoint, whose
-    advantage grows with pool size because the m-server merge has an
-    irreducible *generation depth* (one sort round per pool turnover);
-  - ``vector`` on a *heterogeneous* pool — the grouped-family labelled
-    fixpoint of :mod:`repro.simulator.hetero_kernel`, which merges the
-    per-family clock multisets exactly and gathers each query's service
-    by its chosen family (counted as ``vector_hetero`` in the dispatch
-    stats; its crossover against the heap sits higher than the
-    homogeneous kernel's because every round pays a labelled gather);
+    wins on big saturated pools where the scan stops short-circuiting.
 
-  ``auto`` picks per simulation from the pool shape and the offered load
-  (arrival rate x mean service time, from the cached matrix): vector for
-  single-instance pools and for large saturated pools (homogeneous and
-  heterogeneous, each past its own measured size floor), the heap when
-  offered load keeps most of a big pool busy, the scan otherwise.
-  Per-path engagement counts are kept on the simulator and process-wide
-  (:func:`global_dispatch_counters`), with vector *disengagements* split
-  by reason, so benches can assert the substrate they mean to measure
-  actually engaged;
+  ``auto`` picks per simulation from the offered load (arrival rate x
+  mean service time, from the cached matrix): the heap when the load
+  keeps most of the pool busy, the scan otherwise (and always the scan
+  for a single instance or an empty trace).  Per-path run counts are kept
+  on the simulator and process-wide (:func:`global_dispatch_counters`);
 * the scalar loops emit only what dispatch decides — each query's start
   time and chosen instance (plus the makespan) — and :meth:`simulate`
   derives the rest with vector operations: ``service_s`` is a gather
@@ -90,8 +72,6 @@ from repro.simulator.result_cache import (
     shared_simulation_cache,
 )
 from repro.simulator.service import ServiceTimeCache, shared_service_cache
-from repro.simulator.hetero_kernel import heterogeneous_pool
-from repro.simulator.vector_kernel import homogeneous_pool, lindley_single
 from repro.workload.trace import QueryTrace
 
 #: Heap-dispatch threshold (measured crossover; both paths are exact, so
@@ -101,57 +81,12 @@ from repro.workload.trace import QueryTrace
 #: underloaded pools of any size the scan is O(1) per query and faster.
 _HEAP_MIN_OCCUPANCY = 0.8
 
-#: Below this many queries the single-instance vector kernel's fixed setup
-#: cost exceeds the scalar loop (measured crossover ~50 queries).
-_VECTOR_MIN_QUERIES = 64
-
-#: Minimum homogeneous-pool size for ``auto`` to pick the vector kernel.
-#: The pop-multiset fixpoint pays one sort round per pool turnover
-#: (generation depth), so its per-query cost falls with m; measured
-#: crossover against the heap sits near 24-32 instances.
-_VECTOR_MIN_POOL = 32
-
-#: The homogeneous vector kernel engages only past this offered load (in
-#: busy-instance units over the pool size): its saturated-block solver
-#: degrades to scalar steps when arrivals keep finding free instances.
-_VECTOR_MIN_OCCUPANCY = 1.0
-
-#: Minimum heterogeneous-pool size for ``auto`` to pick the grouped-family
-#: vector kernel.  The labelled fixpoint pays a few argsort rounds per pool
-#: turnover plus per-query service gathers by family label, so its
-#: crossover against the heap sits higher than the homogeneous kernel's
-#: (measured on the recording host: ~1.1x at 64 instances under deep
-#: saturation, 1.5-2x from 96; see ``BENCH_hetero_kernel.json``).
-_VECTOR_HETERO_MIN_POOL = 64
-
 
 class DispatchCounters:
-    """Thread-safe run counters for the dispatch substrates.
+    """Thread-safe run counters for the dispatch loops.
 
-    ``linear``/``heap``/``vector``/``vector_hetero`` count simulations
-    actually *dispatched* by each path (result-memo hits never dispatch, so
-    they do not count); ``vector_hetero`` is a real engagement of the
-    grouped-family kernel on a heterogeneous pool, distinct from any
-    fallback.  ``vector_fallback`` counts simulations that asked for (or
-    were shaped for) the vector substrate but were served by a scalar path
-    instead — incremented *in addition to* the path that served them, and
-    split by reason:
-
-    * ``vector_fallback_tie_screen`` — a kernel bailed out of the whole
-      trace after engaging (the single-instance boundary self-check, or a
-      heterogeneous input outside the kernel's domain); per-block tie
-      screens inside the kernels take exact scalar *steps* without
-      abandoning the run, so they do not count here.
-    * ``vector_fallback_crossover`` — ``auto`` saw a saturated,
-      kernel-shaped pool with enough queries but below the measured
-      engagement floor (``_VECTOR_MIN_POOL`` / ``_VECTOR_HETERO_MIN_POOL``)
-      and kept it on a scalar path.
-    * ``vector_fallback_hetero`` — the pre-hetero-kernel reason (a
-      heterogeneous pool under ``dispatch="vector"`` had no kernel to run).
-      Closed since the grouped-family kernel landed: it stays 0 and is kept
-      so long-lived telemetry streams keep a stable schema.
-
-    The aggregate ``vector_fallback`` equals the sum of the reasons.
+    ``linear``/``heap`` count simulations actually *dispatched* by each
+    loop; result-memo hits never dispatch, so they do not count.
     """
 
     __slots__ = ("_lock", "_counts")
@@ -159,12 +94,10 @@ class DispatchCounters:
     PATHS = (
         "linear",
         "heap",
+        # Always 0 (no vector substrate); perfbench's traced run reads them.
         "vector",
         "vector_hetero",
         "vector_fallback",
-        "vector_fallback_hetero",
-        "vector_fallback_crossover",
-        "vector_fallback_tie_screen",
     )
 
     def __init__(self) -> None:
@@ -224,20 +157,16 @@ class InferenceServingSimulator:
         instance so every simulator serving the same workload reuses one
         matrix.  Pass ``ServiceTimeCache(maxsize=0)`` to disable caching.
     dispatch:
-        ``"auto"`` (default) picks a substrate per simulation from the
-        pool shape and offered load; ``"linear"`` / ``"heap"`` /
-        ``"vector"`` force one path (the equivalence test suite exercises
-        all of them on equal inputs).  A forced ``"vector"`` engages a
-        kernel for every pool shape: the shared-row kernels on
-        single-instance and homogeneous pools, the grouped-family kernel
-        on heterogeneous ones.  The dispatch path is deliberately *not*
-        part of the result-memo key: all paths are bit-identical by
-        contract.
+        ``"auto"`` (default) picks a dispatch loop per simulation from the
+        offered load; ``"linear"`` / ``"heap"`` force one (the equivalence
+        tests exercise both on equal inputs).  The dispatch path is
+        deliberately *not* part of the result-memo key: both loops are
+        bit-identical by contract.
     dispatch_counters:
         Engagement-counter sink for this simulator (also mirrored into the
         process-wide :func:`global_dispatch_counters`).  Evaluators and
         runners share one counters object across their forks so sweeps can
-        report which substrates actually ran.
+        report which dispatch loops actually ran.
     result_cache:
         Whole-result memo; defaults to the process-wide shared instance so
         any simulator asked for a ``(model, trace, pool)`` it (or a sibling
@@ -247,8 +176,8 @@ class InferenceServingSimulator:
         benchmarking the dispatch loop itself).
     """
 
-    #: The full dispatch-policy set (``auto`` plus the three substrates).
-    DISPATCH_POLICIES = ("auto", "linear", "heap", "vector")
+    #: The full dispatch-policy set (``auto`` plus the two loops).
+    DISPATCH_POLICIES = ("auto", "linear", "heap")
 
     def __init__(
         self,
@@ -298,11 +227,6 @@ class InferenceServingSimulator:
         return self._result_cache
 
     @property
-    def dispatch(self) -> str:
-        """The configured dispatch policy (``auto`` or a forced substrate)."""
-        return self._dispatch
-
-    @property
     def dispatch_counters(self) -> DispatchCounters:
         """The engagement-counter sink this simulator records into."""
         return self._counters
@@ -325,11 +249,6 @@ class InferenceServingSimulator:
         self._counters.record(path)
         if self._counters is not _GLOBAL_DISPATCH:
             _GLOBAL_DISPATCH.record(path)
-
-    def _record_fallback(self, reason: str) -> None:
-        """Count a vector disengagement: the aggregate plus its reason."""
-        self._record_dispatch("vector_fallback")
-        self._record_dispatch("vector_fallback_" + reason)
 
     def merge_dispatch(self, counts: dict[str, int]) -> None:
         """Aggregate a dispatch-count delta produced elsewhere.
@@ -432,38 +351,18 @@ class InferenceServingSimulator:
         families = pool.families
         n_instances = len(type_list)
         cache = self._service_cache
-        # One family holding every instance: the shape the vector kernels
-        # (and their shared service row) require.
-        homogeneous = sum(1 for c in pool.counts if c) == 1
         service_rows: list[list[float]] | None = None
 
         # -- dispatch-path policy ------------------------------------------
-        if self._dispatch == "linear":
-            path = "linear"
-        elif self._dispatch == "heap":
-            path = "heap"
-        elif self._dispatch == "vector":
-            # Forced vector always engages a kernel: homogeneous shapes run
-            # the shared-row kernels, heterogeneous pools the grouped-family
-            # fixpoint (its service gathers come straight from the cached
-            # matrix, so no shared row is needed).
-            path = "vector" if n_instances == 1 or homogeneous else "vector_hetero"
+        if self._dispatch != "auto":
+            path = self._dispatch
         elif n_instances == 1 or n == 0:
-            path = (
-                "vector"
-                if n_instances == 1 and n >= _VECTOR_MIN_QUERIES
-                else "linear"
-            )
+            path = "linear"
         else:
             # Offered load in busy-instance units (Erlangs): arrival rate x
             # mean service time per query (pool-mix average).  With caching
             # disabled, derive the means from list rows materialized once
-            # and reused by the scalar run below — which is also why the
-            # vector branches require an enabled cache: picking one here
-            # would throw those rows away and regenerate the matrix a
-            # second time.  (The single-instance branch above has no such
-            # guard: it needs no means, so its matrix() call does exactly
-            # one generation either way.)
+            # and reused by the loop below.
             duration = trace.duration_s
             if cache.maxsize > 0:
                 means = cache.row_means(self._model, trace, families)
@@ -477,82 +376,46 @@ class InferenceServingSimulator:
                 if duration > 0.0
                 else np.inf
             )
-            kernel_ready = (
-                cache.maxsize > 0
-                and n >= _VECTOR_MIN_QUERIES
-                and offered >= _VECTOR_MIN_OCCUPANCY * n_instances
+            path = (
+                "heap" if offered >= _HEAP_MIN_OCCUPANCY * n_instances else "linear"
             )
-            pool_floor = (
-                _VECTOR_MIN_POOL if homogeneous else _VECTOR_HETERO_MIN_POOL
-            )
-            if kernel_ready and n_instances >= pool_floor:
-                path = "vector" if homogeneous else "vector_hetero"
-            else:
-                if kernel_ready:
-                    # Saturated, enough queries, kernel-shaped — only the
-                    # measured size crossover kept the kernel out.
-                    self._record_fallback("crossover")
-                path = (
-                    "heap"
-                    if offered >= _HEAP_MIN_OCCUPANCY * n_instances
-                    else "linear"
-                )
 
-        result = None
-        if path == "vector" or path == "vector_hetero":
-            result = self._run_vector(
-                trace,
-                families,
-                type_list,
-                type_of_instance,
-                instance_family,
-                n_instances,
-                hetero=path == "vector_hetero",
-            )
-            if result is None:
-                # A kernel abandoned the trace (the ulp-rare
-                # single-instance boundary self-check, or a heterogeneous
-                # input outside the kernel's domain): rerun on the scalar
-                # substrate the policy would otherwise pick for this shape.
-                self._record_fallback("tie_screen")
-                path = "linear" if n_instances == 1 else "heap"
-        if result is None:
-            if service_rows is None:
-                service_rows = cache.rows(self._model, trace, families)
-            run = self._run_heap if path == "heap" else self._run_linear
-            starts, chosen, makespan = run(
-                cache.arrival_list(trace), service_rows, type_list, n_instances
-            )
-            chosen = np.asarray(chosen, dtype=np.int64)
-            matrix = (
-                cache.matrix(self._model, trace, families)
-                if cache.maxsize > 0
-                else np.asarray(service_rows)
-            )
-            # A fresh gather, not a matrix view: a memoized result must not
-            # pin the whole multi-family matrix.
-            service_s = matrix[type_of_instance[chosen], np.arange(n)]
-            start_s = np.asarray(starts, dtype=float)
-            wait_s = start_s - trace.arrival_s
-            queue_len = np.empty(0)
-            if self._track_queue:
-                # FCFS starts are monotone, so the queries started by t_q are
-                # a prefix; the earlier arrivals past it are still queued.
-                q = np.arange(n)
-                started = np.searchsorted(start_s, trace.arrival_s, "right")
-                queue_len = q - np.minimum(q, started)
-            result = SimulationResult(
-                latency_s=wait_s + service_s,
-                wait_s=wait_s,
-                service_s=service_s,
-                instance_index=chosen,
-                instance_family=instance_family,
-                busy_s_per_instance=np.bincount(
-                    chosen, weights=service_s, minlength=n_instances
-                ),
-                makespan_s=makespan,
-                queue_len_at_arrival=queue_len,
-            )
+        if service_rows is None:
+            service_rows = cache.rows(self._model, trace, families)
+        run = self._run_heap if path == "heap" else self._run_linear
+        starts, chosen, makespan = run(
+            cache.arrival_list(trace), service_rows, type_list, n_instances
+        )
+        chosen = np.asarray(chosen, dtype=np.int64)
+        matrix = (
+            cache.matrix(self._model, trace, families)
+            if cache.maxsize > 0
+            else np.asarray(service_rows)
+        )
+        # A fresh gather, not a matrix view: a memoized result must not
+        # pin the whole multi-family matrix.
+        service_s = matrix[type_of_instance[chosen], np.arange(n)]
+        start_s = np.asarray(starts, dtype=float)
+        wait_s = start_s - trace.arrival_s
+        queue_len = np.empty(0)
+        if self._track_queue:
+            # FCFS starts are monotone, so the queries started by t_q are
+            # a prefix; the earlier arrivals past it are still queued.
+            q = np.arange(n)
+            started = np.searchsorted(start_s, trace.arrival_s, "right")
+            queue_len = q - np.minimum(q, started)
+        result = SimulationResult(
+            latency_s=wait_s + service_s,
+            wait_s=wait_s,
+            service_s=service_s,
+            instance_index=chosen,
+            instance_family=instance_family,
+            busy_s_per_instance=np.bincount(
+                chosen, weights=service_s, minlength=n_instances
+            ),
+            makespan_s=makespan,
+            queue_len_at_arrival=queue_len,
+        )
         self._record_dispatch(path)
         if memoize:
             result = memo.put(
@@ -566,77 +429,6 @@ class InferenceServingSimulator:
         return result
 
     # -- dispatch loops -----------------------------------------------------
-    def _run_vector(
-        self,
-        trace: QueryTrace,
-        families: tuple[str, ...],
-        type_list: list[int],
-        type_of_instance: np.ndarray,
-        instance_family: tuple[str, ...],
-        n_instances: int,
-        *,
-        hetero: bool = False,
-    ) -> SimulationResult | None:
-        """Serve via the NumPy busy-period kernels, or None on fallback.
-
-        The kernels are fed straight from the cached service-time matrix
-        and the trace's arrival ndarray — no list round-trips — and their
-        output arrays back the :class:`SimulationResult` directly.  With
-        ``hetero=True`` the grouped-family kernel runs on the full matrix
-        and gathers each query's service by its *chosen* family; otherwise
-        the single shared row feeds the homogeneous kernels.
-        """
-        cache = self._service_cache
-        matrix = cache.matrix(self._model, trace, families)
-        arrivals = trace.arrival_s
-        n = arrivals.shape[0]
-        track = self._track_queue
-        if hetero:
-            out = heterogeneous_pool(arrivals, matrix, type_of_instance, track)
-            if out is None:
-                return None
-            starts, chosen, service_s, busy, queue_len, makespan = out
-            wait_s = starts - arrivals
-            # service_s is a fresh per-query gather (not a matrix view), so
-            # memoizing the result does not pin the multi-family matrix.
-            return SimulationResult(
-                latency_s=wait_s + service_s,
-                wait_s=wait_s,
-                service_s=service_s,
-                instance_index=chosen,
-                instance_family=instance_family,
-                busy_s_per_instance=busy,
-                makespan_s=makespan,
-                queue_len_at_arrival=queue_len if track else np.empty(0),
-            )
-        row = matrix[type_list[0]]  # single family: one shared row
-        if n_instances == 1:
-            out = lindley_single(arrivals, row, track)
-            if out is None:
-                return None
-            starts, finishes, busy_total, queue_len = out
-            chosen = np.zeros(n, dtype=np.int64)
-            busy = np.array([busy_total], dtype=float)
-            makespan = float(finishes[-1]) if n else 0.0
-        else:
-            starts, chosen, busy, queue_len, makespan = homogeneous_pool(
-                arrivals, row, n_instances, track
-            )
-        wait_s = starts - arrivals
-        latency_s = wait_s + row
-        return SimulationResult(
-            latency_s=latency_s,
-            wait_s=wait_s,
-            # Copied, not the matrix-row view: a memoized result must not
-            # pin the whole multi-family matrix (nor undercount its bytes).
-            service_s=row.copy(),
-            instance_index=chosen,
-            instance_family=instance_family,
-            busy_s_per_instance=busy,
-            makespan_s=makespan,
-            queue_len_at_arrival=queue_len if track else np.empty(0),
-        )
-
     def _run_linear(
         self,
         arrival_list: list[float],
@@ -644,7 +436,8 @@ class InferenceServingSimulator:
         type_list: list[int],
         n_instances: int,
     ):
-        """O(n·m) scalar scan; fastest below the heap crossover.
+        """O(n·m) scalar scan; fastest below the heap crossover (and the
+        only loop for a single instance, which runs :meth:`_run_single`).
 
         Returns ``(starts, chosen, makespan)``: per-query start times and
         instance indices, in arrival order.  Everything else a result

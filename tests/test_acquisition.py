@@ -1,5 +1,10 @@
 """Unit + property tests for acquisition functions."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +91,39 @@ class TestProbabilityOfImprovement:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             probability_of_improvement(np.zeros(2), np.zeros(3), 0.0)
+
+    def test_ndtr_is_norm_cdf_bit_for_bit(self):
+        # PI returns ndtr(z) instead of norm.cdf(z); the standard normal
+        # cdf is ndtr, so the swap must not move a single bit.
+        from scipy.special import ndtr
+        from scipy.stats import norm
+
+        z = np.concatenate(
+            [
+                np.linspace(-40.0, 40.0, 4001),
+                np.geomspace(1e-300, 1e3, 500) * np.array([[-1.0], [1.0]]),
+                [0.0, -0.0, np.inf, -np.inf, np.nan],
+            ],
+            axis=None,
+        )
+        np.testing.assert_array_equal(
+            ndtr(z).view(np.int64), norm.cdf(z).view(np.int64)
+        )
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """``scipy.stats`` costs a large share of a cold start; nothing on
+    the package or CLI import path may pull it in."""
+    code = (
+        "import sys, repro, repro.cli; "
+        "sys.exit('scipy.stats' in sys.modules)"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 class TestUCB:

@@ -6,11 +6,16 @@ tests assert both engines produce identical per-query latencies on random
 workloads and pools, including with service-time noise.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator.engine import InferenceServingSimulator
+from repro.api import PoolSpec, Scenario, ScenarioRunner, WorkloadSpec
+from repro.models.base import LatencyProfile
+from repro.simulator.engine import DispatchCounters, InferenceServingSimulator
 from repro.simulator.events import EventHeapSimulator
 from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import SimulationResultCache
@@ -30,13 +35,13 @@ def fast_sim(model, **kwargs) -> InferenceServingSimulator:
     )
 
 
-def random_trace(seed: int, n: int) -> QueryTrace:
+def random_trace(seed: int, n: int, rate: float = 300.0) -> QueryTrace:
     rng = np.random.default_rng(seed)
-    arrivals = np.cumsum(rng.exponential(1.0 / 300.0, size=n))
+    arrivals = np.cumsum(rng.exponential(1.0 / rate, size=n))
     batches = np.clip(
         np.rint(rng.lognormal(np.log(30.0), 0.8, size=n)), 1, 256
     ).astype(np.int64)
-    return QueryTrace(arrivals, batches, rate_qps=300.0, seed=seed)
+    return QueryTrace(arrivals, batches, rate_qps=rate, seed=seed)
 
 
 @given(
@@ -96,13 +101,10 @@ def test_three_type_pool_equivalence():
 
 def assert_dispatch_modes_match_reference(model, trace, pool):
     """Every dispatch policy must equal the event-heap reference
-    bit-for-bit on every result array (``vector`` serves
-    single-instance/homogeneous pools with the shared-row NumPy kernels and
-    heterogeneous pools with the grouped-family fixpoint kernel; the scalar
-    loops emit only starts and choices, and the service, busy and queue
-    arrays are derived from them — every substrate, one contract)."""
+    bit-for-bit on every result array (the loops emit only starts and
+    choices; the service, busy and queue arrays are derived from them)."""
     ref = EventHeapSimulator(model).simulate(trace, pool)
-    for mode in ("linear", "heap", "vector", "auto"):
+    for mode in InferenceServingSimulator.DISPATCH_POLICIES:
         sim = fast_sim(model, track_queue=True, dispatch=mode)
         res = sim.simulate(trace, pool)
         for field in (
@@ -120,11 +122,15 @@ def assert_dispatch_modes_match_reference(model, trace, pool):
         assert res.makespan_s == ref.makespan_s, mode
 
 
-@given(seed=st.integers(min_value=0, max_value=10_000))
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n=st.integers(min_value=1, max_value=400),
+    rate=st.floats(5.0, 3000.0),
+)
 @settings(max_examples=15, deadline=None)
-def test_heap_dispatch_single_instance(seed):
+def test_heap_dispatch_single_instance(seed, n, rate):
     model = make_toy_model(noise={"g4dn": 0.1, "t3": 0.2})
-    trace = random_trace(seed, 250)
+    trace = random_trace(seed, n, rate)
     assert_dispatch_modes_match_reference(
         model, trace, PoolConfiguration.homogeneous("g4dn", 1)
     )
@@ -174,25 +180,55 @@ def test_heap_dispatch_heavy_saturation(seed):
     )
 
 
-@given(seed=st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=10, deadline=None)
-def test_vector_hetero_matches_event_reference(seed):
-    """The grouped-family kernel against the *event-driven* reference —
-    not just the heap — with the counters proving it actually ran."""
-    model = make_toy_model(noise={"g4dn": 0.1, "c5": 0.15, "t3": 0.2})
-    trace = random_trace(seed, 300)
-    pool = PoolConfiguration(("g4dn", "c5", "t3"), (5, 4, 3))
-    ref = EventHeapSimulator(model).simulate(trace, pool)
-    sim = fast_sim(model, track_queue=True, dispatch="vector")
-    res = sim.simulate(trace, pool)
-    counts = sim.dispatch_counts
-    assert counts["vector_hetero"] == 1 and counts["vector_fallback"] == 0
-    np.testing.assert_array_equal(res.latency_s, ref.latency_s)
-    np.testing.assert_array_equal(res.instance_index, ref.instance_index)
-    np.testing.assert_array_equal(
-        res.queue_len_at_arrival, ref.queue_len_at_arrival
-    )
-    assert res.makespan_s == ref.makespan_s
+@pytest.mark.parametrize(
+    "shape",
+    [
+        "idle",
+        "arrival_ties",
+        "zero_service",
+        "equal_service",
+        "single_query",
+        "bursty",
+        "saturated",
+    ],
+)
+def test_trace_shapes_match_reference(shape):
+    """Adversarial trace shapes on single-instance, homogeneous and mixed
+    pools: zero-noise services keep finish clocks tied wherever the shape
+    allows, so every tie-break of the dispatch rule is exercised."""
+    model = make_toy_model()
+    trace = random_trace(3, 150, 500.0)
+    if shape == "idle":  # near-zero load: every busy period is one query
+        trace = random_trace(5, 200, 2.0)
+    elif shape == "arrival_ties":  # bursts of four share each timestamp
+        arrivals = np.repeat(np.arange(30, dtype=float) * 0.004, 4)
+        trace = QueryTrace(arrivals, np.full(120, 30), rate_qps=1000.0, seed=11)
+    elif shape == "zero_service":  # every t3 finish ties its own start
+        profiles = {**model.profiles, "t3": LatencyProfile(0.0, 0.0)}
+        model = dataclasses.replace(model, profiles=profiles)
+    elif shape == "equal_service":  # finish clocks tie across families
+        profiles = {f: LatencyProfile(1.0, 0.1) for f in model.profiles}
+        model = dataclasses.replace(model, profiles=profiles)
+        trace = random_trace(9, 200, 800.0)
+    elif shape == "single_query":
+        trace = random_trace(5, 1, 100.0)
+    elif shape == "bursty":  # clumps of exact ties split by long silences
+        model = make_toy_model(noise={"g4dn": 0.1, "t3": 0.2, "c5": 0.15})
+        rng = np.random.default_rng(9)
+        gaps = rng.exponential(1.0 / 600.0, size=300)
+        gaps[rng.random(300) < 0.4] = 0.0
+        gaps[rng.random(300) < 0.08] *= 50.0
+        trace = QueryTrace(np.cumsum(gaps), np.full(300, 30), rate_qps=600.0, seed=9)
+    elif shape == "saturated":  # far past capacity: queues thousands deep
+        trace = random_trace(4, 600, 20_000.0)
+    for pool in (
+        PoolConfiguration.homogeneous("g4dn", 1),
+        PoolConfiguration.homogeneous("t3", 6),
+        PoolConfiguration.homogeneous("g4dn", 32),
+        PoolConfiguration(("g4dn", "t3"), (2, 2)),
+        PoolConfiguration(("g4dn", "t3", "c5"), (3, 2, 3)),
+    ):
+        assert_dispatch_modes_match_reference(model, trace, pool)
 
 
 @given(
@@ -235,7 +271,7 @@ def test_untracked_queue_is_empty(seed):
     trace = make_tied_trace(seed, 200)
     for counts in ((1, 0), (2, 3), (0, 6)):
         pool = PoolConfiguration(("g4dn", "t3"), counts)
-        for mode in ("linear", "heap", "vector", "auto"):
+        for mode in InferenceServingSimulator.DISPATCH_POLICIES:
             tracked = fast_sim(model, dispatch=mode).simulate(trace, pool)
             res = fast_sim(model, track_queue=False, dispatch=mode).simulate(
                 trace, pool
@@ -259,7 +295,41 @@ def test_auto_dispatch_equals_forced_paths(toy_model, toy_trace):
 
 
 def test_invalid_dispatch_mode_rejected(toy_model):
-    import pytest
+    with pytest.raises(ValueError) as err:
+        InferenceServingSimulator(toy_model, dispatch="vector")
+    for policy in ("auto", "linear", "heap"):
+        assert repr(policy) in str(err.value)
 
-    with pytest.raises(ValueError, match="'vector'"):
-        InferenceServingSimulator(toy_model, dispatch="quantum")
+
+def test_counts_skip_memo_hits_and_reach_the_runner(toy_model, toy_trace):
+    """Only real dispatches count (a memo hit does not), and a runner
+    reports every simulation it ran, bound estimation included."""
+    counters = DispatchCounters()
+    sim = InferenceServingSimulator(
+        toy_model,
+        result_cache=SimulationResultCache(maxsize=8),
+        dispatch_counters=counters,
+    )
+    for pool in (
+        PoolConfiguration.homogeneous("g4dn", 1),
+        PoolConfiguration(("g4dn", "t3"), (1, 2)),
+    ):
+        sim.simulate(toy_trace, pool)
+        sim.simulate(toy_trace, pool)  # memo hit
+    assert counters.snapshot() == dict(
+        dict.fromkeys(DispatchCounters.PATHS, 0), linear=2
+    )
+
+    runner = ScenarioRunner(
+        Scenario(
+            model="MT-WND",
+            workload=WorkloadSpec(n_queries=500, seed=3, load_factor=1.5),
+            pool=PoolSpec(families=("g4dn", "c5"), bounds=(3, 4)),
+        ),
+        simulation_cache=SimulationResultCache(maxsize=0),
+    )
+    runner.homogeneous_optimum(seed=0)
+    stats = runner.cache_stats()
+    assert set(stats["dispatch"]) == set(DispatchCounters.PATHS)
+    assert stats["dispatch"]["linear"] + stats["dispatch"]["heap"] > 0
+    assert runner.dispatch_counts() == stats["dispatch"]

@@ -169,12 +169,8 @@ class TestSimulateManyIdentity:
         )
         process_backend.simulate_many(sim, trace, pools)
         counts = dict(sim.dispatch_counts)
-        served = ("linear", "heap", "vector", "vector_hetero")
-        assert sum(counts[p] for p in served) == len(pools)
-        # Fallback telemetry rides along: the aggregate equals the sum of
-        # its per-reason splits after the cross-process merge, too.
-        reasons = [p for p in counts if p.startswith("vector_fallback_")]
-        assert counts["vector_fallback"] == sum(counts[r] for r in reasons)
+        assert counts["linear"] + counts["heap"] == len(pools)
+        assert sum(counts.values()) == len(pools)
 
     def test_worker_count_override_per_call(self, process_backend):
         model, trace, space, _ = toy_ctx(n=120, seed=17)

@@ -120,21 +120,6 @@ class TestBudgetPromotion:
         assert repro.Budget is Budget
         assert repro.core.Budget is Budget
 
-    def test_deprecated_alias_warns_and_resolves(self):
-        import repro.core.strategy as strategy_module
-
-        with pytest.warns(DeprecationWarning, match="_Budget is deprecated"):
-            alias = strategy_module._Budget
-        assert alias is Budget
-
-    def test_deprecated_alias_warns_on_from_import(self):
-        # An actual from-import statement (IMPORT_FROM falls back to the
-        # module __getattr__ for missing names), not a getattr spelling.
-        ns: dict = {}
-        with pytest.warns(DeprecationWarning, match="_Budget is deprecated"):
-            exec("from repro.core.strategy import _Budget", ns)
-        assert ns["_Budget"] is Budget
-
     def test_unknown_attribute_still_raises(self):
         import repro.core.strategy as strategy_module
 

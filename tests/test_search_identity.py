@@ -7,7 +7,7 @@ how fast it does it.  These tests pin that contract:
 * the benchmark workload's golden best pools and sample sequences (recorded
   in ``BENCH_search_core.json`` from the pre-rewrite code) are reproduced
   exactly;
-* searches are invariant to cache sharing and dispatch path;
+* searches are invariant to cache sharing;
 * the opt-in ``refit_period > 1`` fast schedule still finds the optimum.
 """
 
@@ -74,44 +74,6 @@ class TestGoldenSequences:
         assert res.best is not None
         assert list(res.best.pool.counts) == expected["best"]
         assert [list(r.pool.counts) for r in res.history] == expected["sequence"]
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_bench_sequence_identical_under_hetero_vector_dispatch(
-        self, bench_golden, seed
-    ):
-        """The same golden sequences, re-run with every heterogeneous
-        sample forced through the grouped-family vector kernel: the
-        search must visit the exact recorded pools, and the counters
-        must show the kernel actually served the mixed-family samples."""
-        from repro.models.zoo import get_model
-        from repro.workload.trace import trace_for_model
-
-        spec, golden = bench_golden
-        model = get_model(spec["model"])
-        trace = trace_for_model(
-            model,
-            n_queries=spec["n_queries"],
-            seed=spec["trace_seed"],
-            load_factor=spec["load_factor"],
-        )
-        space = SearchSpace(tuple(spec["families"]), tuple(spec["bounds"]))
-        evaluator = ConfigurationEvaluator(
-            model,
-            trace,
-            RibbonObjective(space),
-            result_cache=SimulationResultCache(maxsize=0),
-            dispatch="vector",
-        )
-        res = RibbonOptimizer(max_samples=spec["max_samples"], seed=seed).search(
-            evaluator
-        )
-        expected = golden[str(seed)]
-        assert res.best is not None
-        assert list(res.best.pool.counts) == expected["best"]
-        assert [list(r.pool.counts) for r in res.history] == expected["sequence"]
-        counts = evaluator.simulator.dispatch_counts
-        assert counts["vector_hetero"] > 0
-        assert counts["vector_fallback_hetero"] == 0
 
 
 class TestInvariances:

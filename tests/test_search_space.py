@@ -159,7 +159,7 @@ def counted_bounds(model, trace, families, **kwargs):
     )
     space = estimate_instance_bounds(model, trace, families, simulator=sim, **kwargs)
     counts = counters.snapshot()
-    sims = sum(counts[p] for p in ("linear", "heap", "vector", "vector_hetero"))
+    sims = counts["linear"] + counts["heap"]
     return space.bounds, sims
 
 
@@ -272,9 +272,7 @@ class TestRunnerBoundSimulations:
             qos_target_ms=self.SCENARIO.qos_target_ms,
             hard_cap=self.SCENARIO.pool.bound_cap,
         )
-        dispatched = sum(
-            counts[p] for p in ("linear", "heap", "vector", "vector_hetero")
-        )
+        dispatched = counts["linear"] + counts["heap"]
         assert 0 < dispatched == sims
         assert dispatched <= sim_budget(
             len(self.SCENARIO.families), self.SCENARIO.pool.bound_cap

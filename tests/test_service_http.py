@@ -8,13 +8,16 @@ test in this file that simulates anything.
 """
 
 import json
+import socket
 import threading
 import urllib.request
+from urllib.parse import urlparse
 
 import pytest
 
 from repro.api.scenario import Scenario
 from repro.service import JobManager, ServiceClient, ServiceError, make_server
+from repro.service.http import MAX_BODY_BYTES
 from tests.test_service import StubFactory, make_scenario
 
 
@@ -193,6 +196,30 @@ class TestErrors:
                 "POST", f"/jobs/{parent['id']}/fork", {"workload": "nope"}
             )
         assert err.value.status == 400
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [("-1", 400), ("abc", 400), ("1_0", 400), (str(MAX_BODY_BYTES + 1), 413)],
+    )
+    def test_bad_content_length_is_refused_unread(self, service, length, status):
+        """A bad or oversized Content-Length is answered at once, before
+        any body is read: ``-1`` would otherwise block the read until the
+        client hangs up, and ``abc`` would surface as a 500."""
+        _, client = service
+        url = urlparse(client.base_url)
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            sock.sendall(
+                f"POST /jobs HTTP/1.1\r\nHost: {url.hostname}\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode()
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == str(status).encode()
+        error = json.loads(body)["error"]
+        assert error["type"] == "RequestBodyError"
+        assert "invalid literal" not in error["message"]
 
 
 class TestRealRunnerSmoke:

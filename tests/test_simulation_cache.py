@@ -379,7 +379,4 @@ class TestRunManyUnderTheMemo:
             "vector",
             "vector_hetero",
             "vector_fallback",
-            "vector_fallback_hetero",
-            "vector_fallback_crossover",
-            "vector_fallback_tie_screen",
         } == set(stats["dispatch"])
