@@ -9,7 +9,7 @@ regimes the PR introduced:
 * **batched** — constant-liar q-EI (``batch_size=8``): one surrogate
   update and one full (mean + std) grid predict per *batch*, fantasy
   rank-1 updates in between, and the proposed pools evaluated together
-  through ``Budget.evaluate_batch`` with thread-parallel simulation.
+  through ``Budget.evaluate_batch``.
 
 Both sides share one warmed service-time cache and get an identical
 fresh simulation memo, so the ratio isolates the proposal/evaluation
@@ -21,9 +21,6 @@ shared artifact format (see :mod:`_artifact`).  The bench
   sample sequences exactly,
 * asserts the batch engine actually **engaged** (per-result metadata:
   engine name + batch count),
-* runs the **multiprocess trajectory**: the same batched sweep through
-  the process evaluation backend (forked workers over shared-memory
-  workload views) must replay the thread-parallel sweep bit-for-bit,
 * runs the **streaming-argmax demonstration**: a 5-family, 10^6+-cell
   lattice searched end-to-end without ever materializing
   ``SearchSpace.grid()`` (the streamed block-wise acquisition path), and
@@ -51,7 +48,6 @@ from repro.api import (
     ScenarioRunner,
     WorkloadSpec,
 )
-from repro.core.backends import resolve_backend
 from repro.simulator.result_cache import SimulationResultCache
 from repro.simulator.service import ServiceTimeCache
 
@@ -136,7 +132,7 @@ def test_perf_batch_proposals(benchmark, batch_ctx):
     assert _sequences(qei1_results) == _sequences(seq_results)
 
     # The batched sweep (one surrogate update + one std-bearing grid
-    # predict per batch, thread-parallel evaluation of each batch).
+    # predict per batch).
     batch_times = []
 
     def measured():
@@ -163,20 +159,6 @@ def test_perf_batch_proposals(benchmark, batch_ctx):
         counts = [r.pool.counts for r in res.history]
         assert len(counts) == len(set(counts)) <= spec["max_samples"], seed
         assert res.best is not None, seed
-
-    # Multiprocess trajectory: the identical batched sweep through the
-    # process backend replays the thread-parallel sweep bit-for-bit.
-    with resolve_backend("process", 2 if SMOKE else 4) as process_backend:
-        process_wall, process_results = _sweep(
-            scenario,
-            service,
-            seeds,
-            batch_size=batch_size,
-            eval_backend=process_backend,
-        )
-    assert _sequences(process_results) == _sequences(batch_results)
-    for seed, res in process_results.items():
-        assert res.metadata["eval_backend"] == "process", seed
 
     # Streaming-argmax demonstration: a 5-family, 10^6+-cell lattice is
     # searched end to end without ever materializing the grid.
@@ -234,7 +216,6 @@ def test_perf_batch_proposals(benchmark, batch_ctx):
         batched_wall_s=batch_wall,
         speedup_batched=speedup,
         batch_size=batch_size,
-        multiprocess={"wall_s": process_wall, "workers": 4},
         streaming_demo={
             "n_cells": n_cells,
             "families": len(demo["families"]),
@@ -280,17 +261,3 @@ def test_streamed_equals_materialized_argmax(batch_ctx):
     ]
     assert streamed.metadata["acquisition_streamed"] is True
 
-
-def test_batch_parallel_evaluation_is_deterministic(batch_ctx):
-    """Thread-parallel batch evaluation returns the serial result."""
-    spec, scenario, seeds = batch_ctx
-    service = ServiceTimeCache()
-    seed = seeds[0]
-    kwargs = dict(batch_size=spec["batch_size"])
-    _, serial = _sweep(
-        scenario, service, (seed,), batch_parallel=False, **kwargs
-    )
-    _, threaded = _sweep(
-        scenario, service, (seed,), batch_parallel=True, **kwargs
-    )
-    assert _sequences(serial) == _sequences(threaded)

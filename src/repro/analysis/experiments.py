@@ -166,8 +166,6 @@ def make_experiment(
     *,
     families: tuple[str, ...] | None = None,
     bound_cap: int = 16,
-    eval_backend=None,
-    eval_workers: int | None = None,
     disk_cache=None,
 ) -> ModelExperiment:
     """Wire up the full experiment context for one Table 1 model.
@@ -176,20 +174,13 @@ def make_experiment(
     :class:`~repro.api.ScenarioRunner` materialize the trace, the measured
     search space, the Eq. 2 objective, and the shared evaluator.
 
-    ``eval_backend``/``eval_workers``/``disk_cache`` configure the
-    runner's evaluation backend and the disk tier of its result memo
-    (see :class:`~repro.api.runner.ScenarioRunner`); all combinations
-    are bit-identical by contract.
+    ``disk_cache`` attaches a disk tier to the runner's result memo (see
+    :class:`~repro.api.runner.ScenarioRunner`).
     """
     scenario = setting.scenario(
         model_name, families=families, bound_cap=bound_cap
     )
-    runner = ScenarioRunner(
-        scenario,
-        eval_backend=eval_backend,
-        eval_workers=eval_workers,
-        disk_cache=disk_cache,
-    )
+    runner = ScenarioRunner(scenario, disk_cache=disk_cache)
     mat = runner.materialize(setting.seed)
     homog = runner.homogeneous_optimum(seed=setting.seed)
     return ModelExperiment(

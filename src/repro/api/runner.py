@@ -17,6 +17,7 @@ configurations the service already deployed.
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Sequence
@@ -25,11 +26,6 @@ from dataclasses import dataclass, replace
 
 from repro.api.registry import make_strategy, strategy_options
 from repro.api.scenario import PoolSpec, Scenario, ScenarioError
-from repro.core.backends import (
-    EvaluationBackend,
-    default_eval_workers,
-    resolve_backend,
-)
 from repro.core.evaluator import ConfigurationEvaluator, EvaluationRecord
 from repro.core.objective import RibbonObjective
 from repro.core.result import SearchResult
@@ -109,14 +105,6 @@ class ScenarioRunner:
         (every evaluation re-simulates).  :meth:`cache_stats` reports
         hit/miss/eviction counters for both caches plus this runner's
         dispatch-path engagement counts.
-    eval_backend, eval_workers:
-        Evaluation backend for batched evaluations — a registered name
-        (``"serial"``/``"thread"``/``"process"``) or an
-        :class:`~repro.core.backends.EvaluationBackend` instance — and
-        its worker count.  Handed to every evaluator this runner builds
-        and propagated by :meth:`fork`; all backends are bit-identical
-        by contract.  Default (None) defers to the shared thread
-        backend.
     disk_cache:
         Path (or :class:`~repro.simulator.disk_cache.DiskResultStore`)
         of a disk tier for the simulation-result memo: the runner builds
@@ -134,8 +122,6 @@ class ScenarioRunner:
         service_cache: ServiceTimeCache | None = None,
         simulation_cache: SimulationResultCache | None = None,
         dispatch_counters: DispatchCounters | None = None,
-        eval_backend: "EvaluationBackend | str | None" = None,
-        eval_workers: int | None = None,
         disk_cache=None,
     ):
         if not isinstance(scenario, Scenario):
@@ -163,12 +149,6 @@ class ScenarioRunner:
             if simulation_cache is not None
             else shared_simulation_cache()
         )
-        if eval_workers is not None and eval_workers < 1:
-            raise ScenarioError(f"eval_workers must be >= 1, got {eval_workers!r}")
-        try:
-            self._eval_backend = resolve_backend(eval_backend, eval_workers)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
         # One counter sink for every evaluator (and fork) this runner
         # builds: sweeps report their whole dispatch mix from one place.
         self._dispatch_counters = (
@@ -269,7 +249,6 @@ class ScenarioRunner:
             service_cache=self._service_cache,
             result_cache=self._simulation_cache,
             dispatch_counters=self._dispatch_counters,
-            backend=self._eval_backend,
         )
         return MaterializedScenario(
             scenario=scn,
@@ -297,19 +276,11 @@ class ScenarioRunner:
         """The service-time matrix cache this runner's evaluators share."""
         return self._service_cache
 
-    @property
-    def eval_backend(self) -> EvaluationBackend | None:
-        """The evaluation backend this runner's evaluators batch on (or
-        None, meaning the process-wide default thread backend)."""
-        return self._eval_backend
-
     def close(self) -> None:
-        """Release backend workers and the disk tier (if any).
+        """Release the disk tier (if any).
 
         Safe to call repeatedly; the runner keeps working afterwards
-        (backends re-spawn workers lazily, the disk store reopens)."""
-        if self._eval_backend is not None:
-            self._eval_backend.close()
+        (the disk store reopens)."""
         disk = self._simulation_cache.disk
         if disk is not None:
             disk.close()
@@ -402,8 +373,10 @@ class ScenarioRunner:
         Every seed searches against its own forked evaluator, so results
         are deterministic and identical whether the sweep runs
         sequentially or on the ``concurrent.futures`` thread pool
-        (``parallel=True``).  Strategy instances cannot be swept (one
-        instance holds per-run state); pass a registry name instead.
+        (``parallel=True``; ``max_workers`` defaults to
+        ``min(len(seeds), os.cpu_count())``).  Strategy instances cannot be
+        swept (one instance holds per-run state); pass a registry name
+        instead.
         """
         seed_list = [int(s) for s in seeds]
         if not seed_list:
@@ -423,7 +396,7 @@ class ScenarioRunner:
         workers = (
             max_workers
             if max_workers is not None
-            else min(len(seed_list), default_eval_workers())
+            else min(len(seed_list), os.cpu_count() or 1)
         )
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {
@@ -515,7 +488,6 @@ class ScenarioRunner:
             service_cache=self._service_cache,
             simulation_cache=self._simulation_cache,
             dispatch_counters=self._dispatch_counters,
-            eval_backend=self._eval_backend,
         )
 
     def homogeneous_optimum(
@@ -554,7 +526,6 @@ class ScenarioRunner:
             service_cache=self._service_cache,
             simulation_cache=self._simulation_cache,
             dispatch_counters=self._dispatch_counters,
-            eval_backend=self._eval_backend,
         )
         with self._lock:
             base = self._materialized.get(self.scenario.trace_seed(seed))

@@ -140,8 +140,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     extras = {
         "batch_size": args.batch_size,
         "proposal_engine": args.proposal_engine,
-        "eval_backend": args.eval_backend,
-        "eval_workers": args.eval_workers,
     }
     supported = {opt.name for opt in strategy_options(args.method)}
     for knob, value in extras.items():
@@ -194,8 +192,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     manager = JobManager(
         store=store,
         max_workers=args.workers,
-        eval_backend=args.eval_backend,
-        eval_workers=args.eval_workers,
         disk_cache=args.disk_cache,
     )
     server = make_server(manager, host=args.host, port=args.port)
@@ -243,23 +239,8 @@ def _cmd_strategies(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_eval_args(parser: argparse.ArgumentParser) -> None:
-    """Shared evaluation-backend / disk-cache flags (search, serve)."""
-    parser.add_argument(
-        "--eval-backend",
-        default=None,
-        choices=["serial", "thread", "process"],
-        help=(
-            "evaluation backend for batched simulations (all are "
-            "bit-identical; default: thread)"
-        ),
-    )
-    parser.add_argument(
-        "--eval-workers",
-        type=int,
-        default=None,
-        help="worker count for the evaluation backend (default: CPU count)",
-    )
+def _add_disk_cache_arg(parser: argparse.ArgumentParser) -> None:
+    """The shared disk-cache flag (search, serve)."""
     parser.add_argument(
         "--disk-cache",
         default=None,
@@ -326,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
             "constant-liar-qei (default picks by --batch-size)"
         ),
     )
-    _add_eval_args(ps)
+    _add_disk_cache_arg(ps)
     ps.set_defaults(func=_cmd_search)
 
     pv = sub.add_parser(
@@ -353,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         help="concurrent search jobs (default: 2)",
     )
-    _add_eval_args(pv)
+    _add_disk_cache_arg(pv)
     pv.set_defaults(func=_cmd_serve)
 
     pl = sub.add_parser("strategies", help="list the registered strategies")

@@ -14,11 +14,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from repro.core.backends import (
-    EvaluationBackend,
-    default_thread_backend,
-    resolve_backend,
-)
 from repro.core.objective import ObjectiveFunction
 from repro.core.search_space import SearchSpace
 from repro.models.base import ModelProfile
@@ -89,13 +84,6 @@ class ConfigurationEvaluator:
         every fork), so a whole sweep's dispatch mix can be reported from
         one object.  Defaults to a fresh
         :class:`~repro.simulator.engine.DispatchCounters`.
-    backend:
-        Default :class:`~repro.core.backends.EvaluationBackend` (or
-        registry name) for the parallel :meth:`evaluate_many` path; None
-        falls back to the shared thread backend (the pre-backend
-        behavior, bit-identical).  Propagated by :meth:`fork` so a whole
-        sweep shares one worker pool.  All backends produce bit-identical
-        records — they only move *where* simulations execute.
 
     Raises
     ------
@@ -117,7 +105,6 @@ class ConfigurationEvaluator:
         service_cache: ServiceTimeCache | None = None,
         result_cache: SimulationResultCache | None = None,
         dispatch_counters: DispatchCounters | None = None,
-        backend: "EvaluationBackend | str | None" = None,
     ):
         if len(trace) == 0:
             raise ValueError(
@@ -150,13 +137,11 @@ class ConfigurationEvaluator:
             result_cache=result_cache,
             dispatch_counters=dispatch_counters,
         )
-        self._backend = resolve_backend(backend)
         self._cache: dict[tuple[int, ...], EvaluationRecord] = {}
         self._history: list[EvaluationRecord] = []
         #: Optional observer called with each *newly admitted* record (cache
-        #: hits never re-fire).  Admission is always sequential — the
-        #: parallel ``evaluate_many`` path simulates concurrently but admits
-        #: in order from the calling thread — so the hook needs no locking.
+        #: hits never re-fire).  Evaluation runs in the calling thread, so
+        #: the hook needs no locking.
         #: An exception raised by the hook propagates out of the evaluation
         #: after the record is admitted; the optimization service uses this
         #: for live progress reporting and cooperative job cancellation.
@@ -192,12 +177,6 @@ class ConfigurationEvaluator:
         """The serving simulator behind this evaluator (introspection:
         dispatch counters, caches)."""
         return self._sim
-
-    @property
-    def eval_backend(self) -> EvaluationBackend | None:
-        """The configured default evaluation backend (None = the shared
-        thread backend engages on the parallel path)."""
-        return self._backend
 
     @property
     def eval_duration_hours(self) -> float:
@@ -251,65 +230,18 @@ class ConfigurationEvaluator:
         return record
 
     def evaluate_many(
-        self,
-        pools: Iterable[PoolConfiguration],
-        *,
-        parallel: bool = False,
-        max_workers: int | None = None,
-        backend: "EvaluationBackend | str | None" = None,
+        self, pools: Iterable[PoolConfiguration]
     ) -> list[EvaluationRecord]:
         """Evaluate several configurations; records in ``pools`` order.
 
-        With ``parallel=True`` the *simulations* of uncached pools run on
-        an :class:`~repro.core.backends.EvaluationBackend` — ``backend``
-        overrides per call, else the evaluator's configured default, else
-        the shared thread backend (the pre-backend behavior) — while the
-        records — sample indices, history order, exploration accounting —
-        are still admitted sequentially in ``pools`` order, so the result
-        is bit-identical to the serial path whatever the backend.
+        Every pool's families are checked before any is simulated, so a
+        mismatched batch is rejected whole; then each pool goes through
+        :meth:`evaluate` in order.
         """
         pools = list(pools)
         for pool in pools:
             self._check_families(pool)
-        presimulated: dict[tuple[int, ...], SimulationResult] = {}
-        if parallel and len(pools) > 1:
-            fresh: list[PoolConfiguration] = []
-            seen: set[tuple[int, ...]] = set()
-            for pool in pools:
-                if (
-                    pool.counts in self._cache
-                    or pool.counts in seen
-                    or pool.is_empty()
-                ):
-                    continue
-                seen.add(pool.counts)
-                fresh.append(pool)
-            if len(fresh) > 1:
-                eff = (
-                    resolve_backend(backend)
-                    or self._backend
-                    or default_thread_backend()
-                )
-                results = eff.simulate_many(
-                    self._sim, self._trace, fresh, max_workers=max_workers
-                )
-                presimulated = {
-                    p.counts: r for p, r in zip(fresh, results)
-                }
-        records = []
-        for pool in pools:
-            result = (
-                presimulated.pop(pool.counts, None)
-                if pool.counts not in self._cache
-                else None
-            )
-            if result is not None:
-                record = self._record_from_result(pool, result)
-                self._admit(pool.counts, record)
-            else:
-                record = self.evaluate(pool)
-            records.append(record)
-        return records
+        return [self.evaluate(pool) for pool in pools]
 
     def _check_families(self, pool: PoolConfiguration) -> None:
         if pool.families != self.space.families:
@@ -386,5 +318,4 @@ class ConfigurationEvaluator:
             service_cache=self._sim.service_cache,
             result_cache=self._sim.result_cache,
             dispatch_counters=self._sim.dispatch_counters,
-            backend=self._backend,
         )

@@ -22,7 +22,7 @@ the paper's one-proposal-per-iteration schedule bit-for-bit, while
 ``batch_size > 1`` switches to the constant-liar q-EI engine — one
 surrogate update and one full grid predict amortized over ``batch_size``
 proposals, evaluated together through :meth:`~repro.core.strategy.Budget.
-evaluate_batch` (optionally thread-parallel).  Large lattices (5+
+evaluate_batch`.  Large lattices (5+
 families, ``10^6+`` cells) are swept block-by-block through
 :meth:`~repro.core.search_space.SearchSpace.iter_grid` instead of being
 materialized; the ``stream`` knob forces either regime.
@@ -46,7 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.backends import resolve_backend
 from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.pruning import PruneSet
 from repro.core.strategy import Budget, SearchStrategy
@@ -104,30 +103,12 @@ class RibbonOptimizer(SearchStrategy):
         sequential schedule.  Larger values propose a q-point batch per
         surrogate update (constant-liar q-EI unless ``proposal_engine``
         overrides it) and evaluate it in one :meth:`Budget.evaluate_batch`
-        call — amortizing the GP refit and grid predict over the batch and
-        enabling thread-parallel simulation of the proposed pools.
+        call — amortizing the GP refit and grid predict over the batch.
     proposal_engine:
         The acquisition maximizer: an engine name (``"sequential-ei"``,
         ``"constant-liar-qei"``), a :class:`~repro.gp.proposals.
         ProposalEngine` instance, or ``None`` to pick the default for
         ``batch_size``.
-    batch_parallel:
-        Simulate the proposals of one batch in parallel on the selected
-        evaluation backend (``batch_size > 1`` only).  Record order —
-        and therefore the search result — is deterministic either way;
-        simulations are bit-identical by the dispatch-loop and
-        backend contracts.
-    eval_backend:
-        Where batch simulations execute: an
-        :class:`~repro.core.backends.EvaluationBackend` instance or
-        registry name (``"serial"``/``"thread"``/``"process"``); None
-        (default) defers to the evaluator's configured backend, falling
-        back to the thread backend.  ``"process"`` sidesteps the GIL on
-        the scalar dispatch loops; every
-        backend replays the same golden search sequence bit-for-bit.
-    eval_workers:
-        Worker count for ``eval_backend`` (None = CPU-derived default;
-        meaningless without batching).
     stream:
         Lattice regime for the acquisition argmax: ``"auto"`` (default)
         streams block-wise only when the lattice exceeds
@@ -159,9 +140,6 @@ class RibbonOptimizer(SearchStrategy):
         refit_period: int = 1,
         batch_size: int = 1,
         proposal_engine: str | ProposalEngine | None = None,
-        batch_parallel: bool = True,
-        eval_backend=None,
-        eval_workers: int | None = None,
         stream: str = "auto",
         stream_block_size: int | None = None,
     ):
@@ -190,14 +168,6 @@ class RibbonOptimizer(SearchStrategy):
         self.proposal_engine = resolve_proposal_engine(
             proposal_engine, self.batch_size
         )
-        self.batch_parallel = bool(batch_parallel)
-        if eval_workers is not None and int(eval_workers) < 1:
-            raise ValueError(f"eval_workers must be >= 1, got {eval_workers!r}")
-        # Resolved once: a sweep's per-seed strategies each resolve their
-        # own backend, but within one search the instance (and so any
-        # process pool) persists across every batch.
-        self.eval_backend = resolve_backend(eval_backend, eval_workers)
-        self.eval_workers = None if eval_workers is None else int(eval_workers)
         self.stream = stream
         self.stream_block_size = stream_block_size
         self.prune_threshold = float(prune_threshold)
@@ -280,10 +250,6 @@ class RibbonOptimizer(SearchStrategy):
         # initial design included — reports the full metadata set.
         budget.metadata["proposal_engine"] = engine.name
         budget.metadata["acquisition_streamed"] = ctx.lattice.streaming
-        effective_backend = self.eval_backend or evaluator.eval_backend
-        budget.metadata["eval_backend"] = (
-            effective_backend.name if effective_backend is not None else "thread"
-        )
         n_batches = 0
         try:
             # ---- initial design ---------------------------------------------
@@ -295,8 +261,8 @@ class RibbonOptimizer(SearchStrategy):
             if not record_sample(start):
                 return
             # The random design flows through the same Budget.evaluate_batch
-            # path as the BO loop, so batch_size > 1 amortizes it (and can
-            # simulate it thread-parallel) too.  At batch_size=1 each batch
+            # path as the BO loop, so batch_size > 1 amortizes it too.  At
+            # batch_size=1 each batch
             # holds one candidate, replaying the sequential draw/evaluate/
             # learn interleaving — and hence the RNG stream — bit-for-bit.
             n_init = min(self.n_initial, self.max_samples)
@@ -316,11 +282,7 @@ class RibbonOptimizer(SearchStrategy):
                 if not drawn:
                     return
                 init_pools = [space.pool(ctx.counts_at(i)) for i in drawn]
-                init_records = budget.evaluate_batch(
-                    init_pools,
-                    parallel=self.batch_parallel and len(init_pools) > 1,
-                    backend=self.eval_backend,
-                )
+                init_records = budget.evaluate_batch(init_pools)
                 for pool, rec in zip(init_pools, init_records):
                     if rec is None:
                         return
@@ -341,11 +303,7 @@ class RibbonOptimizer(SearchStrategy):
                     break
                 n_batches += 1
                 pools = [space.pool(ctx.counts_at(i)) for i in proposals]
-                records = budget.evaluate_batch(
-                    pools,
-                    parallel=self.batch_parallel and len(pools) > 1,
-                    backend=self.eval_backend,
-                )
+                records = budget.evaluate_batch(pools)
                 hit_budget = False
                 patience_hit = False
                 for pool, rec in zip(pools, records):

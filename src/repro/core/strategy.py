@@ -135,60 +135,17 @@ class Budget:
         return record
 
     def evaluate_batch(
-        self,
-        pools: Sequence[PoolConfiguration],
-        *,
-        parallel: bool = False,
-        max_workers: int | None = None,
-        backend=None,
+        self, pools: Sequence[PoolConfiguration]
     ) -> list[EvaluationRecord | None]:
         """Evaluate a proposed batch; one entry per pool, in order.
 
-        Semantics match calling :meth:`evaluate` once per pool left to
-        right — already-seen configurations are free (even when the
-        budget is exhausted), new ones consume budget, and each new pool
-        beyond the remaining budget maps to ``None`` — except that with
-        ``parallel=True`` the simulations of the batch's new
-        configurations run concurrently on an evaluation backend (see
-        :meth:`ConfigurationEvaluator.evaluate_many`; ``backend`` routes
-        to a specific :class:`~repro.core.backends.EvaluationBackend` or
-        registry name, default thread).  Record order, sample indices
-        and all accounting stay deterministic regardless of parallelism
-        and backend, so batched searches replay bit-for-bit.
+        Calls :meth:`evaluate` once per pool left to right: already-seen
+        configurations are free (even when the budget is exhausted, and
+        including duplicates earlier in this batch), new ones consume
+        budget, and each new pool beyond the remaining budget maps to
+        ``None``.
         """
-        pools = list(pools)
-        # Disposition per pool, mirroring per-pool evaluate(): "free" for
-        # seen configurations (incl. duplicates earlier in this batch),
-        # "new" while budget remains, None ("over") otherwise.
-        dispositions: list[str | None] = []
-        new_counts: set[tuple[int, ...]] = set()
-        for pool in pools:
-            if pool.counts in self._seen or pool.counts in new_counts:
-                dispositions.append("free")
-            elif self.n_samples + len(new_counts) < self._max:
-                new_counts.add(pool.counts)
-                dispositions.append("new")
-            else:
-                dispositions.append(None)
-        records = iter(
-            self._evaluator.evaluate_many(
-                [p for p, d in zip(pools, dispositions) if d is not None],
-                parallel=parallel,
-                max_workers=max_workers,
-                backend=backend,
-            )
-        )
-        out: list[EvaluationRecord | None] = []
-        for pool, disposition in zip(pools, dispositions):
-            if disposition is None:
-                out.append(None)
-                continue
-            record = next(records)
-            if pool.counts not in self._seen:
-                self._records.append(record)
-                self._seen.add(pool.counts)
-            out.append(record)
-        return out
+        return [self.evaluate(pool) for pool in pools]
 
     def window(self) -> list[EvaluationRecord]:
         """Evaluations performed by this search, in order."""

@@ -2,7 +2,7 @@
 
 Seven PRs of growth made the codebase's correctness rest on invariants
 that no general-purpose linter knows about: bit-identical golden replay
-across serial/thread/process backends, content-addressed cache keys that
+across dispatch loops and cache states, content-addressed cache keys that
 must cover every result-affecting input, frozen shared
 ``SimulationResult`` payloads, and lock discipline across the
 concurrency-bearing modules.  repro-lint checks those invariants
@@ -34,7 +34,7 @@ Rules
     No stdlib ``random.*`` module-level calls, no legacy global-state
     ``np.random.*`` API, no ``np.random.default_rng()`` without a seed.
     Guards PR 2's common-random-numbers design (noise keyed on trace
-    seed + family) and PR 7's cross-backend bit-identity.
+    seed + family) and cache-warm/cache-cold bit-identity.
 
 ``id-in-key`` (determinism)
     ``id(...)`` must not flow into ``hashlib``/``json.dumps``/hash

@@ -1,9 +1,9 @@
 """Determinism rules: the bit-identical-replay invariant, statically.
 
 Since PR 2 the search core promises *bit-identical* results for equal
-seeds across every engine, substrate, backend, and cache state — the
-golden-replay tests enforce it dynamically, but only on the paths they
-happen to exercise.  These rules ban the constructs that break that
+seeds across every dispatch loop and cache state — the golden-replay
+tests enforce it dynamically, but only on the paths they happen to
+exercise.  These rules ban the constructs that break that
 promise at the source level:
 
 * ``wall-clock`` — no wall/monotonic clock reads inside the determinism
@@ -100,8 +100,8 @@ def check_wall_clock(module: Module, config: LintConfig) -> Iterator[Finding]:
     rationale=(
         "PR 2's golden-replay contract: common random numbers are keyed on"
         " (trace seed, family) and strategy draws on the strategy seed;"
-        " global or unseeded RNG state breaks replay and cross-backend"
-        " bit-identity (PR 7)"
+        " global or unseeded RNG state breaks replay and cache-warm/cold"
+        " bit-identity"
     ),
 )
 def check_unseeded_rng(module: Module, config: LintConfig) -> Iterator[Finding]:

@@ -1,7 +1,7 @@
 """Lock-discipline rule: shared state mutates only under its lock.
 
-Seven modules carry concurrency (`_identity_cache`, `result_cache`,
-`disk_cache`, `backends`, `jobs`, `store`, the runner's sweep pool), all
+Six modules carry concurrency (`_identity_cache`, `result_cache`,
+`disk_cache`, `jobs`, `store`, the runner's sweep pool), all
 with the same convention: a class that owns a ``threading.Lock`` /
 ``RLock`` / ``Condition`` attribute mutates its private state only
 inside ``with self._lock:``.  The golden tests catch a forgotten lock

@@ -32,8 +32,8 @@ touching the search loop:
 
 Determinism contract: engines draw only from the context's generator, in
 a fixed order (surrogate seed draw on refits, one tie-break draw per
-proposal), so equal seeds give equal proposal sequences regardless of
-evaluation parallelism downstream.
+proposal), so equal seeds give equal proposal sequences regardless of how the
+proposals are evaluated downstream.
 """
 
 from __future__ import annotations

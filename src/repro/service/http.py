@@ -26,7 +26,10 @@ bodies — ``{"error": {"type": "ScenarioError", "message": ...}}`` — with
 the validation message produced by :meth:`Scenario.from_dict`, unknown
 jobs as 404, results-not-ready as 409.  A ``Content-Length`` that is not
 a non-negative integer is a 400, and one above :data:`MAX_BODY_BYTES` a
-413; both are refused before any of the body is read.
+413; both are refused before any of the body is read.  Any other failure
+is a 500 with the fixed body ``{"error": {"type": "InternalError",
+"message": "internal server error"}}``: exception text never reaches the
+client.
 
 The handler is deliberately free of optimization logic: everything it
 does is translate HTTP to :class:`JobManager` calls, which is why the
@@ -95,6 +98,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _send_error_json(self, status: int, exc_type: str, message: str) -> None:
         self._send_json(status, {"error": {"type": exc_type, "message": message}})
 
+    def _send_internal_error(self) -> None:
+        # Exception text can carry paths and internals: never echo it.
+        self._send_error_json(500, "InternalError", "internal server error")
+
     def _read_json(self):
         header = self.headers.get("Content-Length") or "0"
         if not (header.isascii() and header.isdigit()):
@@ -127,8 +134,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._send_error_json(404, "NotFound", str(exc.args[0]))
         except (BrokenPipeError, ConnectionResetError):  # client went away
             pass
-        except Exception as exc:  # noqa: BLE001 - HTTP boundary
-            self._send_error_json(500, type(exc).__name__, str(exc))
+        except Exception:  # noqa: BLE001 - HTTP boundary
+            self._send_internal_error()
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         try:
@@ -143,8 +150,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._send_error_json(404, "NotFound", str(exc.args[0]))
         except (BrokenPipeError, ConnectionResetError):
             pass
-        except Exception as exc:  # noqa: BLE001 - HTTP boundary
-            self._send_error_json(500, type(exc).__name__, str(exc))
+        except Exception:  # noqa: BLE001 - HTTP boundary
+            self._send_internal_error()
 
     # -- GET routes -----------------------------------------------------------------
     def _route_get(self, path: str) -> None:

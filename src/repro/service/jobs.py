@@ -77,33 +77,23 @@ def _options_key(strategy_kwargs: dict) -> str:
     return json.dumps(strategy_kwargs, sort_keys=True, default=str)
 
 
-def _configured_runner_factory(eval_backend, eval_workers, disk_cache):
-    """A ``scenario -> ScenarioRunner`` factory with non-default wiring.
+def _configured_runner_factory(disk_cache):
+    """A ``scenario -> ScenarioRunner`` factory over one disk-backed memo.
 
     The process-wide :func:`~repro.api.runner.runner_for` cache cannot be
-    used when the daemon overrides the evaluation backend or attaches a
-    disk cache — its runners are built plain, and mutating them would
-    leak daemon configuration into unrelated library users.  Instead the
-    manager keeps its own LRU of runners, all sharing one backend
-    instance and (when a disk path is given) one two-tier result cache,
-    so forked/parallel searches pool workers and disk entries exactly
-    like the plain path pools the shared memo.
-
-    Backend/worker validation happens here, at manager construction —
-    not inside a worker thread on the first submit.
+    used when the daemon attaches a disk cache — its runners are built
+    plain, and mutating them would leak daemon configuration into
+    unrelated library users.  Instead the manager keeps its own LRU of
+    runners, all sharing one two-tier result cache, so forked/parallel
+    searches pool disk entries exactly like the plain path pools the
+    shared memo.
     """
     from collections import OrderedDict
 
     from repro.api.runner import ScenarioRunner
-    from repro.core.backends import resolve_backend
     from repro.simulator.result_cache import SimulationResultCache
 
-    if eval_workers is not None and eval_workers < 1:
-        raise ValueError(f"eval_workers must be >= 1, got {eval_workers!r}")
-    backend = resolve_backend(eval_backend, eval_workers)
-    sim_cache = (
-        SimulationResultCache(disk=disk_cache) if disk_cache is not None else None
-    )
+    sim_cache = SimulationResultCache(disk=disk_cache)
     runners: "OrderedDict[Scenario, Any]" = OrderedDict()
     lock = threading.Lock()
     cache_size = 64  # mirrors runner_for's LRU bound
@@ -112,10 +102,7 @@ def _configured_runner_factory(eval_backend, eval_workers, disk_cache):
         with lock:
             runner = runners.get(scenario)
             if runner is None:
-                kwargs: dict[str, Any] = {"eval_backend": backend}
-                if sim_cache is not None:
-                    kwargs["simulation_cache"] = sim_cache
-                runner = ScenarioRunner(scenario, **kwargs)
+                runner = ScenarioRunner(scenario, simulation_cache=sim_cache)
                 runners[scenario] = runner
             runners.move_to_end(scenario)
             while len(runners) > cache_size:
@@ -255,14 +242,11 @@ class JobManager:
         submissions fail fast at the API boundary instead of inside a
         worker.  Defaults to the registry lookup when ``runner_factory``
         is the default, and to no validation for injected factories.
-    eval_backend, eval_workers, disk_cache:
-        Evaluation-backend name (``"serial"``/``"thread"``/``"process"``)
-        or instance, its worker count, and an optional disk-tier path for
-        the simulation-result memo.  Only valid with the default runner
-        factory: the manager then builds its own runners (one LRU per
-        manager) so every search this daemon runs shares one backend and
-        one two-tier cache.  All combinations are bit-identical by
-        contract.
+    disk_cache:
+        Optional disk-tier path for the simulation-result memo.  Only
+        valid with the default runner factory: the manager then builds
+        its own runners (one LRU per manager) so every search this daemon
+        runs shares one two-tier cache.
     """
 
     def __init__(
@@ -273,20 +257,11 @@ class JobManager:
         max_workers: int = 2,
         reuse_results: bool = True,
         strategy_validator: Callable[[str], None] | None = None,
-        eval_backend=None,
-        eval_workers: int | None = None,
         disk_cache=None,
     ):
-        configured = (
-            eval_backend is not None
-            or eval_workers is not None
-            or disk_cache is not None
-        )
         if runner_factory is None:
-            if configured:
-                runner_factory = _configured_runner_factory(
-                    eval_backend, eval_workers, disk_cache
-                )
+            if disk_cache is not None:
+                runner_factory = _configured_runner_factory(disk_cache)
             else:
                 from repro.api.runner import runner_for
 
@@ -295,11 +270,10 @@ class JobManager:
                 from repro.api.registry import strategy_class
 
                 strategy_validator = lambda name: strategy_class(name)  # noqa: E731
-        elif configured:
+        elif disk_cache is not None:
             raise ValueError(
-                "eval_backend/eval_workers/disk_cache only apply to the "
-                "default runner factory; wire your injected factory's "
-                "runners directly instead"
+                "disk_cache only applies to the default runner factory; "
+                "wire your injected factory's runners directly instead"
             )
         if int(max_workers) < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers!r}")

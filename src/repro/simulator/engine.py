@@ -108,20 +108,6 @@ class DispatchCounters:
         with self._lock:
             self._counts[path] += 1
 
-    def merge(self, counts: dict[str, int]) -> None:
-        """Fold a per-path count delta in (cross-process aggregation).
-
-        The process evaluation backend's workers dispatch on their own
-        counters and ship the delta back; unknown paths raise so a
-        protocol drift cannot silently drop counts.
-        """
-        unknown = set(counts) - set(self._counts)
-        if unknown:
-            raise ValueError(f"unknown dispatch paths {sorted(unknown)}")
-        with self._lock:
-            for path, n in counts.items():
-                self._counts[path] += int(n)
-
     def snapshot(self) -> dict[str, int]:
         with self._lock:
             return dict(self._counts)
@@ -241,63 +227,13 @@ class InferenceServingSimulator:
     @property
     def track_queue(self) -> bool:
         """Whether simulations record the queue length seen per arrival
-        (part of the result-memo key; the process evaluation backend
-        forwards it to its workers)."""
+        (part of the result-memo key)."""
         return self._track_queue
 
     def _record_dispatch(self, path: str) -> None:
         self._counters.record(path)
         if self._counters is not _GLOBAL_DISPATCH:
             _GLOBAL_DISPATCH.record(path)
-
-    def merge_dispatch(self, counts: dict[str, int]) -> None:
-        """Aggregate a dispatch-count delta produced elsewhere.
-
-        Mirrors :meth:`_record_dispatch` for counts that accrued in a
-        worker process: the delta lands on this simulator's counters and
-        on the process-wide globals, exactly as if the simulations had
-        dispatched here.
-        """
-        self._counters.merge(counts)
-        if self._counters is not _GLOBAL_DISPATCH:
-            _GLOBAL_DISPATCH.merge(counts)
-
-    def cached_result(
-        self, trace: QueryTrace, pool: PoolConfiguration
-    ) -> SimulationResult | None:
-        """The memoized result for ``(trace, pool)``, or None on a miss.
-
-        Consults the result memo exactly as :meth:`simulate` would
-        (including hit/miss stats and the disk tier, when configured);
-        a disabled memo always misses.
-        """
-        memo = self._result_cache
-        if not memo.enabled:
-            return None
-        return memo.get(
-            self._model, trace, pool.families, pool.counts, self._track_queue
-        )
-
-    def admit_result(
-        self,
-        trace: QueryTrace,
-        pool: PoolConfiguration,
-        result: SimulationResult,
-    ) -> SimulationResult:
-        """Admit an externally produced result into the result memo.
-
-        The process evaluation backend simulates in workers and feeds the
-        results back through here: the memo freezes the arrays and keeps
-        the first-stored entry canonical (insert-if-absent), exactly as
-        :meth:`simulate` does for locally dispatched results.  With the
-        memo disabled the result passes through untouched.
-        """
-        memo = self._result_cache
-        if not memo.enabled:
-            return result
-        return memo.put(
-            self._model, trace, pool.families, pool.counts, self._track_queue, result
-        )
 
     def simulate(
         self, trace: QueryTrace, pool: PoolConfiguration

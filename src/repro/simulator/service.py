@@ -122,38 +122,6 @@ class ServiceTimeCache(IdentityKeyedCache):
         with self._lock:
             return self._insert(key, out, model, trace)
 
-    def seed_matrix(
-        self,
-        model: ModelProfile,
-        trace: QueryTrace,
-        families: tuple[str, ...],
-        matrix: np.ndarray,
-    ) -> np.ndarray:
-        """Insert an externally produced matrix for one workload.
-
-        The process evaluation backend rehydrates matrices zero-copy
-        from shared memory in its workers and seeds them here, so the
-        worker-side simulator never regenerates the lognormal draws.
-        The matrix must be exactly what :func:`service_time_matrix`
-        would produce for ``(model, trace, families)`` — bit-identity
-        of worker results rests on it.  Returns the canonical cached
-        entry (insert-if-absent); a disabled cache passes the matrix
-        through.
-        """
-        fams = tuple(families)
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (len(fams), len(trace)):
-            raise ValueError(
-                f"matrix shape {matrix.shape} != ({len(fams)}, {len(trace)})"
-            )
-        if matrix.flags.writeable:
-            matrix.flags.writeable = False
-        if self._maxsize == 0:
-            return matrix
-        key = (id(model), id(trace), fams)
-        with self._lock:
-            return self._insert(key, matrix, model, trace)
-
     def rows(
         self,
         model: ModelProfile,

@@ -111,12 +111,13 @@ class TestProbabilityOfImprovement:
         )
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    """``scipy.stats`` costs a large share of a cold start; nothing on
-    the package or CLI import path may pull it in."""
+@pytest.mark.parametrize("module", ["scipy.stats", "multiprocessing"])
+def test_import_leaves_module_unloaded(module):
+    """``scipy.stats`` and ``multiprocessing`` cost a share of a cold
+    start; nothing on the package or CLI import path may pull them in."""
     code = (
         "import sys, repro, repro.cli; "
-        "sys.exit('scipy.stats' in sys.modules)"
+        f"sys.exit({module!r} in sys.modules)"
     )
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -5,7 +5,8 @@ any change to the workload changes the digest), the SQLite store's
 round-trip fidelity, its corruption tolerance (damaged rows and torn
 database files degrade to misses, never errors), the byte-budget
 eviction, and the two-tier integration on ``SimulationResultCache`` /
-``ScenarioRunner`` — including the headline warm-restart property: a
+``ScenarioRunner`` / ``JobManager`` and the ``--disk-cache`` flag —
+including the headline warm-restart property: a
 rebuilt process replays bit-identical results out of the disk tier.
 """
 
@@ -289,3 +290,31 @@ class TestRunnerDiskWiring:
         exp = make_experiment("MT-WND", setting, disk_cache=tmp_path / "exp.sqlite")
         stats = exp.runner.cache_stats()["simulation"]
         assert stats["disk_entries"] > 0  # the homogeneous scan wrote through
+
+    def test_job_manager_disk_cache_needs_the_default_factory(self, tmp_path):
+        from repro.service.jobs import JobManager
+
+        with pytest.raises(ValueError, match="default runner factory"):
+            JobManager(
+                runner_factory=lambda s: None, disk_cache=tmp_path / "x.sqlite"
+            )
+
+    def test_configured_job_manager_reports_disk_entries(self, tmp_path):
+        from repro.service.jobs import JobManager
+
+        manager = JobManager(disk_cache=tmp_path / "jobs.sqlite")
+        try:
+            job = manager.submit(self.scenario(), "random", seed=0)
+            manager.wait(job.id, timeout=120)
+            assert job.state == "done"
+            stats = job.snapshot(full=True)["cache_stats"]["simulation"]
+            assert stats["disk_entries"] > 0
+        finally:
+            manager.shutdown()
+
+    def test_parser_accepts_disk_cache(self):
+        from repro.cli import build_parser
+
+        for argv in (["search", "MT-WND"], ["serve"]):
+            args = build_parser().parse_args([*argv, "--disk-cache", "runs.sqlite"])
+            assert args.disk_cache == "runs.sqlite"

@@ -162,9 +162,9 @@ class TestBatchedInitialDesign:
         sizes = []
         orig = strategy_module.Budget.evaluate_batch
 
-        def spy(self, pools, parallel=False, backend=None):
+        def spy(self, pools):
             sizes.append(len(pools))
-            return orig(self, pools, parallel=parallel, backend=backend)
+            return orig(self, pools)
 
         monkeypatch.setattr(strategy_module.Budget, "evaluate_batch", spy)
         opt = RibbonOptimizer(

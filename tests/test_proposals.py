@@ -7,9 +7,8 @@ Four layers, one exactness story:
 * ``ConstantLiarQEI`` at ``batch_size=1`` replays the ``SequentialEI``
   sample sequences bit-for-bit, and the streamed block-wise argmax
   reproduces the materialized argmax on small spaces;
-* batch evaluation (``Budget.evaluate_batch`` over
-  ``ConfigurationEvaluator.evaluate_many``) keeps deterministic record
-  order and accounting whether simulations run serially or on threads;
+* batch evaluation (``Budget.evaluate_batch``) matches per-pool
+  ``Budget.evaluate`` calls: record order, budget cut and accounting;
 * a 5-family, 10^6+-cell space completes a Ribbon search without ever
   materializing its grid.
 """
@@ -285,15 +284,6 @@ class TestTieTrackerMemory:
 
 
 class TestBatchedSearch:
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_batch_parallel_matches_serial(self, seed):
-        serial = run_ribbon(seed, batch_size=4, batch_parallel=False, patience=None)
-        threaded = run_ribbon(seed, batch_size=4, batch_parallel=True, patience=None)
-        assert sequence(serial) == sequence(threaded)
-        assert [r.objective for r in serial.history] == [
-            r.objective for r in threaded.history
-        ]
-
     def test_batch_respects_budget_and_no_resampling(self):
         res = run_ribbon(1, batch_size=4, patience=None)
         counts = sequence(res)
@@ -395,22 +385,7 @@ class TestEvaluateBatch:
         assert budget.n_samples == 2
         assert records[0] is records[1]
 
-    def test_parallel_matches_serial_bitwise(self):
-        model, trace, space, objective = toy_search_ctx()
-        pools = [space.pool(v) for v in [(1, 0), (0, 3), (2, 1), (3, 2), (4, 6)]]
-        ev_a = fresh_evaluator(model, trace, objective)
-        ev_b = fresh_evaluator(model, trace, objective)
-        serial = ev_a.evaluate_many(pools, parallel=False)
-        threaded = ev_b.evaluate_many(pools, parallel=True, max_workers=3)
-        for a, b in zip(serial, threaded):
-            assert a.pool.counts == b.pool.counts
-            assert a.qos_rate == b.qos_rate
-            assert a.objective == b.objective
-            assert a.sample_index == b.sample_index
-        assert ev_a.exploration_cost_dollars == ev_b.exploration_cost_dollars
-        assert ev_a.n_violating_evaluations == ev_b.n_violating_evaluations
-
-    def test_parallel_counters_aggregate(self):
+    def test_evaluate_many_dispatches_once_per_pool(self):
         model, trace, space, objective = toy_search_ctx()
         counters = DispatchCounters()
         evaluator = ConfigurationEvaluator(
@@ -421,7 +396,7 @@ class TestEvaluateBatch:
             dispatch_counters=counters,
         )
         pools = [space.pool(v) for v in [(1, 0), (0, 3), (2, 1), (3, 2)]]
-        evaluator.evaluate_many(pools, parallel=True)
+        evaluator.evaluate_many(pools)
         counts = counters.snapshot()
         dispatched = counts["linear"] + counts["heap"]
         assert dispatched == len(pools)
@@ -430,7 +405,8 @@ class TestEvaluateBatch:
         space, evaluator, budget = self.make_budget()
         alien = PoolConfiguration(("g4dn", "c5"), (1, 1))
         with pytest.raises(ValueError, match="families"):
-            evaluator.evaluate_many([alien])
+            evaluator.evaluate_many([space.pool((1, 0)), alien])
+        assert evaluator.n_evaluations == 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 A stub-backed daemon on an ephemeral port covers every endpoint —
 submit, list, poll, result, NDJSON stream, cancel, fork, health, stats —
-plus the structured error bodies (400/404/409).  One final smoke test
+plus the structured error bodies (400/404/409/500).  One final smoke test
 drives the real runner factory end to end on a tiny scenario, the only
 test in this file that simulates anything.
 """
@@ -220,6 +220,35 @@ class TestErrors:
         error = json.loads(body)["error"]
         assert error["type"] == "RequestBodyError"
         assert "invalid literal" not in error["message"]
+
+    @pytest.mark.parametrize(
+        "method, path, attr",
+        [("GET", "/stats", "stats"), ("POST", "/jobs", "submit")],
+    )
+    def test_internal_error_hides_exception_text(
+        self, service, monkeypatch, method, path, attr
+    ):
+        manager, client = service
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("secret-path")
+
+        monkeypatch.setattr(manager, attr, boom)
+        body = json.dumps({"scenario": make_scenario().to_dict()}).encode()
+        req = urllib.request.Request(
+            client.base_url + path,
+            data=body if method == "POST" else None,
+            method=method,
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=5)
+        assert err.value.code == 500
+        raw = err.value.read()
+        assert b"secret-path" not in raw
+        assert json.loads(raw) == {
+            "error": {"type": "InternalError", "message": "internal server error"}
+        }
 
 
 class TestRealRunnerSmoke:
