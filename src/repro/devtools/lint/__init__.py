@@ -75,12 +75,16 @@ Rules
     justified exemption table fail.  Guards PR 7's content-addressed
     disk tier against the silent-staleness bug class.
 
-``bare-except`` / ``mutable-default`` / ``print-call`` (hygiene)
+``bare-except`` / ``mutable-default`` / ``print-call`` /
+``private-import`` (hygiene)
     No ``except:`` (PR 6's clean-SIGINT shutdown needs
     ``KeyboardInterrupt`` to propagate), no mutable default arguments
     (fork lineage shares nothing implicitly), no ``print`` outside the
     user-facing CLI modules (stdout belongs to the NDJSON streams and
-    bench artifacts everywhere else).
+    bench artifacts everywhere else), no import of a ``_``-prefixed
+    module or name of a package other than ``repro`` (private top-level
+    stdlib modules such as ``_thread`` are exempt): another package's
+    internals can change in any release.
 
 Suppressions
 ------------

@@ -10,7 +10,8 @@ determinism         wall-clock, unseeded-rng, id-in-key,
 locks               lock-discipline
 frozen-result       frozen-result
 cache-key           cache-key-completeness
-hygiene             bare-except, mutable-default, print-call
+hygiene             bare-except, mutable-default, print-call,
+                    private-import
 ==================  ====================================================
 """
 

@@ -9,11 +9,16 @@
 * ``print-call`` — the library is embedded (daemon, CI benches, sweep
   workers); stray stdout corrupts the NDJSON progress stream and the
   bench artifacts.  Only the user-facing CLIs may print.
+* ``private-import`` — a ``_``-prefixed module or name of another
+  package is its internals and may change in any release; depending on
+  one needs a reasoned suppression (and, on a hot path, a self-check
+  with a public fallback).
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from typing import Iterator
 
 from repro.devtools.lint.config import LintConfig
@@ -116,3 +121,54 @@ def check_print_call(module: Module, config: LintConfig) -> Iterator[Finding]:
                 "print() outside the CLI allowlist; return/raise/log"
                 " instead (stdout belongs to the CLIs)",
             )
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (
+        name.startswith("__") and name.endswith("__")
+    )
+
+
+def _private_part(dotted: str) -> str | None:
+    """First private segment of an absolute import path outside ``repro``.
+
+    A private *top-level* stdlib module (``_thread``, ``_collections_abc``)
+    is the documented accelerator of its public twin and is exempt.
+    """
+    top, *rest = dotted.split(".")
+    if top == "repro":
+        return None
+    if _is_private(top) and top not in sys.stdlib_module_names:
+        return top
+    return next((part for part in rest if _is_private(part)), None)
+
+
+@rule(
+    "private-import",
+    family="hygiene",
+    description="no imports of _-prefixed modules or names of other packages",
+    rationale=(
+        "a package's _-prefixed internals may change or vanish in any"
+        " release; the GP hot path once rode two private SciPy names"
+        " that a SciPy upgrade could break silently"
+    ),
+)
+def check_private_import(
+    module: Module, config: LintConfig
+) -> Iterator[Finding]:
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            paths = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for dotted in paths:
+            part = _private_part(dotted)
+            if part is not None:
+                yield module.finding(
+                    node,
+                    "private-import",
+                    f"import of private {part!r} ({dotted}); use the public"
+                    " API or suppress with the reason it is safe",
+                )

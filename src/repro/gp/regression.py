@@ -12,6 +12,20 @@ numpy/scipy:
   build per line-search step instead of one per finite-difference probe;
   kernels without them fall back to finite differences.
 
+Own L-BFGS-B loop: a fit sees ~10 points, so the per-call layers of
+``optimize.minimize`` (method dispatch, bounds standardization, the
+scalar-function and Jacobian-memo wrappers) cost more than the
+likelihood.  Analytic-gradient fits therefore run their own
+reverse-communication loop around SciPy's ``setulb`` kernel with SciPy's
+exact settings (:func:`_lbfgsb_loop`).  ``setulb`` is private SciPy API,
+so the first such fit in a process runs a self-check
+(:func:`_checked_setulb`): a fixed likelihood through the loop and
+through public ``optimize.minimize`` must give bit-equal ``x`` and ``fun``
+with equally many objective calls.  On a mismatch, or if ``setulb`` is
+gone or rejects its arguments, every fit in the process uses the public
+entry point, with identical results at more per-call cost.  Kernels
+without analytic gradients always use the public entry point.
+
 Hot-path structure: the theta-independent pairwise structure of the
 training set (distances, rounding) is prepared once per ``fit`` and reused
 by every likelihood evaluation, and :meth:`GaussianProcessRegressor.
@@ -21,12 +35,20 @@ Cholesky border (O(n^2)) instead of a refit (O(n^3) per likelihood step).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import linalg as sla
 from scipy import optimize
 from scipy.linalg import get_lapack_funcs
 
-from repro.gp.kernels import Kernel, PreparedInput, _as_2d, concat_prepared
+from repro.gp.kernels import (
+    Kernel,
+    Matern52,
+    PreparedInput,
+    _as_2d,
+    concat_prepared,
+)
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -37,50 +59,130 @@ _LOG_2PI = np.log(2.0 * np.pi)
 # results are bit-identical.
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
-# `optimize.minimize(..., method="L-BFGS-B", jac=True)` resolves to exactly
-# this call chain; invoking it directly skips the per-call method dispatch
-# and bounds standardization, which add up across a search's many small
-# refits.  Results are identical; if the scipy layout ever changes we fall
-# back to the public entry point.
-try:  # pragma: no cover - import-time feature detection
-    from scipy.optimize._lbfgsb_py import (
-        _minimize_lbfgsb as _LBFGSB_DIRECT,
-    )
-    from scipy.optimize._optimize import MemoizeJac as _MemoizeJac
-except ImportError:  # pragma: no cover
-    _LBFGSB_DIRECT = None
-    _MemoizeJac = None
+# SciPy's L-BFGS-B settings under ``optimize.minimize(method="L-BFGS-B")``
+# defaults (maxcor, ftol / eps, gtol, maxls).  The loop below must use
+# exactly these: it reproduces SciPy's iterates bit for bit.
+_M = 10
+_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+_PGTOL = 1e-5
+_MAXLS = 20
+
+
+def _lbfgsb_loop(setulb, fun, x0, lows, highs, maxiter: int):
+    """L-BFGS-B on ``fun -> (f, g)`` by reverse communication with ``setulb``.
+
+    The loop of ``optimize.minimize(method="L-BFGS-B", jac=True)`` without
+    its wrapper layers, which cost more than the likelihood on a ~10-point
+    GP.  ``fun`` runs only when ``setulb`` asks (``task == 3``); a repeated
+    request at the last evaluated point reuses its ``(f, g)``, as SciPy's
+    ``array_equal`` cache does.  Returns ``(x, f)``.
+    """
+    n, m = x0.size, _M
+    x = np.array(x0, dtype=np.float64)
+    lo_ok, hi_ok = np.isfinite(lows), np.isfinite(highs)
+    nbd = np.where(lo_ok, np.where(hi_ok, 2, 1), np.where(hi_ok, 3, 0))
+    nbd = nbd.astype(np.int32)
+    low, high = np.where(lo_ok, lows, 0.0), np.where(hi_ok, highs, 0.0)
+    f, g = np.array(0.0), np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
+    lsave, isave = np.zeros(4, dtype=np.int32), np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    x_seen, fg_seen, n_iter = None, None, 0
+    while True:
+        # setulb writes into g: hand it a copy so the cached gradient stays
+        # intact (SciPy's loop does the same).
+        g = g.astype(np.float64)
+        setulb(m, x, low, high, nbd, f, g, _FACTR, _PGTOL, wa, iwa, task,
+               lsave, isave, dsave, _MAXLS, ln_task)
+        if task[0] == 3:
+            if x_seen is None or not np.array_equal(x, x_seen):
+                x_seen, fg_seen = x.copy(), fun(x.copy())
+            f, g = fg_seen
+        elif task[0] == 1:
+            # maxfun (15000) cannot bind: maxiter * maxls caps the calls.
+            n_iter += 1
+            if n_iter >= maxiter:
+                task[0], task[1] = 5, 504  # STOP: iteration limit
+        else:
+            return x, f
+
+
+def _counted(fun):
+    """``fun`` plus a list whose one entry counts its calls."""
+    calls = [0]
+
+    def wrapped(x):
+        calls[0] += 1
+        return fun(x)
+
+    return wrapped, calls
+
+
+@functools.cache
+def _checked_setulb():
+    """SciPy's ``setulb`` if the loop reproduces SciPy here, else None.
+
+    Runs once per process, at the first analytic-gradient fit: a fixed
+    small GP likelihood goes through :func:`_lbfgsb_loop` and through
+    public ``optimize.minimize`` from three starts (the kernel default and
+    both bound corners).  ``x`` and ``fun`` must be bit-equal and the
+    objective must run equally often; a mismatch, or an import, signature
+    or argument error from SciPy's private module, sends every fit in the
+    process through the public entry point instead.
+    """
+    # From the default start this problem re-requests an evaluated point
+    # twice, so the check also covers the loop's repeat cache.
+    gp = GaussianProcessRegressor(Matern52(0.5))
+    X = np.linspace(0.0, 1.0, 9)[:, None]
+    gp._set_training_data(X, np.sin(4.0 * X).ravel())
+    fun = gp._make_analytic_objective()
+    bounds = gp.kernel.theta_bounds()
+    lows, highs = np.array(bounds).T
+    try:
+        # repro-lint: disable=private-import(this self-check proves the loop bit-equal to public optimize.minimize; any mismatch falls back to it)
+        from scipy.optimize._lbfgsb import setulb
+
+        for x0 in (gp.kernel.get_theta(), lows, highs):
+            ours, ours_calls = _counted(fun)
+            x, f = _lbfgsb_loop(setulb, ours, x0, lows, highs, 100)
+            theirs, theirs_calls = _counted(fun)
+            res = optimize.minimize(
+                theirs, x0, method="L-BFGS-B", jac=True, bounds=bounds,
+                options={"maxiter": 100},
+            )
+            if not (
+                np.array_equal(x, res.x)
+                and f == res.fun
+                and ours_calls == theirs_calls
+            ):
+                return None
+    except (ImportError, TypeError, ValueError):
+        return None
+    return setulb
 
 
 def _minimize_lbfgsb(fun, x0, jac, bounds, maxiter: int):
-    """``optimize.minimize`` L-BFGS-B with the dispatch layer peeled off."""
-    if _LBFGSB_DIRECT is None:
-        return optimize.minimize(
-            fun,
-            x0,
-            method="L-BFGS-B",
-            jac=jac,
-            bounds=bounds,
-            options={"maxiter": maxiter},
-        )
-    try:
-        if jac is True:
-            memo = _MemoizeJac(fun)
-            return _LBFGSB_DIRECT(
-                memo, x0, jac=memo.derivative, bounds=bounds, maxiter=maxiter
-            )
-        return _LBFGSB_DIRECT(fun, x0, jac=jac, bounds=bounds, maxiter=maxiter)
-    except TypeError:
-        # Private-API signature drift in a future scipy: use the public
-        # entry point (identical results, slightly more per-call overhead).
-        return optimize.minimize(
-            fun,
-            x0,
-            method="L-BFGS-B",
-            jac=jac,
-            bounds=bounds,
-            options={"maxiter": maxiter},
-        )
+    """L-BFGS-B minimum ``(x, f)`` of ``fun`` within ``bounds``.
+
+    Analytic-gradient objectives (``jac=True``) use :func:`_lbfgsb_loop`
+    once :func:`_checked_setulb` has vouched for it; everything else goes
+    through public ``optimize.minimize``, with identical results.
+    """
+    setulb = _checked_setulb() if jac is True else None
+    if setulb is not None:
+        lows, highs = np.array(bounds, dtype=float).T
+        return _lbfgsb_loop(setulb, fun, x0, lows, highs, maxiter)
+    res = optimize.minimize(
+        fun,
+        x0,
+        method="L-BFGS-B",
+        jac=jac,
+        bounds=bounds,
+        options={"maxiter": maxiter},
+    )
+    return res.x, res.fun
 
 
 class GaussianProcessRegressor:
@@ -136,6 +238,14 @@ class GaussianProcessRegressor:
     # -- fitting -------------------------------------------------------------
     def fit(self, X, y) -> "GaussianProcessRegressor":
         """Condition the GP on observations ``(X, y)``."""
+        self._set_training_data(X, y)
+        if self.optimize_hyperparameters and self._X.shape[0] >= 3:
+            self._optimize_theta()
+        self._factorize()
+        return self
+
+    def _set_training_data(self, X, y) -> None:
+        """Store validated training data and its theta-independent state."""
         X = _as_2d(X)
         y = np.asarray(y, dtype=float).ravel()
         if X.shape[0] != y.shape[0]:
@@ -149,11 +259,6 @@ class GaussianProcessRegressor:
         self._train_state = self.kernel.cross_state(self._pi, self._pi)
         self._y_raw = y.copy()
         self._set_targets(y)
-
-        if self.optimize_hyperparameters and X.shape[0] >= 3:
-            self._optimize_theta()
-        self._factorize()
-        return self
 
     def _set_targets(self, y: np.ndarray) -> None:
         if self.normalize_y:
@@ -347,11 +452,11 @@ class GaussianProcessRegressor:
 
         best_theta, best_val = None, np.inf
         for x0 in starts:
-            res = _minimize_lbfgsb(
+            x, f = _minimize_lbfgsb(
                 fun, np.clip(x0, lows, highs), jac=jac, bounds=bounds, maxiter=100
             )
-            if res.fun < best_val:
-                best_val, best_theta = float(res.fun), res.x
+            if f < best_val:
+                best_val, best_theta = float(f), x
         if best_theta is not None and np.isfinite(best_val):
             self.kernel.set_theta(best_theta)
 

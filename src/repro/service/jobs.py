@@ -151,18 +151,21 @@ class Job:
         self.restored = False  # loaded from the snapshot store on startup
         self.reused = False  # answered from a prior identical job's result
         self.runner = None  # the runner-like object once assigned
+        self.position = -1  # index in the manager's submission order
+        # Keyed once: the scenario identity is a JSON dump plus sha256.
+        self._reuse_key = (
+            scenario.identity(),
+            self.strategy,
+            self.seed,
+            _options_key(self.strategy_kwargs),
+        )
         self.version = 0
         self.cancel_event = threading.Event()
         self.cond = threading.Condition()
 
     # -- identity ----------------------------------------------------------------
     def reuse_key(self) -> tuple:
-        return (
-            self.scenario.identity(),
-            self.strategy,
-            self.seed,
-            _options_key(self.strategy_kwargs),
-        )
+        return self._reuse_key
 
     # -- views -------------------------------------------------------------------
     @property
@@ -283,6 +286,8 @@ class JobManager:
         self.reuse_results = bool(reuse_results)
         self._jobs: dict[str, Job] = {}
         self._order: list[str] = []
+        # reuse key -> the latest-submitted done job with that key
+        self._reusable: dict[tuple, Job] = {}
         self._lock = threading.RLock()
         self._pool = ThreadPoolExecutor(
             max_workers=int(max_workers), thread_name_prefix="repro-job"
@@ -326,8 +331,26 @@ class JobManager:
             if job.result_dict is not None:
                 job.n_evaluations = job.result_dict.get("n_samples", 0)
                 job.best = job.result_dict.get("best")
-            self._jobs[job.id] = job
-            self._order.append(job.id)
+            with self._lock:
+                self._admit(job)
+                self._mark_reusable(job)
+
+    def _admit(self, job: Job) -> None:
+        """Add ``job`` to the table (caller holds ``self._lock``)."""
+        job.position = len(self._order)
+        self._jobs[job.id] = job
+        self._order.append(job.id)
+
+    def _mark_reusable(self, job: Job) -> None:
+        """Index a done job for reuse (caller holds ``self._lock``).
+
+        Jobs finish out of submission order; the index keeps the
+        latest-submitted one per key.
+        """
+        key = job.reuse_key()
+        held = self._reusable.get(key)
+        if held is None or held.position < job.position:
+            self._reusable[key] = job
 
     # -- submission ------------------------------------------------------------------
     def submit(
@@ -361,21 +384,12 @@ class JobManager:
         use_cache = self.reuse_results if reuse is None else bool(reuse)
         with self._lock:
             if use_cache:
-                hit = self._find_reusable(job.reuse_key())
+                hit = self._reusable.get(job.reuse_key())
                 if hit is not None:
                     return hit
-            self._jobs[job.id] = job
-            self._order.append(job.id)
+            self._admit(job)
         self._pool.submit(self._execute, job)
         return job
-
-    def _find_reusable(self, key: tuple) -> Job | None:
-        """A finished in-memory (or stored) job matching the reuse key."""
-        for job_id in reversed(self._order):
-            job = self._jobs[job_id]
-            if job.state == "done" and job.reuse_key() == key:
-                return job
-        return None
 
     def fork(
         self,
@@ -420,8 +434,7 @@ class JobManager:
         if self._validate_strategy is not None:
             self._validate_strategy(job.strategy)
         with self._lock:
-            self._jobs[job.id] = job
-            self._order.append(job.id)
+            self._admit(job)
         self._pool.submit(self._execute, job)
         return job
 
@@ -483,13 +496,17 @@ class JobManager:
                 job.finished_at = time.time()
                 job._touch()
             return
-        with job.cond:
+        result_dict = search_result_to_dict(result)
+        # Index before waiters see "done": a resubmission right after
+        # wait() must find this job.
+        with self._lock, job.cond:
             job.result = result
-            job.result_dict = search_result_to_dict(result)
-            job.n_evaluations = job.result_dict["n_samples"]
-            job.best = job.result_dict["best"]
+            job.result_dict = result_dict
+            job.n_evaluations = result_dict["n_samples"]
+            job.best = result_dict["best"]
             job.state = "done"
             job.finished_at = time.time()
+            self._mark_reusable(job)
             job._touch()
         if self.store is not None:
             self.store.append_result(job.scenario, self._store_record(job))

@@ -1,9 +1,21 @@
 """Unit tests for the from-scratch GP regressor."""
 
+import sys
+import types
+
 import numpy as np
 import pytest
+from scipy import optimize
 
-from repro.gp.kernels import RBF, Matern52, RoundedKernel
+from repro.gp import regression
+from repro.gp.kernels import (
+    RBF,
+    ConstantScale,
+    Matern52,
+    RationalQuadratic,
+    RoundedKernel,
+    SumKernel,
+)
 from repro.gp.regression import GaussianProcessRegressor
 
 
@@ -124,3 +136,122 @@ class TestNormalization:
             RBF(0.3), noise=1e-8, normalize_y=False, optimize_hyperparameters=False
         ).fit(X, y)
         np.testing.assert_allclose(gp.predict(X), y, atol=1e-3)
+
+
+def _random_likelihood(rng):
+    """A random GP likelihood problem: (objective, bounds, starts)."""
+    d = int(rng.integers(1, 4))
+    base = [Matern52, RBF, RationalQuadratic][int(rng.integers(3))]()
+    wrap = int(rng.integers(4))
+    if wrap == 1:
+        kernel = RoundedKernel(base, scale=rng.integers(2, 12, size=d))
+    elif wrap == 2:
+        kernel = SumKernel(base, Matern52(float(rng.uniform(0.1, 3.0))))
+    elif wrap == 3:
+        kernel = ConstantScale(base, variance=float(rng.uniform(0.5, 2.0)))
+    else:
+        kernel = base
+    n = int(rng.integers(3, 41))
+    X = rng.uniform(0.0, 1.0, size=(n, d))
+    y = np.sin(5.0 * X @ rng.normal(size=d)) + 0.1 * rng.normal(size=n)
+    gp = GaussianProcessRegressor(kernel, noise=float(10.0 ** rng.uniform(-8, -2)))
+    gp._set_training_data(X, y)
+    bounds = kernel.theta_bounds()
+    lows, highs = np.array(bounds).T
+    corner = np.where(rng.random(lows.size) < 0.5, lows, highs)
+    starts = [
+        kernel.get_theta(),
+        [lows, highs, corner][int(rng.integers(3))],
+        rng.uniform(lows, highs),
+    ]
+    return gp._make_analytic_objective(), bounds, starts
+
+
+@pytest.fixture
+def fresh_self_check():
+    """Re-run the L-BFGS-B self-check inside the test and forget it after."""
+    regression._checked_setulb.cache_clear()
+    yield
+    regression._checked_setulb.cache_clear()
+
+
+class TestLbfgsbLoop:
+    def test_self_check_engages_on_the_installed_scipy(self):
+        # A silent fallback to the public entry point must fail tier 1.
+        assert regression._checked_setulb() is not None
+
+    def test_bit_equal_to_public_minimize_on_random_likelihoods(self):
+        setulb = regression._checked_setulb()
+        assert setulb is not None
+        rng = np.random.default_rng(20211114)
+        for problem in range(120):
+            fun, bounds, starts = _random_likelihood(rng)
+            lows, highs = np.array(bounds).T
+            for x0 in starts:
+                ours, ours_calls = regression._counted(fun)
+                x, f = regression._lbfgsb_loop(
+                    setulb, ours, np.asarray(x0), lows, highs, 100
+                )
+                theirs, theirs_calls = regression._counted(fun)
+                res = optimize.minimize(
+                    theirs, x0, method="L-BFGS-B", jac=True, bounds=bounds,
+                    options={"maxiter": 100},
+                )
+                assert np.array_equal(x, res.x), problem
+                assert f == res.fun, problem
+                assert ours_calls == theirs_calls, problem
+
+    def test_iteration_limit_matches_public_minimize(self):
+        setulb = regression._checked_setulb()
+        fun, bounds, starts = _random_likelihood(np.random.default_rng(3))
+        lows, highs = np.array(bounds).T
+        x, f = regression._lbfgsb_loop(
+            setulb, fun, np.asarray(starts[2]), lows, highs, 2
+        )
+        res = optimize.minimize(
+            fun, starts[2], method="L-BFGS-B", jac=True, bounds=bounds,
+            options={"maxiter": 2},
+        )
+        assert res.nit == 2
+        assert np.array_equal(x, res.x) and f == res.fun
+
+    @pytest.mark.parametrize(
+        "fault", ["setulb-type-error", "setulb-missing", "mismatch"]
+    )
+    def test_forced_fallback_fits_bit_identically(
+        self, fault, fresh_self_check, monkeypatch
+    ):
+        X = np.random.default_rng(1).uniform(0.0, 1.0, size=(12, 2))
+        y = smooth_fn(X[:, :1]) + X[:, 1]
+        grid = np.random.default_rng(2).uniform(0.0, 1.0, size=(30, 2))
+
+        def fit():
+            gp = GaussianProcessRegressor(Matern52(), n_restarts=2, seed=4)
+            gp.fit(X, y)
+            return gp.kernel.get_theta(), *gp.predict(grid, return_std=True)
+
+        assert regression._checked_setulb() is not None
+        engaged = fit()
+        regression._checked_setulb.cache_clear()
+        if fault == "mismatch":
+            loop = regression._lbfgsb_loop
+
+            def drifted(*args):
+                x, f = loop(*args)
+                return x, np.nextafter(f, np.inf)
+
+            monkeypatch.setattr(regression, "_lbfgsb_loop", drifted)
+        else:
+            # Swap the module the self-check imports setulb from; SciPy's
+            # own L-BFGS-B keeps the reference it bound at import.
+            def broken(*args):
+                raise TypeError("setulb() signature changed")
+
+            stub = types.SimpleNamespace()
+            if fault == "setulb-type-error":
+                stub.setulb = broken
+            monkeypatch.setitem(sys.modules, "scipy.optimize._lbfgsb", stub)
+        assert regression._checked_setulb() is None
+        fallback = fit()
+        for a, b in zip(engaged, fallback):
+            assert np.array_equal(a, b)

@@ -159,6 +159,31 @@ class TestHygiene:
     def test_good_fixture_is_clean(self):
         assert lint("good_hygiene.py") == []
 
+    def test_private_imports_flagged_in_all_three_forms(self):
+        findings = lint("bad_private_import.py")
+        assert [f.rule for f in findings] == ["private-import"] * 3
+        assert [f.line for f in findings] == [3, 4, 5]
+
+    def test_public_own_and_stdlib_accelerator_imports_are_clean(self):
+        assert lint("good_private_import.py") == []
+
+    def test_private_import_suppression_needs_a_reason(self, tmp_path):
+        mod = tmp_path / "mod.py"
+        mod.write_text(
+            "# repro-lint: disable=private-import(checked against the public API)\n"
+            "from scipy.optimize._lbfgsb import setulb\n"
+        )
+        assert run([mod], LintConfig())[0] == []
+        mod.write_text(
+            "from scipy.optimize._lbfgsb import setulb"
+            "  # repro-lint: disable=private-import\n"
+        )
+        findings, _ = run([mod], LintConfig())
+        assert rules_hit(findings) == {
+            "private-import",
+            "suppression-missing-reason",
+        }
+
     def test_print_allowed_modules_are_exempt(self, tmp_path):
         cli = tmp_path / "repro" / "cli.py"
         cli.parent.mkdir()

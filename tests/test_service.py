@@ -296,7 +296,85 @@ class TestReuse:
         assert again.state == "done"
 
 
+    def test_latest_submitted_of_identical_done_jobs_wins(self):
+        # The older job finishes last; the reuse answer is still the
+        # most recently *submitted* done job, as a newest-first scan gives.
+        gate = threading.Event()
+        gates = [gate, None]
+        mgr = JobManager(
+            runner_factory=lambda scn: StubRunner(scn, gate=gates.pop(0)),
+            max_workers=2,
+        )
+        try:
+            older = mgr.submit(make_scenario(), "ribbon", seed=0)
+            version = -1
+            while older.state != "searching":  # its runner took the gate
+                version = older.wait_change(version, timeout=5)
+            newer = mgr.submit(make_scenario(), "ribbon", seed=0, reuse=False)
+            mgr.wait(newer.id, timeout=10)
+            gate.set()
+            mgr.wait(older.id, timeout=10)
+            assert older.finished_at >= newer.finished_at
+            assert mgr.submit(make_scenario(), "ribbon", seed=0) is newer
+        finally:
+            mgr.shutdown(cancel_running=True)
+
+    def test_failed_jobs_are_never_reused(self):
+        mgr = JobManager(runner_factory=StubFactory(fail=RuntimeError("boom")))
+        try:
+            failed = mgr.submit(make_scenario(), "ribbon", seed=0)
+            mgr.wait(failed.id, timeout=10)
+            assert failed.state == "failed"
+            assert mgr.submit(make_scenario(), "ribbon", seed=0) is not failed
+        finally:
+            mgr.shutdown(cancel_running=True)
+
+    def test_cancelled_jobs_are_never_reused(self):
+        gate = threading.Event()
+        mgr = JobManager(runner_factory=StubFactory(gate=gate), max_workers=1)
+        try:
+            running = mgr.submit(make_scenario(), "ribbon", seed=0)
+            queued = mgr.submit(make_scenario(), "ribbon", seed=1)
+            version = -1
+            while running.state != "searching":
+                version = running.wait_change(version, timeout=5)
+            mgr.cancel(running.id)
+            mgr.cancel(queued.id)
+            gate.set()
+            mgr.wait(running.id, timeout=10)
+            assert running.state == queued.state == "cancelled"
+            again = [
+                mgr.submit(make_scenario(), "ribbon", seed=seed)
+                for seed in (0, 1)
+            ]
+            assert again[0] is not running and again[1] is not queued
+            for job in again:
+                mgr.wait(job.id, timeout=10)
+                assert job.state == "done"
+        finally:
+            mgr.shutdown(cancel_running=True)
+
+
 class TestWarmRestart:
+    def test_restored_jobs_are_reused_latest_first(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        first_gen = JobManager(runner_factory=StubFactory(), store=store)
+        older = first_gen.submit(make_scenario(), "ribbon", seed=2)
+        first_gen.wait(older.id, timeout=10)
+        newer = first_gen.submit(make_scenario(), "ribbon", seed=2, reuse=False)
+        first_gen.wait(newer.id, timeout=10)
+        first_gen.shutdown()
+
+        factory = StubFactory()
+        second_gen = JobManager(runner_factory=factory, store=store)
+        try:
+            again = second_gen.submit(make_scenario(), "ribbon", seed=2)
+            assert again.restored and again.id == newer.id
+            assert factory.built == []
+        finally:
+            second_gen.shutdown()
+
+
     def test_history_survives_a_daemon_generation(self, tmp_path):
         store = SnapshotStore(tmp_path)
         first_gen = JobManager(runner_factory=StubFactory(), store=store)
