@@ -52,18 +52,19 @@ def test_perf_fast_engine_with_queue_tracking(benchmark, workload):
 
 @pytest.fixture(scope="module")
 def hetero_workload():
-    """A saturated 128-instance three-family mix: the heap dispatcher's
-    target regime (this bench tracks absolute engine cost there)."""
+    """A saturated 128-instance three-family mix (this bench tracks
+    absolute engine cost there, per dispatch policy)."""
     model = get_model("MT-WND")
     trace = trace_for_model(model, n_queries=4000, seed=1, load_factor=60.0)
     pool = PoolConfiguration(("g4dn", "c5", "r5n"), (64, 32, 32))
     return model, trace, pool
 
 
-def test_perf_fast_engine_hetero_heap(benchmark, hetero_workload):
+@pytest.mark.parametrize("dispatch", InferenceServingSimulator.DISPATCH_POLICIES)
+def test_perf_fast_engine_hetero(benchmark, hetero_workload, dispatch):
     model, trace, pool = hetero_workload
     sim = InferenceServingSimulator(
-        model, dispatch="heap", track_queue=False, **_NO_MEMO
+        model, dispatch=dispatch, track_queue=False, **_NO_MEMO
     )
     res = benchmark(sim.simulate, trace, pool)
     assert len(res) == len(trace)

@@ -21,6 +21,7 @@ runtime.  ``search`` picks its algorithm by name from the strategy registry
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 from repro.analysis.experiments import (
@@ -185,6 +186,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import JobManager, SnapshotStore, make_server
 
@@ -195,18 +200,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         disk_cache=args.disk_cache,
     )
     server = make_server(manager, host=args.host, port=args.port)
-    host, port = server.server_address[:2]
-    print(f"repro-ribbon service listening on http://{host}:{port}")
-    if store is not None:
-        restored = sum(1 for j in manager.jobs() if j.restored)
-        print(f"snapshots: {store.root} ({restored} jobs restored)")
-    print("endpoints: /health /stats /jobs /jobs/<id>[/result|/stream]")
+    # SIGTERM (a service manager's stop) takes the same clean-shutdown
+    # path as Ctrl-C instead of killing the process mid-job.  It is
+    # installed before the banner, so a client that read the banner can
+    # already stop the daemon this way.
+    previous_sigterm = signal.signal(signal.SIGTERM, _interrupt)
     try:
+        host, port = server.server_address[:2]
+        print(f"repro-ribbon service listening on http://{host}:{port}")
+        if store is not None:
+            restored = sum(1 for j in manager.jobs() if j.restored)
+            print(f"snapshots: {store.root} ({restored} jobs restored)")
+        print("endpoints: /health /stats /jobs /jobs/<id>[/result|/stream]")
         server.serve_forever()
     except KeyboardInterrupt:
         print("\nshutting down ...")
     finally:
-        server.shutdown()
+        # serve_forever ran (and returned) in this thread, so there is no
+        # loop left for server.shutdown() to stop; calling it before the
+        # loop ever started would block forever.
+        signal.signal(signal.SIGTERM, previous_sigterm)
         server.server_close()
         manager.shutdown(cancel_running=True)
     return 0

@@ -7,9 +7,12 @@ paper).  Two independently written engines are provided:
 * :class:`~repro.simulator.engine.InferenceServingSimulator` — the fast
   arrival-order engine used everywhere (a query either starts immediately on
   the first free instance in type order, or waits for the earliest-free
-  instance).  It dispatches on one of two bit-identical scalar loops —
-  the linear scan or the heap dispatcher — picked per simulation by
-  offered load (``dispatch="auto"``).
+  instance).  Instances of one family are interchangeable for latency, so
+  by default it decides only the serving *family* per query, on one float
+  heap of free times per family (``dispatch="family"``); which instance
+  served a query (``instance_index``, ``busy_s_per_instance``) is derived
+  on first read.  ``dispatch="heap"`` runs the per-instance loop instead,
+  the bit-identical reference the tests compare it with.
 * :class:`~repro.simulator.events.EventHeapSimulator` — an event-heap
   reference implementation used to cross-validate the fast engine in the
   test suite.

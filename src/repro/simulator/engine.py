@@ -4,57 +4,55 @@ The dispatch policy is the paper's (Sec. 5.1): queries are handled strictly
 in arrival order; each query goes to the *first available* instance, where
 "first" follows the pool's type order (Table 3).  If no instance is free at
 arrival, the query waits in a single FCFS queue for the earliest-free
-instance.
+instance, the lowest index on ties.
 
-Because service times do not depend on the dispatch instant, the whole
-simulation reduces to one pass over queries in arrival order, keeping a
-``free_at`` clock per instance:
+Service times do not depend on the dispatch instant, so the whole simulation
+is one pass over queries in arrival order.  Instances of one family share a
+service row, so the pass only decides which *family* serves each query.
+Every family with a non-zero count keeps a float min-heap of its instances'
+free times, and a query arriving at ``t``
 
-* if some instance is free at the arrival time, pick the lowest-index free
-  instance (instances are laid out in type order, so this is exactly the
-  type-order preference);
-* otherwise the query starts on ``argmin(free_at)`` at that instant,
-  breaking ties toward the lowest index.
+* starts at ``t`` on the first family, in type order, whose heap top is
+  ``<= t``;
+* otherwise starts at the smallest heap top, on the first family holding it;
+* and replaces that family's top with its finish time.
 
-This is an exact simulation of the queueing system, not an approximation —
-the event-heap engine in :mod:`repro.simulator.events` independently verifies
-it in the test suite.
+This is exact, not an approximation:
 
-Performance notes (per the profiling-first HPC guidance this repo follows):
+* free times ``<= t`` are interchangeable: arrivals are sorted, so every
+  later query finds all of them free, whichever one was replaced;
+* while no instance is free, a family's heap holds exactly the free times of
+  its instances, so the earliest-free pick and its tie-break are the
+  per-instance rule's;
+* the largest free time on any heap is the makespan.
 
-* service times come pre-noised from the per-workload
-  :class:`~repro.simulator.service.ServiceTimeCache`, so repeated pool
-  evaluations of one search never regenerate the lognormal draws;
-* whole simulations are memoized across evaluators by the process-wide
-  :class:`~repro.simulator.result_cache.SimulationResultCache` — the
-  engine is deterministic per ``(model, trace, pool)``, so re-simulating
-  a configuration another seed/fork already served returns the stored
-  :class:`SimulationResult` without touching the dispatch loop;
-* dispatch runs on one of two scalar loops, bit-identical to each other
-  and to the event-heap reference (property-tested):
+A single-family pool has no family to choose and runs one heap (one clock
+for a single instance).  The event-heap engine in
+:mod:`repro.simulator.events` independently verifies all of this in the test
+suite.
 
-  - ``linear`` — the O(n·m) scan; O(1) per query on underloaded pools of
-    any size because it short-circuits on the first free instance, and a
-    single clock on single-instance pools;
-  - ``heap`` — O(n log m) on two heaps (a min-heap of free instance
-    indices for the type-order preference, and a min-heap of
-    ``(free_at, index)`` busy instances for the earliest-free pick), which
-    wins on big saturated pools where the scan stops short-circuiting.
+The loop emits only start times, the per-query family choice and the
+makespan; :meth:`InferenceServingSimulator.simulate` derives the rest with
+vector operations: ``service_s`` is a gather from the service-time matrix by
+family, and the queue length seen by arrival q is
+``q - min(q, #{j : start_j <= t_q})``, one ``searchsorted`` over the FCFS
+start times, which are monotone non-decreasing.
 
-  ``auto`` picks per simulation from the offered load (arrival rate x
-  mean service time, from the cached matrix): the heap when the load
-  keeps most of the pool busy, the scan otherwise (and always the scan
-  for a single instance or an empty trace).  Per-path run counts are kept
-  on the simulator and process-wide (:func:`global_dispatch_counters`);
-* the scalar loops emit only what dispatch decides — each query's start
-  time and chosen instance (plus the makespan) — and :meth:`simulate`
-  derives the rest with vector operations: ``service_s`` is a gather
-  from the service-time matrix by chosen instance type, ``busy`` is
-  ``np.bincount(chosen, weights=service_s)`` (which sums in query order,
-  so it matches a per-query running sum bit for bit), and the queue
-  length seen by arrival q is ``q - min(q, #{j : start_j <= t_q})``, one
-  ``searchsorted`` over the FCFS start times, which are monotone
-  non-decreasing.
+Which instance of a family served a query matters only to
+``instance_index`` and ``busy_s_per_instance``, which nothing on the search
+path reads.  A :class:`~repro.simulator.metrics.FamilyDispatchResult`
+derives them on first read with :func:`_instance_indices`: it replays each
+family's queries through the per-instance loop :func:`_run_heap`, with their
+start times as arrivals.  Each such query finds a free instance of its family
+at its start, and the loop picks the lowest-index one, as the per-instance
+rule does.  ``dispatch="heap"`` runs :func:`_run_heap` over the whole pool
+instead and stores the per-instance arrays; it is the per-instance reference
+the equivalence tests compare the family loop with.
+
+Service times come pre-noised from the per-workload
+:class:`~repro.simulator.service.ServiceTimeCache`, and whole simulations are
+memoized across evaluators by the process-wide
+:class:`~repro.simulator.result_cache.SimulationResultCache`.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ from heapq import heapify, heappop, heappush, heapreplace
 import numpy as np
 
 from repro.models.base import ModelProfile
-from repro.simulator.metrics import SimulationResult
+from repro.simulator.metrics import FamilyDispatchResult, SimulationResult
 from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import (
     SimulationResultCache,
@@ -74,19 +72,13 @@ from repro.simulator.result_cache import (
 from repro.simulator.service import ServiceTimeCache, shared_service_cache
 from repro.workload.trace import QueryTrace
 
-#: Heap-dispatch threshold (measured crossover; both paths are exact, so
-#: this is purely a constant-factor policy).  The heap wins exactly when the
-#: linear scan stops short-circuiting on an early free instance — i.e. when
-#: the offered load occupies at least this fraction of the pool; on
-#: underloaded pools of any size the scan is O(1) per query and faster.
-_HEAP_MIN_OCCUPANCY = 0.8
-
 
 class DispatchCounters:
     """Thread-safe run counters for the dispatch loops.
 
-    ``linear``/``heap`` count simulations actually *dispatched* by each
-    loop; result-memo hits never dispatch, so they do not count.
+    ``linear`` counts family-loop runs (the key keeps its older name for
+    readers of the counters) and ``heap`` per-instance reference runs.
+    Only simulations actually *dispatched* count; result-memo hits do not.
     """
 
     __slots__ = ("_lock", "_counts")
@@ -143,11 +135,11 @@ class InferenceServingSimulator:
         instance so every simulator serving the same workload reuses one
         matrix.  Pass ``ServiceTimeCache(maxsize=0)`` to disable caching.
     dispatch:
-        ``"auto"`` (default) picks a dispatch loop per simulation from the
-        offered load; ``"linear"`` / ``"heap"`` force one (the equivalence
-        tests exercise both on equal inputs).  The dispatch path is
-        deliberately *not* part of the result-memo key: both loops are
-        bit-identical by contract.
+        ``"family"`` (default) runs the family-level loop; ``"heap"`` runs
+        the per-instance reference loop (the equivalence tests compare
+        both on equal inputs).  The dispatch path is deliberately *not*
+        part of the result-memo key: both loops are bit-identical by
+        contract.
     dispatch_counters:
         Engagement-counter sink for this simulator (also mirrored into the
         process-wide :func:`global_dispatch_counters`).  Evaluators and
@@ -162,8 +154,8 @@ class InferenceServingSimulator:
         benchmarking the dispatch loop itself).
     """
 
-    #: The full dispatch-policy set (``auto`` plus the two loops).
-    DISPATCH_POLICIES = ("auto", "linear", "heap")
+    #: The dispatch-policy set: the family loop and the per-instance loop.
+    DISPATCH_POLICIES = ("family", "heap")
 
     def __init__(
         self,
@@ -171,7 +163,7 @@ class InferenceServingSimulator:
         *,
         track_queue: bool = True,
         service_cache: ServiceTimeCache | None = None,
-        dispatch: str = "auto",
+        dispatch: str = "family",
         result_cache: SimulationResultCache | None = None,
         dispatch_counters: DispatchCounters | None = None,
     ):
@@ -269,10 +261,11 @@ class InferenceServingSimulator:
                 return hit
 
         n = len(trace)
-        expand_key = (pool.families, pool.counts)
+        families, counts = pool.families, pool.counts
+        expand_key = (families, counts)
         expanded = self._expand_cache.get(expand_key)
         if expanded is None:
-            type_of_instance, families = pool.expand()
+            type_of_instance, _ = pool.expand()
             type_of_instance = np.ascontiguousarray(
                 type_of_instance, dtype=np.int64
             )
@@ -284,53 +277,41 @@ class InferenceServingSimulator:
             if len(self._expand_cache) < 4096:
                 self._expand_cache[expand_key] = expanded
         type_list, instance_family, type_of_instance = expanded
-        families = pool.families
-        n_instances = len(type_list)
         cache = self._service_cache
-        service_rows: list[list[float]] | None = None
-
-        # -- dispatch-path policy ------------------------------------------
-        if self._dispatch != "auto":
-            path = self._dispatch
-        elif n_instances == 1 or n == 0:
-            path = "linear"
-        else:
-            # Offered load in busy-instance units (Erlangs): arrival rate x
-            # mean service time per query (pool-mix average).  With caching
-            # disabled, derive the means from list rows materialized once
-            # and reused by the loop below.
-            duration = trace.duration_s
-            if cache.maxsize > 0:
-                means = cache.row_means(self._model, trace, families)
-            else:
-                service_rows = cache.rows(self._model, trace, families)
-                means = [float(sum(r)) / len(r) for r in service_rows]
-            offered = (
-                n
-                * (float(sum(means[t] for t in type_list)) / n_instances)
-                / duration
-                if duration > 0.0
-                else np.inf
-            )
-            path = (
-                "heap" if offered >= _HEAP_MIN_OCCUPANCY * n_instances else "linear"
-            )
-
-        if service_rows is None:
-            service_rows = cache.rows(self._model, trace, families)
-        run = self._run_heap if path == "heap" else self._run_linear
-        starts, chosen, makespan = run(
-            cache.arrival_list(trace), service_rows, type_list, n_instances
-        )
-        chosen = np.asarray(chosen, dtype=np.int64)
+        service_rows = cache.rows(self._model, trace, families)
+        arrivals = cache.arrival_list(trace)
         matrix = (
             cache.matrix(self._model, trace, families)
             if cache.maxsize > 0
             else np.asarray(service_rows)
         )
-        # A fresh gather, not a matrix view: a memoized result must not
-        # pin the whole multi-family matrix.
-        service_s = matrix[type_of_instance[chosen], np.arange(n)]
+
+        # Every service_s below is a fresh array, not a matrix view: a
+        # memoized result must not pin the whole multi-family matrix.
+        choice: np.ndarray | None = None
+        if self._dispatch == "heap":
+            starts, chosen, makespan = _run_heap(
+                arrivals, service_rows, type_list, len(type_list)
+            )
+            index = np.asarray(chosen, dtype=np.int64)
+            service_s = matrix[type_of_instance[index], np.arange(n)]
+        else:
+            live = [k for k, count in enumerate(counts) if count]
+            if len(live) == 1:
+                k = live[0]
+                starts, makespan = _serve_family(
+                    arrivals, service_rows[k], counts[k]
+                )
+                service_s = matrix[k].copy()
+            else:
+                starts, chosen, makespan = _run_families(
+                    arrivals,
+                    [(k, counts[k], service_rows[k]) for k in live],
+                )
+                choice = np.asarray(
+                    chosen, dtype=np.min_scalar_type(len(families) - 1)
+                )
+                service_s = matrix[choice, np.arange(n)]
         start_s = np.asarray(starts, dtype=float)
         wait_s = start_s - trace.arrival_s
         queue_len = np.empty(0)
@@ -340,19 +321,33 @@ class InferenceServingSimulator:
             q = np.arange(n)
             started = np.searchsorted(start_s, trace.arrival_s, "right")
             queue_len = q - np.minimum(q, started)
-        result = SimulationResult(
+        fields = dict(
             latency_s=wait_s + service_s,
             wait_s=wait_s,
             service_s=service_s,
-            instance_index=chosen,
             instance_family=instance_family,
-            busy_s_per_instance=np.bincount(
-                chosen, weights=service_s, minlength=n_instances
-            ),
             makespan_s=makespan,
             queue_len_at_arrival=queue_len,
         )
-        self._record_dispatch(path)
+        result: SimulationResult
+        if self._dispatch == "heap":
+            result = SimulationResult(
+                instance_index=index,
+                busy_s_per_instance=np.bincount(
+                    index, weights=service_s, minlength=len(type_list)
+                ),
+                **fields,
+            )
+            self._record_dispatch("heap")
+        else:
+            result = FamilyDispatchResult(
+                start_s=start_s,
+                family_choice=choice,
+                family_counts=counts,
+                replay=_instance_indices,
+                **fields,
+            )
+            self._record_dispatch("linear")
         if memoize:
             result = memo.put(
                 self._model,
@@ -364,102 +359,136 @@ class InferenceServingSimulator:
             )
         return result
 
-    # -- dispatch loops -----------------------------------------------------
-    def _run_linear(
-        self,
-        arrival_list: list[float],
-        service_rows: list[list[float]],
-        type_list: list[int],
-        n_instances: int,
-    ):
-        """O(n·m) scalar scan; fastest below the heap crossover (and the
-        only loop for a single instance, which runs :meth:`_run_single`).
 
-        Returns ``(starts, chosen, makespan)``: per-query start times and
-        instance indices, in arrival order.  Everything else a result
-        holds is derived from these by :meth:`simulate`.
-        """
-        if n_instances == 1:
-            return self._run_single(arrival_list, service_rows[type_list[0]])
-        rows = [service_rows[t] for t in type_list]
-        free_list = [0.0] * n_instances
-        starts: list[float] = []
-        chosen: list[int] = []
-        # Bound methods: the loop body runs hundreds of thousands of times
-        # per search, where attribute lookups are a measurable cost.
-        starts_append = starts.append
-        chosen_append = chosen.append
-        for q, t in enumerate(arrival_list):
-            # First free instance in type order, else earliest-free.
-            best_i = 0
-            best_free = free_list[0]
-            found_free = best_free <= t
-            if not found_free:
-                for i in range(1, n_instances):
-                    f = free_list[i]
-                    if f <= t:
-                        best_i, found_free = i, True
-                        break
-                    if f < best_free:
-                        best_i, best_free = i, f
-            start = t if found_free else best_free
-            free_list[best_i] = start + rows[best_i][q]
-            starts_append(start)
-            chosen_append(best_i)
-        return starts, chosen, max(free_list)
+# -- dispatch loops -----------------------------------------------------------
+# Each returns the per-query start times (plus the family or instance
+# choices) and the makespan; simulate() derives everything else.  Bound
+# methods are hoisted out of the loops: their bodies run hundreds of
+# thousands of times per search, where attribute lookups are a measurable
+# cost.
 
-    def _run_single(self, arrival_list: list[float], row: list[float]):
-        """Single-instance pools: dispatch degenerates to one clock."""
+
+def _serve_family(arrivals: list[float], row: list[float], count: int):
+    """A single-family pool: ``(starts, makespan)`` from one heap of free
+    times (one clock for a single instance)."""
+    starts: list[float] = []
+    starts_append = starts.append
+    if count == 1:
         free = 0.0
-        starts: list[float] = []
-        starts_append = starts.append
-        for t, s in zip(arrival_list, row):
+        for t, s in zip(arrivals, row):
             start = t if free <= t else free
             free = start + s
             starts_append(start)
-        return starts, np.zeros(len(arrival_list), dtype=np.int64), free
+        return starts, free
+    heap = [0.0] * count
+    for t, s in zip(arrivals, row):
+        start = heap[0]
+        if start <= t:
+            start = t
+        heapreplace(heap, start + s)
+        starts_append(start)
+    return starts, max(heap)
 
-    def _run_heap(
-        self,
-        arrival_list: list[float],
-        service_rows: list[list[float]],
-        type_list: list[int],
-        n_instances: int,
-    ):
-        """O(n log m) heap dispatch; bit-identical to the linear scan.
 
-        ``free`` holds indices of instances with ``free_at <= t`` (min-heap
-        => lowest index => type-order preference).  ``busy_heap`` holds
-        ``(free_at, index)`` pairs; its top is the earliest-free instance
-        with the lowest-index tie-break — exactly the linear scan's argmin.
-        Returns ``(starts, chosen, makespan)`` like :meth:`_run_linear`.
-        """
-        rows = [service_rows[t] for t in type_list]
-        free = list(range(n_instances))
-        heapify(free)
-        busy_heap: list[tuple[float, int]] = []
-        starts: list[float] = []
-        chosen: list[int] = []
-        push, pop, replace = heappush, heappop, heapreplace
-        starts_append = starts.append
-        chosen_append = chosen.append
-        for q, t in enumerate(arrival_list):
-            while busy_heap and busy_heap[0][0] <= t:
-                push(free, pop(busy_heap)[1])
-            if free:
-                i = pop(free)
-                start = t
-                push(busy_heap, (start + rows[i][q], i))
-            else:
-                # Saturated: the root instance serves this query; replace
-                # in place (one sift) instead of pop + push.  Tuples are
-                # strictly ordered (indices unique), so the pop sequence —
-                # the only observable — is unchanged.
-                start, i = busy_heap[0]
-                replace(busy_heap, (start + rows[i][q], i))
-            starts_append(start)
-            chosen_append(i)
-        # The last query's finish is still on the busy heap, and every
-        # instance already moved back to ``free`` finished before it.
-        makespan = float(max(busy_heap)[0]) if busy_heap else 0.0
-        return starts, chosen, makespan
+def _run_families(
+    arrivals: list[float], live: list[tuple[int, int, list[float]]]
+):
+    """The family loop over ``live`` ``(family, count, service row)``
+    triples, in type order; ``(starts, chosen families, makespan)``."""
+    fams = [(k, [0.0] * count, row) for k, count, row in live]
+    starts: list[float] = []
+    chosen: list[int] = []
+    starts_append = starts.append
+    chosen_append = chosen.append
+    for q, t in enumerate(arrivals):
+        best = None
+        for k, heap, row in fams:
+            top = heap[0]
+            if top <= t:  # first family with a free instance
+                heapreplace(heap, t + row[q])
+                starts_append(t)
+                chosen_append(k)
+                break
+            if best is None or top < best:
+                best, best_k, best_heap, best_row = top, k, heap, row
+        else:  # none free: the earliest-free family, first on ties
+            heapreplace(best_heap, best + best_row[q])
+            starts_append(best)
+            chosen_append(best_k)
+    return starts, chosen, max(max(heap) for _, heap, _ in fams)
+
+
+def _run_heap(
+    arrivals: list[float],
+    service_rows: list[list[float]],
+    type_list: list[int],
+    n_instances: int,
+):
+    """The per-instance loop, O(n log m): ``(starts, chosen, makespan)``.
+
+    ``free`` holds indices of instances with ``free_at <= t`` (min-heap =>
+    lowest index => type-order preference).  ``busy_heap`` holds
+    ``(free_at, index)`` pairs; its top is the earliest-free instance with
+    the lowest-index tie-break.
+    """
+    rows = [service_rows[t] for t in type_list]
+    free = list(range(n_instances))
+    heapify(free)
+    busy_heap: list[tuple[float, int]] = []
+    starts: list[float] = []
+    chosen: list[int] = []
+    push, pop, replace = heappush, heappop, heapreplace
+    starts_append = starts.append
+    chosen_append = chosen.append
+    for q, t in enumerate(arrivals):
+        while busy_heap and busy_heap[0][0] <= t:
+            push(free, pop(busy_heap)[1])
+        if free:
+            i = pop(free)
+            start = t
+            push(busy_heap, (start + rows[i][q], i))
+        else:
+            # Saturated: the root instance serves this query; replace
+            # in place (one sift) instead of pop + push.  Tuples are
+            # strictly ordered (indices unique), so the pop sequence —
+            # the only observable — is unchanged.
+            start, i = busy_heap[0]
+            replace(busy_heap, (start + rows[i][q], i))
+        starts_append(start)
+        chosen_append(i)
+    # The last query's finish is still on the busy heap, and every
+    # instance already moved back to ``free`` finished before it.
+    makespan = float(max(busy_heap)[0]) if busy_heap else 0.0
+    return starts, chosen, makespan
+
+
+def _instance_indices(
+    start_s: np.ndarray,
+    service_s: np.ndarray,
+    family_choice: np.ndarray | None,
+    family_counts: tuple[int, ...],
+) -> np.ndarray:
+    """Per-query instance indices of a family-level dispatch record.
+
+    Replays each family's queries through :func:`_run_heap` with their
+    start times as arrivals (``family_choice=None``: one family served
+    every query).  Each query finds a free instance of its family at its
+    start, and :func:`_run_heap` takes the lowest-index free one, exactly
+    as the per-instance rule does.
+    """
+    index = np.empty(start_s.size, dtype=np.int64)
+    offset = 0
+    for k, count in enumerate(family_counts):
+        if count == 0:
+            continue
+        mine = (
+            np.arange(start_s.size)
+            if family_choice is None
+            else np.flatnonzero(family_choice == k)
+        )
+        _, chosen, _ = _run_heap(
+            start_s[mine].tolist(), [service_s[mine].tolist()], [0] * count, count
+        )
+        index[mine] = np.asarray(chosen, dtype=np.int64) + offset
+        offset += count
+    return index

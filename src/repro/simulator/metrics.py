@@ -57,11 +57,14 @@ class SimulationResult:
     makespan_s: float
     queue_len_at_arrival: np.ndarray = field(default_factory=lambda: np.empty(0))
 
+    #: Stored per-query arrays whose shape must match ``latency_s``.
+    _ALIGNED = ("wait_s", "service_s", "instance_index")
+
     def __post_init__(self) -> None:
         lat = np.asarray(self.latency_s, dtype=float)
         if lat.ndim != 1:
             raise ValueError("latency_s must be 1-D")
-        for name in ("wait_s", "service_s", "instance_index"):
+        for name in self._ALIGNED:
             arr = np.asarray(getattr(self, name))
             if arr.shape != lat.shape:
                 raise ValueError(f"{name} shape {arr.shape} != {lat.shape}")
@@ -76,6 +79,18 @@ class SimulationResult:
         if hit is None:
             hit = derived[key] = compute()
         return hit
+
+    def _held_arrays(self) -> tuple[np.ndarray, ...]:
+        """The arrays this result stores (what a memo freezes and charges
+        for); reading them derives nothing."""
+        return (
+            self.latency_s,
+            self.wait_s,
+            self.service_s,
+            self.instance_index,
+            self.busy_s_per_instance,
+            self.queue_len_at_arrival,
+        )
 
     def _latency_s_ascending(self) -> np.ndarray:
         """Latencies in seconds, sorted ascending — the one cached sort
@@ -235,3 +250,95 @@ class SimulationResult:
         if target_ms is not None:
             parts.append(f"Rsat({target_ms:g}ms)={self.qos_satisfaction_rate(target_ms):.4f}")
         return " ".join(parts)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+class FamilyDispatchResult(SimulationResult):
+    """A :class:`SimulationResult` that stores a family-level dispatch record.
+
+    The FCFS engine decides only which instance *family* serves each query:
+    instances of one family share a service row, so which of them serves
+    it changes no start time or latency.  This result therefore keeps the
+    start times and the per-query family choice (``None`` when one family
+    served everything) in place of the per-instance arrays, and derives
+    ``instance_index`` and ``busy_s_per_instance`` on first read.
+    ``replay(start_s, service_s, family_choice, family_counts)`` returns
+    the per-query instance indices.  The derived arrays are memoized with
+    the other derived figures (concurrent first readers may each compute
+    them; every copy is equal) and are read-only.
+    """
+
+    _ALIGNED = ("wait_s", "service_s", "_start_s")
+
+    def __init__(
+        self,
+        *,
+        latency_s: np.ndarray,
+        wait_s: np.ndarray,
+        service_s: np.ndarray,
+        instance_family: tuple[str, ...],
+        makespan_s: float,
+        queue_len_at_arrival: np.ndarray,
+        start_s: np.ndarray,
+        family_choice: np.ndarray | None,
+        family_counts: tuple[int, ...],
+        replay,
+    ):
+        for name, value in (
+            ("latency_s", latency_s),
+            ("wait_s", wait_s),
+            ("service_s", service_s),
+            ("instance_family", instance_family),
+            ("makespan_s", makespan_s),
+            ("queue_len_at_arrival", queue_len_at_arrival),
+            ("_start_s", start_s),
+            ("_family_choice", family_choice),
+            ("_family_counts", family_counts),
+            ("_replay", replay),
+        ):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @property
+    def instance_index(self) -> np.ndarray:  # type: ignore[override]
+        return self._memo(
+            "instance_index",
+            lambda: _read_only(
+                self._replay(
+                    self._start_s,
+                    self.service_s,
+                    self._family_choice,
+                    self._family_counts,
+                )
+            ),
+        )
+
+    @property
+    def busy_s_per_instance(self) -> np.ndarray:  # type: ignore[override]
+        # bincount sums in query order: bit-equal to a running sum.
+        return self._memo(
+            "busy_s_per_instance",
+            lambda: _read_only(
+                np.bincount(
+                    self.instance_index,
+                    weights=self.service_s,
+                    minlength=len(self.instance_family),
+                )
+            ),
+        )
+
+    def _held_arrays(self) -> tuple[np.ndarray, ...]:
+        held = (
+            self.latency_s,
+            self.wait_s,
+            self.service_s,
+            self.queue_len_at_arrival,
+            self._start_s,
+        )
+        if self._family_choice is not None:
+            held += (self._family_choice,)
+        return held

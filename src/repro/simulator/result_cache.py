@@ -18,7 +18,7 @@ is *not* part of the key because both paths are bit-identical by
 contract.  Cached results have all their arrays frozen read-only, so one
 result can back any number of concurrent consumers
 (``run_many(parallel=True)`` simulates on a thread pool).  ``maxsize=0``
-disables the memo entirely (explicit opt-out); results hold ~6 arrays of
+disables the memo entirely (explicit opt-out); results hold ~5 arrays of
 ``len(trace)`` floats each, bounded both by entry count (``maxsize``)
 and by total payload bytes (``max_bytes``).
 
@@ -37,16 +37,12 @@ from repro.simulator.metrics import SimulationResult
 
 
 def _freeze(result: SimulationResult) -> SimulationResult:
-    """Make every array of a result read-only (shared-cache safety)."""
-    for name in (
-        "latency_s",
-        "wait_s",
-        "service_s",
-        "instance_index",
-        "busy_s_per_instance",
-        "queue_len_at_arrival",
-    ):
-        arr = getattr(result, name)
+    """Make every stored array of a result read-only (shared-cache safety).
+
+    Arrays a result derives on first read are frozen as they are derived;
+    touching them here would force the derivation.
+    """
+    for arr in result._held_arrays():
         if arr.flags.writeable:
             arr.flags.writeable = False
     return result
@@ -54,12 +50,7 @@ def _freeze(result: SimulationResult) -> SimulationResult:
 
 def _result_nbytes(result: SimulationResult) -> int:
     return int(
-        result.latency_s.nbytes
-        + result.wait_s.nbytes
-        + result.service_s.nbytes
-        + result.instance_index.nbytes
-        + result.busy_s_per_instance.nbytes
-        + result.queue_len_at_arrival.nbytes
+        sum(arr.nbytes for arr in result._held_arrays())
         # The derived-metrics memo lazily attaches one more per-query
         # array (the sorted latencies) once any QoS/percentile figure is
         # read — which the evaluator does for every result — so charge it

@@ -92,16 +92,15 @@ class ServiceTimeCache(IdentityKeyedCache):
         # per-trace arrival lists: the scalar dispatch loop runs on plain
         # python lists, and the ndarray->list conversion is a measurable
         # per-evaluation cost.  Consumers must treat them as read-only.
-        # Row views are keyed like _entries (plus a ("means",) suffix for
-        # per-row means) and dropped with their entry via _on_drop_key;
-        # arrival lists are keyed per trace id with their own finalizer.
+        # Row views are keyed like _entries and dropped with their entry
+        # via _on_drop_key; arrival lists are keyed per trace id with
+        # their own finalizer.
         self._rows: dict[tuple, list[list[float]]] = {}
         self._arrivals: dict[int, list[float]] = {}
         self._arrival_finalized_ids: set[int] = set()
 
     def _on_drop_key(self, key: tuple) -> None:
         self._rows.pop(key, None)
-        self._rows.pop(key + ("means",), None)
 
     def matrix(
         self,
@@ -155,24 +154,12 @@ class ServiceTimeCache(IdentityKeyedCache):
         trace: QueryTrace,
         families: tuple[str, ...],
     ) -> np.ndarray:
-        """Mean service time per family row (used by the dispatch policy)."""
-        fams = tuple(families)
-        key = (id(model), id(trace), fams, "means")
-        with self._lock:
-            hit = self._rows.get(key)
-            if hit is not None:
-                base_key = key[:3]
-                if base_key in self._entries:
-                    self._entries.move_to_end(base_key)
-                return hit  # type: ignore[return-value]
-        means = self.matrix(model, trace, fams).mean(axis=1)
-        means.flags.writeable = False
-        if self._maxsize == 0:
-            return means
-        with self._lock:
-            if (key[0], key[1], fams) in self._entries:
-                self._rows.setdefault(key, means)  # type: ignore[arg-type]
-            return means
+        """Mean service time per family row, computed on each call.
+
+        The engine does not use it; it stays for callers (and
+        instrumentation) that look it up by name.
+        """
+        return self.matrix(model, trace, families).mean(axis=1)
 
     def arrival_list(self, trace: QueryTrace) -> list[float]:
         """``trace.arrival_s.tolist()``, cached per trace object."""

@@ -190,12 +190,14 @@ def test_heap_dispatch_heavy_saturation(seed):
         "single_query",
         "bursty",
         "saturated",
+        "diurnal",
     ],
 )
 def test_trace_shapes_match_reference(shape):
     """Adversarial trace shapes on single-instance, homogeneous and mixed
-    pools: zero-noise services keep finish clocks tied wherever the shape
-    allows, so every tie-break of the dispatch rule is exercised."""
+    pools, with zero-count families between non-zero ones: zero-noise
+    services keep finish clocks tied wherever the shape allows, so every
+    tie-break of the dispatch rule is exercised."""
     model = make_toy_model()
     trace = random_trace(3, 150, 500.0)
     if shape == "idle":  # near-zero load: every busy period is one query
@@ -221,12 +223,25 @@ def test_trace_shapes_match_reference(shape):
         trace = QueryTrace(np.cumsum(gaps), np.full(300, 30), rate_qps=600.0, seed=9)
     elif shape == "saturated":  # far past capacity: queues thousands deep
         trace = random_trace(4, 600, 20_000.0)
+    elif shape == "diurnal":  # sinusoidal rate: idle troughs, saturated peaks
+        # Thinned Poisson arrivals at 600 (1 + sin(4 pi t)) qps for ~2 s:
+        # the mixed pools below queue tens of queries at each peak and
+        # serve most trough queries without waiting.
+        rng = np.random.default_rng(12)
+        arrivals = np.cumsum(rng.exponential(1.0 / 1200.0, size=2400))
+        keep = rng.random(2400) < 0.5 * (1.0 + np.sin(4.0 * np.pi * arrivals))
+        arrivals = arrivals[keep]
+        trace = QueryTrace(
+            arrivals, np.full(arrivals.size, 30), rate_qps=600.0, seed=12
+        )
     for pool in (
         PoolConfiguration.homogeneous("g4dn", 1),
         PoolConfiguration.homogeneous("t3", 6),
         PoolConfiguration.homogeneous("g4dn", 32),
         PoolConfiguration(("g4dn", "t3"), (2, 2)),
         PoolConfiguration(("g4dn", "t3", "c5"), (3, 2, 3)),
+        PoolConfiguration(("g4dn", "t3", "c5"), (2, 0, 3)),
+        PoolConfiguration(("g4dn", "t3", "c5"), (0, 4, 0)),
     ):
         assert_dispatch_modes_match_reference(model, trace, pool)
 
@@ -283,22 +298,24 @@ def test_untracked_queue_is_empty(seed):
             )
 
 
-def test_auto_dispatch_equals_forced_paths(toy_model, toy_trace):
+def test_default_dispatch_equals_forced_paths(toy_model, toy_trace):
     pool = PoolConfiguration(("g4dn", "t3"), (2, 3))
-    auto = fast_sim(toy_model, dispatch="auto").simulate(
-        toy_trace, pool
-    )
-    linear = fast_sim(toy_model, dispatch="linear").simulate(
-        toy_trace, pool
-    )
-    np.testing.assert_array_equal(auto.latency_s, linear.latency_s)
+    default = fast_sim(toy_model).simulate(toy_trace, pool)
+    for mode in ("family", "heap"):
+        forced = fast_sim(toy_model, dispatch=mode).simulate(toy_trace, pool)
+        np.testing.assert_array_equal(default.latency_s, forced.latency_s)
+        np.testing.assert_array_equal(
+            default.instance_index, forced.instance_index
+        )
 
 
 def test_invalid_dispatch_mode_rejected(toy_model):
-    with pytest.raises(ValueError) as err:
-        InferenceServingSimulator(toy_model, dispatch="vector")
-    for policy in ("auto", "linear", "heap"):
-        assert repr(policy) in str(err.value)
+    assert InferenceServingSimulator.DISPATCH_POLICIES == ("family", "heap")
+    for mode in ("vector", "auto", "linear"):
+        with pytest.raises(ValueError) as err:
+            InferenceServingSimulator(toy_model, dispatch=mode)
+        for policy in ("family", "heap"):
+            assert repr(policy) in str(err.value)
 
 
 def test_counts_skip_memo_hits_and_reach_the_runner(toy_model, toy_trace):

@@ -11,6 +11,7 @@ here instead of corrupting state one run in a thousand.
 """
 
 import gc
+import sys
 import threading
 
 import numpy as np
@@ -19,7 +20,10 @@ import pytest
 from repro.api.scenario import Scenario
 from repro.service import JobManager
 from repro.simulator import _identity_cache
+from repro.simulator.engine import InferenceServingSimulator
+from repro.simulator.events import EventHeapSimulator
 from repro.simulator.metrics import SimulationResult
+from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import SimulationResultCache
 
 N_THREADS = 8
@@ -151,6 +155,32 @@ class TestResultCacheStress:
         hammer(N_THREADS, worker)
         gc.collect()
         assert len(cache) == 0  # every trace died, every entry followed it
+
+    def test_eight_threads_derive_instance_indices(self, toy_model, toy_trace):
+        # A memoized family-loop result derives its per-instance arrays on
+        # first read; concurrent first readers may each derive them, but
+        # every reader must see the reference indices, read-only.
+        memo = SimulationResultCache(maxsize=4)
+        pool = PoolConfiguration(("g4dn", "t3"), (2, 3))
+        res = InferenceServingSimulator(toy_model, result_cache=memo).simulate(
+            toy_trace, pool
+        )
+        ref = EventHeapSimulator(toy_model).simulate(toy_trace, pool)
+        seen = [None] * N_THREADS
+
+        def worker(t):
+            seen[t] = (res.instance_index, res.busy_s_per_instance)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            hammer(N_THREADS, worker)
+        finally:
+            sys.setswitchinterval(previous)
+        for index, busy in seen:
+            np.testing.assert_array_equal(index, ref.instance_index)
+            np.testing.assert_array_equal(busy, ref.busy_s_per_instance)
+            assert not index.flags.writeable and not busy.flags.writeable
 
 
 # --- job manager under the same assertions --------------------------------

@@ -2,15 +2,21 @@
 
 A stub-backed daemon on an ephemeral port covers every endpoint —
 submit, list, poll, result, NDJSON stream, cancel, fork, health, stats —
-plus the structured error bodies (400/404/409/500).  One final smoke test
+plus the structured error bodies (400/404/409/500).  One smoke test
 drives the real runner factory end to end on a tiny scenario, the only
-test in this file that simulates anything.
+test in this file that simulates anything, and one boots the real
+``serve`` command in a child process to check its SIGTERM shutdown.
 """
 
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import urllib.request
+from pathlib import Path
 from urllib.parse import urlparse
 
 import pytest
@@ -285,3 +291,36 @@ class TestRealRunnerSmoke:
             server.shutdown()
             server.server_close()
             manager.shutdown(cancel_running=True)
+
+
+class TestServeCommand:
+    def test_sigterm_shuts_down_cleanly(self, tmp_path):
+        """SIGTERM takes the same clean-shutdown path as Ctrl-C: exit 0
+        after the "shutting down" line, not death by the signal."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(
+                p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+            ),
+            PYTHONUNBUFFERED="1",
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--snapshot-dir", str(tmp_path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert "listening on http://" in banner, banner
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, out
+        assert "shutting down" in out

@@ -17,6 +17,8 @@ import pytest
 from repro.api import EvaluationBudget, PoolSpec, Scenario, ScenarioRunner, WorkloadSpec
 from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.objective import RibbonObjective
+from repro.core.search_space import estimate_instance_bounds
+from repro.simulator import engine
 from repro.simulator.engine import InferenceServingSimulator
 from repro.simulator.events import EventHeapSimulator
 from repro.simulator.pool import PoolConfiguration
@@ -91,8 +93,8 @@ class TestResultMemo:
 
     def test_dispatch_path_is_not_part_of_the_key(self, memo, toy_model, toy_trace):
         # Both paths are bit-identical by contract, so the memo may hand a
-        # linear-scan result to a heap-dispatch simulator.
-        a = make_sim(toy_model, memo, dispatch="linear").simulate(toy_trace, POOL)
+        # family-loop result to a heap-dispatch simulator.
+        a = make_sim(toy_model, memo, dispatch="family").simulate(toy_trace, POOL)
         b = make_sim(toy_model, memo, dispatch="heap").simulate(toy_trace, POOL)
         assert a is b
 
@@ -253,9 +255,39 @@ class TestEngineAndEvaluatorWiring:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("dispatch ran despite a memo hit")
 
-        monkeypatch.setattr(sim, "_run_linear", boom)
-        monkeypatch.setattr(sim, "_run_heap", boom)
+        for loop in ("_run_families", "_serve_family", "_run_heap"):
+            monkeypatch.setattr(engine, loop, boom)
         assert sim.simulate(toy_trace, POOL) is first
+
+    def test_search_path_never_derives_instance_indices(
+        self, memo, toy_model, toy_trace, toy_space, monkeypatch
+    ):
+        """Evaluation and bounds estimation read no per-instance array, so
+        the family loop's per-instance replay stays off the hot path."""
+
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("per-instance indices derived on the search path")
+
+        monkeypatch.setattr(engine, "_instance_indices", boom)
+        objective = RibbonObjective(toy_space, qos_rate_target=0.95)
+        evaluator = ConfigurationEvaluator(
+            toy_model, toy_trace, objective, result_cache=memo
+        )
+        for counts in ((1, 2), (0, 3), (2, 0)):
+            evaluator.evaluate(toy_space.pool(counts))
+        space = estimate_instance_bounds(
+            toy_model,
+            toy_trace,
+            ("g4dn", "t3"),
+            hard_cap=6,
+            simulator=make_sim(toy_model, memo),
+        )
+        assert len(space.families) == 2
+        assert memo.misses > 3
+        # The patch is live: a read derives, and raises.
+        res = make_sim(toy_model, memo).simulate(toy_trace, POOL)
+        with pytest.raises(AssertionError, match="search path"):
+            res.instance_index
 
     def test_evaluator_forks_share_the_memo(self, memo, toy_model, toy_trace, toy_space):
         objective = RibbonObjective(toy_space, qos_rate_target=0.95)
