@@ -277,7 +277,7 @@ class RibbonOptimizer(SearchStrategy):
                         break
                     # Pre-mark the cell so the batch's next draw cannot
                     # repeat it (sequentially, observe() did the marking).
-                    ctx.sampled_idx.add(cand)
+                    ctx.mark_sampled(cand)
                     drawn.append(cand)
                 if not drawn:
                     return

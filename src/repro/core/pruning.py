@@ -86,6 +86,10 @@ class PruneSet:
         """Whether a pool configuration is pruned."""
         return self.contains(pool.counts)
 
+    def costs(self, grid: np.ndarray) -> np.ndarray:
+        """Per-row hourly cost of an ``(m, n)`` grid, as :meth:`mask` prices it."""
+        return np.asarray(grid) @ self._prices
+
     def mask(self, grid: np.ndarray) -> np.ndarray:
         """Boolean pruned-mask over an ``(m, n)`` grid (vectorized)."""
         grid = np.asarray(grid)
@@ -93,7 +97,7 @@ class PruneSet:
             raise ValueError(
                 f"grid must be (m, {self.n_dims}), got shape {grid.shape}"
             )
-        pruned = (grid @ self._prices) >= self._cost_threshold
+        pruned = self.costs(grid) >= self._cost_threshold
         for c in self._ceilings:
             pruned |= np.all(grid <= c, axis=1)
         return pruned

@@ -49,6 +49,7 @@ import numpy as np
 _JITTER_EPS = 1e-12
 
 _SQRT5 = np.sqrt(5.0)
+_NEG_SQRT5 = -_SQRT5
 
 
 def _as_2d(X) -> np.ndarray:
@@ -111,6 +112,19 @@ def concat_prepared(a: PreparedInput, b: PreparedInput) -> PreparedInput:
         concat_prepared(ca, cb) for ca, cb in zip(a.children, b.children)
     )
     return PreparedInput(np.vstack([a.x, b.x]), sq, children)
+
+
+def take_prepared(pi: PreparedInput, idx: np.ndarray) -> PreparedInput:
+    """Rows ``idx`` of a prepared input, as if only they had been prepared.
+
+    The row-selection counterpart of :func:`concat_prepared`: per-row data
+    is independent across rows, so selecting rows of every array (children
+    included) equals preparing the selected inputs.  Used to score only the
+    candidate cells of the cached lattice preparation.
+    """
+    sq = None if pi.sq is None else pi.sq[idx]
+    children = tuple(take_prepared(c, idx) for c in pi.children)
+    return PreparedInput(pi.x[idx], sq, children)
 
 
 def _stationary_prepare(X) -> PreparedInput:
@@ -275,25 +289,28 @@ class Matern52(Kernel):
             K = self.variance * (one_plus_u + 5.0 * r**2 / 3.0) * E
             d_log_l = self.variance * (sqrt5_r**2 * one_plus_u / 3.0) * E
             return K, [d_log_l, K]
-        # Buffer-reusing variant: identical ufunc sequence (so identical
-        # floats), with every output written into workspace-owned arrays.
+        # Buffer-reusing variant: the same floats as the branch above, with
+        # every output written into workspace-owned arrays.  It carries
+        # nu = -u instead of u, exactly: (-sqrt5) r == -(sqrt5 r),
+        # 1 - nu == 1 + u and nu^2 == u^2 in IEEE arithmetic, which saves
+        # the separate negation.
         ws = workspace
         if ws.get("shape") != r0.shape:
             ws.clear()
             ws["shape"] = r0.shape
-            for name in ("r", "u", "E", "one", "t", "K", "G"):
+            for name in ("r", "nu", "E", "one", "t", "K", "G"):
                 ws[name] = np.empty(r0.shape)
         r = np.divide(r0, self.length_scale, out=ws["r"])
-        u = np.multiply(_SQRT5, r, out=ws["u"])
-        E = np.exp(np.negative(u, out=ws["E"]), out=ws["E"])
-        one_plus_u = np.add(1.0, u, out=ws["one"])
+        nu = np.multiply(_NEG_SQRT5, r, out=ws["nu"])
+        E = np.exp(nu, out=ws["E"])
+        one_plus_u = np.subtract(1.0, nu, out=ws["one"])
         t = np.power(r, 2, out=ws["t"])
         np.multiply(5.0, t, out=t)
         np.divide(t, 3.0, out=t)
         np.add(one_plus_u, t, out=t)
         K = np.multiply(self.variance, t, out=ws["K"])
         np.multiply(K, E, out=K)
-        g = np.power(u, 2, out=ws["t"])
+        g = np.power(nu, 2, out=ws["t"])
         np.multiply(g, one_plus_u, out=g)
         np.divide(g, 3.0, out=g)
         G = np.multiply(self.variance, g, out=ws["G"])

@@ -8,27 +8,36 @@ touching the search loop:
 * :class:`AcquisitionContext` — the per-search state every engine reads
   and writes: observations (normalized to the unit cube), the set of
   already-sampled lattice cells, the persistent surrogate of the
-  ``refit_period`` schedule, the prune set, and the lattice view;
+  ``refit_period`` schedule, the prune set, and the lattice view.  In the
+  materialized regime it keeps one candidate mask per search and narrows
+  it as cells are sampled and pruned, instead of rebuilding it per read;
 * :class:`LatticeView` — candidate access in two regimes.  Small spaces
   keep the materialized cached-grid fast path (one prepared kernel input
-  reused by every EI sweep — bit-identical to the pre-refactor code).
-  Large spaces (``10^6+`` cells, 5+ families) stream the lattice in
-  blocks via :meth:`SearchSpace.iter_grid`, so the acquisition argmax
-  holds at most ``block_size`` rows at a time and the full grid is never
-  materialized;
+  per search).  Large spaces (``10^6+`` cells, 5+ families) stream the
+  lattice in blocks via :meth:`SearchSpace.iter_grid`, so the acquisition
+  argmax holds at most ``block_size`` rows at a time and the full grid is
+  never materialized;
 * :class:`SequentialEI` — today's behavior: one GP update + one EI
   argmax per proposal, with the exact masking, flat-acquisition fallback
   and random tie-breaking of the original ``RibbonOptimizer._propose``
   (golden-tested against the recorded search sequences);
 * :class:`ConstantLiarQEI` — a q-point batch via constant-liar fantasy
-  observations.  One surrogate update and one full (mean + std) grid
+  observations.  One surrogate update and one (mean + std) candidate
   predict per *batch*; each proposal after the first conditions a fantasy
   copy of the GP on the lie value through the existing rank-1 Cholesky
   :meth:`~repro.gp.regression.GaussianProcessRegressor.add_observation`
-  and refreshes the grid *mean* (an O(M·n) pass — the O(M·n^2) std
-  predict is paid once and amortized over the q proposals).  With
+  and refreshes the candidates' *mean* (an O(M·n) pass — the O(M·n^2)
+  std predict is paid once and amortized over the q proposals).  With
   ``q=1`` no fantasy is ever applied, so the proposal — and the RNG
   stream — is bit-identical to :class:`SequentialEI`.
+
+Candidate-only scoring: every acquisition path predicts and computes EI
+on the candidate cells alone (unsampled and unpruned; a median of ~13 %
+of a paper model's lattice at proposal time), in ascending lattice order,
+so the argmax sees the tie set a masked whole-lattice sweep would.  Sample
+sequences are unchanged; a cell's mean or std can differ from a
+whole-lattice predict in the last bits, because BLAS blocks a product
+over fewer rows differently.
 
 Determinism contract: engines draw only from the context's generator, in
 a fixed order (surrogate seed draw on refits, one tie-break draw per
@@ -45,7 +54,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.gp.acquisition import expected_improvement
-from repro.gp.kernels import Kernel
+from repro.gp.kernels import Kernel, take_prepared
 from repro.gp.regression import GaussianProcessRegressor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
@@ -168,7 +177,13 @@ class AcquisitionContext:
         self._bounds_vec = np.asarray(space.bounds, dtype=float)
         self.observations_x: list[np.ndarray] = []
         self.observations_y: list[float] = []
-        self.sampled_idx: set[int] = set()
+        self._sampled: set[int] = set()
+        # Materialized regime: the kept candidate mask, the cost threshold
+        # and the ceilings it already reflects, and the per-cell costs.
+        self._mask: np.ndarray | None = None
+        self._mask_threshold = np.inf
+        self._mask_ceilings: set[tuple[int, ...]] = set()
+        self._costs: np.ndarray | None = None
         # Persistent surrogate for refit_period > 1:
         # [gp, n_obs_incorporated, n_obs_at_last_full_refit].
         self._surrogate: list = [None, 0, 0]
@@ -187,9 +202,20 @@ class AcquisitionContext:
         """Record a measured evaluation and mark its lattice cell sampled."""
         idx = self.space.index_of(counts)
         if idx is not None:
-            self.sampled_idx.add(idx)
+            self.mark_sampled(idx)
         self.observations_x.append(self.unit_row(counts))
         self.observations_y.append(float(objective))
+
+    def mark_sampled(self, idx: int) -> None:
+        """Exclude lattice cell ``idx`` from every later proposal."""
+        self._sampled.add(idx)
+        if self._mask is not None:
+            self._mask[idx] = False
+
+    @property
+    def sampled_idx(self) -> frozenset[int]:
+        """Lattice indices of the sampled cells (grown by :meth:`mark_sampled`)."""
+        return frozenset(self._sampled)
 
     @property
     def n_observations(self) -> int:
@@ -199,22 +225,53 @@ class AcquisitionContext:
         return float(np.max(self.observations_y))
 
     # -- candidate masking -----------------------------------------------------
-    def candidate_mask(self) -> np.ndarray:
-        """Unsampled-and-unpruned mask over the materialized grid."""
+    def _kept_mask(self) -> np.ndarray:
+        """The search's unsampled-and-unpruned mask, brought up to date.
+
+        Built once per search and then only narrowed: :meth:`mark_sampled`
+        clears its cell, and a lower cost threshold or a new dominance
+        ceiling is applied here, on the next read, to the cells it newly
+        prunes.  The sampled set and the prune set only grow (a ceiling
+        dropped by :meth:`PruneSet.add_violator` lies inside the box of
+        the one that replaced it), so the kept mask always equals a fresh
+        ``~sampled & ~prune.mask(grid)``.
+        """
+        mask = self._mask
+        if mask is None:
+            mask = np.ones(self.lattice.n_cells, dtype=bool)
+            if self._sampled:
+                mask[list(self._sampled)] = False
+            self._mask = mask
+        prune = self.prune
+        if prune is None:
+            return mask
         grid = self.lattice.grid()
-        mask = np.ones(grid.shape[0], dtype=bool)
-        if self.sampled_idx:
-            mask[list(self.sampled_idx)] = False
-        if self.prune is not None:
-            mask &= ~self.prune.mask(grid)
+        threshold = prune.cost_threshold
+        if threshold < self._mask_threshold:
+            if self._costs is None:
+                self._costs = prune.costs(grid)
+            mask &= ~(self._costs >= threshold)
+            self._mask_threshold = threshold
+        for ceiling in prune.ceilings:
+            if ceiling not in self._mask_ceilings:
+                mask &= ~np.all(grid <= np.asarray(ceiling), axis=1)
+                self._mask_ceilings.add(ceiling)
         return mask
+
+    def candidate_mask(self) -> np.ndarray:
+        """Unsampled-and-unpruned mask over the materialized grid (a copy)."""
+        return self._kept_mask().copy()
+
+    def candidate_indices(self) -> np.ndarray:
+        """Lattice indices of the materialized grid's candidates, ascending."""
+        return np.flatnonzero(self._kept_mask())
 
     def block_mask(self, start: int, block: np.ndarray) -> np.ndarray:
         """The :meth:`candidate_mask` restricted to one streamed block."""
         mask = np.ones(block.shape[0], dtype=bool)
-        if self.sampled_idx:
+        if self._sampled:
             stop = start + block.shape[0]
-            local = [i - start for i in self.sampled_idx if start <= i < stop]
+            local = [i - start for i in self._sampled if start <= i < stop]
             if local:
                 mask[local] = False
         if self.prune is not None:
@@ -232,7 +289,7 @@ class AcquisitionContext:
         streamed-vs-materialized equivalence tests pin that.
         """
         if not self.lattice.streaming:
-            idx = np.flatnonzero(self.candidate_mask())
+            idx = self.candidate_indices()
             if idx.size == 0:
                 return None
             return int(self.rng.choice(idx))
@@ -300,20 +357,20 @@ class AcquisitionContext:
         return gp
 
 
-def _masked_argmax(
-    ei: np.ndarray,
-    std: np.ndarray,
-    candidates: np.ndarray,
-    rng: np.random.Generator,
+def _candidate_argmax(
+    ei: np.ndarray, std: np.ndarray, rng: np.random.Generator
 ) -> int:
-    """EI argmax over candidates with the optimizer's exact tie rules."""
-    ei = np.where(candidates, ei, -np.inf)
+    """EI argmax with the optimizer's exact tie rules, as a row position.
+
+    ``ei`` and ``std`` hold the candidate cells only, in ascending lattice
+    order, so the tie set — and the ``rng.choice`` draw over it — is the
+    one a masked sweep over the whole lattice would build.
+    """
     best = float(ei.max())
     if not np.isfinite(best) or best <= 0.0:
         # Flat acquisition: fall back to the highest-variance candidate,
         # breaking ties randomly (pure exploration).
-        score = np.where(candidates, std, -np.inf)
-        top = np.flatnonzero(score >= score.max() - 1e-15)
+        top = np.flatnonzero(std >= std.max() - 1e-15)
         return int(rng.choice(top))
     top = np.flatnonzero(ei >= best * (1.0 - 1e-9))
     return int(rng.choice(top))
@@ -324,9 +381,9 @@ class _TieTracker:
 
     Collects ``(index, value)`` pairs whose value is within the tie
     tolerance of the running maximum; :meth:`ties` re-filters against the
-    final maximum, so the result equals ``np.flatnonzero(score >=
-    threshold(max))`` over the concatenated sweep — same values, same
-    ascending index order as the materialized argmax.
+    final maximum, so the result equals the lattice indices of
+    ``score >= threshold(max)`` over the concatenated sweep — same values,
+    same ascending index order as the materialized argmax.
     """
 
     def __init__(
@@ -356,7 +413,8 @@ class _TieTracker:
             return self.best * (1.0 - self._rel)
         return self.best - self._abs
 
-    def update(self, start: int, values: np.ndarray) -> None:
+    def update(self, indices: np.ndarray, values: np.ndarray) -> None:
+        """Offer ``values`` scored at ascending lattice ``indices``."""
         m = float(values.max()) if values.size else -np.inf
         if m > self.best:
             self.best = m
@@ -365,7 +423,7 @@ class _TieTracker:
             keep &= values > 0.0
         if keep.any():
             local = np.flatnonzero(keep)
-            self._idx.append(start + local)
+            self._idx.append(indices[local])
             self._val.append(values[local])
             self._stored += local.size
             if self._stored > 4 * max(values.size, 1024):
@@ -397,7 +455,8 @@ def _stream_argmax(
     """One block-streamed EI argmax pass (grid never materialized).
 
     Returns the selected cell index, or ``None`` when no candidate cell
-    remains.  Tie handling mirrors :func:`_masked_argmax`: EI ties within
+    remains.  Each block predicts on its candidate rows only.  Tie
+    handling mirrors :func:`_candidate_argmax`: EI ties within
     ``1e-9`` relative of the maximum, falling back to the
     highest-variance candidate (``1e-15`` absolute ties) when the
     acquisition is flat — with one ``rng.choice`` draw either way.
@@ -417,18 +476,19 @@ def _stream_argmax(
             local = [i - start for i in exclude if start <= i < stop]
             if local:
                 mask[local] = False
-        if not mask.any():
+        rows = np.flatnonzero(mask)
+        if rows.size == 0:
             # Masked first so fully pruned/sampled blocks never pay the
             # normalize + kernel-precompute + predict work.
             continue
         any_candidates = True
-        prepared = ctx.lattice.prepare_block(block)
+        prepared = ctx.lattice.prepare_block(block[rows])
         mean, std = gp.predict(prepared, return_std=True)
         if mean_gp is not None:
             mean = mean_gp.predict(prepared)
         ei = expected_improvement(mean, std, best_observed=best_observed)
-        ei_ties.update(start, np.where(mask, ei, -np.inf))
-        std_ties.update(start, np.where(mask, std, -np.inf))
+        ei_ties.update(start + rows, ei)
+        std_ties.update(start + rows, std)
     if not any_candidates:
         return None
     best = ei_ties.best
@@ -473,23 +533,24 @@ class SequentialEI(ProposalEngine):
             gp = ctx.surrogate_gp()
             idx = _stream_argmax(ctx, gp, ctx.best_observed())
             return [] if idx is None else [idx]
-        candidates = ctx.candidate_mask()
-        if not candidates.any():
+        idx = ctx.candidate_indices()
+        if idx.size == 0:
             return []
         gp = ctx.surrogate_gp()
-        mean, std = gp.predict(ctx.lattice.prepared(), return_std=True)
+        prepared = take_prepared(ctx.lattice.prepared(), idx)
+        mean, std = gp.predict(prepared, return_std=True)
         ei = expected_improvement(mean, std, best_observed=ctx.best_observed())
-        return [_masked_argmax(ei, std, candidates, ctx.rng)]
+        return [int(idx[_candidate_argmax(ei, std, ctx.rng)])]
 
 
 class ConstantLiarQEI(ProposalEngine):
     """q-point batch EI via constant-liar fantasy observations.
 
-    The surrogate is updated once per batch and the full (mean + std)
-    grid predict is paid once; each subsequent proposal conditions a
+    The surrogate is updated once per batch and the (mean + std)
+    candidate predict is paid once; each subsequent proposal conditions a
     *fantasy copy* of the GP on a constant lie value at the previous pick
     through the rank-1 Cholesky ``add_observation`` and refreshes the
-    grid mean (O(M·n) per fantasy, against the O(M·n^2) std predict paid
+    remaining candidates' mean (O(M·n) per fantasy, against the O(M·n^2) std predict paid
     once).  The real surrogate never sees a fantasy — after the batch is
     evaluated, measured objectives enter through the normal schedule.
 
@@ -533,28 +594,33 @@ class ConstantLiarQEI(ProposalEngine):
             raise ValueError(f"q must be >= 1, got {q!r}")
         if ctx.lattice.streaming:
             return self._propose_streaming(ctx, q)
-        candidates = ctx.candidate_mask()
-        if not candidates.any():
+        idx = ctx.candidate_indices()
+        if idx.size == 0:
             return []
         gp = ctx.surrogate_gp()
-        mean, std = gp.predict(ctx.lattice.prepared(), return_std=True)
+        prepared = take_prepared(ctx.lattice.prepared(), idx)
+        mean, std = gp.predict(prepared, return_std=True)
         best_observed = ctx.best_observed()
         selected: list[int] = []
         fantasy = None
         for j in range(q):
-            if not candidates.any():
+            if idx.size == 0:
                 break
             ei = expected_improvement(mean, std, best_observed=best_observed)
-            idx = _masked_argmax(ei, std, candidates, ctx.rng)
-            selected.append(idx)
-            candidates[idx] = False
+            pos = _candidate_argmax(ei, std, ctx.rng)
+            selected.append(int(idx[pos]))
             if j + 1 < q:
+                # Drop the pick's row; the rest keep their ascending order.
+                rest = np.delete(np.arange(idx.size), pos)
+                idx, std = idx[rest], std[rest]
+                prepared = take_prepared(prepared, rest)
                 if fantasy is None:
                     fantasy = copy.deepcopy(gp)
                 fantasy.add_observation(
-                    ctx.unit_row(ctx.counts_at(idx)), self._lie_value(ctx)
+                    ctx.unit_row(ctx.counts_at(selected[-1])),
+                    self._lie_value(ctx),
                 )
-                mean = fantasy.predict(ctx.lattice.prepared())
+                mean = fantasy.predict(prepared)
         return selected
 
     def _propose_streaming(self, ctx: AcquisitionContext, q: int) -> list[int]:

@@ -31,11 +31,20 @@ training set (distances, rounding) is prepared once per ``fit`` and reused
 by every likelihood evaluation, and :meth:`GaussianProcessRegressor.
 add_observation` extends a fitted GP by one observation with a rank-1
 Cholesky border (O(n^2)) instead of a refit (O(n^3) per likelihood step).
+
+A fit makes 30–60 likelihood calls of a few tens of µs on ≤ 40 points, so
+the likelihood and the loop around it skip per-call wrappers while
+keeping every floating-point op: LAPACK ``dpotrf``/``dpotrs`` are called
+directly (the routines ``cholesky``/``cho_solve`` dispatch to), the
+log-determinant sums ``log(L.diagonal())``, and the loop's repeat check
+compares ``x.tolist()``.  Fitted thetas and ``alpha`` are bit-identical to
+the wrapped calls (``tests/test_gp_regression.py`` pins a digest).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from scipy import linalg as sla
@@ -92,13 +101,16 @@ def _lbfgsb_loop(setulb, fun, x0, lows, highs, maxiter: int):
     x_seen, fg_seen, n_iter = None, None, 0
     while True:
         # setulb writes into g: hand it a copy so the cached gradient stays
-        # intact (SciPy's loop does the same).
-        g = g.astype(np.float64)
+        # intact (SciPy's loop does the same with a float64 ``astype``).
+        g = g.copy()
         setulb(m, x, low, high, nbd, f, g, _FACTR, _PGTOL, wa, iwa, task,
                lsave, isave, dsave, _MAXLS, ln_task)
         if task[0] == 3:
-            if x_seen is None or not np.array_equal(x, x_seen):
-                x_seen, fg_seen = x.copy(), fun(x.copy())
+            # List equality is array_equal here at a tenth of the cost
+            # (element-wise ``==``, so a NaN never matches).
+            x_list = x.tolist()
+            if x_list != x_seen:
+                x_seen, fg_seen = x_list, fun(x.copy())
             f, g = fg_seen
         elif task[0] == 1:
             # maxfun (15000) cannot bind: maxiter * maxls caps the calls.
@@ -277,7 +289,7 @@ class GaussianProcessRegressor:
     def _factorize(self) -> None:
         assert self._pi is not None and self._y is not None
         self._factorize_raw()
-        self._alpha = sla.cho_solve((self._L, True), self._y, check_finite=False)
+        self._alpha, _ = _POTRS(self._L, self._y, lower=1)
 
     @staticmethod
     def _stable_cholesky(K: np.ndarray) -> np.ndarray:
@@ -347,7 +359,7 @@ class GaussianProcessRegressor:
             # jitter-stabilized full factorization.
             self._factorize_raw()
         self._set_targets(self._y_raw)
-        self._alpha = sla.cho_solve((self._L, True), self._y, check_finite=False)
+        self._alpha, _ = _POTRS(self._L, self._y, lower=1)
         return self
 
     def _factorize_raw(self) -> None:
@@ -417,8 +429,8 @@ class GaussianProcessRegressor:
                     return 1e25, np.zeros(p)
             sol, _ = _POTRS(L, rhs, lower=1)
             alpha = sol[:, 0]
-            lml = float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - const)
-            if not np.isfinite(lml):
+            lml = float(-0.5 * y @ alpha - np.log(L.diagonal()).sum() - const)
+            if not math.isfinite(lml):
                 return 1e25, np.zeros(p)
             # d lml / d theta_j = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta_j)
             W = alpha[:, None] * alpha

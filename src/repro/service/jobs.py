@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import threading
 import time
 import uuid
@@ -43,6 +44,8 @@ from typing import Any, Callable
 
 from repro.api.scenario import Scenario, ScenarioError
 from repro.service.store import SnapshotStore, record_to_dict, search_result_to_dict
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "Job",
@@ -293,6 +296,8 @@ class JobManager:
             max_workers=int(max_workers), thread_name_prefix="repro-job"
         )
         self._seq = itertools.count(1)
+        # Completed jobs whose snapshot-store append raised OSError.
+        self._store_errors = 0
         self.started_at = time.time()
         if store is not None:
             self._restore(store)
@@ -509,7 +514,14 @@ class JobManager:
             self._mark_reusable(job)
             job._touch()
         if self.store is not None:
-            self.store.append_result(job.scenario, self._store_record(job))
+            # The job is done and served from memory either way; a failed
+            # append only costs its history after a restart, so say so.
+            try:
+                self.store.append_result(job.scenario, self._store_record(job))
+            except OSError as exc:
+                with self._lock:
+                    self._store_errors += 1
+                _log.error("job %s: snapshot store append failed: %s", job.id, exc)
 
     def _store_record(self, job: Job) -> dict:
         return {
@@ -569,6 +581,7 @@ class JobManager:
         """Aggregate service statistics (the /stats endpoint body)."""
         with self._lock:
             jobs = [self._jobs[job_id] for job_id in self._order]
+            store_errors = self._store_errors
         by_state = {state: 0 for state in JOB_STATES}
         evaluations = 0
         for job in jobs:
@@ -578,6 +591,7 @@ class JobManager:
             "n_jobs": len(jobs),
             "jobs_by_state": by_state,
             "total_evaluations": evaluations,
+            "store_errors": store_errors,
             "uptime_s": time.time() - self.started_at,
         }
         if self.store is not None:

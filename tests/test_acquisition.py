@@ -15,6 +15,17 @@ from repro.gp.acquisition import (
     probability_of_improvement,
     upper_confidence_bound,
 )
+from repro.gp.kernels import (
+    RBF,
+    ConstantScale,
+    Matern52,
+    RoundedKernel,
+    SumKernel,
+    take_prepared,
+)
+from repro.gp.proposals import _candidate_argmax
+from repro.gp.regression import GaussianProcessRegressor
+from repro.simulator.pool import grid_vectors
 
 floats = st.floats(-5.0, 5.0, allow_nan=False)
 pos_floats = st.floats(0.0, 5.0, allow_nan=False)
@@ -141,3 +152,74 @@ class TestUCB:
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValueError):
             upper_confidence_bound(np.zeros(1), np.ones(1), kappa=-1.0)
+
+
+# Set before the first run: a candidate row may differ from the same row
+# of a whole-lattice predict only in the last bits of BLAS-blocked products.
+SUBSET_RTOL = SUBSET_ATOL = 1e-12
+
+
+def _full_grid_argmax(ei, std, candidates, rng) -> int:
+    """The masked whole-lattice argmax that candidate-only scoring replaces."""
+    ei = np.where(candidates, ei, -np.inf)
+    best = float(ei.max())
+    if not np.isfinite(best) or best <= 0.0:
+        score = np.where(candidates, std, -np.inf)
+        return int(rng.choice(np.flatnonzero(score >= score.max() - 1e-15)))
+    return int(rng.choice(np.flatnonzero(ei >= best * (1.0 - 1e-9))))
+
+
+def _assert_same_prepared(a, b) -> None:
+    np.testing.assert_array_equal(a.x, b.x)
+    assert (a.sq is None) == (b.sq is None)
+    if a.sq is not None:
+        np.testing.assert_array_equal(a.sq, b.sq)
+    assert len(a.children) == len(b.children)
+    for ca, cb in zip(a.children, b.children):
+        _assert_same_prepared(ca, cb)
+
+
+class TestCandidateOnlyScoring:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_candidate_rows_match_the_full_grid(self, seed):
+        rng = np.random.default_rng(seed)
+        bounds = rng.integers(2, 9, size=int(rng.integers(2, 5)))
+        scale = bounds.astype(float)
+        grid_unit = grid_vectors(bounds) / scale
+        kernels = [
+            RoundedKernel(Matern52(0.3), scale=scale),
+            SumKernel(Matern52(0.4), RBF(0.2, 0.5)),
+            RoundedKernel(SumKernel(Matern52(0.3), RBF(0.6)), scale=scale),
+            ConstantScale(RBF(0.3), variance=2.0),
+        ]
+        for kernel in kernels:
+            n = int(rng.integers(4, 25))
+            X = grid_unit[rng.choice(grid_unit.shape[0], n, replace=False)]
+            y = np.sin(3.0 * X @ rng.normal(size=X.shape[1]))
+            gp = GaussianProcessRegressor(
+                kernel, noise=1e-5, n_restarts=1, seed=seed
+            ).fit(X, y)
+            full = kernel.precompute_input(grid_unit)
+            candidates = rng.random(grid_unit.shape[0]) < rng.uniform(0.05, 0.5)
+            candidates[rng.integers(grid_unit.shape[0])] = True
+            idx = np.flatnonzero(candidates)
+            sub = take_prepared(full, idx)
+            _assert_same_prepared(sub, kernel.precompute_input(grid_unit[idx]))
+
+            mean_f, std_f = gp.predict(full, return_std=True)
+            mean_s, std_s = gp.predict(sub, return_std=True)
+            np.testing.assert_allclose(
+                mean_s, mean_f[idx], rtol=SUBSET_RTOL, atol=SUBSET_ATOL
+            )
+            np.testing.assert_allclose(
+                std_s, std_f[idx], rtol=SUBSET_RTOL, atol=SUBSET_ATOL
+            )
+            # An informative incumbent and one no cell can beat (flat EI,
+            # highest-std fallback) both pick the same cell.
+            for best in (float(y.max()), float(y.max()) + 1e3):
+                ei_f = expected_improvement(mean_f, std_f, best_observed=best)
+                ei_s = expected_improvement(mean_s, std_s, best_observed=best)
+                pick = _candidate_argmax(ei_s, std_s, np.random.default_rng(seed))
+                assert idx[pick] == _full_grid_argmax(
+                    ei_f, std_f, candidates, np.random.default_rng(seed)
+                )

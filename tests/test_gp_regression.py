@@ -1,10 +1,13 @@
 """Unit tests for the from-scratch GP regressor."""
 
+import hashlib
+import platform
 import sys
 import types
 
 import numpy as np
 import pytest
+import scipy
 from scipy import optimize
 
 from repro.gp import regression
@@ -255,3 +258,42 @@ class TestLbfgsbLoop:
         fallback = fit()
         for a, b in zip(engaged, fallback):
             assert np.array_equal(a, b)
+
+
+# sha256 of fitted theta and alpha (after the fit and after one
+# add_observation) over the problems of ``_fit_digest``, recorded before
+# the likelihood loop lost its wrapper calls.  Those trims keep every
+# floating-point op, so the digest must not move.  Last bits depend on the
+# toolchain (NumPy's and SciPy's OpenBLAS builds), so it is keyed by it.
+_FIT_DIGESTS = {
+    ("2.4.6", "1.17.1", "x86_64"):
+        "92dad188f8be77777c5252e044385e148e829233a29055095044ff6e03a76182",
+}
+
+
+def _fit_digest(n_problems: int = 400) -> str:
+    rng = np.random.default_rng(20211118)
+    h = hashlib.sha256()
+    for problem in range(n_problems):
+        n = int(rng.integers(4, 41))
+        d = int(rng.integers(2, 5))
+        bounds = rng.integers(2, 12, size=d)
+        X = rng.integers(0, bounds + 1, size=(n + 1, d)) / bounds
+        y = np.sin(4.0 * X @ rng.normal(size=d)) + 0.05 * rng.normal(size=n + 1)
+        gp = GaussianProcessRegressor(
+            RoundedKernel(Matern52(0.3, 1.0), scale=bounds.astype(float)),
+            noise=1e-5, n_restarts=1, seed=problem,
+        ).fit(X[:n], y[:n])
+        h.update(gp.kernel.get_theta().tobytes())
+        h.update(gp._alpha.tobytes())
+        gp.add_observation(X[n], y[n])
+        h.update(gp._alpha.tobytes())
+    return h.hexdigest()
+
+
+def test_fits_match_the_recorded_digest_bit_for_bit():
+    toolchain = (np.__version__, scipy.__version__, platform.machine())
+    if toolchain not in _FIT_DIGESTS:
+        pytest.skip(f"no fit digest recorded for toolchain {toolchain}")
+    assert regression._checked_setulb() is not None
+    assert _fit_digest() == _FIT_DIGESTS[toolchain]

@@ -17,13 +17,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.objective import RibbonObjective
 from repro.core.optimizer import RibbonOptimizer
+from repro.core.pruning import PruneSet
 from repro.core.search_space import LazyPoolSequence, SearchSpace
 from repro.core.strategy import Budget
+from repro.gp.kernels import Matern52
 from repro.gp.proposals import (
+    AcquisitionContext,
     ConstantLiarQEI,
     SequentialEI,
     available_proposal_engines,
@@ -260,6 +265,81 @@ class TestBatchSequentialEquivalence:
         assert res.metadata["proposal_batches"] > 0
 
 
+# One mask-changing step: (kind, argument).  Cells and costs are drawn as
+# raw integers / fractions and mapped onto the drawn lattice.
+_mask_steps = st.one_of(
+    st.tuples(st.just("observe"), st.integers(0, 10**6)),
+    st.tuples(st.just("violator"), st.integers(0, 10**6)),
+    st.tuples(st.just("threshold"), st.floats(0.0, 1.2)),
+    st.tuples(st.just("threshold-at-cell"), st.integers(0, 10**6)),
+    st.tuples(st.just("read"), st.booleans()),
+)
+
+
+class TestIncrementalCandidateMask:
+    @given(
+        bounds=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+        steps=st.lists(_mask_steps, max_size=30),
+        pruning=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_kept_mask_equals_a_fresh_mask(self, bounds, steps, pruning):
+        space = SearchSpace(FIVE_FAMILIES[: len(bounds)], tuple(bounds))
+        prune = PruneSet(space.prices)
+        ctx = AcquisitionContext(
+            space,
+            Matern52(),
+            rng=np.random.default_rng(0),
+            make_kernel=Matern52,
+            prune=prune if pruning else None,
+            stream="never",
+        )
+        grid = space.grid()
+        costs = prune.costs(grid)
+
+        def fresh() -> np.ndarray:
+            mask = np.ones(grid.shape[0], dtype=bool)
+            mask[list(ctx.sampled_idx)] = False
+            if pruning:
+                mask &= ~prune.mask(grid)
+            return mask
+
+        for kind, arg in steps:
+            if kind == "observe":
+                ctx.observe(grid[arg % grid.shape[0]], 0.0)
+            elif kind == "violator":
+                prune.add_violator(grid[arg % grid.shape[0]])
+            elif kind == "threshold":
+                prune.update_cost_threshold(arg * float(costs.max()))
+            elif kind == "threshold-at-cell":
+                prune.update_cost_threshold(float(costs[arg % costs.size]))
+            else:
+                got = ctx.candidate_mask()
+                np.testing.assert_array_equal(got, fresh())
+                if arg:
+                    got[:] = ~got  # a caller mutating its copy
+        np.testing.assert_array_equal(ctx.candidate_mask(), fresh())
+        np.testing.assert_array_equal(
+            ctx.candidate_indices(), np.flatnonzero(fresh())
+        )
+
+    def test_initial_design_marks_reach_the_kept_mask(self):
+        space = SearchSpace(("g4dn", "t3"), (3, 3))
+        ctx = AcquisitionContext(
+            space, Matern52(), rng=np.random.default_rng(1),
+            make_kernel=Matern52, stream="never",
+        )
+        assert ctx.candidate_mask().all()
+        drawn = set()
+        while (cell := ctx.random_unsampled()) is not None:
+            assert cell not in drawn
+            ctx.mark_sampled(cell)
+            drawn.add(cell)
+        assert drawn == set(range(space.n_configurations))
+        assert not ctx.candidate_mask().any()
+        assert ctx.sampled_idx == frozenset(drawn)
+
+
 class TestTieTrackerMemory:
     def test_flat_acquisition_stores_no_dead_ei_ties(self):
         """All-zero EI (the std-fallback case) must not accumulate one
@@ -269,7 +349,7 @@ class TestTieTrackerMemory:
 
         tracker = _TieTracker(rel=1e-9, positive_only=True)
         for start in range(0, 10_000, 1000):
-            tracker.update(start, np.zeros(1000))
+            tracker.update(np.arange(start, start + 1000), np.zeros(1000))
         assert tracker.best == 0.0
         assert tracker._stored == 0
         assert tracker.ties().size == 0
@@ -278,8 +358,8 @@ class TestTieTrackerMemory:
         from repro.gp.proposals import _TieTracker
 
         tracker = _TieTracker(rel=1e-9, positive_only=True)
-        tracker.update(0, np.array([0.0, 0.5, 0.5, 0.2]))
-        tracker.update(4, np.array([0.5, 0.0]))
+        tracker.update(np.arange(4), np.array([0.0, 0.5, 0.5, 0.2]))
+        tracker.update(np.arange(4, 6), np.array([0.5, 0.0]))
         np.testing.assert_array_equal(tracker.ties(), [1, 2, 4])
 
 

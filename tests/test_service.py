@@ -8,6 +8,8 @@ result reuse, and concurrent submissions are all exercised without a
 single simulation.
 """
 
+import errno
+import logging
 import threading
 
 import pytest
@@ -431,6 +433,52 @@ class TestWarmRestart:
             assert len(second.jobs()) == 1
         finally:
             second.shutdown()
+
+
+class FullDiskStore(SnapshotStore):
+    """A snapshot store whose first ``n_failures`` appends raise ENOSPC."""
+
+    def __init__(self, root, n_failures=1):
+        super().__init__(root)
+        self.n_failures = n_failures
+
+    def append_result(self, scenario, job_record):
+        if self.n_failures > 0:
+            self.n_failures -= 1
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().append_result(scenario, job_record)
+
+
+class TestStoreFaults:
+    def test_failed_append_is_logged_counted_and_survived(self, tmp_path, caplog):
+        store = FullDiskStore(tmp_path)
+        # One worker: the second job starts only after the first job's
+        # append (and its failure handling) has finished.
+        mgr = JobManager(runner_factory=StubFactory(), store=store, max_workers=1)
+        try:
+            with caplog.at_level(logging.ERROR, logger="repro.service.jobs"):
+                first = mgr.submit(make_scenario(), "ribbon", seed=1)
+                mgr.wait(first.id, timeout=10)
+                second = mgr.submit(make_scenario(), "ribbon", seed=2)
+                mgr.wait(second.id, timeout=10)
+            assert first.state == "done" and second.state == "done"
+            # The unstored result is still served from memory.
+            assert mgr.get(first.id).result_dict == search_result_to_dict(
+                first.result
+            )
+            assert mgr.submit(make_scenario(), "ribbon", seed=1) is first
+        finally:
+            mgr.shutdown()
+        assert mgr.stats()["store_errors"] == 1
+        failures = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(failures) == 1 and first.id in failures[0].getMessage()
+        assert store.lookup(make_scenario(), "ribbon", 1) is None
+        assert store.lookup(make_scenario(), "ribbon", 2)["job_id"] == second.id
+
+    def test_no_store_reports_zero_errors(self, manager):
+        job = manager.submit(make_scenario(), "ribbon")
+        manager.wait(job.id, timeout=10)
+        assert manager.stats()["store_errors"] == 0
 
 
 class TestConcurrency:
