@@ -21,7 +21,7 @@ def test_fig04_opportunity(benchmark):
     trace = trace_for_model(
         model, n_queries=BENCH_SETTING.n_queries, seed=BENCH_SETTING.seed
     )
-    sim = InferenceServingSimulator(model, track_queue=False)
+    sim = InferenceServingSimulator(model)
 
     def run():
         out = {}

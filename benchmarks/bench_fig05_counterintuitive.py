@@ -20,7 +20,7 @@ from repro.workload.trace import trace_for_model
 def test_fig05_counterintuitive_pairs(benchmark):
     model = get_model("MT-WND")
     trace = trace_for_model(model, n_queries=3000, seed=BENCH_SETTING.seed)
-    sim = InferenceServingSimulator(model, track_queue=False)
+    sim = InferenceServingSimulator(model)
     pools = enumerate_grid(("g4dn", "t3"), (5, 12))
 
     def sweep():

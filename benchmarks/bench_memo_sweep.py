@@ -26,11 +26,6 @@ history.  The bench
 * asserts a nonzero memo hit-rate on the repeated sweep (CI smoke runs
   exactly this with ``BENCH_MEMO_SMOKE=1``, which shrinks the workload
   and skips the artifact/speedup bookkeeping),
-* runs the **cold/warm disk trajectory**: the sweep with a
-  ``disk_cache`` SQLite path writes through, then a rebuilt runner
-  (fresh memory tier, same path) replays it out of the disk tier with a
-  nonzero hit rate and bit-identical sequences — the warm-restart
-  contract on the sweep workload,
 * appends the current timings + speedup to the artifact, and
 * enforces the >= 3x sweep speedup when run on the recording host
   (``BENCH_ENFORCE_SPEEDUP=1/0`` overrides, as in bench_search_perf).
@@ -105,7 +100,7 @@ def _sequences(results):
     }
 
 
-def test_perf_memo_sweep(benchmark, sweep_ctx, tmp_path):
+def test_perf_memo_sweep(benchmark, sweep_ctx):
     spec, scenario, seeds = sweep_ctx
     strategy = spec["strategy"]
     # Both paths share one warmed service-time cache: the ratio must
@@ -163,24 +158,6 @@ def test_perf_memo_sweep(benchmark, sweep_ctx, tmp_path):
     hit_rate = stats["hits"] / total if total else 0.0
     assert hit_rate > 0.0, f"repeated-seed sweep never hit the memo: {stats}"
 
-    # Cold/warm disk trajectory: the cold sweep writes through to the
-    # SQLite tier; a rebuilt runner (fresh memory tier, same path)
-    # replays the identical sweep out of the disk cache.
-    disk_path = tmp_path / "memo_sweep.sqlite"
-    disk_cold = ScenarioRunner(scenario, service_cache=service, disk_cache=disk_path)
-    disk_cold_dt, disk_cold_results = _sweep(disk_cold, strategy, seeds)
-    disk_cold.close()
-    disk_warm = ScenarioRunner(scenario, service_cache=service, disk_cache=disk_path)
-    disk_warm_dt, disk_warm_results = _sweep(disk_warm, strategy, seeds)
-    disk_stats = disk_warm.cache_stats()["simulation"]
-    disk_warm.close()
-    assert disk_stats["disk_hits"] > 0, f"warm sweep never hit disk: {disk_stats}"
-    disk_hit_rate = disk_stats["disk_hits"] / max(
-        1, disk_stats["disk_hits"] + disk_stats["disk_misses"]
-    )
-    assert _sequences(disk_cold_results) == off_seq
-    assert _sequences(disk_warm_results) == off_seq
-
     if SMOKE:
         return  # shrunken workload: goldens/timings are not comparable
 
@@ -201,13 +178,6 @@ def test_perf_memo_sweep(benchmark, sweep_ctx, tmp_path):
         memo_on_wall_s=on_wall,
         speedup_memo_on=speedup,
         memo_hit_rate=hit_rate,
-        disk={
-            "cold_wall_s": disk_cold_dt,
-            "warm_wall_s": disk_warm_dt,
-            "entries": disk_stats["disk_entries"],
-            "warm_hits": disk_stats["disk_hits"],
-            "warm_hit_rate": disk_hit_rate,
-        },
     )
     artifact.enforce_speedup(
         speedup,

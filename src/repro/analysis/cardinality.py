@@ -61,7 +61,7 @@ def _count_better_configs(
     qos_rate_target: float,
 ) -> tuple[int, float, int]:
     """Count QoS-meeting configs cheaper than the homogeneous optimum."""
-    sim = InferenceServingSimulator(model, track_queue=False)
+    sim = InferenceServingSimulator(model)
     grids = np.meshgrid(*[np.arange(b + 1) for b in bounds], indexing="ij")
     grid = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
     grid = grid[grid.sum(axis=1) > 0]

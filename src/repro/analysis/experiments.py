@@ -166,21 +166,17 @@ def make_experiment(
     *,
     families: tuple[str, ...] | None = None,
     bound_cap: int = 16,
-    disk_cache=None,
 ) -> ModelExperiment:
     """Wire up the full experiment context for one Table 1 model.
 
     Declares the setting as a :class:`~repro.api.Scenario` and lets its
     :class:`~repro.api.ScenarioRunner` materialize the trace, the measured
     search space, the Eq. 2 objective, and the shared evaluator.
-
-    ``disk_cache`` attaches a disk tier to the runner's result memo (see
-    :class:`~repro.api.runner.ScenarioRunner`).
     """
     scenario = setting.scenario(
         model_name, families=families, bound_cap=bound_cap
     )
-    runner = ScenarioRunner(scenario, disk_cache=disk_cache)
+    runner = ScenarioRunner(scenario)
     mat = runner.materialize(setting.seed)
     homog = runner.homogeneous_optimum(seed=setting.seed)
     return ModelExperiment(

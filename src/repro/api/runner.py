@@ -105,12 +105,6 @@ class ScenarioRunner:
         (every evaluation re-simulates).  :meth:`cache_stats` reports
         hit/miss/eviction counters for both caches plus this runner's
         dispatch-path engagement counts.
-    disk_cache:
-        Path (or :class:`~repro.simulator.disk_cache.DiskResultStore`)
-        of a disk tier for the simulation-result memo: the runner builds
-        a private ``SimulationResultCache`` backed by it, so identical
-        sweeps survive process restarts.  Mutually exclusive with an
-        explicit ``simulation_cache``.
     """
 
     def __init__(
@@ -122,7 +116,6 @@ class ScenarioRunner:
         service_cache: ServiceTimeCache | None = None,
         simulation_cache: SimulationResultCache | None = None,
         dispatch_counters: DispatchCounters | None = None,
-        disk_cache=None,
     ):
         if not isinstance(scenario, Scenario):
             raise ScenarioError(
@@ -134,16 +127,6 @@ class ScenarioRunner:
         self._service_cache = (
             service_cache if service_cache is not None else shared_service_cache()
         )
-        if disk_cache is not None:
-            if simulation_cache is not None:
-                raise ScenarioError(
-                    "pass either simulation_cache or disk_cache, not both "
-                    "(attach the disk tier with "
-                    "SimulationResultCache(disk=...) instead)"
-                )
-            # A private memory tier over the disk store: the process-wide
-            # shared cache must not silently gain a disk tier.
-            simulation_cache = SimulationResultCache(disk=disk_cache)
         self._simulation_cache = (
             simulation_cache
             if simulation_cache is not None
@@ -229,7 +212,6 @@ class ScenarioRunner:
                 # Bound simulations honor this runner's memo and counters.
                 simulator=InferenceServingSimulator(
                     model,
-                    track_queue=False,
                     service_cache=self._service_cache,
                     result_cache=self._simulation_cache,
                     dispatch_counters=self._dispatch_counters,
@@ -275,15 +257,6 @@ class ScenarioRunner:
     def service_cache(self) -> ServiceTimeCache:
         """The service-time matrix cache this runner's evaluators share."""
         return self._service_cache
-
-    def close(self) -> None:
-        """Release the disk tier (if any).
-
-        Safe to call repeatedly; the runner keeps working afterwards
-        (the disk store reopens)."""
-        disk = self._simulation_cache.disk
-        if disk is not None:
-            disk.close()
 
     def dispatch_counts(self) -> dict[str, int]:
         """Per-loop dispatch run counts across this runner's evaluators

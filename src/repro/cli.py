@@ -83,7 +83,7 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
 
     model = get_model("MT-WND")
     trace = trace_for_model(model, n_queries=args.queries, seed=args.seed)
-    sim = InferenceServingSimulator(model, track_queue=False)
+    sim = InferenceServingSimulator(model)
     rows = []
     for g, t in [(4, 0), (5, 0), (0, 12), (3, 4), (2, 4), (4, 4)]:
         pool = PoolConfiguration(("g4dn", "t3"), (g, t))
@@ -167,7 +167,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     setting = ExperimentSetting(n_queries=args.queries)
-    exp = make_experiment(args.model, setting, disk_cache=args.disk_cache)
+    exp = make_experiment(args.model, setting)
     result = strategy.search(exp.evaluator, start=exp.default_start())
     print(result.summary())
     if result.best is not None:
@@ -175,13 +175,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print(
             f"homogeneous baseline {exp.homogeneous_optimum.pool} "
             f"${exp.homogeneous_cost:.3f}/hr -> saving {saving:.1f}%"
-        )
-    if args.disk_cache:
-        stats = exp.runner.cache_stats()["simulation"]
-        print(
-            f"disk cache {args.disk_cache}: "
-            f"{stats['disk_entries']} entries, "
-            f"{stats['disk_hits']} hits / {stats['disk_misses']} misses"
         )
     return 0
 
@@ -194,11 +187,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import JobManager, SnapshotStore, make_server
 
     store = SnapshotStore(args.snapshot_dir) if args.snapshot_dir else None
-    manager = JobManager(
-        store=store,
-        max_workers=args.workers,
-        disk_cache=args.disk_cache,
-    )
+    manager = JobManager(store=store, max_workers=args.workers)
     server = make_server(manager, host=args.host, port=args.port)
     # SIGTERM (a service manager's stop) takes the same clean-shutdown
     # path as Ctrl-C instead of killing the process mid-job.  It is
@@ -252,17 +241,15 @@ def _cmd_strategies(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_disk_cache_arg(parser: argparse.ArgumentParser) -> None:
-    """The shared disk-cache flag (search, serve)."""
-    parser.add_argument(
-        "--disk-cache",
-        default=None,
-        metavar="PATH",
-        help=(
-            "SQLite path for the disk tier of the simulation-result cache; "
-            "identical runs survive process restarts"
-        ),
-    )
+def _positive_int(text: str) -> int:
+    """argparse type for counts: a bad value exits 2 with a usage message."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,19 +262,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p9 = sub.add_parser("fig9", help="cost savings per model (Fig. 9)")
     p9.add_argument("--models", nargs="+", default=list(ALL_MODELS))
-    p9.add_argument("--queries", type=int, default=4000)
+    p9.add_argument("--queries", type=_positive_int, default=4000)
     p9.add_argument("--gaussian", action="store_true", help="Fig. 11 variant")
     p9.set_defaults(func=_cmd_fig9)
 
     p4 = sub.add_parser("fig4", help="diverse pool opportunity (Fig. 4)")
-    p4.add_argument("--queries", type=int, default=4000)
+    p4.add_argument("--queries", type=_positive_int, default=4000)
     p4.add_argument("--seed", type=int, default=1)
     p4.set_defaults(func=_cmd_fig4)
 
     p10 = sub.add_parser("fig10", help="convergence comparison (Fig. 10)")
     p10.add_argument("--models", nargs="+", default=list(ALL_MODELS))
-    p10.add_argument("--queries", type=int, default=4000)
-    p10.add_argument("--seeds", type=int, default=3)
+    p10.add_argument("--queries", type=_positive_int, default=4000)
+    p10.add_argument("--seeds", type=_positive_int, default=3)
     p10.set_defaults(func=_cmd_fig10)
 
     ps = sub.add_parser("search", help="run one search strategy on one model")
@@ -300,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
             f"(default: ribbon; registered: {', '.join(available_strategies())})"
         ),
     )
-    ps.add_argument("--queries", type=int, default=4000)
-    ps.add_argument("--samples", type=int, default=40)
+    ps.add_argument("--queries", type=_positive_int, default=4000)
+    ps.add_argument("--samples", type=_positive_int, default=40)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument(
         "--batch-size",
@@ -320,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
             "constant-liar-qei (default picks by --batch-size)"
         ),
     )
-    _add_disk_cache_arg(ps)
     ps.set_defaults(func=_cmd_search)
 
     pv = sub.add_parser(
@@ -343,11 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pv.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=2,
         help="concurrent search jobs (default: 2)",
     )
-    _add_disk_cache_arg(pv)
     pv.set_defaults(func=_cmd_serve)
 
     pl = sub.add_parser("strategies", help="list the registered strategies")

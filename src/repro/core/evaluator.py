@@ -132,7 +132,6 @@ class ConfigurationEvaluator:
         )
         self._sim = InferenceServingSimulator(
             model,
-            track_queue=True,
             service_cache=service_cache,
             result_cache=result_cache,
             dispatch_counters=dispatch_counters,

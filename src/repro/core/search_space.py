@@ -302,7 +302,7 @@ def estimate_instance_bounds(
         raise ValueError(f"hard_cap must be >= 1, got {hard_cap!r}")
     target = qos_target_ms if qos_target_ms is not None else model.qos_target_ms
     if simulator is None:
-        simulator = InferenceServingSimulator(model, track_queue=False)
+        simulator = InferenceServingSimulator(model)
     elif simulator.model is not model:
         raise ValueError(f"simulator serves {simulator.model.name!r}, not {model.name!r}")
 

@@ -2,12 +2,11 @@
 
 Seven PRs of growth made the codebase's correctness rest on invariants
 that no general-purpose linter knows about: bit-identical golden replay
-across dispatch loops and cache states, content-addressed cache keys that
-must cover every result-affecting input, frozen shared
-``SimulationResult`` payloads, and lock discipline across the
-concurrency-bearing modules.  repro-lint checks those invariants
-statically — stdlib ``ast`` only, no third-party dependencies — and
-gates CI on them.
+across dispatch loops and cache states, canonical content-hashed scenario
+identities, frozen shared ``SimulationResult`` payloads, and lock
+discipline across the concurrency-bearing modules.  repro-lint checks
+those invariants statically — stdlib ``ast`` only, no third-party
+dependencies — and gates CI on them.
 
 Usage
 -----
@@ -27,8 +26,7 @@ Rules
     reads under ``simulator/``, ``core/``, ``gp/``.  Guards PR 2's
     bit-identical golden-replay contract (equal seeds => byte-equal
     ``SearchResult``); a timestamp on a result path makes two identical
-    runs diverge.  The disk store's LRU recency bookkeeping is the one
-    justified suppression.
+    runs diverge.
 
 ``unseeded-rng`` (determinism)
     No stdlib ``random.*`` module-level calls, no legacy global-state
@@ -39,25 +37,26 @@ Rules
 ``id-in-key`` (determinism)
     ``id(...)`` must not flow into ``hashlib``/``json.dumps``/hash
     ``update`` calls.  In-memory caches may key on object identity
-    (PR 3: weakref-guarded, self-invalidating) but persisted keys must
-    be content-addressed (PR 7): an id survives neither GC nor the
-    process, so an id-derived persistent key partitions the cache
-    silently.
+    (PR 3: weakref-guarded, self-invalidating) but hashed or serialized
+    keys — ``Scenario.identity()``, which names the service's snapshot
+    files and its reuse key — must be content-addressed: an id survives
+    neither GC nor the process, so an id-derived persistent key
+    partitions what it keys silently.
 
 ``unordered-iteration`` (determinism)
     Inside key-deriving functions (names matching ``key``/``digest``/
     ``identity``/``fingerprint``), iterating sets or un-``sorted()``
-    dict views is banned.  Guards PR 6's ``Scenario.identity()`` and
-    PR 7's ``result_key()``: logically equal inputs must hash
-    byte-equal regardless of construction order.
+    dict views is banned.  Guards PR 6's ``Scenario.identity()``:
+    logically equal inputs must hash byte-equal regardless of
+    construction order.
 
 ``lock-discipline`` (locks)
     In classes owning a ``threading`` lock attribute, public methods
     must mutate ``self._*`` state only inside ``with self._lock:``
     (``__init__`` and private ``_helpers`` are the allowlist —
     helpers document "call with the lock held" contracts).  Guards the
-    RLock discipline of PR 3's identity caches, PR 6's job manager, and
-    PR 7's disk store; its runtime counterpart is
+    RLock discipline of PR 3's identity caches and PR 6's job manager
+    and snapshot store; its runtime counterpart is
     ``tests/test_race_stress.py`` with the cache's lock-assertion mode.
 
 ``frozen-result`` (frozen-result)
@@ -66,14 +65,6 @@ Rules
     its fields, no ``setflags(write=...)``/``flags.writeable`` thawing.
     Guards PR 3's shared memo: one frozen result backs every concurrent
     consumer.
-
-``cache-key-completeness`` (cache-key)
-    Cross-references every ``model.X``/``trace.X`` attribute read in the
-    dispatch-path modules (``simulator/engine.py``,
-    ``simulator/service.py``) against the digest functions of
-    ``simulator/disk_cache.py``; reads not keyed and not in the
-    justified exemption table fail.  Guards PR 7's content-addressed
-    disk tier against the silent-staleness bug class.
 
 ``bare-except`` / ``mutable-default`` / ``print-call`` /
 ``private-import`` (hygiene)

@@ -23,8 +23,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "Project-invariant static analysis for the Ribbon reproduction"
-            " (determinism, lock discipline, frozen results, cache-key"
-            " completeness, API hygiene)."
+            " (determinism, lock discipline, frozen results, API hygiene)."
         ),
     )
     parser.add_argument(

@@ -1,17 +1,14 @@
 """repro-lint configuration: defaults + ``[tool.repro-lint]`` overrides.
 
 The defaults encode this repository's invariants (which packages must be
-deterministic, which modules may print, which model/workload attribute
-reads are exempt from the cache-key cross-reference).  A project can
-restate or override any of them from ``pyproject.toml``::
+deterministic, which modules may print, which methods the lock rule
+skips).  A project can restate or override any of them from
+``pyproject.toml``::
 
     [tool.repro-lint]
     determinism-paths = ["repro/simulator", "repro/core", "repro/gp"]
     print-allowed = ["repro/cli.py"]
     disable = []                       # rule names switched off globally
-
-    [tool.repro-lint.cache-key]
-    exempt = { duration_s = "derived from arrival_s, policy-only" }
 
 Keys use dashes (TOML idiom); unknown keys raise :class:`LintConfigError`
 so a typo cannot silently disable a gate.
@@ -19,7 +16,7 @@ so a typo cannot silently disable a gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 try:  # python >= 3.11
@@ -54,36 +51,6 @@ class LintConfig:
     #: public-method scope itself: ``__init__`` builds the object before
     #: it is shared, ``_locked_*`` helpers document a held-lock contract).
     lock_exempt_methods: tuple[str, ...] = ("__init__", "__new__")
-    #: Modules (path suffixes) whose model/trace attribute reads the
-    #: cache-key rule cross-references against the disk key.
-    cache_key_read_modules: tuple[str, ...] = (
-        "repro/simulator/engine.py",
-        "repro/simulator/service.py",
-    )
-    #: Module (path suffix) defining the content-addressed disk key.
-    cache_key_module: str = "repro/simulator/disk_cache.py"
-    #: Functions in ``cache_key_module`` whose model/trace attribute reads
-    #: define the keyed-attribute set.
-    cache_key_functions: tuple[str, ...] = (
-        "_model_digest",
-        "_trace_digest",
-        "result_key",
-    )
-    #: Attribute -> justification: reads exempt from the cache-key rule
-    #: (dispatch-only knobs and pure derivations of keyed fields).
-    cache_key_exempt: dict[str, str] = field(
-        default_factory=lambda: {
-            "duration_s": (
-                "dispatch-policy knob only (substrates are bit-identical);"
-                " derived from arrival_s, which is keyed"
-            ),
-            "service_time_s": (
-                "method: pure function of profiles (keyed) and the trace"
-                " batch_sizes (keyed)"
-            ),
-            "noise_sigma_for": "method: pure function of noise_sigma (keyed)",
-        }
-    )
     #: Module (path suffix) that defines the frozen result dataclass and
     #: is therefore exempt from the frozen-result rule.
     frozen_result_module: str = "repro/simulator/metrics.py"
@@ -110,12 +77,6 @@ _TOP_LEVEL_KEYS = {
     "print-allowed": "print_allowed",
     "lock-exempt-methods": "lock_exempt_methods",
     "disable": "disable",
-}
-_CACHE_KEY_KEYS = {
-    "read-modules": "cache_key_read_modules",
-    "key-module": "cache_key_module",
-    "key-functions": "cache_key_functions",
-    "exempt": "cache_key_exempt",
 }
 
 
@@ -151,41 +112,10 @@ def load_config(pyproject: str | Path | None) -> LintConfig:
     if section is None:
         return config
     for key, value in section.items():
-        if key in _TOP_LEVEL_KEYS:
-            setattr(config, _TOP_LEVEL_KEYS[key], _expect_str_list(key, value))
-        elif key == "cache-key":
-            _load_cache_table(config, value)
-        else:
+        if key not in _TOP_LEVEL_KEYS:
             raise LintConfigError(f"unknown [tool.repro-lint] key {key!r}")
+        setattr(config, _TOP_LEVEL_KEYS[key], _expect_str_list(key, value))
     return config
-
-
-def _load_cache_table(config: LintConfig, section) -> None:
-    if not isinstance(section, dict):
-        raise LintConfigError("[tool.repro-lint.cache-key] must be a table")
-    for key, value in section.items():
-        if key not in _CACHE_KEY_KEYS:
-            raise LintConfigError(
-                f"unknown [tool.repro-lint.cache-key] key {key!r}"
-            )
-        if key == "exempt":
-            if not isinstance(value, dict) or not all(
-                isinstance(k, str) and isinstance(v, str) and v.strip()
-                for k, v in value.items()
-            ):
-                raise LintConfigError(
-                    "cache-key.exempt must map attribute -> justification"
-                    " (non-empty strings)"
-                )
-            config.cache_key_exempt = dict(value)
-        elif key == "key-module":
-            if not isinstance(value, str):
-                raise LintConfigError("cache-key.key-module must be a string")
-            config.cache_key_module = value
-        else:
-            setattr(
-                config, _CACHE_KEY_KEYS[key], _expect_str_list(key, value)
-            )
 
 
 def find_pyproject(start: str | Path) -> Path | None:

@@ -5,9 +5,9 @@ suppression filtering.
 import-alias map so rules can resolve ``np.random.default_rng`` and
 ``from time import time as now`` to canonical dotted names without
 executing anything.  :func:`run` walks the requested paths, runs every
-registered per-module rule on every module and every project rule on the
-whole set, then drops findings covered by a justified per-line
-suppression (malformed suppressions surface as findings themselves).
+registered rule on every module, then drops findings covered by a
+justified per-line suppression (malformed suppressions surface as
+findings themselves).
 """
 
 from __future__ import annotations
@@ -146,11 +146,8 @@ def run(
     for rule in registry.all_rules():
         if rule.name in disabled:
             continue
-        if rule.check is not None:
-            for module in modules:
-                raw.extend(rule.check(module, config))
-        else:
-            raw.extend(rule.project_check(modules, config))
+        for module in modules:
+            raw.extend(rule.check(module, config))
 
     for finding in raw:
         table = tables.get(finding.path)

@@ -1,12 +1,8 @@
 """Rule registry: declaration, lookup, and registration decorator.
 
 A rule is a named check with a family, a human rationale (which invariant
-it guards, and which PR introduced that invariant), and exactly one of:
-
-* ``check(module, config)`` — a per-module pass over one parsed file;
-* ``project_check(modules, config)`` — a whole-project pass that sees
-  every parsed file at once (cross-module invariants such as the
-  cache-key completeness cross-reference).
+it guards, and which PR introduced that invariant), and a
+``check(module, config)`` pass over one parsed file.
 
 Rules register themselves at import time via :func:`rule`; the engine
 imports :mod:`repro.devtools.lint.rules` once and iterates the registry.
@@ -26,15 +22,7 @@ class Rule:
     family: str
     description: str
     rationale: str
-    check: Callable | None = None
-    project_check: Callable | None = None
-
-    def __post_init__(self) -> None:
-        if (self.check is None) == (self.project_check is None):
-            raise ValueError(
-                f"rule {self.name!r} must define exactly one of"
-                " check/project_check"
-            )
+    check: Callable
 
 
 def rule(
@@ -43,7 +31,6 @@ def rule(
     family: str,
     description: str,
     rationale: str,
-    project: bool = False,
 ):
     """Decorator registering ``fn`` as the named rule's check."""
 
@@ -55,8 +42,7 @@ def rule(
             family=family,
             description=description,
             rationale=rationale,
-            check=None if project else fn,
-            project_check=fn if project else None,
+            check=fn,
         )
         return fn
 

@@ -1,6 +1,6 @@
 """Rule modules; importing this package registers every rule.
 
-Five families ship (see each module's docstring for the full rationale):
+Four families ship (see each module's docstring for the full rationale):
 
 ==================  ====================================================
 family              rules
@@ -9,14 +9,12 @@ determinism         wall-clock, unseeded-rng, id-in-key,
                     unordered-iteration
 locks               lock-discipline
 frozen-result       frozen-result
-cache-key           cache-key-completeness
 hygiene             bare-except, mutable-default, print-call,
                     private-import
 ==================  ====================================================
 """
 
 from repro.devtools.lint.rules import (  # noqa: F401  (registration imports)
-    cache_key,
     determinism,
     frozen,
     hygiene,

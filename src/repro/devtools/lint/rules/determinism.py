@@ -8,8 +8,8 @@ promise at the source level:
 
 * ``wall-clock`` — no wall/monotonic clock reads inside the determinism
   scope (``simulator/``, ``core/``, ``gp/``).  A timestamp on a result
-  path makes two identical runs differ; legitimate bookkeeping uses
-  (LRU recency in the disk store) carry a justified suppression.
+  path makes two identical runs differ; a legitimate bookkeeping use
+  must carry a justified suppression.
 * ``unseeded-rng`` — no ``random.*`` module-level calls, no legacy
   ``np.random.*`` global-state API, no ``np.random.default_rng()``
   without a seed.  All randomness must flow from an explicit seed
@@ -17,8 +17,9 @@ promise at the source level:
 * ``id-in-key`` — ``id(...)`` must never feed a hash or a serialized
   payload: object identity is not stable across processes or even across
   GC cycles within one process, so an id-derived persistent key silently
-  partitions the cache (PR 7's content-addressed ``result_key`` exists
-  precisely because the in-memory identity keys cannot cross a process).
+  partitions what it keys (``Scenario.identity()`` names the service's
+  snapshot files and its reuse key; the in-memory identity keys of the
+  simulator caches never leave the process).
 * ``unordered-iteration`` — inside key-deriving functions (names
   matching ``key``/``digest``/``identity``/``fingerprint``), iteration
   over sets or over un-``sorted()`` ``.items()``/``.keys()``/
@@ -162,10 +163,10 @@ def _contains_id_call(node: ast.AST) -> ast.Call | None:
     family="determinism",
     description="id() must not feed hashes or serialized payloads",
     rationale=(
-        "PR 7's two-tier cache: in-memory keys may use object identity"
-        " (self-invalidating via weakref), but anything hashed or"
-        " serialized outlives the object — an id-derived persistent key"
-        " silently partitions the cache across runs"
+        "in-memory cache keys may use object identity (self-invalidating"
+        " via weakref), but anything hashed or serialized outlives the"
+        " object — an id-derived Scenario.identity() would silently"
+        " partition the service's snapshot store and reuse key across runs"
     ),
 )
 def check_id_in_key(module: Module, config: LintConfig) -> Iterator[Finding]:
@@ -224,8 +225,9 @@ def _is_unordered_iterable(expr: ast.AST, module: Module) -> str | None:
     family="determinism",
     description="key-deriving functions must canonicalize iteration order",
     rationale=(
-        "PR 6's Scenario.identity and PR 7's result_key: two logically"
-        " equal inputs built in different orders must hash byte-equal, so"
+        "PR 6's Scenario.identity (the service's store and reuse key): two"
+        " logically equal inputs built in different orders must hash"
+        " byte-equal, so"
         " every iteration feeding a key goes through sorted(...)"
     ),
 )

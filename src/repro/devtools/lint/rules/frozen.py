@@ -1,11 +1,12 @@
 """Frozen-result hygiene: a cached ``SimulationResult`` is immutable.
 
 Since PR 3 one frozen result object backs every consumer that re-serves
-the same configuration — sweep threads, forked evaluators, the disk
-tier.  The dataclass is ``frozen=True`` and the memo freezes every array
-(``writeable = False``), but both guards are runtime-deep only: a field
-rebind via ``object.__setattr__``, an array poked back writable, or an
-in-place write to a field array corrupts *every* consumer at once.
+the same configuration — sweep threads, forked evaluators, the bounds
+bisection and the homogeneous scan.  The dataclass is ``frozen=True``
+and the memo freezes every array (``writeable = False``), but both
+guards are runtime-deep only: a field rebind via ``object.__setattr__``,
+an array poked back writable, or an in-place write to a field array
+corrupts *every* consumer at once.
 
 Flagged anywhere in the linted tree (except the defining module,
 ``simulator/metrics.py``, whose constructor legitimately installs the
@@ -55,9 +56,9 @@ def _field_target(node: ast.AST, fields: frozenset[str]) -> str | None:
     family="frozen-result",
     description="SimulationResult fields and arrays are write-once",
     rationale=(
-        "PR 3's shared memo: one frozen result backs every evaluator and"
-        " the disk tier; any post-construction write corrupts all"
-        " concurrent consumers at once"
+        "PR 3's shared memo: one frozen result backs every evaluator;"
+        " any post-construction write corrupts all concurrent consumers"
+        " at once"
     ),
 )
 def check_frozen_result(module: Module, config: LintConfig) -> Iterator[Finding]:

@@ -1,12 +1,11 @@
 """Lock-discipline rule: shared state mutates only under its lock.
 
-Six modules carry concurrency (`_identity_cache`, `result_cache`,
-`disk_cache`, `jobs`, `store`, the runner's sweep pool), all
-with the same convention: a class that owns a ``threading.Lock`` /
-``RLock`` / ``Condition`` attribute mutates its private state only
-inside ``with self._lock:``.  The golden tests catch a forgotten lock
-only probabilistically (the race has to *lose*); this rule catches the
-pattern statically.
+Five modules carry concurrency (`_identity_cache`, `result_cache`,
+`jobs`, `store`, the runner's sweep pool), all with the same convention:
+a class that owns a ``threading.Lock`` / ``RLock`` / ``Condition``
+attribute mutates its private state only inside ``with self._lock:``.
+The golden tests catch a forgotten lock only probabilistically (the race
+has to *lose*); this rule catches the pattern statically.
 
 Scope (deliberately intraprocedural and conservative):
 
@@ -137,7 +136,7 @@ def _mutated_self_attr(stmt: ast.stmt) -> tuple[str, ast.AST] | None:
     family="locks",
     description="self._* mutations in public methods must hold the lock",
     rationale=(
-        "PR 3's identity caches, PR 6's job manager, PR 7's disk store:"
+        "PR 3's identity caches, PR 6's job manager and snapshot store:"
         " every concurrency-bearing class serializes private-state"
         " mutation under its lock; a forgotten with-block is a race the"
         " stress tests only catch probabilistically"

@@ -80,41 +80,6 @@ def _options_key(strategy_kwargs: dict) -> str:
     return json.dumps(strategy_kwargs, sort_keys=True, default=str)
 
 
-def _configured_runner_factory(disk_cache):
-    """A ``scenario -> ScenarioRunner`` factory over one disk-backed memo.
-
-    The process-wide :func:`~repro.api.runner.runner_for` cache cannot be
-    used when the daemon attaches a disk cache — its runners are built
-    plain, and mutating them would leak daemon configuration into
-    unrelated library users.  Instead the manager keeps its own LRU of
-    runners, all sharing one two-tier result cache, so forked/parallel
-    searches pool disk entries exactly like the plain path pools the
-    shared memo.
-    """
-    from collections import OrderedDict
-
-    from repro.api.runner import ScenarioRunner
-    from repro.simulator.result_cache import SimulationResultCache
-
-    sim_cache = SimulationResultCache(disk=disk_cache)
-    runners: "OrderedDict[Scenario, Any]" = OrderedDict()
-    lock = threading.Lock()
-    cache_size = 64  # mirrors runner_for's LRU bound
-
-    def factory(scenario: Scenario):
-        with lock:
-            runner = runners.get(scenario)
-            if runner is None:
-                runner = ScenarioRunner(scenario, simulation_cache=sim_cache)
-                runners[scenario] = runner
-            runners.move_to_end(scenario)
-            while len(runners) > cache_size:
-                runners.popitem(last=False)
-            return runner
-
-    return factory
-
-
 class Job:
     """One tracked search request; all mutation happens via the manager.
 
@@ -248,11 +213,6 @@ class JobManager:
         submissions fail fast at the API boundary instead of inside a
         worker.  Defaults to the registry lookup when ``runner_factory``
         is the default, and to no validation for injected factories.
-    disk_cache:
-        Optional disk-tier path for the simulation-result memo.  Only
-        valid with the default runner factory: the manager then builds
-        its own runners (one LRU per manager) so every search this daemon
-        runs shares one two-tier cache.
     """
 
     def __init__(
@@ -263,24 +223,15 @@ class JobManager:
         max_workers: int = 2,
         reuse_results: bool = True,
         strategy_validator: Callable[[str], None] | None = None,
-        disk_cache=None,
     ):
         if runner_factory is None:
-            if disk_cache is not None:
-                runner_factory = _configured_runner_factory(disk_cache)
-            else:
-                from repro.api.runner import runner_for
+            from repro.api.runner import runner_for
 
-                runner_factory = runner_for
+            runner_factory = runner_for
             if strategy_validator is None:
                 from repro.api.registry import strategy_class
 
                 strategy_validator = lambda name: strategy_class(name)  # noqa: E731
-        elif disk_cache is not None:
-            raise ValueError(
-                "disk_cache only applies to the default runner factory; "
-                "wire your injected factory's runners directly instead"
-            )
         if int(max_workers) < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers!r}")
         self._runner_factory = runner_factory

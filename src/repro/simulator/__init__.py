@@ -10,7 +10,8 @@ paper).  Two independently written engines are provided:
   instance).  Instances of one family are interchangeable for latency, so
   by default it decides only the serving *family* per query, on one float
   heap of free times per family (``dispatch="family"``); which instance
-  served a query (``instance_index``, ``busy_s_per_instance``) is derived
+  served a query (``instance_index``, ``busy_s_per_instance``) and the
+  queue length seen per arrival (``queue_len_at_arrival``) are derived
   on first read.  ``dispatch="heap"`` runs the per-instance loop instead,
   the bit-identical reference the tests compare it with.
 * :class:`~repro.simulator.events.EventHeapSimulator` — an event-heap
@@ -21,12 +22,13 @@ Both report the same :class:`~repro.simulator.metrics.SimulationResult`
 figures of merit: end-to-end latency percentiles, QoS satisfaction rate,
 throughput, per-instance utilization, and queue-length statistics.
 
-Two process-wide caches back the fast engine: the per-workload
+Two process-wide in-memory caches back the fast engine: the per-workload
 :class:`~repro.simulator.service.ServiceTimeCache` (service-time matrices,
 shared by both engines) and the per-(workload, pool)
 :class:`~repro.simulator.result_cache.SimulationResultCache` (whole
-simulation results, fast engine only — the reference engine stays
-independent so equivalence tests keep meaning something).
+simulation results, one entry per pool's non-zero counts, fast engine
+only — the reference engine stays independent so equivalence tests keep
+meaning something).
 """
 
 from repro.simulator.pool import PoolConfiguration

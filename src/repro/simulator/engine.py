@@ -36,7 +36,10 @@ makespan; :meth:`InferenceServingSimulator.simulate` derives the rest with
 vector operations: ``service_s`` is a gather from the service-time matrix by
 family, and the queue length seen by arrival q is
 ``q - min(q, #{j : start_j <= t_q})``, one ``searchsorted`` over the FCFS
-start times, which are monotone non-decreasing.
+start times, which are monotone non-decreasing
+(:func:`~repro.simulator.metrics.queue_lengths_at_arrival`).  Only the
+evaluator reads the queue column, so the family path derives it on first
+read; bounds bisection never pays for it.
 
 Which instance of a family served a query matters only to
 ``instance_index`` and ``busy_s_per_instance``, which nothing on the search
@@ -51,8 +54,10 @@ the equivalence tests compare the family loop with.
 
 Service times come pre-noised from the per-workload
 :class:`~repro.simulator.service.ServiceTimeCache`, and whole simulations are
-memoized across evaluators by the process-wide
-:class:`~repro.simulator.result_cache.SimulationResultCache`.
+memoized by the process-wide
+:class:`~repro.simulator.result_cache.SimulationResultCache`, keyed once per
+workload and pool, so the bounds bisection, the homogeneous scan and every
+evaluator share one entry per pool.
 """
 
 from __future__ import annotations
@@ -63,7 +68,11 @@ from heapq import heapify, heappop, heappush, heapreplace
 import numpy as np
 
 from repro.models.base import ModelProfile
-from repro.simulator.metrics import FamilyDispatchResult, SimulationResult
+from repro.simulator.metrics import (
+    FamilyDispatchResult,
+    SimulationResult,
+    queue_lengths_at_arrival,
+)
 from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import (
     SimulationResultCache,
@@ -127,9 +136,6 @@ class InferenceServingSimulator:
     ----------
     model:
         The model whose latency profiles define service times.
-    track_queue:
-        Record the waiting-queue length seen by every arrival (needed by the
-        load-change detector; a small constant overhead).
     service_cache:
         Service-time matrix cache; defaults to the process-wide shared
         instance so every simulator serving the same workload reuses one
@@ -161,7 +167,6 @@ class InferenceServingSimulator:
         self,
         model: ModelProfile,
         *,
-        track_queue: bool = True,
         service_cache: ServiceTimeCache | None = None,
         dispatch: str = "family",
         result_cache: SimulationResultCache | None = None,
@@ -174,7 +179,6 @@ class InferenceServingSimulator:
                 + f", got {dispatch!r}"
             )
         self._model = model
-        self._track_queue = bool(track_queue)
         self._service_cache = (
             service_cache if service_cache is not None else shared_service_cache()
         )
@@ -216,12 +220,6 @@ class InferenceServingSimulator:
         was passed in)."""
         return self._counters.snapshot()
 
-    @property
-    def track_queue(self) -> bool:
-        """Whether simulations record the queue length seen per arrival
-        (part of the result-memo key)."""
-        return self._track_queue
-
     def _record_dispatch(self, path: str) -> None:
         self._counters.record(path)
         if self._counters is not _GLOBAL_DISPATCH:
@@ -248,15 +246,13 @@ class InferenceServingSimulator:
                 )
 
         # Whole-result memo: the simulation is deterministic per
-        # (model, trace, pool, track_queue), so a repeat — typically a
-        # sibling evaluator in a run_many sweep or a load-change fork —
-        # skips dispatch entirely.
+        # (model, trace, pool), so a repeat — the homogeneous scan after
+        # the bounds bisection, a sibling evaluator in a run_many sweep,
+        # a load-change fork — skips dispatch entirely.
         memo = self._result_cache
         memoize = memo.enabled
         if memoize:
-            hit = memo.get(
-                self._model, trace, pool.families, pool.counts, self._track_queue
-            )
+            hit = memo.get(self._model, trace, pool.families, pool.counts)
             if hit is not None:
                 return hit
 
@@ -314,20 +310,12 @@ class InferenceServingSimulator:
                 service_s = matrix[choice, np.arange(n)]
         start_s = np.asarray(starts, dtype=float)
         wait_s = start_s - trace.arrival_s
-        queue_len = np.empty(0)
-        if self._track_queue:
-            # FCFS starts are monotone, so the queries started by t_q are
-            # a prefix; the earlier arrivals past it are still queued.
-            q = np.arange(n)
-            started = np.searchsorted(start_s, trace.arrival_s, "right")
-            queue_len = q - np.minimum(q, started)
         fields = dict(
             latency_s=wait_s + service_s,
             wait_s=wait_s,
             service_s=service_s,
             instance_family=instance_family,
             makespan_s=makespan,
-            queue_len_at_arrival=queue_len,
         )
         result: SimulationResult
         if self._dispatch == "heap":
@@ -336,11 +324,15 @@ class InferenceServingSimulator:
                 busy_s_per_instance=np.bincount(
                     index, weights=service_s, minlength=len(type_list)
                 ),
+                queue_len_at_arrival=queue_lengths_at_arrival(
+                    start_s, trace.arrival_s
+                ),
                 **fields,
             )
             self._record_dispatch("heap")
         else:
             result = FamilyDispatchResult(
+                arrival_s=trace.arrival_s,
                 start_s=start_s,
                 family_choice=choice,
                 family_counts=counts,
@@ -350,12 +342,7 @@ class InferenceServingSimulator:
             self._record_dispatch("linear")
         if memoize:
             result = memo.put(
-                self._model,
-                trace,
-                pool.families,
-                pool.counts,
-                self._track_queue,
-                result,
+                self._model, trace, pool.families, pool.counts, result
             )
         return result
 

@@ -92,6 +92,11 @@ class SimulationResult:
             self.queue_len_at_arrival,
         )
 
+    def _deferred_nbytes(self) -> int:
+        """Bytes of the per-query arrays a read attaches later and a memo
+        charges up front: the sorted latencies behind every QoS figure."""
+        return self.latency_s.nbytes
+
     def _latency_s_ascending(self) -> np.ndarray:
         """Latencies in seconds, sorted ascending — the one cached sort
         behind every derived figure (percentiles interpolate in seconds,
@@ -252,6 +257,20 @@ class SimulationResult:
         return " ".join(parts)
 
 
+def queue_lengths_at_arrival(
+    start_s: np.ndarray, arrival_s: np.ndarray
+) -> np.ndarray:
+    """Waiting-queue length seen by each arrival of an FCFS run.
+
+    FCFS starts are monotone, so the queries started by ``t_q`` are a
+    prefix; the earlier arrivals past it are still queued:
+    ``q - min(q, #{j : start_j <= t_q})``.
+    """
+    q = np.arange(start_s.size)
+    started = np.searchsorted(start_s, arrival_s, "right")
+    return q - np.minimum(q, started)
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -265,11 +284,14 @@ class FamilyDispatchResult(SimulationResult):
     it changes no start time or latency.  This result therefore keeps the
     start times and the per-query family choice (``None`` when one family
     served everything) in place of the per-instance arrays, and derives
-    ``instance_index`` and ``busy_s_per_instance`` on first read.
+    ``instance_index``, ``busy_s_per_instance`` and
+    ``queue_len_at_arrival`` on first read.
     ``replay(start_s, service_s, family_choice, family_counts)`` returns
-    the per-query instance indices.  The derived arrays are memoized with
-    the other derived figures (concurrent first readers may each compute
-    them; every copy is equal) and are read-only.
+    the per-query instance indices; the queue column comes from the start
+    times and ``arrival_s``, which is the trace's own array, borrowed, not
+    copied.  The derived arrays are memoized with the other derived
+    figures (concurrent first readers may each compute them; every copy
+    is equal) and are read-only.
     """
 
     _ALIGNED = ("wait_s", "service_s", "_start_s")
@@ -282,7 +304,7 @@ class FamilyDispatchResult(SimulationResult):
         service_s: np.ndarray,
         instance_family: tuple[str, ...],
         makespan_s: float,
-        queue_len_at_arrival: np.ndarray,
+        arrival_s: np.ndarray,
         start_s: np.ndarray,
         family_choice: np.ndarray | None,
         family_counts: tuple[int, ...],
@@ -294,7 +316,7 @@ class FamilyDispatchResult(SimulationResult):
             ("service_s", service_s),
             ("instance_family", instance_family),
             ("makespan_s", makespan_s),
-            ("queue_len_at_arrival", queue_len_at_arrival),
+            ("_arrival_s", arrival_s),
             ("_start_s", start_s),
             ("_family_choice", family_choice),
             ("_family_counts", family_counts),
@@ -331,14 +353,21 @@ class FamilyDispatchResult(SimulationResult):
             ),
         )
 
-    def _held_arrays(self) -> tuple[np.ndarray, ...]:
-        held = (
-            self.latency_s,
-            self.wait_s,
-            self.service_s,
-            self.queue_len_at_arrival,
-            self._start_s,
+    @property
+    def queue_len_at_arrival(self) -> np.ndarray:  # type: ignore[override]
+        return self._memo(
+            "queue_len_at_arrival",
+            lambda: _read_only(
+                queue_lengths_at_arrival(self._start_s, self._arrival_s)
+            ),
         )
+
+    def _held_arrays(self) -> tuple[np.ndarray, ...]:
+        held = (self.latency_s, self.wait_s, self.service_s, self._start_s)
         if self._family_choice is not None:
             held += (self._family_choice,)
         return held
+
+    def _deferred_nbytes(self) -> int:
+        # The queue column: one int64 per query, like the eager one.
+        return super()._deferred_nbytes() + 8 * len(self)

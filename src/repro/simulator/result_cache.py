@@ -12,11 +12,14 @@ re-simulates every overlapping configuration from scratch.
 weakref-eviction + LRU design shared (via
 :class:`~repro.simulator._identity_cache.IdentityKeyedCache`) with
 :class:`~repro.simulator.service.ServiceTimeCache`.  Keys combine the
-workload identity with the pool's ``(families, counts)`` value tuple and
-the QoS-relevant simulation option (``track_queue``); the dispatch path
-is *not* part of the key because both paths are bit-identical by
-contract.  Cached results have all their arrays frozen read-only, so one
-result can back any number of concurrent consumers
+workload identity with the pool's live ``(family, count)`` pairs in pool
+order.  Zero-count families are dropped: service rows are keyed per trace
+seed and family name, so ``(a, b, c)`` with counts ``(0, k, 0)`` serves
+exactly like ``k`` instances of ``b`` alone, and the bounds bisection,
+the homogeneous scan and the search share one entry per pool.  The
+dispatch path is *not* part of the key either, because both paths are
+bit-identical by contract.  Cached results have all their arrays frozen
+read-only, so one result can back any number of concurrent consumers
 (``run_many(parallel=True)`` simulates on a thread pool).  ``maxsize=0``
 disables the memo entirely (explicit opt-out); results hold ~5 arrays of
 ``len(trace)`` floats each, bounded both by entry count (``maxsize``)
@@ -29,10 +32,7 @@ Hits, misses, and evictions are counted for introspection
 
 from __future__ import annotations
 
-import os
-
 from repro.simulator._identity_cache import IdentityKeyedCache
-from repro.simulator.disk_cache import DiskResultStore, result_key
 from repro.simulator.metrics import SimulationResult
 
 
@@ -49,21 +49,21 @@ def _freeze(result: SimulationResult) -> SimulationResult:
 
 
 def _result_nbytes(result: SimulationResult) -> int:
+    # Arrays a read attaches later (the sorted latencies every QoS figure
+    # needs, the lazily derived queue column) are charged up front, so
+    # max_bytes stays an honest bound on resident memory.
     return int(
         sum(arr.nbytes for arr in result._held_arrays())
-        # The derived-metrics memo lazily attaches one more per-query
-        # array (the sorted latencies) once any QoS/percentile figure is
-        # read — which the evaluator does for every result — so charge it
-        # up front to keep max_bytes an honest bound on resident memory.
-        + result.latency_s.nbytes
+        + result._deferred_nbytes()
     )
 
 
 class SimulationResultCache(IdentityKeyedCache):
     """Memo of :class:`SimulationResult` values keyed per workload+pool.
 
-    Keys are ``(id(model), id(trace), families, counts, track_queue)``.
-    See the module docstring for the full design rationale.
+    Keys are ``(id(model), id(trace), ((family, count), ...))`` over the
+    pool's non-zero counts, in pool order.  See the module docstring for
+    the full design rationale.
 
     Entries are bounded two ways: by count (``maxsize``, the LRU bound
     shared with every :class:`IdentityKeyedCache`) and by payload bytes
@@ -74,27 +74,13 @@ class SimulationResultCache(IdentityKeyedCache):
     (evicting it would only force an immediate re-simulation).
     """
 
-    def __init__(
-        self,
-        maxsize: int = 256,
-        max_bytes: int = 256 * 1024 * 1024,
-        *,
-        disk: "DiskResultStore | str | os.PathLike | None" = None,
-    ):
+    def __init__(self, maxsize: int = 256, max_bytes: int = 256 * 1024 * 1024):
         super().__init__(maxsize)
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes!r}")
         self._max_bytes = int(max_bytes)
         self._nbytes_by_key: dict[tuple, int] = {}
         self._total_bytes = 0
-        # Optional disk tier (opt-in): misses fall through to a
-        # content-addressed DiskResultStore, puts write through, so
-        # identical sweeps survive process restarts.  Disk keys are
-        # content digests (see repro.simulator.disk_cache) — identity
-        # keys cannot cross processes.
-        if disk is not None and not isinstance(disk, DiskResultStore):
-            disk = DiskResultStore(disk)
-        self._disk = disk
 
     @property
     def max_bytes(self) -> int:
@@ -105,19 +91,11 @@ class SimulationResultCache(IdentityKeyedCache):
         """Payload bytes currently held (array buffers of cached results)."""
         return self._total_bytes
 
-    @property
-    def disk(self) -> DiskResultStore | None:
-        """The disk tier backing this cache, or None (memory-only)."""
-        return self._disk
-
     def stats(self) -> dict[str, int]:
         out = super().stats()
         with self._lock:
             out["bytes"] = self._total_bytes
             out["max_bytes"] = self._max_bytes
-        if self._disk is not None:
-            for key, value in self._disk.stats().items():
-                out["disk_" + key] = value
         return out
 
     def clear(self) -> None:
@@ -133,56 +111,25 @@ class SimulationResultCache(IdentityKeyedCache):
         self._total_bytes -= self._nbytes_by_key.pop(key, 0)
 
     @staticmethod
-    def _key(model, trace, families, counts, track_queue) -> tuple:
-        return (id(model), id(trace), tuple(families), tuple(counts), bool(track_queue))
+    def _key(model, trace, families, counts) -> tuple:
+        live = tuple((fam, count) for fam, count in zip(families, counts) if count)
+        return (id(model), id(trace), live)
 
-    def get(
-        self, model, trace, families, counts, track_queue
-    ) -> SimulationResult | None:
-        """The memoized result for one simulation, or None on a miss.
-
-        A memory miss falls through to the disk tier (when configured):
-        a disk hit is promoted into the memory tier — without writing
-        back to disk — and returned frozen, exactly like a locally
-        simulated result.
-        """
-        key = self._key(model, trace, families, counts, track_queue)
-        hit = self._lookup(key)
-        if hit is not None:
-            return hit
-        if self._disk is not None and self._maxsize != 0:
-            stored = self._disk.get(
-                result_key(model, trace, families, counts, track_queue)
-            )
-            if stored is not None:
-                return self._admit(key, stored, model, trace)
-        return None
+    def get(self, model, trace, families, counts) -> SimulationResult | None:
+        """The memoized result for one simulation, or None on a miss."""
+        return self._lookup(self._key(model, trace, families, counts))
 
     def put(
-        self, model, trace, families, counts, track_queue, result: SimulationResult
+        self, model, trace, families, counts, result: SimulationResult
     ) -> SimulationResult:
         """Insert a freshly simulated result; returns the canonical entry.
 
         Insert-if-absent: when two threads race on the same simulation the
-        first stored result wins and both callers observe it.  With a
-        disk tier configured the result is also written through (first
-        write wins there too).
+        first stored result wins and both callers observe it.
         """
         if self._maxsize == 0:
             return result
-        if self._disk is not None:
-            self._disk.put(
-                result_key(model, trace, families, counts, track_queue), result
-            )
-        return self._admit(
-            self._key(model, trace, families, counts, track_queue),
-            result,
-            model,
-            trace,
-        )
-
-    def _admit(self, key, result, model, trace) -> SimulationResult:
-        """Freeze + insert into the memory tier (no disk write)."""
+        key = self._key(model, trace, families, counts)
         _freeze(result)
         with self._lock:
             existing = self._entries.get(key)

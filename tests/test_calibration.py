@@ -65,7 +65,7 @@ class TestFig4Opportunity:
 
     @pytest.fixture(scope="class")
     def rates(self, mtwnd, mtwnd_trace):
-        sim = InferenceServingSimulator(mtwnd, track_queue=False)
+        sim = InferenceServingSimulator(mtwnd)
         out = {}
         for cfg in [(5, 0), (4, 0), (0, 12), (3, 4), (2, 4), (4, 4)]:
             pool = PoolConfiguration(("g4dn", "t3"), cfg)

@@ -43,6 +43,33 @@ class TestParser:
         assert args.batch_size is None
         assert args.proposal_engine is None
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig4", "--queries", "0"],
+            ["fig4", "--queries", "-5"],
+            ["fig9", "--queries", "0"],
+            ["fig10", "--queries", "0"],
+            ["fig10", "--seeds", "0"],
+            ["search", "MT-WND", "--queries", "0"],
+            ["search", "MT-WND", "--samples", "0"],
+            ["search", "MT-WND", "--samples", "many"],
+            ["serve", "--workers", "0"],
+        ],
+    )
+    def test_count_flags_must_be_positive(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and argv[-2] in err
+
+    def test_count_flags_accept_one(self):
+        parser = build_parser()
+        assert parser.parse_args(["fig10", "--seeds", "1"]).seeds == 1
+        assert parser.parse_args(["serve", "--workers", "1"]).workers == 1
+        assert parser.parse_args(["fig4", "--queries", "1"]).queries == 1
+
 
 class TestCommands:
     def test_fig4_prints_table(self, capsys):

@@ -81,7 +81,7 @@ def test_engines_agree_on_queue_lengths(seed):
     model = make_toy_model()
     trace = random_trace(seed, 250)
     pool = PoolConfiguration(("g4dn", "t3"), (1, 1))  # overloaded -> queueing
-    fast = fast_sim(model, track_queue=True).simulate(trace, pool)
+    fast = fast_sim(model).simulate(trace, pool)
     ref = EventHeapSimulator(model).simulate(trace, pool)
     np.testing.assert_array_equal(fast.queue_len_at_arrival, ref.queue_len_at_arrival)
 
@@ -105,7 +105,7 @@ def assert_dispatch_modes_match_reference(model, trace, pool):
     choices; the service, busy and queue arrays are derived from them)."""
     ref = EventHeapSimulator(model).simulate(trace, pool)
     for mode in InferenceServingSimulator.DISPATCH_POLICIES:
-        sim = fast_sim(model, track_queue=True, dispatch=mode)
+        sim = fast_sim(model, dispatch=mode)
         res = sim.simulate(trace, pool)
         for field in (
             "latency_s",
@@ -279,23 +279,26 @@ def test_exact_start_arrival_ties_leave_the_queue():
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=10, deadline=None)
-def test_untracked_queue_is_empty(seed):
-    """With ``track_queue=False`` no queue array is derived, on any path;
-    every other array still matches the tracked run."""
+def test_queue_column_is_derived_on_first_read(seed):
+    """The family path derives the queue column only when it is read: a
+    QoS read leaves it underived, the memo charged it up front, and the
+    derived column is read-only and equals the heap path's eager one."""
     model = make_toy_model(noise={"g4dn": 0.1, "t3": 0.2})
     trace = make_tied_trace(seed, 200)
     for counts in ((1, 0), (2, 3), (0, 6)):
         pool = PoolConfiguration(("g4dn", "t3"), counts)
-        for mode in InferenceServingSimulator.DISPATCH_POLICIES:
-            tracked = fast_sim(model, dispatch=mode).simulate(trace, pool)
-            res = fast_sim(model, track_queue=False, dispatch=mode).simulate(
-                trace, pool
-            )
-            assert res.queue_len_at_arrival.shape == (0,), mode
-            np.testing.assert_array_equal(res.latency_s, tracked.latency_s)
-            np.testing.assert_array_equal(
-                res.busy_s_per_instance, tracked.busy_s_per_instance
-            )
+        memo = SimulationResultCache(maxsize=8)
+        res = InferenceServingSimulator(model, result_cache=memo).simulate(
+            trace, pool
+        )
+        res.qos_satisfaction_rate(model.qos_target_ms)
+        assert "queue_len_at_arrival" not in res._derived
+        charged = memo.total_bytes
+        queue = res.queue_len_at_arrival
+        assert not queue.flags.writeable
+        assert memo.total_bytes == charged
+        eager = fast_sim(model, dispatch="heap").simulate(trace, pool)
+        np.testing.assert_array_equal(queue, eager.queue_len_at_arrival)
 
 
 def test_default_dispatch_equals_forced_paths(toy_model, toy_trace):

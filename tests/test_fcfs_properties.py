@@ -185,7 +185,6 @@ class TestInstanceCountMonotonicity:
         trace = TRACE_LAWS[law](seed, 200, rate=600.0)
         sim = InferenceServingSimulator(
             model,
-            track_queue=False,
             result_cache=SimulationResultCache(maxsize=0),
         )
         prev = None

@@ -4,11 +4,10 @@ the CLI exit-code contract, and the whole-tree smoke (``src/`` must be
 clean — the same gate CI runs).
 
 Fixtures live in ``tests/lint_fixtures/``; see its README for why the
-directory layout mirrors ``repro/simulator`` path suffixes.
+determinism fixtures live under a ``repro/simulator`` path.
 """
 
 import json
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -28,8 +27,8 @@ FIXTURES = Path(__file__).parent / "lint_fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def lint(*relpaths, config=None):
-    findings, _ = run([FIXTURES / p for p in relpaths], config or LintConfig())
+def lint(*relpaths):
+    findings, _ = run([FIXTURES / p for p in relpaths], LintConfig())
     return findings
 
 
@@ -38,14 +37,13 @@ def rules_hit(findings):
 
 
 class TestRegistry:
-    def test_at_least_five_rule_families(self):
-        assert {
+    def test_every_rule_family_registers(self):
+        assert set(families()) == {
             "determinism",
             "locks",
             "frozen-result",
-            "cache-key",
             "hygiene",
-        } <= set(families())
+        }
 
     def test_every_rule_documents_its_rationale(self):
         for rule in all_rules():
@@ -124,25 +122,6 @@ class TestFrozenResult:
 
     def test_reads_and_freezes_are_clean(self):
         assert lint("good_frozen.py") == []
-
-
-class TestCacheKeyCompleteness:
-    def test_unkeyed_read_flagged(self):
-        findings = lint("cachekey")
-        assert [f.rule for f in findings] == ["cache-key-completeness"]
-        assert "model.max_batch" in findings[0].message
-
-    def test_justified_exemption_clears_it(self):
-        config = LintConfig()
-        config.cache_key_exempt = dict(
-            config.cache_key_exempt, max_batch="fixture: dispatch-only knob"
-        )
-        assert lint("cachekey", config=config) == []
-
-    def test_read_module_without_key_module_is_a_finding(self):
-        findings = lint("cachekey/repro/simulator/engine.py")
-        assert [f.rule for f in findings] == ["cache-key-completeness"]
-        assert "lint them together" in findings[0].message
 
 
 class TestHygiene:
@@ -229,19 +208,6 @@ class TestConfig:
         with pytest.raises(LintConfigError, match="determinism-pathz"):
             load_config(pyproject)
 
-    def test_exemption_requires_a_justification(self, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(
-            textwrap.dedent(
-                """
-                [tool.repro-lint.cache-key.exempt]
-                max_batch = ""
-                """
-            )
-        )
-        with pytest.raises(LintConfigError, match="justification"):
-            load_config(pyproject)
-
     def test_overrides_apply(self, tmp_path):
         pyproject = tmp_path / "pyproject.toml"
         pyproject.write_text(
@@ -254,7 +220,7 @@ class TestConfig:
 
     def test_repo_pyproject_parses(self):
         config = load_config(REPO_ROOT / "pyproject.toml")
-        assert "duration_s" in config.cache_key_exempt
+        assert config == LintConfig()
 
 
 class TestCli:
@@ -295,7 +261,9 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "lock-discipline" in out and "cache-key-completeness" in out
+        listed = {line.split()[0] for line in out.splitlines() if line[:1].strip()}
+        assert listed == {rule.name for rule in all_rules()}
+        assert "lock-discipline" in listed
 
 
 class TestWholeTree:

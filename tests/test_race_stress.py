@@ -85,14 +85,14 @@ class TestLockAssertions:
     def test_unlocked_internal_mutation_raises(self):
         cache = SimulationResultCache(maxsize=4)
         model, trace = FakeModel(), FakeTrace()
-        key = (id(model), id(trace), ("g4dn",), (1,), False)
+        key = (id(model), id(trace), (("g4dn", 1),))
         with pytest.raises(AssertionError, match="without holding"):
             cache._insert(key, make_result(4), model, trace)
 
     def test_locked_internal_mutation_is_fine(self):
         cache = SimulationResultCache(maxsize=4)
         model, trace = FakeModel(), FakeTrace()
-        key = (id(model), id(trace), ("g4dn",), (1,), False)
+        key = (id(model), id(trace), (("g4dn", 1),))
         with cache._lock:
             cache._insert(key, make_result(4), model, trace)
         assert len(cache) == 1
@@ -100,8 +100,8 @@ class TestLockAssertions:
     def test_public_api_passes_under_assertions(self):
         cache = SimulationResultCache(maxsize=4)
         model, trace = FakeModel(), FakeTrace()
-        put = cache.put(model, trace, ("g4dn",), (1,), False, make_result(4))
-        hit = cache.get(model, trace, ("g4dn",), (1,), False)
+        put = cache.put(model, trace, ("g4dn",), (1,), make_result(4))
+        hit = cache.get(model, trace, ("g4dn",), (1,))
         assert hit is put
         cache.clear()
         assert len(cache) == 0
@@ -118,11 +118,9 @@ class TestResultCacheStress:
             for i in range(400):
                 model, trace = combos[(t * 7 + i) % len(combos)]
                 counts = (1 + (i % 3),)
-                hit = cache.get(model, trace, ("g4dn",), counts, False)
+                hit = cache.get(model, trace, ("g4dn",), counts)
                 if hit is None:
-                    hit = cache.put(
-                        model, trace, ("g4dn",), counts, False, make_result(8)
-                    )
+                    hit = cache.put(model, trace, ("g4dn",), counts, make_result(8))
                 # Shared frozen entry: readable, never writable.
                 assert hit.makespan_s > 0
                 assert not hit.latency_s.flags.writeable
@@ -145,9 +143,7 @@ class TestResultCacheStress:
         def worker(t):
             for i in range(40):
                 doomed = FakeTrace()
-                cache.put(
-                    keep_model, doomed, ("g4dn",), (t,), False, make_result(4)
-                )
+                cache.put(keep_model, doomed, ("g4dn",), (t,), make_result(4))
                 del doomed
                 if i % 10 == 0:
                     gc.collect()
@@ -157,9 +153,9 @@ class TestResultCacheStress:
         assert len(cache) == 0  # every trace died, every entry followed it
 
     def test_eight_threads_derive_instance_indices(self, toy_model, toy_trace):
-        # A memoized family-loop result derives its per-instance arrays on
-        # first read; concurrent first readers may each derive them, but
-        # every reader must see the reference indices, read-only.
+        # A memoized family-loop result derives its per-instance arrays and
+        # its queue column on first read; concurrent first readers may each
+        # derive them, but every reader must see the reference, read-only.
         memo = SimulationResultCache(maxsize=4)
         pool = PoolConfiguration(("g4dn", "t3"), (2, 3))
         res = InferenceServingSimulator(toy_model, result_cache=memo).simulate(
@@ -169,7 +165,11 @@ class TestResultCacheStress:
         seen = [None] * N_THREADS
 
         def worker(t):
-            seen[t] = (res.instance_index, res.busy_s_per_instance)
+            seen[t] = (
+                res.instance_index,
+                res.busy_s_per_instance,
+                res.queue_len_at_arrival,
+            )
 
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -177,10 +177,12 @@ class TestResultCacheStress:
             hammer(N_THREADS, worker)
         finally:
             sys.setswitchinterval(previous)
-        for index, busy in seen:
+        for arrays in seen:
+            index, busy, queue = arrays
             np.testing.assert_array_equal(index, ref.instance_index)
             np.testing.assert_array_equal(busy, ref.busy_s_per_instance)
-            assert not index.flags.writeable and not busy.flags.writeable
+            np.testing.assert_array_equal(queue, ref.queue_len_at_arrival)
+            assert not any(arr.flags.writeable for arr in arrays)
 
 
 # --- job manager under the same assertions --------------------------------

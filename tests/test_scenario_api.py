@@ -358,9 +358,7 @@ class TestEquivalenceAndSweeps:
         model = get_model("MT-WND")
         trace = trace_for_model(model, n_queries=1200, seed=3, gaussian=True)
         record = find_homogeneous_optimum(model, trace)
-        replay = InferenceServingSimulator(model, track_queue=True).simulate(
-            trace, record.pool
-        )
+        replay = InferenceServingSimulator(model).simulate(trace, record.pool)
         assert replay.qos_satisfaction_rate(model.qos_target_ms) == record.qos_rate
 
     def test_run_many_rejects_bad_seeds_and_instances(self):

@@ -99,7 +99,7 @@ class TestBoundEstimation:
         (m,) = space.bounds
         from repro.simulator.engine import InferenceServingSimulator
 
-        sim = InferenceServingSimulator(model, track_queue=False)
+        sim = InferenceServingSimulator(model)
         rate_m = sim.simulate(
             trace, PoolConfiguration.homogeneous("g4dn", m)
         ).qos_satisfaction_rate(20.0)
@@ -131,7 +131,7 @@ def scan_bounds(model, trace, families, *, qos_target_ms=None, hard_cap=16,
     ``saturation_eps`` of the best rate seen."""
     target = qos_target_ms if qos_target_ms is not None else model.qos_target_ms
     sim = InferenceServingSimulator(
-        model, track_queue=False, result_cache=SimulationResultCache(maxsize=0)
+        model, result_cache=SimulationResultCache(maxsize=0)
     )
     bounds = []
     for fam in families:
@@ -153,7 +153,6 @@ def counted_bounds(model, trace, families, **kwargs):
     counters = DispatchCounters()
     sim = InferenceServingSimulator(
         model,
-        track_queue=False,
         result_cache=SimulationResultCache(maxsize=0),
         dispatch_counters=counters,
     )
@@ -212,7 +211,7 @@ class TestBisectionMatchesScan:
         """A family whose rate reaches exactly 1.0 well below the cap."""
         model = make_toy_model(arrival_rate_qps=150.0)
         trace = make_toy_trace(model, n=500)
-        rate = InferenceServingSimulator(model, track_queue=False).simulate(
+        rate = InferenceServingSimulator(model).simulate(
             trace, PoolConfiguration.homogeneous("g4dn", 12)
         ).qos_satisfaction_rate(40.0)
         assert rate == 1.0
@@ -239,7 +238,7 @@ class TestBisectionMatchesScan:
         trace = make_toy_trace(model, n=100)
         with pytest.raises(ValueError, match="hard_cap"):
             estimate_instance_bounds(model, trace, ("g4dn",), hard_cap=0)
-        other = InferenceServingSimulator(make_toy_model(), track_queue=False)
+        other = InferenceServingSimulator(make_toy_model())
         with pytest.raises(ValueError, match="serves"):
             estimate_instance_bounds(model, trace, ("g4dn",), simulator=other)
 

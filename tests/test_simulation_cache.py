@@ -82,15 +82,6 @@ class TestResultMemo:
         assert len(memo) == 2
         assert memo.misses == 2
 
-    def test_track_queue_is_part_of_the_key(self, memo, toy_model, toy_trace):
-        with_q = make_sim(toy_model, memo, track_queue=True).simulate(toy_trace, POOL)
-        without_q = make_sim(toy_model, memo, track_queue=False).simulate(
-            toy_trace, POOL
-        )
-        assert len(memo) == 2
-        assert with_q.queue_len_at_arrival.size == len(toy_trace)
-        assert without_q.queue_len_at_arrival.size == 0
-
     def test_dispatch_path_is_not_part_of_the_key(self, memo, toy_model, toy_trace):
         # Both paths are bit-identical by contract, so the memo may hand a
         # family-loop result to a heap-dispatch simulator.
@@ -207,7 +198,7 @@ class TestResultMemo:
         toy = make_toy_model()
         trace = make_toy_trace(toy, n=20, seed=4)
         memo = SimulationResultCache()
-        memo.put(model, trace, ("g4dn",), (1,), True, make_sim(
+        memo.put(model, trace, ("g4dn",), (1,), make_sim(
             toy, SimulationResultCache(maxsize=0)
         ).simulate(trace, PoolConfiguration(("g4dn",), (1,))))
         ref = weakref.ref(memo)
@@ -332,6 +323,66 @@ class TestEngineAndEvaluatorWiring:
             ]
             assert res.best.pool.counts == plain.best.pool.counts
             assert res.best.cost_per_hour == plain.best.cost_per_hour
+
+
+def _fresh_search(scenario, memo):
+    runner = ScenarioRunner(scenario, simulation_cache=memo)
+    start = runner.default_start()
+    return runner.run("ribbon", start=start), runner.homogeneous_optimum()
+
+
+class TestOneKeyPerPool:
+    @pytest.mark.parametrize("model", ["MT-WND", "ResNet50"])
+    def test_one_fresh_search_shares_memo_entries(self, model):
+        """Bounds bisection, homogeneous scan and search share entries
+        within one fresh search, and change none of its numbers."""
+        scenario = Scenario(
+            model=model,
+            workload=WorkloadSpec(n_queries=1500),
+            budget=EvaluationBudget(max_samples=12),
+        )
+        memo = SimulationResultCache()
+        result, homog = _fresh_search(scenario, memo)
+        plain, plain_homog = _fresh_search(
+            scenario, SimulationResultCache(maxsize=0)
+        )
+        assert memo.hits > 0
+        assert result.history == plain.history
+        assert result.best == plain.best
+        assert homog == plain_homog
+
+    def test_zero_count_families_share_the_homogeneous_entry(
+        self, memo, toy_model, toy_trace
+    ):
+        sim = make_sim(toy_model, memo)
+        padded = sim.simulate(
+            toy_trace, PoolConfiguration(("g4dn", "t3", "c5"), (0, 3, 0))
+        )
+        alone = sim.simulate(toy_trace, PoolConfiguration.homogeneous("t3", 3))
+        assert alone is padded
+        assert len(memo) == 1 and memo.hits == 1
+        plain = make_sim(toy_model, SimulationResultCache(maxsize=0)).simulate(
+            toy_trace, PoolConfiguration.homogeneous("t3", 3)
+        )
+        for field in (
+            "latency_s",
+            "wait_s",
+            "service_s",
+            "instance_index",
+            "busy_s_per_instance",
+            "queue_len_at_arrival",
+        ):
+            np.testing.assert_array_equal(
+                getattr(alone, field), getattr(plain, field), err_msg=field
+            )
+        assert alone.instance_family == plain.instance_family
+        assert alone.makespan_s == plain.makespan_s
+
+    def test_family_order_stays_in_the_key(self, memo, toy_model, toy_trace):
+        sim = make_sim(toy_model, memo)
+        sim.simulate(toy_trace, PoolConfiguration(("g4dn", "t3"), (1, 2)))
+        sim.simulate(toy_trace, PoolConfiguration(("t3", "g4dn"), (2, 1)))
+        assert len(memo) == 2 and memo.hits == 0
 
 
 SWEEP = Scenario(

@@ -144,14 +144,6 @@ class TestAccounting:
         res = sim.simulate(toy_trace, PoolConfiguration(("g4dn", "t3"), (2, 2)))
         assert sum(res.family_share().values()) == pytest.approx(1.0)
 
-    def test_queue_tracking_toggle(self, toy_model, toy_trace):
-        pool = PoolConfiguration(("g4dn", "t3"), (1, 1))
-        with_q = InferenceServingSimulator(toy_model, track_queue=True).simulate(toy_trace, pool)
-        without_q = InferenceServingSimulator(toy_model, track_queue=False).simulate(toy_trace, pool)
-        assert with_q.queue_len_at_arrival.size == len(toy_trace)
-        assert without_q.queue_len_at_arrival.size == 0
-        np.testing.assert_allclose(with_q.latency_s, without_q.latency_s)
-
     def test_overloaded_pool_queue_grows(self, toy_model):
         # One t3 serving 400 QPS is far beyond capacity: queue must grow.
         t = make_toy_trace(toy_model, n=600, seed=3)
