@@ -29,14 +29,9 @@ materialized; the ``stream`` knob forces either regime.
 
 Hot-path notes: the lattice, its unit-cube normalization, and the kernel's
 theta-independent view of it (rounding + squared norms) are prepared once
-per search and reused by every EI sweep; each GP refit runs the
-analytic-gradient likelihood optimizer in :mod:`repro.gp.regression`.  With
-``refit_period > 1`` the surrogate persists across iterations and absorbs
-new samples through the incremental rank-1 ``add_observation`` update,
-re-optimizing hyperparameters only every k-th sample — cheaper per
-iteration, at the cost of no longer replaying the ``refit_period=1``
-sample sequence bit-for-bit (hyperparameters then differ between
-schedules).
+per search and reused by every EI sweep; the GP is refit after every
+sample with the analytic-gradient likelihood optimizer in
+:mod:`repro.gp.regression`.
 """
 
 from __future__ import annotations
@@ -89,15 +84,6 @@ class RibbonOptimizer(SearchStrategy):
         Apply the Eq. 3 rounding kernel (the ablation flag of Fig. 7).
     use_pruning:
         Apply active pruning (ablation flag).
-    kernel:
-        Override the base kernel (default Matern 5/2, the paper's choice).
-    refit_period:
-        Re-optimize GP hyperparameters every this many samples.  ``1`` (the
-        default) refits on every iteration — the paper's schedule, with a
-        deterministic sample sequence per seed.  Larger values keep one
-        surrogate alive and fold new samples in with the incremental rank-1
-        Cholesky update between refits: same search contract, lower cost
-        per iteration, but a (slightly) different sample sequence.
     batch_size:
         Proposals per BO iteration.  ``1`` (the default) is the paper's
         sequential schedule.  Larger values propose a q-point batch per
@@ -133,11 +119,9 @@ class RibbonOptimizer(SearchStrategy):
         patience: int | None = 10,
         use_rounding: bool = True,
         use_pruning: bool = True,
-        kernel: Kernel | None = None,
         pseudo_observations: Sequence[PseudoObservation] = (),
         prune_seed: Sequence[tuple[int, ...]] = (),
         gp_noise: float = 1e-5,
-        refit_period: int = 1,
         batch_size: int = 1,
         proposal_engine: str | ProposalEngine | None = None,
         stream: str = "auto",
@@ -150,8 +134,6 @@ class RibbonOptimizer(SearchStrategy):
             raise ValueError("prune_threshold must be non-negative")
         if patience is not None and patience < 1:
             raise ValueError("patience must be >= 1 or None")
-        if refit_period < 1:
-            raise ValueError(f"refit_period must be >= 1, got {refit_period!r}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
         if stream not in ("auto", "never", "always"):
@@ -163,7 +145,6 @@ class RibbonOptimizer(SearchStrategy):
                 f"stream_block_size must be >= 1, got {stream_block_size!r}"
             )
         self.n_initial = int(n_initial)
-        self.refit_period = int(refit_period)
         self.batch_size = int(batch_size)
         self.proposal_engine = resolve_proposal_engine(
             proposal_engine, self.batch_size
@@ -174,7 +155,6 @@ class RibbonOptimizer(SearchStrategy):
         self.patience = patience
         self.use_rounding = bool(use_rounding)
         self.use_pruning = bool(use_pruning)
-        self._kernel_override = kernel
         self.pseudo_observations = tuple(pseudo_observations)
         self.prune_seed = tuple(prune_seed)
         self.gp_noise = float(gp_noise)
@@ -183,11 +163,8 @@ class RibbonOptimizer(SearchStrategy):
 
     # -- kernel -------------------------------------------------------------
     def _make_kernel(self, bounds: Sequence[int]) -> Kernel:
-        base = (
-            self._kernel_override
-            if self._kernel_override is not None
-            else Matern52(length_scale=0.3, variance=1.0)
-        )
+        """Matern 5/2, under the Eq. 3 rounding wrapper unless ablated."""
+        base = Matern52(length_scale=0.3, variance=1.0)
         if self.use_rounding:
             # Inputs are normalized by the bounds; scale maps them back to
             # integer counts for rounding.
@@ -217,7 +194,6 @@ class RibbonOptimizer(SearchStrategy):
             make_kernel=lambda: self._make_kernel(space.bounds),
             prune=prune if self.use_pruning else None,
             gp_noise=self.gp_noise,
-            refit_period=self.refit_period,
             stream=self.stream,
             block_size=self.stream_block_size,
         )

@@ -1,10 +1,8 @@
 """Gaussian process substrate, written from scratch.
 
-Implements everything Ribbon's BO engine needs (Sec. 4 of the paper):
+Implements what Ribbon's BO engine runs (Sec. 4 of the paper):
 
-* covariance kernels — Matern 5/2 (Ribbon's choice), RBF, Rational
-  Quadratic and Dot Product (the alternatives the paper rejects, kept so the
-  design-choice ablations are runnable), plus a white-noise term;
+* the Matern 5/2 covariance kernel (Ribbon's choice);
 * the **rounding kernel wrapper** of Eq. 3,
   ``k'(x_i, x_j) = k(R(x_i), R(x_j))``, which makes the GP piecewise
   constant across integer cells so the surrogate matches the categorical
@@ -13,8 +11,7 @@ Implements everything Ribbon's BO engine needs (Sec. 4 of the paper):
   likelihood hyperparameter fitting (multi-restart L-BFGS-B with analytic
   kernel gradients) and incremental rank-1 conditioning
   (:meth:`~repro.gp.regression.GaussianProcessRegressor.add_observation`);
-* acquisition functions — Expected Improvement (Ribbon's choice),
-  Probability of Improvement and UCB;
+* the Expected Improvement acquisition function;
 * pluggable **proposal engines** (:mod:`repro.gp.proposals`) — the
   sequential EI argmax of the paper's schedule and a constant-liar q-EI
   batch proposer, both able to sweep the configuration lattice either
@@ -22,17 +19,7 @@ Implements everything Ribbon's BO engine needs (Sec. 4 of the paper):
   grid never built).
 """
 
-from repro.gp.kernels import (
-    RBF,
-    ConstantScale,
-    DotProduct,
-    Kernel,
-    Matern52,
-    PreparedInput,
-    RationalQuadratic,
-    RoundedKernel,
-    WhiteNoise,
-)
+from repro.gp.kernels import Kernel, Matern52, PreparedInput, RoundedKernel
 from repro.gp.regression import GaussianProcessRegressor
 from repro.gp.proposals import (
     AcquisitionContext,
@@ -43,21 +30,12 @@ from repro.gp.proposals import (
     available_proposal_engines,
     resolve_proposal_engine,
 )
-from repro.gp.acquisition import (
-    expected_improvement,
-    probability_of_improvement,
-    upper_confidence_bound,
-)
+from repro.gp.acquisition import expected_improvement
 
 __all__ = [
     "Kernel",
     "PreparedInput",
     "Matern52",
-    "RBF",
-    "RationalQuadratic",
-    "DotProduct",
-    "WhiteNoise",
-    "ConstantScale",
     "RoundedKernel",
     "GaussianProcessRegressor",
     "AcquisitionContext",
@@ -68,6 +46,4 @@ __all__ = [
     "available_proposal_engines",
     "resolve_proposal_engine",
     "expected_improvement",
-    "probability_of_improvement",
-    "upper_confidence_bound",
 ]

@@ -7,10 +7,10 @@ touching the search loop:
 
 * :class:`AcquisitionContext` — the per-search state every engine reads
   and writes: observations (normalized to the unit cube), the set of
-  already-sampled lattice cells, the persistent surrogate of the
-  ``refit_period`` schedule, the prune set, and the lattice view.  In the
-  materialized regime it keeps one candidate mask per search and narrows
-  it as cells are sampled and pruned, instead of rebuilding it per read;
+  already-sampled lattice cells, the prune set, the lattice view, and the
+  surrogate, refit on every proposal.  In the materialized regime it keeps
+  one candidate mask per search and narrows it as cells are sampled and
+  pruned, instead of rebuilding it per read;
 * :class:`LatticeView` — candidate access in two regimes.  Small spaces
   keep the materialized cached-grid fast path (one prepared kernel input
   per search).  Large spaces (``10^6+`` cells, 5+ families) stream the
@@ -40,7 +40,7 @@ whole-lattice predict in the last bits, because BLAS blocks a product
 over fewer rows differently.
 
 Determinism contract: engines draw only from the context's generator, in
-a fixed order (surrogate seed draw on refits, one tie-break draw per
+a fixed order (one surrogate seed draw per refit, one tie-break draw per
 proposal), so equal seeds give equal proposal sequences regardless of how the
 proposals are evaluated downstream.
 """
@@ -149,9 +149,9 @@ class AcquisitionContext:
     """Per-search state shared between the optimizer loop and its engine.
 
     Owns the observation lists (unit-cube inputs + objective values), the
-    sampled-cell index set, the persistent surrogate of the
-    ``refit_period`` schedule, and the candidate masking (sampled cells
-    plus the active prune set).  All randomness flows through ``rng``.
+    sampled-cell index set, the surrogate fit, and the candidate masking
+    (sampled cells plus the active prune set).  All randomness flows
+    through ``rng``.
     """
 
     def __init__(
@@ -163,7 +163,6 @@ class AcquisitionContext:
         make_kernel: Callable[[], Kernel],
         prune: "PruneSet | None" = None,
         gp_noise: float = 1e-5,
-        refit_period: int = 1,
         stream: str = "auto",
         block_size: int | None = None,
     ):
@@ -171,7 +170,6 @@ class AcquisitionContext:
         self.rng = rng
         self.prune = prune
         self.gp_noise = float(gp_noise)
-        self.refit_period = int(refit_period)
         self.lattice = LatticeView(space, kernel, stream=stream, block_size=block_size)
         self._make_kernel = make_kernel
         self._bounds_vec = np.asarray(space.bounds, dtype=float)
@@ -184,9 +182,6 @@ class AcquisitionContext:
         self._mask_threshold = np.inf
         self._mask_ceilings: set[tuple[int, ...]] = set()
         self._costs: np.ndarray | None = None
-        # Persistent surrogate for refit_period > 1:
-        # [gp, n_obs_incorporated, n_obs_at_last_full_refit].
-        self._surrogate: list = [None, 0, 0]
 
     # -- observations ----------------------------------------------------------
     def unit_row(self, counts) -> np.ndarray:
@@ -322,39 +317,24 @@ class AcquisitionContext:
     def counts_at(self, index: int) -> tuple[int, ...]:
         return self.space.counts_at(index)
 
-    # -- surrogate lifecycle ---------------------------------------------------
+    # -- surrogate -----------------------------------------------------------
     def surrogate_gp(self) -> GaussianProcessRegressor:
-        """The surrogate for this iteration (refit or incremental update).
+        """A fresh GP fit to every observation so far (the paper's schedule).
 
-        With ``refit_period=1`` a fresh GP is built and fully refit every
-        call (the paper's schedule).  Otherwise the previous GP persists
-        and new observations enter through ``add_observation`` (rank-1
-        Cholesky border) until ``refit_period`` samples have accumulated,
-        when hyperparameters are re-optimized from scratch.
+        Hyperparameters are re-optimized on every call once four
+        observations exist; each call draws one restart seed from ``rng``.
         """
-        gp, n_included, n_last_refit = self._surrogate
-        n_obs = len(self.observations_y)
-        if (
-            self.refit_period > 1
-            and gp is not None
-            and n_obs - n_last_refit < self.refit_period
-        ):
-            for i in range(n_included, n_obs):
-                gp.add_observation(self.observations_x[i], self.observations_y[i])
-            self._surrogate[1] = n_obs
-            return gp
-        X = np.vstack(self.observations_x)
-        y = np.asarray(self.observations_y, dtype=float)
         gp = GaussianProcessRegressor(
             self._make_kernel(),
             noise=self.gp_noise,
-            optimize_hyperparameters=n_obs >= 4,
+            optimize_hyperparameters=len(self.observations_y) >= 4,
             n_restarts=1,
             seed=int(self.rng.integers(2**31 - 1)),
         )
-        gp.fit(X, y)
-        self._surrogate[:] = [gp, n_obs, n_obs]
-        return gp
+        return gp.fit(
+            np.vstack(self.observations_x),
+            np.asarray(self.observations_y, dtype=float),
+        )
 
 
 def _candidate_argmax(
@@ -554,10 +534,9 @@ class ConstantLiarQEI(ProposalEngine):
     once).  The real surrogate never sees a fantasy — after the batch is
     evaluated, measured objectives enter through the normal schedule.
 
-    ``lie`` picks the fantasy value from the current observations:
-    ``"min"`` (default, the pessimistic CL-min — steers later picks away
-    from the fantasized region without inflating the incumbent),
-    ``"mean"`` or ``"max"``.
+    The lie is the smallest objective observed so far (the pessimistic
+    CL-min): it steers later picks away from the fantasized region without
+    inflating the incumbent.
 
     With ``q=1`` no fantasy machinery runs and proposals are
     bit-identical to :class:`SequentialEI` (the ``batch_size=1``
@@ -572,22 +551,9 @@ class ConstantLiarQEI(ProposalEngine):
     name = "constant-liar-qei"
     supports_batch = True
 
-    LIES = ("min", "mean", "max")
-
-    def __init__(self, lie: str = "min"):
-        if lie not in self.LIES:
-            raise ValueError(
-                f"lie must be one of {', '.join(map(repr, self.LIES))}, got {lie!r}"
-            )
-        self.lie = lie
-
-    def _lie_value(self, ctx: AcquisitionContext) -> float:
-        y = np.asarray(ctx.observations_y, dtype=float)
-        if self.lie == "min":
-            return float(y.min())
-        if self.lie == "max":
-            return float(y.max())
-        return float(y.mean())
+    @staticmethod
+    def _lie_value(ctx: AcquisitionContext) -> float:
+        return float(np.asarray(ctx.observations_y, dtype=float).min())
 
     def propose(self, ctx: AcquisitionContext, q: int = 1) -> list[int]:
         if q < 1:

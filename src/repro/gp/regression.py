@@ -6,25 +6,22 @@ numpy/scipy:
 * posterior mean/variance via a Cholesky factorization of
   ``K + sigma_n^2 I`` (jitter-stabilized);
 * hyperparameter selection by maximizing the log marginal likelihood with
-  multi-restart L-BFGS-B over the kernel's log-space parameter vector.
-  Kernels that expose analytic gradients (``has_analytic_gradient``) are
-  optimized with exact gradients (``jac=True``, R&W Eq. 5.9) — one kernel
-  build per line-search step instead of one per finite-difference probe;
-  kernels without them fall back to finite differences.
+  multi-restart L-BFGS-B over the kernel's log-space parameter vector,
+  with exact gradients (``jac=True``, R&W Eq. 5.9) — one kernel build per
+  line-search step.
 
 Own L-BFGS-B loop: a fit sees ~10 points, so the per-call layers of
 ``optimize.minimize`` (method dispatch, bounds standardization, the
 scalar-function and Jacobian-memo wrappers) cost more than the
-likelihood.  Analytic-gradient fits therefore run their own
-reverse-communication loop around SciPy's ``setulb`` kernel with SciPy's
-exact settings (:func:`_lbfgsb_loop`).  ``setulb`` is private SciPy API,
-so the first such fit in a process runs a self-check
+likelihood.  Fits therefore run their own reverse-communication loop
+around SciPy's ``setulb`` kernel with SciPy's exact settings
+(:func:`_lbfgsb_loop`).  ``setulb`` is private SciPy API, so the first
+fit in a process runs a self-check
 (:func:`_checked_setulb`): a fixed likelihood through the loop and
 through public ``optimize.minimize`` must give bit-equal ``x`` and ``fun``
 with equally many objective calls.  On a mismatch, or if ``setulb`` is
 gone or rejects its arguments, every fit in the process uses the public
-entry point, with identical results at more per-call cost.  Kernels
-without analytic gradients always use the public entry point.
+entry point, with identical results at more per-call cost.
 
 Hot-path structure: the theta-independent pairwise structure of the
 training set (distances, rounding) is prepared once per ``fit`` and reused
@@ -136,7 +133,7 @@ def _counted(fun):
 def _checked_setulb():
     """SciPy's ``setulb`` if the loop reproduces SciPy here, else None.
 
-    Runs once per process, at the first analytic-gradient fit: a fixed
+    Runs once per process, at the first hyperparameter fit: a fixed
     small GP likelihood goes through :func:`_lbfgsb_loop` and through
     public ``optimize.minimize`` from three starts (the kernel default and
     both bound corners).  ``x`` and ``fun`` must be bit-equal and the
@@ -175,14 +172,13 @@ def _checked_setulb():
     return setulb
 
 
-def _minimize_lbfgsb(fun, x0, jac, bounds, maxiter: int):
-    """L-BFGS-B minimum ``(x, f)`` of ``fun`` within ``bounds``.
+def _minimize_lbfgsb(fun, x0, bounds, maxiter: int):
+    """L-BFGS-B minimum ``(x, f)`` of ``fun -> (f, g)`` within ``bounds``.
 
-    Analytic-gradient objectives (``jac=True``) use :func:`_lbfgsb_loop`
-    once :func:`_checked_setulb` has vouched for it; everything else goes
-    through public ``optimize.minimize``, with identical results.
+    Uses :func:`_lbfgsb_loop` once :func:`_checked_setulb` has vouched for
+    it, and public ``optimize.minimize`` otherwise, with identical results.
     """
-    setulb = _checked_setulb() if jac is True else None
+    setulb = _checked_setulb()
     if setulb is not None:
         lows, highs = np.array(bounds, dtype=float).T
         return _lbfgsb_loop(setulb, fun, x0, lows, highs, maxiter)
@@ -190,7 +186,7 @@ def _minimize_lbfgsb(fun, x0, jac, bounds, maxiter: int):
         fun,
         x0,
         method="L-BFGS-B",
-        jac=jac,
+        jac=True,
         bounds=bounds,
         options={"maxiter": maxiter},
     )
@@ -198,7 +194,7 @@ def _minimize_lbfgsb(fun, x0, jac, bounds, maxiter: int):
 
 
 class GaussianProcessRegressor:
-    """GP regression with a pluggable kernel.
+    """GP regression on normalized targets.
 
     Parameters
     ----------
@@ -208,9 +204,8 @@ class GaussianProcessRegressor:
     noise:
         Observation noise variance ``sigma_n^2`` added to the kernel
         diagonal.  Ribbon's objective evaluations are deterministic given a
-        trace, so the default is a small stabilizing value.
-    normalize_y:
-        Center/scale targets before fitting (restored on prediction).
+        trace, so the default is a small stabilizing value.  Targets are
+        centered and scaled before fitting and restored on prediction.
     optimize_hyperparameters:
         Maximize the log marginal likelihood on ``fit``.
     n_restarts:
@@ -224,7 +219,6 @@ class GaussianProcessRegressor:
         kernel: Kernel,
         noise: float = 1e-6,
         *,
-        normalize_y: bool = True,
         optimize_hyperparameters: bool = True,
         n_restarts: int = 2,
         seed: int = 0,
@@ -233,7 +227,6 @@ class GaussianProcessRegressor:
             raise ValueError(f"noise must be positive, got {noise!r}")
         self.kernel = kernel
         self.noise = float(noise)
-        self.normalize_y = bool(normalize_y)
         self.optimize_hyperparameters = bool(optimize_hyperparameters)
         self.n_restarts = int(n_restarts)
         self._rng = np.random.default_rng(seed)
@@ -273,12 +266,9 @@ class GaussianProcessRegressor:
         self._set_targets(y)
 
     def _set_targets(self, y: np.ndarray) -> None:
-        if self.normalize_y:
-            self._y_mean = float(y.mean())
-            std = float(y.std())
-            self._y_std = std if std > 1e-12 else 1.0
-        else:
-            self._y_mean, self._y_std = 0.0, 1.0
+        self._y_mean = float(y.mean())
+        std = float(y.std())
+        self._y_std = std if std > 1e-12 else 1.0
         self._y = (y - self._y_mean) / self._y_std
 
     def _ensure_train_state(self):
@@ -444,18 +434,7 @@ class GaussianProcessRegressor:
 
     def _optimize_theta(self) -> None:
         bounds = self.kernel.theta_bounds()
-        if not bounds:
-            return
-
-        if self.kernel.has_analytic_gradient:
-            fun, jac = self._make_analytic_objective(), True
-        else:
-            jac = None
-
-            def fun(theta: np.ndarray) -> float:
-                val = self.log_marginal_likelihood(theta)
-                return -val if np.isfinite(val) else 1e25
-
+        fun = self._make_analytic_objective()
         starts = [self.kernel.get_theta()]
         lows = np.array([b[0] for b in bounds])
         highs = np.array([b[1] for b in bounds])
@@ -465,7 +444,7 @@ class GaussianProcessRegressor:
         best_theta, best_val = None, np.inf
         for x0 in starts:
             x, f = _minimize_lbfgsb(
-                fun, np.clip(x0, lows, highs), jac=jac, bounds=bounds, maxiter=100
+                fun, np.clip(x0, lows, highs), bounds=bounds, maxiter=100
             )
             if f < best_val:
                 best_val, best_theta = float(f), x
@@ -488,14 +467,7 @@ class GaussianProcessRegressor:
         if not return_std:
             return mean
         v = sla.solve_triangular(self._L, K_star.T, lower=True, check_finite=False)
-        # Legacy custom kernels may override diag(X) under the pre-prepared
-        # array contract; only the base implementation understands a
-        # PreparedInput.
-        if type(self.kernel).diag is Kernel.diag:
-            prior_var = self.kernel._diag_prepared(pi)
-        else:
-            prior_var = self.kernel.diag(pi.x)
-        var = prior_var - np.sum(v**2, axis=0)
+        var = self.kernel._diag_prepared(pi) - np.sum(v**2, axis=0)
         var = np.maximum(var, 1e-12)
         return mean, np.sqrt(var) * self._y_std
 

@@ -212,7 +212,11 @@ class JobManager:
         ``name -> None`` callable raising on unknown strategies, so bad
         submissions fail fast at the API boundary instead of inside a
         worker.  Defaults to the registry lookup when ``runner_factory``
-        is the default, and to no validation for injected factories.
+        is the default, and to no validation for injected factories.  The
+        default lookup also checks every option name against the
+        strategy's constructor (:func:`~repro.api.registry.
+        strategy_options`), raising :class:`ScenarioError` on an unknown
+        one.
     """
 
     def __init__(
@@ -224,6 +228,7 @@ class JobManager:
         reuse_results: bool = True,
         strategy_validator: Callable[[str], None] | None = None,
     ):
+        self._check_options = False
         if runner_factory is None:
             from repro.api.runner import runner_for
 
@@ -232,6 +237,7 @@ class JobManager:
                 from repro.api.registry import strategy_class
 
                 strategy_validator = lambda name: strategy_class(name)  # noqa: E731
+                self._check_options = True
         if int(max_workers) < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers!r}")
         self._runner_factory = runner_factory
@@ -309,6 +315,23 @@ class JobManager:
             self._reusable[key] = job
 
     # -- submission ------------------------------------------------------------------
+    def _validate(self, strategy: str, options: dict) -> None:
+        """Fail fast on an unknown strategy or, by default, option name."""
+        if self._validate_strategy is not None:
+            self._validate_strategy(strategy)
+        if not self._check_options:
+            return
+        from repro.api.registry import strategy_options
+
+        accepted = [opt.name for opt in strategy_options(strategy)]
+        unknown = sorted(set(options) - set(accepted))
+        if unknown:
+            raise ScenarioError(
+                f"strategy {strategy!r} does not accept option(s) "
+                f"{', '.join(map(repr, unknown))}; accepted options: "
+                f"{', '.join(accepted)}"
+            )
+
     def submit(
         self,
         scenario: Scenario | dict,
@@ -334,8 +357,7 @@ class JobManager:
                 f"strategy must be a non-empty name string, got {strategy!r}"
             )
         strategy = strategy.strip()
-        if self._validate_strategy is not None:
-            self._validate_strategy(strategy)
+        self._validate(strategy, strategy_kwargs)
         job = Job(self._new_id(), scenario, strategy, seed, strategy_kwargs)
         use_cache = self.reuse_results if reuse is None else bool(reuse)
         with self._lock:
@@ -370,6 +392,9 @@ class JobManager:
                 "fork needs at least one workload change "
                 "(load_factor=, n_queries=, seed=, gaussian=)"
             )
+        if strategy is None:
+            strategy = parent.strategy
+        self._validate(strategy, parent.strategy_kwargs)
         parent_runner = parent.runner
         if parent_runner is None:
             parent_runner = self._runner_factory(parent.scenario)
@@ -380,15 +405,13 @@ class JobManager:
         job = Job(
             self._new_id(),
             forked_runner.scenario,
-            strategy if strategy is not None else parent.strategy,
+            strategy,
             seed if seed is not None else parent.seed,
             dict(parent.strategy_kwargs),
             forked_from=parent.id,
             workload_changes=workload_changes,
         )
         job.runner = forked_runner
-        if self._validate_strategy is not None:
-            self._validate_strategy(job.strategy)
         with self._lock:
             self._admit(job)
         self._pool.submit(self._execute, job)

@@ -10,19 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gp.acquisition import (
-    expected_improvement,
-    probability_of_improvement,
-    upper_confidence_bound,
-)
-from repro.gp.kernels import (
-    RBF,
-    ConstantScale,
-    Matern52,
-    RoundedKernel,
-    SumKernel,
-    take_prepared,
-)
+from repro.gp.acquisition import expected_improvement
+from repro.gp.kernels import Matern52, RoundedKernel, take_prepared
 from repro.gp.proposals import _candidate_argmax
 from repro.gp.regression import GaussianProcessRegressor
 from repro.simulator.pool import grid_vectors
@@ -48,11 +37,6 @@ class TestExpectedImprovement:
     def test_monotonic_in_std_when_below_best(self):
         ei = expected_improvement(np.full(3, -1.0), np.array([0.1, 1.0, 3.0]), 0.0)
         assert ei[0] < ei[1] < ei[2]
-
-    def test_xi_margin_reduces_ei(self):
-        base = expected_improvement(np.array([1.0]), np.array([0.5]), 0.0, xi=0.0)
-        shifted = expected_improvement(np.array([1.0]), np.array([0.5]), 0.0, xi=0.5)
-        assert shifted[0] < base[0]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -80,31 +64,8 @@ class TestExpectedImprovement:
         ei = expected_improvement(np.array([mean]), np.array([std]), best)
         assert ei[0] >= max(mean - best, 0.0) - 1e-9
 
-
-class TestProbabilityOfImprovement:
-    def test_half_at_mean_equal_best(self):
-        pi = probability_of_improvement(np.array([0.0]), np.array([1.0]), 0.0)
-        assert pi[0] == pytest.approx(0.5)
-
-    def test_zero_std_step_function(self):
-        pi = probability_of_improvement(
-            np.array([1.0, -1.0]), np.array([0.0, 0.0]), 0.0
-        )
-        np.testing.assert_allclose(pi, [1.0, 0.0])
-
-    def test_bounded_in_unit_interval(self):
-        rng = np.random.default_rng(0)
-        pi = probability_of_improvement(
-            rng.normal(size=50), np.abs(rng.normal(size=50)) + 0.01, 0.3
-        )
-        assert np.all(pi >= 0.0) and np.all(pi <= 1.0)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            probability_of_improvement(np.zeros(2), np.zeros(3), 0.0)
-
     def test_ndtr_is_norm_cdf_bit_for_bit(self):
-        # PI returns ndtr(z) instead of norm.cdf(z); the standard normal
+        # EI calls ndtr(z) instead of norm.cdf(z); the standard normal
         # cdf is ndtr, so the swap must not move a single bit.
         from scipy.special import ndtr
         from scipy.stats import norm
@@ -138,22 +99,6 @@ def test_import_leaves_module_unloaded(module):
     assert proc.returncode == 0, proc.stderr.decode()
 
 
-class TestUCB:
-    def test_formula(self):
-        out = upper_confidence_bound(np.array([1.0]), np.array([0.5]), kappa=2.0)
-        assert out[0] == pytest.approx(2.0)
-
-    def test_kappa_zero_is_mean(self):
-        mean = np.array([0.3, -0.7])
-        np.testing.assert_allclose(
-            upper_confidence_bound(mean, np.ones(2), kappa=0.0), mean
-        )
-
-    def test_negative_kappa_rejected(self):
-        with pytest.raises(ValueError):
-            upper_confidence_bound(np.zeros(1), np.ones(1), kappa=-1.0)
-
-
 # Set before the first run: a candidate row may differ from the same row
 # of a whole-lattice predict only in the last bits of BLAS-blocked products.
 SUBSET_RTOL = SUBSET_ATOL = 1e-12
@@ -171,12 +116,7 @@ def _full_grid_argmax(ei, std, candidates, rng) -> int:
 
 def _assert_same_prepared(a, b) -> None:
     np.testing.assert_array_equal(a.x, b.x)
-    assert (a.sq is None) == (b.sq is None)
-    if a.sq is not None:
-        np.testing.assert_array_equal(a.sq, b.sq)
-    assert len(a.children) == len(b.children)
-    for ca, cb in zip(a.children, b.children):
-        _assert_same_prepared(ca, cb)
+    np.testing.assert_array_equal(a.sq, b.sq)
 
 
 class TestCandidateOnlyScoring:
@@ -188,9 +128,9 @@ class TestCandidateOnlyScoring:
         grid_unit = grid_vectors(bounds) / scale
         kernels = [
             RoundedKernel(Matern52(0.3), scale=scale),
-            SumKernel(Matern52(0.4), RBF(0.2, 0.5)),
-            RoundedKernel(SumKernel(Matern52(0.3), RBF(0.6)), scale=scale),
-            ConstantScale(RBF(0.3), variance=2.0),
+            Matern52(0.2, 0.5),
+            RoundedKernel(Matern52(0.6, 2.0), scale=scale),
+            Matern52(1.5),
         ]
         for kernel in kernels:
             n = int(rng.integers(4, 25))

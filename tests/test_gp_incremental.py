@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.gp.kernels import Matern52, RoundedKernel, SumKernel, WhiteNoise
+from repro.gp.kernels import Matern52, RoundedKernel
 from repro.gp.regression import GaussianProcessRegressor
+from repro.simulator.pool import grid_vectors
 
 
 def make_gp(kernel=None, **kwargs):
@@ -49,9 +50,9 @@ class TestAddObservation:
         rng = np.random.default_rng(1)
         X = rng.uniform(size=(8, 1))
         y = 10.0 + rng.normal(size=8)
-        inc = make_gp(normalize_y=True).fit(X, y)
+        inc = make_gp().fit(X, y)
         inc.add_observation([[0.5]], 14.0)
-        scratch = make_gp(normalize_y=True).fit(
+        scratch = make_gp().fit(
             np.vstack([X, [[0.5]]]), np.append(y, 14.0)
         )
         assert_same_posterior(inc, scratch, rng.uniform(size=(20, 1)))
@@ -66,13 +67,15 @@ class TestAddObservation:
         assert np.isfinite(mean[0])
 
     def test_composite_kernel(self):
-        kernel = SumKernel(Matern52(0.4), WhiteNoise(1e-4))
+        # The Eq. 3 wrapper around Matern.  Distinct lattice cells keep the
+        # bordered factor positive definite (no jitter fallback).
+        scale = np.array([5.0, 7.0])
         rng = np.random.default_rng(2)
-        X = rng.uniform(size=(10, 2))
+        cells = rng.permutation(grid_vectors((5, 7)))[:11] / scale
         y = rng.normal(size=10)
-        inc = make_gp(kernel).fit(X, y)
-        inc.add_observation(rng.uniform(size=(1, 2)), 0.3)
-        kernel2 = SumKernel(Matern52(0.4), WhiteNoise(1e-4))
+        inc = make_gp(RoundedKernel(Matern52(0.4), scale=scale)).fit(cells[:10], y)
+        inc.add_observation(cells[10:], 0.3)
+        kernel2 = RoundedKernel(Matern52(0.4), scale=scale)
         scratch = make_gp(kernel2).fit(inc.X_train, inc.y_train)
         assert_same_posterior(inc, scratch, rng.uniform(size=(25, 2)))
 

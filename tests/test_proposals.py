@@ -186,7 +186,7 @@ class TestEngineResolution:
         )
 
     def test_instances_pass_through(self):
-        engine = ConstantLiarQEI(lie="mean")
+        engine = ConstantLiarQEI()
         assert resolve_proposal_engine(engine, 4) is engine
 
     def test_unknown_name_lists_available(self):
@@ -199,10 +199,6 @@ class TestEngineResolution:
             resolve_proposal_engine("sequential-ei", 4)
         with pytest.raises(ValueError, match="batch"):
             RibbonOptimizer(batch_size=3, proposal_engine="sequential-ei")
-
-    def test_bad_lie_rejected(self):
-        with pytest.raises(ValueError, match="lie"):
-            ConstantLiarQEI(lie="median")
 
     def test_bad_batch_size_rejected(self):
         with pytest.raises(ValueError, match="batch_size"):

@@ -7,8 +7,7 @@ how fast it does it.  These tests pin that contract:
 * the benchmark workload's golden best pools and sample sequences (recorded
   in ``BENCH_search_core.json`` from the pre-rewrite code) are reproduced
   exactly;
-* searches are invariant to cache sharing;
-* the opt-in ``refit_period > 1`` fast schedule still finds the optimum.
+* searches are invariant to cache sharing and repeatable per seed.
 """
 
 import json
@@ -108,59 +107,3 @@ class TestInvariances:
         assert [r.pool.counts for r in a.history] == [
             r.pool.counts for r in b.history
         ]
-
-
-class TestRefitPeriod:
-    def test_default_is_one(self):
-        assert RibbonOptimizer().refit_period == 1
-
-    def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            RibbonOptimizer(refit_period=0)
-
-    def test_fast_schedule_still_finds_the_optimum(self):
-        from repro.baselines.exhaustive import find_optimal_configuration
-
-        model, trace, space, objective = toy_ctx()
-        truth = find_optimal_configuration(
-            ConfigurationEvaluator(model, trace, objective)
-        )
-        res = run_search(
-            model, trace, space, objective, seed=0, refit_period=5, patience=None
-        )
-        assert res.best is not None
-        assert res.best.cost_per_hour <= truth.cost_per_hour + 1e-9
-
-    def test_fast_schedule_respects_budget_and_no_resampling(self):
-        model, trace, space, objective = toy_ctx()
-        res = run_search(model, trace, space, objective, seed=1, refit_period=4)
-        counts = [r.pool.counts for r in res.history]
-        assert len(counts) == len(set(counts))
-        assert res.n_samples <= 25
-
-    def test_fast_schedule_refits_periodically(self, monkeypatch):
-        from repro.gp.regression import GaussianProcessRegressor
-
-        full_fits = []
-        orig = GaussianProcessRegressor.fit
-
-        def counting_fit(gp, X, y):
-            full_fits.append(len(X))
-            return orig(gp, X, y)
-
-        monkeypatch.setattr(GaussianProcessRegressor, "fit", counting_fit)
-        model, trace, space, objective = toy_ctx()
-        res = run_search(
-            model,
-            trace,
-            space,
-            objective,
-            seed=2,
-            refit_period=3,
-            patience=None,
-            use_pruning=False,  # keep candidates alive for the full budget
-        )
-        assert res.n_samples == 25
-        # One full refit per refit_period new samples — not just the first.
-        assert len(full_fits) >= 5
-        assert all(b - a >= 3 for a, b in zip(full_fits, full_fits[1:]))

@@ -201,6 +201,42 @@ class TestLifecycle:
             manager.get("nope")
 
 
+class TestOptionValidation:
+    """The default registry validator checks option names at submission."""
+
+    @pytest.fixture
+    def registry_manager(self):
+        # Registry validation of the default factory, stub searches.
+        mgr = JobManager(max_workers=1)
+        mgr._runner_factory = StubFactory()
+        yield mgr
+        mgr.shutdown(cancel_running=True)
+
+    @pytest.mark.parametrize("option", ["bogus_knob", "kernel"])
+    def test_unknown_option_rejected_before_queueing(self, registry_manager, option):
+        with pytest.raises(ScenarioError) as err:
+            registry_manager.submit(make_scenario(), "ribbon", **{option: 3})
+        message = str(err.value)
+        assert repr(option) in message
+        assert "batch_size" in message and "patience" in message
+        assert registry_manager.jobs() == []
+
+    def test_fork_checks_options_against_the_new_strategy(self, registry_manager):
+        parent = registry_manager.submit(make_scenario(), "ribbon", batch_size=4)
+        registry_manager.wait(parent.id, timeout=10)
+        with pytest.raises(ScenarioError, match="batch_size"):
+            registry_manager.fork(parent.id, strategy="random", load_factor=1.5)
+        assert [job.id for job in registry_manager.jobs()] == [parent.id]
+        child = registry_manager.fork(parent.id, load_factor=1.5)
+        registry_manager.wait(child.id, timeout=10)
+        assert child.state == "done"
+
+    def test_injected_factory_skips_option_checks(self, manager):
+        job = manager.submit(make_scenario(), "ribbon", bogus_knob=3)
+        manager.wait(job.id, timeout=10)
+        assert job.result_dict["metadata"]["bogus_knob"] == 3
+
+
 class TestCancellation:
     def test_running_job_cancels_at_next_evaluation(self):
         gate = threading.Event()

@@ -203,6 +203,27 @@ class TestErrors:
             )
         assert err.value.status == 400
 
+    def test_unknown_option_is_400_and_queues_nothing(self):
+        # The default factory's registry validator; nothing is simulated
+        # because the submission is refused before queueing.
+        manager = JobManager(max_workers=1)
+        server = make_server(manager, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        host, port = server.server_address[:2]
+        client = ServiceClient(f"http://{host}:{port}", timeout=10.0)
+        try:
+            with pytest.raises(ServiceError) as err:
+                client.submit(make_scenario(), "ribbon", bogus_knob=3)
+            assert err.value.status == 400
+            assert err.value.error_type == "ScenarioError"
+            assert "bogus_knob" in err.value.message
+            assert "batch_size" in err.value.message
+            assert client.jobs() == []
+        finally:
+            server.shutdown()
+            server.server_close()
+            manager.shutdown(cancel_running=True)
+
     @pytest.mark.parametrize(
         "length, status",
         [("-1", 400), ("abc", 400), ("1_0", 400), (str(MAX_BODY_BYTES + 1), 413)],
