@@ -57,12 +57,7 @@ class LintConfig:
     #: Field names of the frozen result payload.
     frozen_result_fields: tuple[str, ...] = (
         "latency_s",
-        "wait_s",
-        "service_s",
-        "instance_index",
-        "instance_family",
-        "busy_s_per_instance",
-        "makespan_s",
+        "start_s",
         "queue_len_at_arrival",
     )
     #: Rule names disabled globally (prefer per-line suppressions).

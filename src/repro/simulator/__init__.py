@@ -9,18 +9,17 @@ paper).  Two independently written engines are provided:
   the first free instance in type order, or waits for the earliest-free
   instance).  Instances of one family are interchangeable for latency, so
   by default it decides only the serving *family* per query, on one float
-  heap of free times per family (``dispatch="family"``); which instance
-  served a query (``instance_index``, ``busy_s_per_instance``) and the
-  queue length seen per arrival (``queue_len_at_arrival``) are derived
-  on first read.  ``dispatch="heap"`` runs the per-instance loop instead,
-  the bit-identical reference the tests compare it with.
+  heap of free times per family (``dispatch="family"``); the queue length
+  seen per arrival (``queue_len_at_arrival``) is derived on first read.
+  ``dispatch="heap"`` runs the per-instance loop instead, the bit-identical
+  reference the tests compare it with.
 * :class:`~repro.simulator.events.EventHeapSimulator` — an event-heap
   reference implementation used to cross-validate the fast engine in the
   test suite.
 
-Both report the same :class:`~repro.simulator.metrics.SimulationResult`
-figures of merit: end-to-end latency percentiles, QoS satisfaction rate,
-throughput, per-instance utilization, and queue-length statistics.
+Both report the same :class:`~repro.simulator.metrics.SimulationResult`:
+per-query latencies and start times, from which it derives the QoS
+satisfaction rate, latency percentiles and the queue length at arrivals.
 
 Two process-wide in-memory caches back the fast engine: the per-workload
 :class:`~repro.simulator.service.ServiceTimeCache` (service-time matrices,

@@ -23,34 +23,23 @@ This is exact, not an approximation:
   later query finds all of them free, whichever one was replaced;
 * while no instance is free, a family's heap holds exactly the free times of
   its instances, so the earliest-free pick and its tie-break are the
-  per-instance rule's;
-* the largest free time on any heap is the makespan.
+  per-instance rule's.
 
 A single-family pool has no family to choose and runs one heap (one clock
 for a single instance).  The event-heap engine in
 :mod:`repro.simulator.events` independently verifies all of this in the test
 suite.
 
-The loop emits only start times, the per-query family choice and the
-makespan; :meth:`InferenceServingSimulator.simulate` derives the rest with
-vector operations: ``service_s`` is a gather from the service-time matrix by
-family, and the queue length seen by arrival q is
-``q - min(q, #{j : start_j <= t_q})``, one ``searchsorted`` over the FCFS
-start times, which are monotone non-decreasing
-(:func:`~repro.simulator.metrics.queue_lengths_at_arrival`).  Only the
-evaluator reads the queue column, so the family path derives it on first
-read; bounds bisection never pays for it.
-
-Which instance of a family served a query matters only to
-``instance_index`` and ``busy_s_per_instance``, which nothing on the search
-path reads.  A :class:`~repro.simulator.metrics.FamilyDispatchResult`
-derives them on first read with :func:`_instance_indices`: it replays each
-family's queries through the per-instance loop :func:`_run_heap`, with their
-start times as arrivals.  Each such query finds a free instance of its family
-at its start, and the loop picks the lowest-index one, as the per-instance
-rule does.  ``dispatch="heap"`` runs :func:`_run_heap` over the whole pool
-instead and stores the per-instance arrays; it is the per-instance reference
-the equivalence tests compare the family loop with.
+The loop emits only start times and the per-query family choice;
+:meth:`InferenceServingSimulator.simulate` derives the latencies with vector
+operations: the service times are a gather from the service-time matrix by
+family, and ``latency = (start - arrival) + service``.  The result stores
+the latencies and start times only; the queue length seen by each arrival
+is derived from them on first read
+(:func:`~repro.simulator.metrics.queue_lengths_at_arrival`), so bounds
+bisection never pays for it.  ``dispatch="heap"`` runs the per-instance
+loop :func:`_run_heap` over the whole pool instead; it is the reference the
+equivalence tests compare the family loop with.
 
 Service times come pre-noised from the per-workload
 :class:`~repro.simulator.service.ServiceTimeCache`, and whole simulations are
@@ -68,11 +57,7 @@ from heapq import heapify, heappop, heappush, heapreplace
 import numpy as np
 
 from repro.models.base import ModelProfile
-from repro.simulator.metrics import (
-    FamilyDispatchResult,
-    SimulationResult,
-    queue_lengths_at_arrival,
-)
+from repro.simulator.metrics import SimulationResult
 from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import (
     SimulationResultCache,
@@ -189,12 +174,6 @@ class InferenceServingSimulator:
         self._counters = (
             dispatch_counters if dispatch_counters is not None else DispatchCounters()
         )
-        # Memoized pool expansions: searches re-simulate the same lattice
-        # vectors, and np.repeat + tolist is measurable per evaluation.
-        self._expand_cache: dict[
-            tuple[tuple[str, ...], tuple[int, ...]],
-            tuple[list[int], tuple[str, ...], np.ndarray],
-        ] = {}
 
     @property
     def model(self) -> ModelProfile:
@@ -258,21 +237,6 @@ class InferenceServingSimulator:
 
         n = len(trace)
         families, counts = pool.families, pool.counts
-        expand_key = (families, counts)
-        expanded = self._expand_cache.get(expand_key)
-        if expanded is None:
-            type_of_instance, _ = pool.expand()
-            type_of_instance = np.ascontiguousarray(
-                type_of_instance, dtype=np.int64
-            )
-            expanded = (
-                type_of_instance.tolist(),
-                tuple(families[i] for i in type_of_instance.tolist()),
-                type_of_instance,
-            )
-            if len(self._expand_cache) < 4096:
-                self._expand_cache[expand_key] = expanded
-        type_list, instance_family, type_of_instance = expanded
         cache = self._service_cache
         service_rows = cache.rows(self._model, trace, families)
         arrivals = cache.arrival_list(trace)
@@ -282,25 +246,22 @@ class InferenceServingSimulator:
             else np.asarray(service_rows)
         )
 
-        # Every service_s below is a fresh array, not a matrix view: a
-        # memoized result must not pin the whole multi-family matrix.
-        choice: np.ndarray | None = None
         if self._dispatch == "heap":
-            starts, chosen, makespan = _run_heap(
+            type_of_instance, _ = pool.expand()
+            type_list = type_of_instance.tolist()
+            starts, chosen = _run_heap(
                 arrivals, service_rows, type_list, len(type_list)
             )
-            index = np.asarray(chosen, dtype=np.int64)
-            service_s = matrix[type_of_instance[index], np.arange(n)]
+            service_s = matrix[type_of_instance[chosen], np.arange(n)]
+            self._record_dispatch("heap")
         else:
             live = [k for k, count in enumerate(counts) if count]
             if len(live) == 1:
                 k = live[0]
-                starts, makespan = _serve_family(
-                    arrivals, service_rows[k], counts[k]
-                )
-                service_s = matrix[k].copy()
+                starts = _serve_family(arrivals, service_rows[k], counts[k])
+                service_s = matrix[k]
             else:
-                starts, chosen, makespan = _run_families(
+                starts, chosen = _run_families(
                     arrivals,
                     [(k, counts[k], service_rows[k]) for k in live],
                 )
@@ -308,38 +269,13 @@ class InferenceServingSimulator:
                     chosen, dtype=np.min_scalar_type(len(families) - 1)
                 )
                 service_s = matrix[choice, np.arange(n)]
-        start_s = np.asarray(starts, dtype=float)
-        wait_s = start_s - trace.arrival_s
-        fields = dict(
-            latency_s=wait_s + service_s,
-            wait_s=wait_s,
-            service_s=service_s,
-            instance_family=instance_family,
-            makespan_s=makespan,
-        )
-        result: SimulationResult
-        if self._dispatch == "heap":
-            result = SimulationResult(
-                instance_index=index,
-                busy_s_per_instance=np.bincount(
-                    index, weights=service_s, minlength=len(type_list)
-                ),
-                queue_len_at_arrival=queue_lengths_at_arrival(
-                    start_s, trace.arrival_s
-                ),
-                **fields,
-            )
-            self._record_dispatch("heap")
-        else:
-            result = FamilyDispatchResult(
-                arrival_s=trace.arrival_s,
-                start_s=start_s,
-                family_choice=choice,
-                family_counts=counts,
-                replay=_instance_indices,
-                **fields,
-            )
             self._record_dispatch("linear")
+        start_s = np.asarray(starts, dtype=float)
+        result = SimulationResult(
+            latency_s=(start_s - trace.arrival_s) + service_s,
+            start_s=start_s,
+            arrival_s=trace.arrival_s,
+        )
         if memoize:
             result = memo.put(
                 self._model, trace, pool.families, pool.counts, result
@@ -349,15 +285,14 @@ class InferenceServingSimulator:
 
 # -- dispatch loops -----------------------------------------------------------
 # Each returns the per-query start times (plus the family or instance
-# choices) and the makespan; simulate() derives everything else.  Bound
-# methods are hoisted out of the loops: their bodies run hundreds of
-# thousands of times per search, where attribute lookups are a measurable
-# cost.
+# choices); simulate() derives everything else.  Bound methods are hoisted
+# out of the loops: their bodies run hundreds of thousands of times per
+# search, where attribute lookups are a measurable cost.
 
 
 def _serve_family(arrivals: list[float], row: list[float], count: int):
-    """A single-family pool: ``(starts, makespan)`` from one heap of free
-    times (one clock for a single instance)."""
+    """A single-family pool: the start times from one heap of free times
+    (one clock for a single instance)."""
     starts: list[float] = []
     starts_append = starts.append
     if count == 1:
@@ -366,7 +301,7 @@ def _serve_family(arrivals: list[float], row: list[float], count: int):
             start = t if free <= t else free
             free = start + s
             starts_append(start)
-        return starts, free
+        return starts
     heap = [0.0] * count
     for t, s in zip(arrivals, row):
         start = heap[0]
@@ -374,14 +309,14 @@ def _serve_family(arrivals: list[float], row: list[float], count: int):
             start = t
         heapreplace(heap, start + s)
         starts_append(start)
-    return starts, max(heap)
+    return starts
 
 
 def _run_families(
     arrivals: list[float], live: list[tuple[int, int, list[float]]]
 ):
     """The family loop over ``live`` ``(family, count, service row)``
-    triples, in type order; ``(starts, chosen families, makespan)``."""
+    triples, in type order; ``(starts, chosen families)``."""
     fams = [(k, [0.0] * count, row) for k, count, row in live]
     starts: list[float] = []
     chosen: list[int] = []
@@ -402,7 +337,7 @@ def _run_families(
             heapreplace(best_heap, best + best_row[q])
             starts_append(best)
             chosen_append(best_k)
-    return starts, chosen, max(max(heap) for _, heap, _ in fams)
+    return starts, chosen
 
 
 def _run_heap(
@@ -411,7 +346,7 @@ def _run_heap(
     type_list: list[int],
     n_instances: int,
 ):
-    """The per-instance loop, O(n log m): ``(starts, chosen, makespan)``.
+    """The per-instance loop, O(n log m): ``(starts, chosen instances)``.
 
     ``free`` holds indices of instances with ``free_at <= t`` (min-heap =>
     lowest index => type-order preference).  ``busy_heap`` holds
@@ -443,39 +378,4 @@ def _run_heap(
             replace(busy_heap, (start + rows[i][q], i))
         starts_append(start)
         chosen_append(i)
-    # The last query's finish is still on the busy heap, and every
-    # instance already moved back to ``free`` finished before it.
-    makespan = float(max(busy_heap)[0]) if busy_heap else 0.0
-    return starts, chosen, makespan
-
-
-def _instance_indices(
-    start_s: np.ndarray,
-    service_s: np.ndarray,
-    family_choice: np.ndarray | None,
-    family_counts: tuple[int, ...],
-) -> np.ndarray:
-    """Per-query instance indices of a family-level dispatch record.
-
-    Replays each family's queries through :func:`_run_heap` with their
-    start times as arrivals (``family_choice=None``: one family served
-    every query).  Each query finds a free instance of its family at its
-    start, and :func:`_run_heap` takes the lowest-index free one, exactly
-    as the per-instance rule does.
-    """
-    index = np.empty(start_s.size, dtype=np.int64)
-    offset = 0
-    for k, count in enumerate(family_counts):
-        if count == 0:
-            continue
-        mine = (
-            np.arange(start_s.size)
-            if family_choice is None
-            else np.flatnonzero(family_choice == k)
-        )
-        _, chosen, _ = _run_heap(
-            start_s[mine].tolist(), [service_s[mine].tolist()], [0] * count, count
-        )
-        index[mine] = np.asarray(chosen, dtype=np.int64) + offset
-        offset += count
-    return index
+    return starts, chosen

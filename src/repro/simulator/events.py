@@ -56,18 +56,15 @@ class EventHeapSimulator:
             raise ValueError(f"cannot serve on an empty pool {pool}")
         n = len(trace)
         type_of_instance, families = pool.expand()
-        n_instances = type_of_instance.size
 
         service_by_type = self._service_cache.matrix(self._model, trace, families)
 
         start_s = np.empty(n, dtype=float)
         service_s = np.empty(n, dtype=float)
-        chosen = np.empty(n, dtype=np.int64)
-        busy = np.zeros(n_instances, dtype=float)
         queue_len = np.zeros(n, dtype=np.int64)
 
         # Free instances kept sorted by index => type-order preference.
-        free: list[int] = list(range(n_instances))
+        free: list[int] = list(range(type_of_instance.size))
         heapq.heapify(free)
         waiting: deque[int] = deque()
 
@@ -83,15 +80,11 @@ class EventHeapSimulator:
             s = float(service_by_type[type_of_instance[inst], q])
             start_s[q] = now
             service_s[q] = s
-            chosen[q] = inst
-            busy[inst] += s
             heapq.heappush(events, (now + s, _COMPLETION, next(counter), inst))
 
-        makespan = 0.0
         while events:
             t, kind, _, payload = heapq.heappop(events)
             if kind == _COMPLETION:
-                makespan = max(makespan, t)
                 heapq.heappush(free, payload)
                 # Instances finishing at one instant all free up before a
                 # waiting query is dispatched, so it takes the lowest index
@@ -107,16 +100,9 @@ class EventHeapSimulator:
                 else:
                     waiting.append(payload)
 
-        wait_s = start_s - trace.arrival_s
-        latency_s = wait_s + service_s
-        instance_family = tuple(families[i] for i in type_of_instance.tolist())
         return SimulationResult(
-            latency_s=latency_s,
-            wait_s=wait_s,
-            service_s=service_s,
-            instance_index=chosen,
-            instance_family=instance_family,
-            busy_s_per_instance=busy,
-            makespan_s=makespan,
+            latency_s=(start_s - trace.arrival_s) + service_s,
+            start_s=start_s,
+            arrival_s=trace.arrival_s,
             queue_len_at_arrival=queue_len,
         )

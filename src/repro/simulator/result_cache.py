@@ -21,9 +21,10 @@ dispatch path is *not* part of the key either, because both paths are
 bit-identical by contract.  Cached results have all their arrays frozen
 read-only, so one result can back any number of concurrent consumers
 (``run_many(parallel=True)`` simulates on a thread pool).  ``maxsize=0``
-disables the memo entirely (explicit opt-out); results hold ~5 arrays of
-``len(trace)`` floats each, bounded both by entry count (``maxsize``)
-and by total payload bytes (``max_bytes``).
+disables the memo entirely (explicit opt-out); a result holds four arrays
+of ``len(trace)`` 8-byte values once read (latencies, start times, sorted
+latencies, queue column), bounded both by entry count (``maxsize``) and by
+total payload bytes (``max_bytes``).
 
 Hits, misses, and evictions are counted for introspection
 (:meth:`SimulationResultCache.stats`, surfaced by
@@ -37,12 +38,12 @@ from repro.simulator.metrics import SimulationResult
 
 
 def _freeze(result: SimulationResult) -> SimulationResult:
-    """Make every stored array of a result read-only (shared-cache safety).
+    """Make the stored arrays of a result read-only (shared-cache safety).
 
-    Arrays a result derives on first read are frozen as they are derived;
-    touching them here would force the derivation.
+    The queue column is read-only as it is derived; touching it here
+    would force the derivation.
     """
-    for arr in result._held_arrays():
+    for arr in (result.latency_s, result.start_s):
         if arr.flags.writeable:
             arr.flags.writeable = False
     return result
@@ -50,11 +51,13 @@ def _freeze(result: SimulationResult) -> SimulationResult:
 
 def _result_nbytes(result: SimulationResult) -> int:
     # Arrays a read attaches later (the sorted latencies every QoS figure
-    # needs, the lazily derived queue column) are charged up front, so
-    # max_bytes stays an honest bound on resident memory.
+    # needs, the lazily derived int64 queue column) are charged up front,
+    # so max_bytes stays an honest bound on resident memory.
     return int(
-        sum(arr.nbytes for arr in result._held_arrays())
-        + result._deferred_nbytes()
+        result.latency_s.nbytes
+        + result.start_s.nbytes
+        + result.latency_s.nbytes
+        + 8 * len(result)
     )
 
 
@@ -67,7 +70,7 @@ class SimulationResultCache(IdentityKeyedCache):
 
     Entries are bounded two ways: by count (``maxsize``, the LRU bound
     shared with every :class:`IdentityKeyedCache`) and by payload bytes
-    (``max_bytes``) — a result holds ~5 per-query arrays, so 256 entries
+    (``max_bytes``) — a result holds four per-query arrays, so 256 entries
     of a short trace are trivial while 256 entries of a million-query
     trace would pin gigabytes.  The LRU tail is evicted while the total
     payload exceeds ``max_bytes``; a single over-budget entry is kept

@@ -2,12 +2,12 @@
 
 
 def corrupt(result):
-    result.makespan_s = 0.0
+    result.queue_len_at_arrival = None
     result.latency_s[0] = 0.0
-    result.wait_s += 1.0
+    result.start_s += 1.0
 
 
 def thaw(result):
     result.latency_s.setflags(write=True)
-    result.service_s.flags.writeable = True
-    object.__setattr__(result, "busy_s_per_instance", None)
+    result.start_s.flags.writeable = True
+    object.__setattr__(result, "start_s", None)

@@ -60,8 +60,7 @@ def test_engines_agree_on_random_workloads(seed, n, g, t):
     fast = fast_sim(model).simulate(trace, pool)
     ref = EventHeapSimulator(model).simulate(trace, pool)
     np.testing.assert_allclose(fast.latency_s, ref.latency_s, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(fast.wait_s, ref.wait_s, rtol=1e-12, atol=1e-12)
-    assert fast.makespan_s == ref.makespan_s
+    np.testing.assert_allclose(fast.start_s, ref.start_s, rtol=1e-12, atol=1e-12)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -93,7 +92,6 @@ def test_three_type_pool_equivalence():
     fast = fast_sim(model).simulate(trace, pool)
     ref = EventHeapSimulator(model).simulate(trace, pool)
     np.testing.assert_allclose(fast.latency_s, ref.latency_s, rtol=1e-12, atol=1e-12)
-    assert fast.queries_per_family() == ref.queries_per_family()
 
 
 # -- heap dispatcher: bit-identical to the reference on adversarial pools ------
@@ -101,25 +99,19 @@ def test_three_type_pool_equivalence():
 
 def assert_dispatch_modes_match_reference(model, trace, pool):
     """Every dispatch policy must equal the event-heap reference
-    bit-for-bit on every result array (the loops emit only starts and
-    choices; the service, busy and queue arrays are derived from them)."""
+    bit-for-bit on every result array.  On noisy service rows equal starts
+    and equal latencies pin the serving family, so the type-order and
+    earliest-free tie rules are checked too; the reference counts its
+    queue column itself."""
     ref = EventHeapSimulator(model).simulate(trace, pool)
     for mode in InferenceServingSimulator.DISPATCH_POLICIES:
         sim = fast_sim(model, dispatch=mode)
         res = sim.simulate(trace, pool)
-        for field in (
-            "latency_s",
-            "wait_s",
-            "service_s",
-            "instance_index",
-            "busy_s_per_instance",
-            "queue_len_at_arrival",
-        ):
+        for field in ("latency_s", "start_s", "queue_len_at_arrival"):
             np.testing.assert_array_equal(
                 getattr(res, field), getattr(ref, field), err_msg=f"{mode}: {field}"
             )
         assert res.queue_len_at_arrival.dtype == np.int64, mode
-        assert res.makespan_s == ref.makespan_s, mode
 
 
 @given(
@@ -282,7 +274,7 @@ def test_exact_start_arrival_ties_leave_the_queue():
 def test_queue_column_is_derived_on_first_read(seed):
     """The family path derives the queue column only when it is read: a
     QoS read leaves it underived, the memo charged it up front, and the
-    derived column is read-only and equals the heap path's eager one."""
+    derived column is read-only and equals the reference's counted one."""
     model = make_toy_model(noise={"g4dn": 0.1, "t3": 0.2})
     trace = make_tied_trace(seed, 200)
     for counts in ((1, 0), (2, 3), (0, 6)):
@@ -297,19 +289,21 @@ def test_queue_column_is_derived_on_first_read(seed):
         queue = res.queue_len_at_arrival
         assert not queue.flags.writeable
         assert memo.total_bytes == charged
-        eager = fast_sim(model, dispatch="heap").simulate(trace, pool)
-        np.testing.assert_array_equal(queue, eager.queue_len_at_arrival)
+        ref = EventHeapSimulator(model).simulate(trace, pool)
+        np.testing.assert_array_equal(queue, ref.queue_len_at_arrival)
 
 
 def test_default_dispatch_equals_forced_paths(toy_model, toy_trace):
     pool = PoolConfiguration(("g4dn", "t3"), (2, 3))
     default = fast_sim(toy_model).simulate(toy_trace, pool)
+    ref = EventHeapSimulator(toy_model).simulate(toy_trace, pool)
     for mode in ("family", "heap"):
         forced = fast_sim(toy_model, dispatch=mode).simulate(toy_trace, pool)
-        np.testing.assert_array_equal(default.latency_s, forced.latency_s)
-        np.testing.assert_array_equal(
-            default.instance_index, forced.instance_index
-        )
+        for res in (default, forced):
+            for field in ("latency_s", "start_s", "queue_len_at_arrival"):
+                np.testing.assert_array_equal(
+                    getattr(res, field), getattr(ref, field), err_msg=field
+                )
 
 
 def test_invalid_dispatch_mode_rejected(toy_model):

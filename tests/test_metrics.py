@@ -3,31 +3,24 @@
 import numpy as np
 import pytest
 
+from repro.core.objective import RibbonObjective
 from repro.simulator.metrics import SimulationResult
 
 
-def make_result(latency_ms, waits_ms=None, families=("g4dn", "t3")):
+def make_result(latency_ms, waits_ms=None):
     lat = np.asarray(latency_ms, dtype=float) / 1000.0
     wait = (
         np.asarray(waits_ms, dtype=float) / 1000.0
         if waits_ms is not None
         else np.zeros_like(lat)
     )
-    service = lat - wait
     n = len(lat)
-    idx = np.arange(n) % len(families)
-    busy = np.zeros(len(families))
-    for i, s in zip(idx, service):
-        busy[i] += s
+    arrival = np.arange(n, dtype=float)
     return SimulationResult(
         latency_s=lat,
-        wait_s=wait,
-        service_s=service,
-        instance_index=idx,
-        instance_family=tuple(families),
-        busy_s_per_instance=busy,
-        makespan_s=float(lat.sum()) or 1.0,
-        queue_len_at_arrival=np.array([0, 1, 2, 1][:n]),
+        start_s=arrival + wait,
+        arrival_s=arrival,
+        queue_len_at_arrival=np.resize([0, 1, 2, 1], n),
     )
 
 
@@ -40,17 +33,18 @@ class TestQoS:
         res = make_result([20.0])
         assert res.qos_satisfaction_rate(20.0) == 1.0
 
-    def test_meets_qos_threshold(self):
-        res = make_result([5] * 99 + [100])
-        assert res.meets_qos(20.0, required_rate=0.99)
-        assert not res.meets_qos(20.0, required_rate=0.995)
+    def test_meets_qos_threshold(self, toy_space):
+        # The threshold lives in the objective; the result supplies the rate.
+        rate = make_result([5] * 99 + [100]).qos_satisfaction_rate(20.0)
+        assert RibbonObjective(toy_space, qos_rate_target=0.99).meets_qos(rate)
+        assert not RibbonObjective(toy_space, qos_rate_target=0.995).meets_qos(rate)
 
     def test_invalid_inputs(self):
         res = make_result([5.0])
         with pytest.raises(ValueError):
             res.qos_satisfaction_rate(0.0)
         with pytest.raises(ValueError):
-            res.meets_qos(20.0, required_rate=0.0)
+            res.qos_violation_count(-1.0)
 
 
 class TestLatencyStats:
@@ -59,49 +53,23 @@ class TestLatencyStats:
         assert res.latency_percentile_ms(50.0) == pytest.approx(50.5)
         assert res.p99_ms == pytest.approx(99.01, rel=0.01)
 
-    def test_mean_latency(self):
-        res = make_result([10, 20, 30])
-        assert res.mean_latency_ms == pytest.approx(20.0)
-
-    def test_mean_wait(self):
-        res = make_result([10, 20], waits_ms=[2, 4])
-        assert res.mean_wait_ms == pytest.approx(3.0)
-
-    def test_throughput(self):
-        res = make_result([10, 10])
-        assert res.throughput_qps == pytest.approx(2 / res.makespan_s)
-
 
 class TestStructure:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
             SimulationResult(
                 latency_s=np.array([0.1, 0.2]),
-                wait_s=np.array([0.0]),
-                service_s=np.array([0.1, 0.2]),
-                instance_index=np.array([0, 0]),
-                instance_family=("g4dn",),
-                busy_s_per_instance=np.array([0.3]),
-                makespan_s=1.0,
+                start_s=np.array([0.0]),
+                arrival_s=np.array([0.0, 0.1]),
             )
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             make_result([-1.0])
 
-    def test_queries_per_family(self):
-        res = make_result([10, 20, 30, 40])
-        counts = res.queries_per_family()
-        assert counts == {"g4dn": 2, "t3": 2}
-
     def test_queue_stats(self):
         res = make_result([10, 20, 30, 40])
-        assert res.max_queue_length == 2
         assert res.mean_queue_length == pytest.approx(1.0)
-
-    def test_summary_contains_metrics(self):
-        s = make_result([10, 20]).summary(target_ms=15.0)
-        assert "p99=" in s and "Rsat(15ms)=" in s
 
 
 class TestZeroQueryWindow:
@@ -116,20 +84,17 @@ class TestZeroQueryWindow:
         res = make_result([])
         assert len(res) == 0
         assert res.qos_satisfaction_rate(20.0) == 1.0
-        assert res.meets_qos(20.0)
 
     def test_percentiles_and_means_are_zero(self):
         res = make_result([])
         assert res.latency_percentile_ms(99.0) == 0.0
         assert res.p99_ms == 0.0
-        assert res.mean_latency_ms == 0.0
-        assert res.mean_wait_ms == 0.0
+        assert res.mean_queue_length == 0.0
 
     def test_queue_and_throughput_degenerate(self):
         res = make_result([])
-        assert res.max_queue_length == 0
+        assert res.queue_len_at_arrival.size == 0
         assert res.mean_queue_length == 0.0
-        assert res.throughput_qps == 0.0
 
     def test_target_validation_still_applies(self):
         with pytest.raises(ValueError, match="positive"):

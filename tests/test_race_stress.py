@@ -45,14 +45,11 @@ class FakeTrace:
 
 
 def make_result(n: int) -> SimulationResult:
+    arrival = np.arange(n, dtype=float)
     return SimulationResult(
         latency_s=np.full(n, 0.01),
-        wait_s=np.zeros(n),
-        service_s=np.full(n, 0.01),
-        instance_index=np.zeros(n, dtype=np.int64),
-        instance_family=("g4dn",),
-        busy_s_per_instance=np.array([0.01 * n]),
-        makespan_s=0.01 * n,
+        start_s=arrival.copy(),
+        arrival_s=arrival,
         queue_len_at_arrival=np.zeros(n, dtype=np.int64),
     )
 
@@ -122,7 +119,7 @@ class TestResultCacheStress:
                 if hit is None:
                     hit = cache.put(model, trace, ("g4dn",), counts, make_result(8))
                 # Shared frozen entry: readable, never writable.
-                assert hit.makespan_s > 0
+                assert hit.p99_ms > 0
                 assert not hit.latency_s.flags.writeable
                 if i % 97 == 0:
                     cache.stats()
@@ -152,10 +149,10 @@ class TestResultCacheStress:
         gc.collect()
         assert len(cache) == 0  # every trace died, every entry followed it
 
-    def test_eight_threads_derive_instance_indices(self, toy_model, toy_trace):
-        # A memoized family-loop result derives its per-instance arrays and
-        # its queue column on first read; concurrent first readers may each
-        # derive them, but every reader must see the reference, read-only.
+    def test_eight_threads_derive_queue_column(self, toy_model, toy_trace):
+        # A memoized family-loop result derives its queue column on first
+        # read; concurrent first readers may each derive it, but every
+        # reader must see the reference, read-only.
         memo = SimulationResultCache(maxsize=4)
         pool = PoolConfiguration(("g4dn", "t3"), (2, 3))
         res = InferenceServingSimulator(toy_model, result_cache=memo).simulate(
@@ -165,11 +162,7 @@ class TestResultCacheStress:
         seen = [None] * N_THREADS
 
         def worker(t):
-            seen[t] = (
-                res.instance_index,
-                res.busy_s_per_instance,
-                res.queue_len_at_arrival,
-            )
+            seen[t] = res.queue_len_at_arrival
 
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -177,12 +170,9 @@ class TestResultCacheStress:
             hammer(N_THREADS, worker)
         finally:
             sys.setswitchinterval(previous)
-        for arrays in seen:
-            index, busy, queue = arrays
-            np.testing.assert_array_equal(index, ref.instance_index)
-            np.testing.assert_array_equal(busy, ref.busy_s_per_instance)
+        for queue in seen:
             np.testing.assert_array_equal(queue, ref.queue_len_at_arrival)
-            assert not any(arr.flags.writeable for arr in arrays)
+            assert not queue.flags.writeable
 
 
 # --- job manager under the same assertions --------------------------------

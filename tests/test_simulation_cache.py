@@ -17,7 +17,6 @@ import pytest
 from repro.api import EvaluationBudget, PoolSpec, Scenario, ScenarioRunner, WorkloadSpec
 from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.objective import RibbonObjective
-from repro.core.search_space import estimate_instance_bounds
 from repro.simulator import engine
 from repro.simulator.engine import InferenceServingSimulator
 from repro.simulator.events import EventHeapSimulator
@@ -60,18 +59,19 @@ class TestResultMemo:
         plain = make_sim(
             toy_model, SimulationResultCache(maxsize=0)
         ).simulate(toy_trace, POOL)
-        np.testing.assert_array_equal(memoized.latency_s, plain.latency_s)
-        np.testing.assert_array_equal(memoized.wait_s, plain.wait_s)
-        np.testing.assert_array_equal(memoized.instance_index, plain.instance_index)
-        np.testing.assert_array_equal(
-            memoized.queue_len_at_arrival, plain.queue_len_at_arrival
-        )
-        assert memoized.makespan_s == plain.makespan_s
+        ref = EventHeapSimulator(toy_model).simulate(toy_trace, POOL)
+        for field in ("latency_s", "start_s", "queue_len_at_arrival"):
+            for res in (memoized, plain):
+                np.testing.assert_array_equal(
+                    getattr(res, field), getattr(ref, field), err_msg=field
+                )
 
     def test_cached_result_arrays_are_read_only(self, memo, toy_model, toy_trace):
         res = make_sim(toy_model, memo).simulate(toy_trace, POOL)
         with pytest.raises(ValueError):
             res.latency_s[0] = 0.0
+        with pytest.raises(ValueError):
+            res.start_s[0] = 0.0
         with pytest.raises(ValueError):
             res.queue_len_at_arrival[0] = 99
 
@@ -148,6 +148,20 @@ class TestResultMemo:
             "maxsize": 8,
         }
         assert memo.total_bytes >= res.latency_s.nbytes
+
+    def test_entry_charges_four_per_query_arrays(self, memo, toy_model):
+        """A result stores latencies and start times; the memo charges
+        them plus the sorted latencies and queue column a read attaches
+        later: four 8-byte values per query."""
+        n = 4000
+        trace = make_toy_trace(toy_model, n=n, seed=5)
+        res = make_sim(toy_model, memo).simulate(trace, POOL)
+        assert memo.total_bytes == 4 * 8 * n
+        res.qos_satisfaction_rate(toy_model.qos_target_ms)
+        held = res.latency_s.nbytes + res.start_s.nbytes
+        derived = res._latency_s_ascending().nbytes
+        derived += res.queue_len_at_arrival.nbytes
+        assert held + derived == memo.total_bytes
 
     def test_byte_budget_evicts_lru(self, toy_model):
         t1 = make_toy_trace(toy_model, n=50, seed=1)
@@ -250,36 +264,6 @@ class TestEngineAndEvaluatorWiring:
             monkeypatch.setattr(engine, loop, boom)
         assert sim.simulate(toy_trace, POOL) is first
 
-    def test_search_path_never_derives_instance_indices(
-        self, memo, toy_model, toy_trace, toy_space, monkeypatch
-    ):
-        """Evaluation and bounds estimation read no per-instance array, so
-        the family loop's per-instance replay stays off the hot path."""
-
-        def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("per-instance indices derived on the search path")
-
-        monkeypatch.setattr(engine, "_instance_indices", boom)
-        objective = RibbonObjective(toy_space, qos_rate_target=0.95)
-        evaluator = ConfigurationEvaluator(
-            toy_model, toy_trace, objective, result_cache=memo
-        )
-        for counts in ((1, 2), (0, 3), (2, 0)):
-            evaluator.evaluate(toy_space.pool(counts))
-        space = estimate_instance_bounds(
-            toy_model,
-            toy_trace,
-            ("g4dn", "t3"),
-            hard_cap=6,
-            simulator=make_sim(toy_model, memo),
-        )
-        assert len(space.families) == 2
-        assert memo.misses > 3
-        # The patch is live: a read derives, and raises.
-        res = make_sim(toy_model, memo).simulate(toy_trace, POOL)
-        with pytest.raises(AssertionError, match="search path"):
-            res.instance_index
-
     def test_evaluator_forks_share_the_memo(self, memo, toy_model, toy_trace, toy_space):
         objective = RibbonObjective(toy_space, qos_rate_target=0.95)
         parent = ConfigurationEvaluator(
@@ -361,22 +345,20 @@ class TestOneKeyPerPool:
         alone = sim.simulate(toy_trace, PoolConfiguration.homogeneous("t3", 3))
         assert alone is padded
         assert len(memo) == 1 and memo.hits == 1
-        plain = make_sim(toy_model, SimulationResultCache(maxsize=0)).simulate(
+        ref = EventHeapSimulator(toy_model).simulate(
             toy_trace, PoolConfiguration.homogeneous("t3", 3)
         )
-        for field in (
-            "latency_s",
-            "wait_s",
-            "service_s",
-            "instance_index",
-            "busy_s_per_instance",
-            "queue_len_at_arrival",
-        ):
-            np.testing.assert_array_equal(
-                getattr(alone, field), getattr(plain, field), err_msg=field
-            )
-        assert alone.instance_family == plain.instance_family
-        assert alone.makespan_s == plain.makespan_s
+        for mode in InferenceServingSimulator.DISPATCH_POLICIES:
+            plain = make_sim(
+                toy_model, SimulationResultCache(maxsize=0), dispatch=mode
+            ).simulate(toy_trace, PoolConfiguration(("g4dn", "t3", "c5"), (0, 3, 0)))
+            for res in (alone, plain):
+                for field in ("latency_s", "start_s", "queue_len_at_arrival"):
+                    np.testing.assert_array_equal(
+                        getattr(res, field),
+                        getattr(ref, field),
+                        err_msg=f"{mode}: {field}",
+                    )
 
     def test_family_order_stays_in_the_key(self, memo, toy_model, toy_trace):
         sim = make_sim(toy_model, memo)

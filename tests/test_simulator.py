@@ -62,7 +62,7 @@ class TestSingleServer:
         sim = InferenceServingSimulator(m)
         res = sim.simulate(trace([0.0, 0.1, 0.2]), PoolConfiguration.homogeneous("fast", 1))
         np.testing.assert_allclose(res.latency_s, [0.01, 0.01, 0.01])
-        np.testing.assert_allclose(res.wait_s, 0.0)
+        np.testing.assert_array_equal(res.start_s, res.arrival_s)
 
     def test_back_to_back_queueing(self):
         # Three arrivals at t=0; service 10ms each; one server.
@@ -70,13 +70,13 @@ class TestSingleServer:
         sim = InferenceServingSimulator(m)
         res = sim.simulate(trace([0.0, 0.0, 0.0]), PoolConfiguration.homogeneous("fast", 1))
         np.testing.assert_allclose(sorted(res.latency_s), [0.01, 0.02, 0.03])
-        assert res.makespan_s == pytest.approx(0.03)
+        np.testing.assert_allclose(res.start_s, [0.0, 0.01, 0.02])
 
     def test_arrival_exactly_at_completion_needs_no_wait(self):
         m = det_model(fast_ms=10.0)
         sim = InferenceServingSimulator(m)
         res = sim.simulate(trace([0.0, 0.01]), PoolConfiguration.homogeneous("fast", 1))
-        np.testing.assert_allclose(res.wait_s, [0.0, 0.0])
+        np.testing.assert_array_equal(res.start_s, [0.0, 0.01])
 
 
 class TestHeterogeneousDispatch:
@@ -85,8 +85,8 @@ class TestHeterogeneousDispatch:
         sim = InferenceServingSimulator(m)
         pool = PoolConfiguration(("fast", "slow"), (1, 1))
         res = sim.simulate(trace([0.0]), pool)
-        # Single query goes to the first family in type order.
-        assert res.instance_family[int(res.instance_index[0])] == "fast"
+        # Single query goes to the first family in type order: it is
+        # served in the fast family's 10 ms, not the slow one's 30 ms.
         assert res.latency_s[0] == pytest.approx(0.010)
 
     def test_overflow_goes_to_slow_instance(self):
@@ -94,10 +94,10 @@ class TestHeterogeneousDispatch:
         sim = InferenceServingSimulator(m)
         pool = PoolConfiguration(("fast", "slow"), (1, 1))
         res = sim.simulate(trace([0.0, 0.001]), pool)
-        fams = [res.instance_family[int(i)] for i in res.instance_index]
-        assert fams == ["fast", "slow"]
-        # Second query: no wait (slow server free), 30ms service.
-        assert res.latency_s[1] == pytest.approx(0.030)
+        # First query on fast (10 ms); the second finds it busy and runs
+        # without waiting on the free slow server (30 ms).
+        np.testing.assert_array_equal(res.start_s, [0.0, 0.001])
+        np.testing.assert_allclose(res.latency_s, [0.010, 0.030])
 
     def test_fcfs_waits_for_earliest_free(self):
         # Two fast servers busy until 10ms/20ms; third query at t=1ms waits
@@ -106,51 +106,35 @@ class TestHeterogeneousDispatch:
         sim = InferenceServingSimulator(m)
         pool = PoolConfiguration.homogeneous("fast", 2)
         res = sim.simulate(trace([0.0, 0.0, 0.001]), pool)
-        assert res.wait_s[2] == pytest.approx(0.009)
+        assert res.start_s[2] - res.arrival_s[2] == pytest.approx(0.009)
 
     def test_queries_served_in_arrival_order(self):
         m = det_model(fast_ms=10.0)
         sim = InferenceServingSimulator(m)
         res = sim.simulate(trace([0.0, 0.001, 0.002, 0.003]), PoolConfiguration.homogeneous("fast", 1))
-        starts = res.latency_s + np.asarray([0.0, 0.001, 0.002, 0.003]) - res.service_s
-        assert np.all(np.diff(starts) >= -1e-12)
+        assert np.all(np.diff(res.start_s) >= 0.0)
 
 
 class TestAccounting:
     def test_latency_decomposition(self, toy_model, toy_trace):
         sim = InferenceServingSimulator(toy_model)
         res = sim.simulate(toy_trace, PoolConfiguration(("g4dn", "t3"), (2, 2)))
-        np.testing.assert_allclose(res.latency_s, res.wait_s + res.service_s)
-        assert np.all(res.wait_s >= -1e-12)
+        wait_s = res.start_s - res.arrival_s
+        assert np.all(wait_s >= 0.0)
+        assert np.all(res.latency_s > wait_s)  # every service time is positive
 
     def test_all_queries_served(self, toy_model, toy_trace):
         sim = InferenceServingSimulator(toy_model)
         res = sim.simulate(toy_trace, PoolConfiguration(("g4dn", "t3"), (2, 2)))
         assert len(res) == len(toy_trace)
 
-    def test_busy_time_sums_to_service_time(self, toy_model, toy_trace):
-        sim = InferenceServingSimulator(toy_model)
-        res = sim.simulate(toy_trace, PoolConfiguration(("g4dn", "t3"), (2, 2)))
-        assert res.busy_s_per_instance.sum() == pytest.approx(res.service_s.sum())
-
-    def test_utilization_within_unit_interval(self, toy_model, toy_trace):
-        sim = InferenceServingSimulator(toy_model)
-        res = sim.simulate(toy_trace, PoolConfiguration(("g4dn", "t3"), (2, 2)))
-        u = res.utilization()
-        assert np.all(u >= 0.0) and np.all(u <= 1.0 + 1e-9)
-
-    def test_family_share_sums_to_one(self, toy_model, toy_trace):
-        sim = InferenceServingSimulator(toy_model)
-        res = sim.simulate(toy_trace, PoolConfiguration(("g4dn", "t3"), (2, 2)))
-        assert sum(res.family_share().values()) == pytest.approx(1.0)
-
     def test_overloaded_pool_queue_grows(self, toy_model):
         # One t3 serving 400 QPS is far beyond capacity: queue must grow.
         t = make_toy_trace(toy_model, n=600, seed=3)
         sim = InferenceServingSimulator(toy_model)
         res = sim.simulate(t, PoolConfiguration.homogeneous("t3", 1))
-        assert res.max_queue_length > 10
-        assert res.mean_wait_ms > 10.0
+        assert res.queue_len_at_arrival.max() > 10
+        assert np.mean(res.start_s - res.arrival_s) > 0.010
 
 
 class TestErrors:
