@@ -9,6 +9,8 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # The compiled dispatch loop is built from this source on first use.
+    package_data={"repro.simulator": ["_dispatch.c"]},
     python_requires=">=3.10",
     install_requires=["numpy", "scipy"],
     extras_require={"test": ["pytest", "hypothesis"]},

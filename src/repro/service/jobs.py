@@ -80,6 +80,13 @@ def _options_key(strategy_kwargs: dict) -> str:
     return json.dumps(strategy_kwargs, sort_keys=True, default=str)
 
 
+def _submission_time(stored: tuple[dict, dict]) -> float:
+    """Sort key of a stored ``(scenario, record)`` pair: its submission
+    time, 0 when the record lacks a numeric one."""
+    at = stored[1].get("submitted_at")
+    return float(at) if isinstance(at, (int, float)) else 0.0
+
+
 class Job:
     """One tracked search request; all mutation happens via the manager.
 
@@ -266,8 +273,16 @@ class JobManager:
         return f"j{next(self._seq):04d}-{uuid.uuid4().hex[:8]}"
 
     def _restore(self, store: SnapshotStore) -> None:
-        """Replay the store's completed-job history into the table."""
-        for scenario_dict, rec in store.iter_results():
+        """Replay the store's completed-job history into the table.
+
+        Records are admitted in submission order (the persisted
+        ``submitted_at``, file order on ties), not file order: a job is
+        marked done before its record is appended, so a job submitted
+        later can be appended first, and ``position`` ranks reuse.
+        """
+        for scenario_dict, rec in sorted(
+            store.iter_results(), key=_submission_time
+        ):
             try:
                 scenario = Scenario.from_dict(scenario_dict)
             except ScenarioError:

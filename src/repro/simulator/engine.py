@@ -30,6 +30,23 @@ for a single instance).  The event-heap engine in
 :mod:`repro.simulator.events` independently verifies all of this in the test
 suite.
 
+The family loop runs on one of two substrates with bit-identical results:
+
+* compiled: ``_dispatch.c``, a port of :func:`_serve_family` and
+  :func:`_run_families` with the same float comparisons and additions and a
+  plain binary min-heap (the loops only read a heap's minimum), called once
+  per simulation through ctypes on the service matrix and the trace's
+  arrivals in place.  :func:`_native_loops` builds it at the first family
+  dispatch with the system ``cc`` (``-O2 -ffp-contract=off``) into
+  ``$XDG_CACHE_HOME/repro-ribbon/`` (default ``~/.cache/repro-ribbon/``),
+  named by a hash of the source, the flags and the interpreter, so a host
+  compiles it once (~0.1 s).  A self-check must then reproduce the Python
+  loops bit for bit on a fixed problem full of ties;
+* Python: the loops below, on the service cache's list views.  They are
+  the compiled loop's spec and self-check oracle, and they run whenever
+  no compiler is on ``PATH``, the build or load fails, or the self-check
+  disagrees.
+
 The loop emits only start times and the per-query family choice;
 :meth:`InferenceServingSimulator.simulate` derives the latencies with vector
 operations: the service times are a gather from the service-time matrix by
@@ -51,8 +68,19 @@ evaluator share one entry per pool.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import sys
+import tempfile
 import threading
 from heapq import heapify, heappop, heappush, heapreplace
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -126,11 +154,11 @@ class InferenceServingSimulator:
         instance so every simulator serving the same workload reuses one
         matrix.  Pass ``ServiceTimeCache(maxsize=0)`` to disable caching.
     dispatch:
-        ``"family"`` (default) runs the family-level loop; ``"heap"`` runs
-        the per-instance reference loop (the equivalence tests compare
-        both on equal inputs).  The dispatch path is deliberately *not*
-        part of the result-memo key: both loops are bit-identical by
-        contract.
+        ``"family"`` (default) runs the family-level loop, compiled where
+        it builds; ``"heap"`` runs the per-instance reference loop (the
+        equivalence tests compare both on equal inputs).  The dispatch
+        path is deliberately *not* part of the result-memo key: both loops
+        are bit-identical by contract.
     dispatch_counters:
         Engagement-counter sink for this simulator (also mirrored into the
         process-wide :func:`global_dispatch_counters`).  Evaluators and
@@ -238,38 +266,35 @@ class InferenceServingSimulator:
         n = len(trace)
         families, counts = pool.families, pool.counts
         cache = self._service_cache
-        service_rows = cache.rows(self._model, trace, families)
-        arrivals = cache.arrival_list(trace)
-        matrix = (
-            cache.matrix(self._model, trace, families)
-            if cache.maxsize > 0
-            else np.asarray(service_rows)
-        )
-
-        if self._dispatch == "heap":
-            type_of_instance, _ = pool.expand()
-            type_list = type_of_instance.tolist()
-            starts, chosen = _run_heap(
-                arrivals, service_rows, type_list, len(type_list)
-            )
-            service_s = matrix[type_of_instance[chosen], np.arange(n)]
-            self._record_dispatch("heap")
-        else:
-            live = [k for k, count in enumerate(counts) if count]
-            if len(live) == 1:
-                k = live[0]
-                starts = _serve_family(arrivals, service_rows[k], counts[k])
-                service_s = matrix[k]
-            else:
-                starts, chosen = _run_families(
-                    arrivals,
-                    [(k, counts[k], service_rows[k]) for k in live],
-                )
-                choice = np.asarray(
-                    chosen, dtype=np.min_scalar_type(len(families) - 1)
-                )
-                service_s = matrix[choice, np.arange(n)]
+        loops = _native_loops() if self._dispatch == "family" else None
+        if loops is not None:
+            # Compiled loop: reads the matrix and arrivals in place.
+            matrix = cache.matrix(self._model, trace, families)
+            starts, family = loops.run(trace.arrival_s, matrix, counts)
             self._record_dispatch("linear")
+        else:
+            service_rows = cache.rows(self._model, trace, families)
+            arrivals = cache.arrival_list(trace)
+            matrix = (
+                cache.matrix(self._model, trace, families)
+                if cache.maxsize > 0
+                else np.asarray(service_rows)
+            )
+            if self._dispatch == "heap":
+                type_of_instance, _ = pool.expand()
+                type_list = type_of_instance.tolist()
+                starts, chosen = _run_heap(
+                    arrivals, service_rows, type_list, len(type_list)
+                )
+                family = type_of_instance[chosen]
+                self._record_dispatch("heap")
+            else:
+                starts, family = _family_loop(arrivals, service_rows, counts)
+                self._record_dispatch("linear")
+        if isinstance(family, int):  # a single-family pool
+            service_s = matrix[family]
+        else:
+            service_s = matrix[family, np.arange(n)]
         start_s = np.asarray(starts, dtype=float)
         result = SimulationResult(
             latency_s=(start_s - trace.arrival_s) + service_s,
@@ -340,6 +365,24 @@ def _run_families(
     return starts, chosen
 
 
+def _family_loop(
+    arrivals: list[float], service_rows: list[list[float]], counts
+):
+    """The family loop on Python lists: ``(starts, family)``, where
+    ``family`` is the serving family's index for a single-family pool and
+    the per-query choices otherwise."""
+    live = [k for k, count in enumerate(counts) if count]
+    if len(live) == 1:
+        k = live[0]
+        return _serve_family(arrivals, service_rows[k], counts[k]), k
+    starts, chosen = _run_families(
+        arrivals, [(k, counts[k], service_rows[k]) for k in live]
+    )
+    return starts, np.asarray(
+        chosen, dtype=np.min_scalar_type(len(service_rows) - 1)
+    )
+
+
 def _run_heap(
     arrivals: list[float],
     service_rows: list[list[float]],
@@ -379,3 +422,126 @@ def _run_heap(
         starts_append(start)
         chosen_append(i)
     return starts, chosen
+
+
+# -- compiled family loop -----------------------------------------------------
+
+#: Compiler flags; -ffp-contract=off forbids fused multiply-adds, so every
+#: float operation rounds as it does in Python.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+_F64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+_I64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+
+
+class _NativeLoops:
+    """ctypes bindings of ``_dispatch.c``'s ``serve_family`` and
+    ``run_families``; ctypes releases the GIL for the call."""
+
+    def __init__(self, lib: ctypes.CDLL):
+        n = ctypes.c_int64
+        self._serve = lib.serve_family
+        self._serve.argtypes = (n, _F64, _F64, n, _F64, _F64)
+        self._serve.restype = None
+        self._run = lib.run_families
+        self._run.argtypes = (n, _F64, _F64, n, _I64, _I64, _F64, _F64, _I64)
+        self._run.restype = None
+
+    def run(self, arrival_s: np.ndarray, matrix: np.ndarray, counts):
+        """:func:`_family_loop` on arrays: ``(start_s, family)``."""
+        arrival_s = np.ascontiguousarray(arrival_s, dtype=np.float64)
+        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        n = arrival_s.size
+        if matrix.shape != (len(counts), n) or min(counts) < 0 or not any(counts):
+            raise ValueError(
+                f"service matrix {matrix.shape} does not fit {n} arrivals "
+                f"and counts {tuple(counts)} (non-negative, some non-zero)"
+            )
+        live = [k for k, count in enumerate(counts) if count]
+        start = np.empty(n)
+        heap = np.empty(sum(counts))
+        if len(live) == 1:
+            k = live[0]
+            self._serve(n, arrival_s, matrix[k], counts[k], heap, start)
+            return start, k
+        chosen = np.empty(n, dtype=np.int64)
+        self._run(
+            n, arrival_s, matrix, len(live),
+            np.array(live, dtype=np.int64),
+            np.array([counts[k] for k in live], dtype=np.int64),
+            heap, start, chosen,
+        )
+        return start, chosen
+
+
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(base) / "repro-ribbon"
+
+
+def _build_native() -> Path:
+    """Compile ``_dispatch.c`` into the user cache unless a library built
+    from the same source, flags and interpreter is already there."""
+    source = resources.files("repro.simulator").joinpath("_dispatch.c").read_bytes()
+    cc = shutil.which("cc")
+    if cc is None:
+        raise OSError("no C compiler 'cc' on PATH")
+    host = f"{sys.implementation.cache_tag}-{platform.machine()}"
+    digest = hashlib.sha256(
+        b"\0".join([source, " ".join(_CFLAGS).encode(), host.encode()])
+    ).hexdigest()[:16]
+    target = _cache_dir() / f"_dispatch-{host}-{digest}.so"
+    if target.exists():
+        return target
+    target.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=target.parent) as tmp:
+        src, out = Path(tmp, "_dispatch.c"), Path(tmp, target.name)
+        src.write_bytes(source)
+        subprocess.run(
+            [cc, *_CFLAGS, "-o", str(out), str(src)],
+            check=True, capture_output=True, timeout=120,
+        )
+        # Atomic: a concurrent build of the same source just wins or loses.
+        os.replace(out, target)
+    return target
+
+
+def _native_agrees(loops: _NativeLoops) -> bool:
+    """Bit-equality of the compiled and the Python family loops on a fixed
+    problem: tied arrivals, exact (dyadic) times so that free times tie
+    with each other and with arrivals, two families with equal service
+    rows, zero service times, and count-1 and zero-count families."""
+    arrival = np.repeat(np.arange(40.0) * 0.25, np.arange(40) % 3 + 1)
+    step = np.arange(arrival.size)
+    matrix = np.stack([
+        np.full(arrival.size, 0.5),
+        np.full(arrival.size, 0.5),
+        (step % 4 + 1) * 0.25,
+        (step % 3) * 0.5,
+        0.1 + np.abs(np.sin(step)),
+    ])
+    rows = [row.tolist() for row in matrix]
+    for counts in ((1, 0, 0, 0, 0), (0, 0, 3, 0, 0), (1, 1, 0, 0, 0),
+                   (2, 0, 1, 3, 0), (0, 1, 2, 1, 0), (1, 2, 1, 0, 1),
+                   (1, 0, 1, 1, 2)):
+        starts, family = loops.run(arrival, matrix, counts)
+        ref_starts, ref_family = _family_loop(arrival.tolist(), rows, counts)
+        if starts.tobytes() != np.asarray(ref_starts, dtype=float).tobytes():
+            return False
+        if not np.array_equal(family, ref_family):
+            return False
+    return True
+
+
+@functools.cache
+def _native_loops() -> _NativeLoops | None:
+    """The compiled family loops if they build, load and reproduce the
+    Python loops bit for bit here, else None (the Python loops run).
+
+    Runs once per process, at the first family dispatch.
+    """
+    try:
+        loops = _NativeLoops(ctypes.CDLL(str(_build_native())))
+    except (OSError, RuntimeError, subprocess.SubprocessError, AttributeError):
+        return None
+    return loops if _native_agrees(loops) else None

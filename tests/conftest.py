@@ -7,6 +7,9 @@ run the full paper-scale workloads.
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.objective import RibbonObjective
 from repro.core.search_space import SearchSpace
 from repro.models.base import LatencyProfile, ModelCategory, ModelProfile
+from repro.simulator import engine
 from repro.workload.arrival import PoissonArrivalProcess
 from repro.workload.batch import HeavyTailLogNormalBatch
 from repro.workload.trace import QueryTrace, TraceGenerator
@@ -69,6 +73,17 @@ def make_tied_trace(seed: int, n: int, rate: float = 300.0) -> QueryTrace:
     return QueryTrace(
         np.repeat(stamps, clumps)[:n], batches, rate_qps=rate, seed=seed
     )
+
+
+def python_loops():
+    """Context in which family dispatch runs the Python loops, as on a
+    host where the compiled loop does not build."""
+    return mock.patch.object(engine, "_native_loops", lambda: None)
+
+
+#: The family-loop substrates: the compiled loop (when this host builds
+#: it), then the Python loops.
+SUBSTRATES = (contextlib.nullcontext, python_loops)
 
 
 @pytest.fixture

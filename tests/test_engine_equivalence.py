@@ -20,7 +20,7 @@ from repro.simulator.events import EventHeapSimulator
 from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import SimulationResultCache
 from repro.workload.trace import QueryTrace
-from tests.conftest import make_tied_trace, make_toy_model
+from tests.conftest import SUBSTRATES, make_tied_trace, make_toy_model
 
 
 def fast_sim(model, **kwargs) -> InferenceServingSimulator:
@@ -98,15 +98,19 @@ def test_three_type_pool_equivalence():
 
 
 def assert_dispatch_modes_match_reference(model, trace, pool):
-    """Every dispatch policy must equal the event-heap reference
-    bit-for-bit on every result array.  On noisy service rows equal starts
-    and equal latencies pin the serving family, so the type-order and
-    earliest-free tie rules are checked too; the reference counts its
-    queue column itself."""
+    """Every dispatch policy, the family loop on both substrates, must
+    equal the event-heap reference bit-for-bit on every result array.  On
+    noisy service rows equal starts and equal latencies pin the serving
+    family, so the type-order and earliest-free tie rules are checked too;
+    the reference counts its queue column itself."""
     ref = EventHeapSimulator(model).simulate(trace, pool)
-    for mode in InferenceServingSimulator.DISPATCH_POLICIES:
-        sim = fast_sim(model, dispatch=mode)
-        res = sim.simulate(trace, pool)
+    runs = {
+        mode: fast_sim(model, dispatch=mode).simulate(trace, pool)
+        for mode in InferenceServingSimulator.DISPATCH_POLICIES
+    }
+    with SUBSTRATES[1]():
+        runs["family (python)"] = fast_sim(model).simulate(trace, pool)
+    for mode, res in runs.items():
         for field in ("latency_s", "start_s", "queue_len_at_arrival"):
             np.testing.assert_array_equal(
                 getattr(res, field), getattr(ref, field), err_msg=f"{mode}: {field}"
@@ -295,15 +299,22 @@ def test_queue_column_is_derived_on_first_read(seed):
 
 def test_default_dispatch_equals_forced_paths(toy_model, toy_trace):
     pool = PoolConfiguration(("g4dn", "t3"), (2, 3))
-    default = fast_sim(toy_model).simulate(toy_trace, pool)
     ref = EventHeapSimulator(toy_model).simulate(toy_trace, pool)
-    for mode in ("family", "heap"):
-        forced = fast_sim(toy_model, dispatch=mode).simulate(toy_trace, pool)
-        for res in (default, forced):
-            for field in ("latency_s", "start_s", "queue_len_at_arrival"):
-                np.testing.assert_array_equal(
-                    getattr(res, field), getattr(ref, field), err_msg=field
+    for substrate in SUBSTRATES:
+        with substrate():
+            default = fast_sim(toy_model).simulate(toy_trace, pool)
+            for mode in ("family", "heap"):
+                forced = fast_sim(toy_model, dispatch=mode).simulate(
+                    toy_trace, pool
                 )
+                for res in (default, forced):
+                    for field in (
+                        "latency_s", "start_s", "queue_len_at_arrival"
+                    ):
+                        np.testing.assert_array_equal(
+                            getattr(res, field), getattr(ref, field),
+                            err_msg=f"{substrate.__name__}: {field}",
+                        )
 
 
 def test_invalid_dispatch_mode_rejected(toy_model):

@@ -412,6 +412,31 @@ class TestWarmRestart:
         finally:
             second_gen.shutdown()
 
+    def test_restore_ranks_by_submission_not_file_order(self, tmp_path):
+        """A job is marked done before its record is appended, so a later
+        submission can land first in the results file; the restore must
+        still rank it as the latest."""
+        store = SnapshotStore(tmp_path)
+        scenario = make_scenario()
+        for job_id, submitted_at in (("j-newer", 200.0), ("j-older", 100.0)):
+            store.append_result(scenario, {
+                "job_id": job_id, "strategy": "ribbon", "seed": 2,
+                "options": {}, "options_key": "",
+                "submitted_at": submitted_at, "started_at": submitted_at,
+                "finished_at": submitted_at + 1.0,
+                "result": {"n_samples": 3, "best": None},
+            })
+        factory = StubFactory()
+        mgr = JobManager(runner_factory=factory, store=store)
+        try:
+            older, newer = mgr.get("j-older"), mgr.get("j-newer")
+            assert older.position < newer.position
+            again = mgr.submit(scenario, "ribbon", seed=2)
+            assert again is newer
+            assert factory.built == []
+        finally:
+            mgr.shutdown()
+
 
     def test_history_survives_a_daemon_generation(self, tmp_path):
         store = SnapshotStore(tmp_path)

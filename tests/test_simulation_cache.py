@@ -26,7 +26,7 @@ from repro.simulator.result_cache import (
     shared_simulation_cache,
 )
 from repro.simulator.service import ServiceTimeCache
-from tests.conftest import make_toy_trace
+from tests.conftest import SUBSTRATES, make_toy_trace
 
 
 @pytest.fixture
@@ -260,8 +260,9 @@ class TestEngineAndEvaluatorWiring:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("dispatch ran despite a memo hit")
 
-        for loop in ("_run_families", "_serve_family", "_run_heap"):
+        for loop in ("_run_families", "_serve_family", "_run_heap", "_native_loops"):
             monkeypatch.setattr(engine, loop, boom)
+        monkeypatch.setattr(engine._NativeLoops, "run", boom)
         assert sim.simulate(toy_trace, POOL) is first
 
     def test_evaluator_forks_share_the_memo(self, memo, toy_model, toy_trace, toy_space):
@@ -348,17 +349,21 @@ class TestOneKeyPerPool:
         ref = EventHeapSimulator(toy_model).simulate(
             toy_trace, PoolConfiguration.homogeneous("t3", 3)
         )
-        for mode in InferenceServingSimulator.DISPATCH_POLICIES:
-            plain = make_sim(
-                toy_model, SimulationResultCache(maxsize=0), dispatch=mode
-            ).simulate(toy_trace, PoolConfiguration(("g4dn", "t3", "c5"), (0, 3, 0)))
-            for res in (alone, plain):
-                for field in ("latency_s", "start_s", "queue_len_at_arrival"):
-                    np.testing.assert_array_equal(
-                        getattr(res, field),
-                        getattr(ref, field),
-                        err_msg=f"{mode}: {field}",
+        for substrate in SUBSTRATES:
+            for mode in InferenceServingSimulator.DISPATCH_POLICIES:
+                with substrate():
+                    plain = make_sim(
+                        toy_model, SimulationResultCache(maxsize=0), dispatch=mode
+                    ).simulate(
+                        toy_trace, PoolConfiguration(("g4dn", "t3", "c5"), (0, 3, 0))
                     )
+                for res in (alone, plain):
+                    for field in ("latency_s", "start_s", "queue_len_at_arrival"):
+                        np.testing.assert_array_equal(
+                            getattr(res, field),
+                            getattr(ref, field),
+                            err_msg=f"{substrate.__name__}, {mode}: {field}",
+                        )
 
     def test_family_order_stays_in_the_key(self, memo, toy_model, toy_trace):
         sim = make_sim(toy_model, memo)
