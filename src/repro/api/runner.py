@@ -405,7 +405,7 @@ class ScenarioRunner:
         strategy_kwargs.setdefault("max_samples", self.scenario.budget.max_samples)
         strategy_kwargs.setdefault("seed", seed)
         # The scenario's batch size reaches every strategy that can batch
-        # (Ribbon's proposal engines); strategies without the knob — the
+        # (Ribbon's q-EI proposals); strategies without the knob — the
         # sequential baselines — are left untouched rather than broken.
         batch_size = self.scenario.budget.batch_size
         if batch_size != 1 and any(

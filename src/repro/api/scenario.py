@@ -197,7 +197,7 @@ class EvaluationBudget:
         Configurations proposed (and deployable concurrently) per search
         iteration.  ``1`` is the paper's sequential schedule; larger
         values switch batch-capable strategies (Ribbon's constant-liar
-        q-EI engine) to batched proposals, one surrogate update per batch.
+        q-EI) to batched proposals, one surrogate update per batch.
         Strategies without a ``batch_size`` knob simply ignore it.
     """
 

@@ -138,34 +138,19 @@ def _cmd_fig10(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     strategy_class(args.method)  # fail fast, before the costly materialization
     kwargs = {"max_samples": args.samples, "seed": args.seed}
-    extras = {
-        "batch_size": args.batch_size,
-        "proposal_engine": args.proposal_engine,
-    }
-    supported = {opt.name for opt in strategy_options(args.method)}
-    for knob, value in extras.items():
-        if value is None:
-            continue
-        if knob not in supported:
-            if knob == "batch_size" and value == 1:
-                # The sequential default is a no-op everywhere; strategies
-                # without the knob simply ignore it (runner semantics).
-                continue
-            flag = "--" + knob.replace("_", "-")
+    if args.batch_size is not None and args.batch_size != 1:
+        # --batch-size 1 is the sequential default, a no-op everywhere;
+        # strategies without the knob simply ignore it (runner semantics).
+        supported = {opt.name for opt in strategy_options(args.method)}
+        if "batch_size" not in supported:
             print(
-                f"error: strategy {args.method!r} does not accept {flag} "
+                f"error: strategy {args.method!r} does not accept --batch-size "
                 f"(its options: {', '.join(sorted(supported))})",
                 file=sys.stderr,
             )
             return 2
-        kwargs[knob] = value
-    try:
-        # Bad knob *values* (unknown proposal engine, a non-batching
-        # engine with --batch-size > 1) surface here as ValueError.
-        strategy = make_strategy(args.method, **kwargs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        kwargs["batch_size"] = args.batch_size
+    strategy = make_strategy(args.method, **kwargs)
     setting = ExperimentSetting(n_queries=args.queries)
     exp = make_experiment(args.model, setting)
     result = strategy.search(exp.evaluator, start=exp.default_start())
@@ -292,19 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument(
         "--batch-size",
-        type=int,
+        type=_positive_int,
         default=None,
         help=(
             "proposals per BO iteration (batch-capable strategies only; "
             "default 1 = the paper's sequential schedule)"
-        ),
-    )
-    ps.add_argument(
-        "--proposal-engine",
-        default=None,
-        help=(
-            "acquisition maximizer for ribbon: sequential-ei or "
-            "constant-liar-qei (default picks by --batch-size)"
         ),
     )
     ps.set_defaults(func=_cmd_search)

@@ -16,16 +16,16 @@ The optimizer also accepts *pseudo-observations* — estimated objective
 values injected as GP training data without costing evaluations — which is
 how the load-adaptation warm start of Sec. 4 feeds its set-S estimates in.
 
-The acquisition/proposal step is pluggable (:mod:`repro.gp.proposals`):
-the default :class:`~repro.gp.proposals.SequentialEI` engine reproduces
-the paper's one-proposal-per-iteration schedule bit-for-bit, while
-``batch_size > 1`` switches to the constant-liar q-EI engine — one
-surrogate update and one full grid predict amortized over ``batch_size``
-proposals, evaluated together through :meth:`~repro.core.strategy.Budget.
-evaluate_batch`.  Large lattices (5+
-families, ``10^6+`` cells) are swept block-by-block through
+The acquisition step is :class:`~repro.gp.proposals.SequentialEI`:
+``batch_size=1`` (the default) is the paper's one-proposal-per-iteration
+schedule, bit-for-bit; ``batch_size > 1`` proposes a constant-liar q-EI
+batch per surrogate update and evaluates it through
+:meth:`~repro.core.strategy.Budget.evaluate_batch`.  Lattices above
+:attr:`~repro.gp.proposals.AcquisitionContext.AUTO_STREAM_CELLS` cells
+(5+ families, ``10^6+`` cells) are swept block-by-block through
 :meth:`~repro.core.search_space.SearchSpace.iter_grid` instead of being
-materialized; the ``stream`` knob forces either regime.
+materialized; the lattice size alone picks the regime, and both make the
+same proposals.
 
 Hot-path notes: the lattice, its unit-cube normalization, and the kernel's
 theta-independent view of it (rounding + squared norms) are prepared once
@@ -45,11 +45,7 @@ from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.pruning import PruneSet
 from repro.core.strategy import Budget, SearchStrategy
 from repro.gp.kernels import Kernel, Matern52, RoundedKernel
-from repro.gp.proposals import (
-    AcquisitionContext,
-    ProposalEngine,
-    resolve_proposal_engine,
-)
+from repro.gp.proposals import AcquisitionContext, SequentialEI
 from repro.simulator.pool import PoolConfiguration
 
 
@@ -86,25 +82,10 @@ class RibbonOptimizer(SearchStrategy):
         Apply active pruning (ablation flag).
     batch_size:
         Proposals per BO iteration.  ``1`` (the default) is the paper's
-        sequential schedule.  Larger values propose a q-point batch per
-        surrogate update (constant-liar q-EI unless ``proposal_engine``
-        overrides it) and evaluate it in one :meth:`Budget.evaluate_batch`
-        call — amortizing the GP refit and grid predict over the batch.
-    proposal_engine:
-        The acquisition maximizer: an engine name (``"sequential-ei"``,
-        ``"constant-liar-qei"``), a :class:`~repro.gp.proposals.
-        ProposalEngine` instance, or ``None`` to pick the default for
-        ``batch_size``.
-    stream:
-        Lattice regime for the acquisition argmax: ``"auto"`` (default)
-        streams block-wise only when the lattice exceeds
-        :attr:`~repro.gp.proposals.LatticeView.AUTO_STREAM_CELLS` cells,
-        ``"never"`` forces the materialized cached grid, ``"always"``
-        forces streaming.  Streaming never materializes the grid, so peak
-        acquisition memory is bounded by ``stream_block_size`` rows.
-    stream_block_size:
-        Rows per streamed lattice block (``None`` = the LatticeView
-        default).
+        sequential schedule.  Larger values propose a constant-liar q-EI
+        batch per surrogate update and evaluate it in one
+        :meth:`Budget.evaluate_batch` call — amortizing the GP refit and
+        the candidate predict over the batch.
     """
 
     name = "RIBBON"
@@ -123,9 +104,6 @@ class RibbonOptimizer(SearchStrategy):
         prune_seed: Sequence[tuple[int, ...]] = (),
         gp_noise: float = 1e-5,
         batch_size: int = 1,
-        proposal_engine: str | ProposalEngine | None = None,
-        stream: str = "auto",
-        stream_block_size: int | None = None,
     ):
         super().__init__(max_samples=max_samples, seed=seed)
         if n_initial < 1:
@@ -136,21 +114,8 @@ class RibbonOptimizer(SearchStrategy):
             raise ValueError("patience must be >= 1 or None")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
-        if stream not in ("auto", "never", "always"):
-            raise ValueError(
-                f"stream must be 'auto', 'never' or 'always', got {stream!r}"
-            )
-        if stream_block_size is not None and int(stream_block_size) < 1:
-            raise ValueError(
-                f"stream_block_size must be >= 1, got {stream_block_size!r}"
-            )
         self.n_initial = int(n_initial)
         self.batch_size = int(batch_size)
-        self.proposal_engine = resolve_proposal_engine(
-            proposal_engine, self.batch_size
-        )
-        self.stream = stream
-        self.stream_block_size = stream_block_size
         self.prune_threshold = float(prune_threshold)
         self.patience = patience
         self.use_rounding = bool(use_rounding)
@@ -189,17 +154,14 @@ class RibbonOptimizer(SearchStrategy):
 
         ctx = AcquisitionContext(
             space,
-            self._make_kernel(space.bounds),
             rng=rng,
             make_kernel=lambda: self._make_kernel(space.bounds),
             prune=prune if self.use_pruning else None,
             gp_noise=self.gp_noise,
-            stream=self.stream,
-            block_size=self.stream_block_size,
         )
         for pseudo in self.pseudo_observations:
             ctx.add_pseudo_observation(pseudo.counts, pseudo.objective)
-        engine = self.proposal_engine
+        engine = SequentialEI()
 
         def learn(pool: PoolConfiguration, rec) -> None:
             """Feed one evaluation into the surrogate data and pruning."""
@@ -224,8 +186,7 @@ class RibbonOptimizer(SearchStrategy):
         # Search-constant metadata first, loop/prune statistics in the
         # finally below: every exit path — the early returns out of the
         # initial design included — reports the full metadata set.
-        budget.metadata["proposal_engine"] = engine.name
-        budget.metadata["acquisition_streamed"] = ctx.lattice.streaming
+        budget.metadata["acquisition_streamed"] = ctx.streaming
         n_batches = 0
         try:
             # ---- initial design ---------------------------------------------
@@ -257,7 +218,7 @@ class RibbonOptimizer(SearchStrategy):
                     drawn.append(cand)
                 if not drawn:
                     return
-                init_pools = [space.pool(ctx.counts_at(i)) for i in drawn]
+                init_pools = [space.pool(space.counts_at(i)) for i in drawn]
                 init_records = budget.evaluate_batch(init_pools)
                 for pool, rec in zip(init_pools, init_records):
                     if rec is None:
@@ -278,7 +239,7 @@ class RibbonOptimizer(SearchStrategy):
                     budget.stopped = True
                     break
                 n_batches += 1
-                pools = [space.pool(ctx.counts_at(i)) for i in proposals]
+                pools = [space.pool(space.counts_at(i)) for i in proposals]
                 records = budget.evaluate_batch(pools)
                 hit_budget = False
                 patience_hit = False

@@ -89,7 +89,7 @@ class SearchSpace:
             object.__setattr__(self, "_grid_unit", cached)
         return cached
 
-    def iter_grid(self, block_size: int = 65536) -> Iterator[tuple[int, np.ndarray]]:
+    def iter_grid(self, block_size: int) -> Iterator[tuple[int, np.ndarray]]:
         """Stream the lattice in ``(start_index, block)`` chunks.
 
         Yields the same rows, in the same order, as :meth:`grid` — block
@@ -111,17 +111,6 @@ class SearchSpace:
             coords = np.unravel_index(np.arange(start + 1, stop + 1), dims)
             yield start, np.stack(coords, axis=1).astype(np.int64)
 
-    def iter_grid_unit(
-        self, block_size: int = 65536
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """Like :meth:`iter_grid`, normalized to the unit cube.
-
-        Rows equal the corresponding :meth:`grid_unit` rows bit-for-bit
-        (same normalization arithmetic, applied block-wise).
-        """
-        for start, block in self.iter_grid(block_size):
-            yield start, self.normalize(block)
-
     def index_of(self, vector: Sequence[int]) -> int | None:
         """Grid-row index of a lattice vector, or ``None`` if off-lattice.
 
@@ -139,16 +128,6 @@ class SearchSpace:
                 return None
             idx = idx * (b + 1) + v
         return idx - 1 if idx > 0 else None
-
-    def pools(self) -> "LazyPoolSequence":
-        """All configurations as pool objects (lazy, index-addressable).
-
-        Historically this materialized one :class:`PoolConfiguration` per
-        lattice cell up front, which OOMs the convenience path on large
-        spaces; it now returns a read-only lazy sequence that builds each
-        pool on access (``len``, indexing, slicing and iteration all work).
-        """
-        return LazyPoolSequence(self)
 
     def pool(self, vector: Sequence[int]) -> PoolConfiguration:
         """Lattice vector -> :class:`PoolConfiguration`."""
@@ -170,10 +149,6 @@ class SearchSpace:
         """Map integer counts to ``[0, 1]`` per dimension (GP input space)."""
         arr = np.asarray(vectors, dtype=float)
         return arr / np.asarray(self.bounds, dtype=float)
-
-    def denormalize(self, unit: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`normalize` (still real-valued)."""
-        return np.asarray(unit, dtype=float) * np.asarray(self.bounds, dtype=float)
 
     # -- cost -------------------------------------------------------------------
     @property
@@ -234,38 +209,6 @@ class SearchSpace:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         dims = ", ".join(f"{f}<= {b}" for f, b in zip(self.families, self.bounds))
         return f"SearchSpace({dims}; {self.n_configurations} configs)"
-
-
-class LazyPoolSequence(Sequence):
-    """Read-only sequence view of a space's lattice as pool objects.
-
-    Pools are built on access, so holding the sequence costs O(1) memory
-    regardless of lattice size; iteration streams the lattice in blocks
-    (see :meth:`SearchSpace.iter_grid`) instead of materializing it.
-    """
-
-    def __init__(self, space: SearchSpace):
-        self._space = space
-
-    def __len__(self) -> int:
-        return self._space.n_configurations
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = int(index)
-        if i < 0:
-            i += len(self)
-        return self._space.pool(self._space.counts_at(i))
-
-    def __iter__(self):
-        space = self._space
-        for _, block in space.iter_grid():
-            for row in block:
-                yield space.pool(row)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"LazyPoolSequence({self._space}, n={len(self)})"
 
 
 def estimate_instance_bounds(

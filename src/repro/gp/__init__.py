@@ -12,24 +12,16 @@ Implements what Ribbon's BO engine runs (Sec. 4 of the paper):
   kernel gradients) and incremental rank-1 conditioning
   (:meth:`~repro.gp.regression.GaussianProcessRegressor.add_observation`);
 * the Expected Improvement acquisition function;
-* pluggable **proposal engines** (:mod:`repro.gp.proposals`) — the
-  sequential EI argmax of the paper's schedule and a constant-liar q-EI
-  batch proposer, both able to sweep the configuration lattice either
-  materialized (small spaces) or block-streamed (10^6+-cell spaces,
-  grid never built).
+* the acquisition step (:mod:`repro.gp.proposals`):
+  :class:`~repro.gp.proposals.SequentialEI` takes the EI argmax of the
+  paper's schedule, or a constant-liar q-EI batch per surrogate update,
+  over a lattice that is materialized when small and block-streamed
+  (grid never built) above 200 000 cells.
 """
 
 from repro.gp.kernels import Kernel, Matern52, PreparedInput, RoundedKernel
 from repro.gp.regression import GaussianProcessRegressor
-from repro.gp.proposals import (
-    AcquisitionContext,
-    ConstantLiarQEI,
-    LatticeView,
-    ProposalEngine,
-    SequentialEI,
-    available_proposal_engines,
-    resolve_proposal_engine,
-)
+from repro.gp.proposals import AcquisitionContext, SequentialEI
 from repro.gp.acquisition import expected_improvement
 
 __all__ = [
@@ -39,11 +31,6 @@ __all__ = [
     "RoundedKernel",
     "GaussianProcessRegressor",
     "AcquisitionContext",
-    "ConstantLiarQEI",
-    "LatticeView",
-    "ProposalEngine",
     "SequentialEI",
-    "available_proposal_engines",
-    "resolve_proposal_engine",
     "expected_improvement",
 ]

@@ -1,35 +1,26 @@
-"""Pluggable proposal engines for the BO acquisition layer.
+"""The BO acquisition step: pick the next configuration(s) by EI argmax.
 
-The optimizer's "pick the next configuration(s)" step is factored out of
-:class:`~repro.core.optimizer.RibbonOptimizer` into a small protocol so
-batch proposers and streaming acquisition maximizers plug in without
-touching the search loop:
-
-* :class:`AcquisitionContext` — the per-search state every engine reads
-  and writes: observations (normalized to the unit cube), the set of
-  already-sampled lattice cells, the prune set, the lattice view, and the
-  surrogate, refit on every proposal.  In the materialized regime it keeps
-  one candidate mask per search and narrows it as cells are sampled and
-  pruned, instead of rebuilding it per read;
-* :class:`LatticeView` — candidate access in two regimes.  Small spaces
-  keep the materialized cached-grid fast path (one prepared kernel input
-  per search).  Large spaces (``10^6+`` cells, 5+ families) stream the
-  lattice in blocks via :meth:`SearchSpace.iter_grid`, so the acquisition
-  argmax holds at most ``block_size`` rows at a time and the full grid is
-  never materialized;
-* :class:`SequentialEI` — today's behavior: one GP update + one EI
-  argmax per proposal, with the exact masking, flat-acquisition fallback
-  and random tie-breaking of the original ``RibbonOptimizer._propose``
-  (golden-tested against the recorded search sequences);
-* :class:`ConstantLiarQEI` — a q-point batch via constant-liar fantasy
-  observations.  One surrogate update and one (mean + std) candidate
-  predict per *batch*; each proposal after the first conditions a fantasy
-  copy of the GP on the lie value through the existing rank-1 Cholesky
+* :class:`AcquisitionContext` — the per-search state the optimizer loop
+  and the acquisition share: observations (normalized to the unit cube),
+  the set of already-sampled lattice cells, the prune set, and the
+  surrogate, refit on every proposal.  It also owns candidate access, in
+  one of two regimes picked by the lattice size alone.  A lattice of at
+  most :attr:`~AcquisitionContext.AUTO_STREAM_CELLS` cells (every paper
+  model's, and any 3-family space) is materialized: one kernel
+  preparation per search, and one candidate mask narrowed as cells are
+  sampled and pruned.  A larger one (``10^6+`` cells, 5+ families) is
+  streamed in blocks of :attr:`~AcquisitionContext.BLOCK_SIZE` rows via
+  :meth:`SearchSpace.iter_grid`, so the grid is never built;
+* :class:`SequentialEI` — ``propose(ctx, q)``: one surrogate refit and
+  one (mean + std) candidate predict, then ``q`` picks.  The first pick
+  is the plain EI argmax, with the masking, flat-acquisition fallback and
+  random tie-breaking of the paper's schedule (golden-tested against the
+  recorded search sequences).  Each later pick conditions a *fantasy
+  copy* of the GP on a constant lie at the previous pick through the
+  rank-1 Cholesky
   :meth:`~repro.gp.regression.GaussianProcessRegressor.add_observation`
-  and refreshes the candidates' *mean* (an O(M·n) pass — the O(M·n^2)
-  std predict is paid once and amortized over the q proposals).  With
-  ``q=1`` no fantasy is ever applied, so the proposal — and the RNG
-  stream — is bit-identical to :class:`SequentialEI`.
+  and refreshes the candidates' *mean* (O(M·n), against the O(M·n^2) std
+  predict paid once per batch).  At ``q=1`` no fantasy runs.
 
 Candidate-only scoring: every acquisition path predicts and computes EI
 on the candidate cells alone (unsampled and unpruned; a median of ~13 %
@@ -39,15 +30,15 @@ sequences are unchanged; a cell's mean or std can differ from a
 whole-lattice predict in the last bits, because BLAS blocks a product
 over fewer rows differently.
 
-Determinism contract: engines draw only from the context's generator, in
-a fixed order (one surrogate seed draw per refit, one tie-break draw per
-proposal), so equal seeds give equal proposal sequences regardless of how the
-proposals are evaluated downstream.
+Determinism contract: the acquisition draws only from the context's
+generator, in a fixed order (one surrogate seed draw per refit, one
+tie-break draw per pick), so equal seeds give equal proposal sequences
+regardless of how the proposals are evaluated downstream.  Both regimes
+make the same picks with the same draws.
 """
 
 from __future__ import annotations
 
-import abc
 import copy
 from typing import TYPE_CHECKING, Callable
 
@@ -61,117 +52,41 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
     from repro.core.pruning import PruneSet
     from repro.core.search_space import SearchSpace
 
-__all__ = [
-    "AcquisitionContext",
-    "ConstantLiarQEI",
-    "LatticeView",
-    "ProposalEngine",
-    "SequentialEI",
-    "available_proposal_engines",
-    "resolve_proposal_engine",
-]
-
-
-class LatticeView:
-    """Acquisition-side access to a search space's candidate lattice.
-
-    ``stream`` picks the regime: ``"never"`` forces the materialized
-    cached-grid fast path, ``"always"`` forces block streaming, and
-    ``"auto"`` (default) streams only when the lattice exceeds
-    :data:`AUTO_STREAM_CELLS` cells — small spaces keep the exact
-    pre-refactor arrays.
-    """
-
-    #: ``stream="auto"`` switches to block streaming above this many cells.
-    AUTO_STREAM_CELLS = 200_000
-    #: Default rows per streamed block (bounds acquisition peak memory).
-    DEFAULT_BLOCK_SIZE = 65_536
-
-    def __init__(
-        self,
-        space: "SearchSpace",
-        kernel: Kernel,
-        *,
-        stream: str = "auto",
-        block_size: int | None = None,
-    ):
-        if stream not in ("auto", "never", "always"):
-            raise ValueError(
-                f"stream must be 'auto', 'never' or 'always', got {stream!r}"
-            )
-        block = int(block_size) if block_size is not None else self.DEFAULT_BLOCK_SIZE
-        if block < 1:
-            raise ValueError(f"block_size must be >= 1, got {block_size!r}")
-        self.space = space
-        self.block_size = block
-        self._kernel = kernel
-        self.streaming = stream == "always" or (
-            stream == "auto" and space.n_configurations > self.AUTO_STREAM_CELLS
-        )
-        self._prepared = None
-
-    @property
-    def n_cells(self) -> int:
-        return self.space.n_configurations
-
-    # -- materialized fast path ------------------------------------------------
-    def grid(self) -> np.ndarray:
-        return self.space.grid()
-
-    def prepared(self):
-        """The kernel's theta-independent view of the full lattice, cached."""
-        if self._prepared is None:
-            self._prepared = self._kernel.precompute_input(self.space.grid_unit())
-        return self._prepared
-
-    # -- streaming path --------------------------------------------------------
-    def iter_raw_blocks(self):
-        """Yield ``(start, counts_block)`` lattice chunks.
-
-        Block rows equal the corresponding materialized-grid rows, so a
-        block-wise sweep visits exactly the cells a full-grid sweep does,
-        in the same order.  Kernel preparation is deliberately separate
-        (:meth:`prepare_block`) so callers can mask a block first and
-        skip the normalize/precompute work for fully pruned chunks.
-        """
-        return self.space.iter_grid(self.block_size)
-
-    def prepare_block(self, block: np.ndarray):
-        """Kernel-prepared unit-cube view of one raw block (bit-identical
-        to the corresponding rows of the materialized :meth:`prepared`)."""
-        return self._kernel.precompute_input(self.space.normalize(block))
-
-    def counts_at(self, index: int) -> tuple[int, ...]:
-        return self.space.counts_at(index)
+__all__ = ["AcquisitionContext", "SequentialEI"]
 
 
 class AcquisitionContext:
-    """Per-search state shared between the optimizer loop and its engine.
+    """Per-search state shared between the optimizer loop and the acquisition.
 
     Owns the observation lists (unit-cube inputs + objective values), the
-    sampled-cell index set, the surrogate fit, and the candidate masking
-    (sampled cells plus the active prune set).  All randomness flows
-    through ``rng``.
+    sampled-cell index set, the surrogate fit, the candidate masking
+    (sampled cells plus the active prune set) and the lattice regime.
+    All randomness flows through ``rng``.
     """
+
+    #: A lattice with more cells than this is streamed, never materialized.
+    AUTO_STREAM_CELLS = 200_000
+    #: Rows per streamed block (bounds a streamed sweep's peak memory).
+    BLOCK_SIZE = 65_536
 
     def __init__(
         self,
         space: "SearchSpace",
-        kernel: Kernel,
         *,
         rng: np.random.Generator,
         make_kernel: Callable[[], Kernel],
         prune: "PruneSet | None" = None,
         gp_noise: float = 1e-5,
-        stream: str = "auto",
-        block_size: int | None = None,
     ):
         self.space = space
         self.rng = rng
         self.prune = prune
         self.gp_noise = float(gp_noise)
-        self.lattice = LatticeView(space, kernel, stream=stream, block_size=block_size)
+        self.streaming = space.n_configurations > self.AUTO_STREAM_CELLS
         self._make_kernel = make_kernel
+        # Lattice preparation only (theta-independent); fits make their own.
+        self._kernel = make_kernel()
+        self._prepared = None
         self._bounds_vec = np.asarray(space.bounds, dtype=float)
         self.observations_x: list[np.ndarray] = []
         self.observations_y: list[float] = []
@@ -182,6 +97,19 @@ class AcquisitionContext:
         self._mask_threshold = np.inf
         self._mask_ceilings: set[tuple[int, ...]] = set()
         self._costs: np.ndarray | None = None
+
+    # -- lattice preparation ---------------------------------------------------
+    def prepared(self):
+        """The kernel's theta-independent view of the full lattice, cached
+        (materialized regime)."""
+        if self._prepared is None:
+            self._prepared = self._kernel.precompute_input(self.space.grid_unit())
+        return self._prepared
+
+    def prepare_block(self, block: np.ndarray):
+        """Kernel-prepared unit-cube view of streamed lattice rows
+        (bit-identical to the same rows of :meth:`prepared`)."""
+        return self._kernel.precompute_input(self.space.normalize(block))
 
     # -- observations ----------------------------------------------------------
     def unit_row(self, counts) -> np.ndarray:
@@ -212,10 +140,6 @@ class AcquisitionContext:
         """Lattice indices of the sampled cells (grown by :meth:`mark_sampled`)."""
         return frozenset(self._sampled)
 
-    @property
-    def n_observations(self) -> int:
-        return len(self.observations_y)
-
     def best_observed(self) -> float:
         return float(np.max(self.observations_y))
 
@@ -233,14 +157,14 @@ class AcquisitionContext:
         """
         mask = self._mask
         if mask is None:
-            mask = np.ones(self.lattice.n_cells, dtype=bool)
+            mask = np.ones(self.space.n_configurations, dtype=bool)
             if self._sampled:
                 mask[list(self._sampled)] = False
             self._mask = mask
         prune = self.prune
         if prune is None:
             return mask
-        grid = self.lattice.grid()
+        grid = self.space.grid()
         threshold = prune.cost_threshold
         if threshold < self._mask_threshold:
             if self._costs is None:
@@ -253,16 +177,12 @@ class AcquisitionContext:
                 self._mask_ceilings.add(ceiling)
         return mask
 
-    def candidate_mask(self) -> np.ndarray:
-        """Unsampled-and-unpruned mask over the materialized grid (a copy)."""
-        return self._kept_mask().copy()
-
     def candidate_indices(self) -> np.ndarray:
         """Lattice indices of the materialized grid's candidates, ascending."""
         return np.flatnonzero(self._kept_mask())
 
     def block_mask(self, start: int, block: np.ndarray) -> np.ndarray:
-        """The :meth:`candidate_mask` restricted to one streamed block."""
+        """The candidate mask restricted to one streamed block."""
         mask = np.ones(block.shape[0], dtype=bool)
         if self._sampled:
             stop = start + block.shape[0]
@@ -278,25 +198,26 @@ class AcquisitionContext:
 
         The streaming regime draws in two block-bounded passes — count
         the candidates, draw a position, find it — so peak memory stays
-        O(block_size).  ``Generator.choice(k)`` and ``choice(array)``
-        consume the generator identically (``array[choice(len(array))]``
-        == ``choice(array)``), so both regimes draw the same cell; the
-        streamed-vs-materialized equivalence tests pin that.
+        O(:attr:`BLOCK_SIZE`).  ``Generator.choice(k)`` and
+        ``choice(array)`` consume the generator identically
+        (``array[choice(len(array))]`` == ``choice(array)``), so both
+        regimes draw the same cell; the streamed-vs-materialized
+        equivalence tests pin that.
         """
-        if not self.lattice.streaming:
+        if not self.streaming:
             idx = self.candidate_indices()
             if idx.size == 0:
                 return None
             return int(self.rng.choice(idx))
-        blocks = self.space.iter_grid(self.lattice.block_size)
         n_candidates = sum(
-            int(self.block_mask(start, block).sum()) for start, block in blocks
+            int(self.block_mask(start, block).sum())
+            for start, block in self.space.iter_grid(self.BLOCK_SIZE)
         )
         if n_candidates == 0:
             return None
         position = int(self.rng.choice(n_candidates))
         passed = 0
-        for start, block in self.space.iter_grid(self.lattice.block_size):
+        for start, block in self.space.iter_grid(self.BLOCK_SIZE):
             local = np.flatnonzero(self.block_mask(start, block))
             if position < passed + local.size:
                 return int(start + local[position - passed])
@@ -307,15 +228,12 @@ class AcquisitionContext:
         """Currently pruned cell count (streaming-safe metadata)."""
         if self.prune is None:
             return 0
-        if not self.lattice.streaming:
-            return self.prune.n_pruned(self.lattice.grid())
+        if not self.streaming:
+            return self.prune.n_pruned(self.space.grid())
         return sum(
             int(self.prune.mask(block).sum())
-            for _, block in self.space.iter_grid(self.lattice.block_size)
+            for _, block in self.space.iter_grid(self.BLOCK_SIZE)
         )
-
-    def counts_at(self, index: int) -> tuple[int, ...]:
-        return self.space.counts_at(index)
 
     # -- surrogate -----------------------------------------------------------
     def surrogate_gp(self) -> GaussianProcessRegressor:
@@ -443,13 +361,13 @@ def _stream_argmax(
 
     ``mean_gp`` (the constant-liar fantasy surrogate) overrides the
     posterior *mean* only, keeping ``gp``'s std — the same acquisition
-    definition the materialized batch path uses, so the two regimes pick
-    the same points.
+    definition the materialized path uses, so the two regimes pick the
+    same points.
     """
     ei_ties = _TieTracker(rel=1e-9, positive_only=True)
     std_ties = _TieTracker(abs_=1e-15)
     any_candidates = False
-    for start, block in ctx.lattice.iter_raw_blocks():
+    for start, block in ctx.space.iter_grid(ctx.BLOCK_SIZE):
         mask = ctx.block_mask(start, block)
         if exclude:
             stop = start + block.shape[0]
@@ -462,7 +380,7 @@ def _stream_argmax(
             # normalize + kernel-precompute + predict work.
             continue
         any_candidates = True
-        prepared = ctx.lattice.prepare_block(block[rows])
+        prepared = ctx.prepare_block(block[rows])
         mean, std = gp.predict(prepared, return_std=True)
         if mean_gp is not None:
             mean = mean_gp.predict(prepared)
@@ -477,94 +395,44 @@ def _stream_argmax(
     return int(ctx.rng.choice(ei_ties.ties()))
 
 
-class ProposalEngine(abc.ABC):
-    """Strategy for turning the current surrogate into proposal(s)."""
+class SequentialEI:
+    """EI-argmax proposals, ``q`` per surrogate update (Sec. 4).
 
-    #: Registry/reporting name.
-    name: str = "proposal-engine"
-    #: Whether :meth:`propose` can return more than one point per call.
-    supports_batch: bool = False
+    ``propose(ctx, 1)`` is the paper's schedule: one GP refit and one EI
+    argmax per sample, with the masking, flat-acquisition fallback, tie
+    tolerance and RNG draws of the recorded golden sequences.
 
-    @abc.abstractmethod
+    ``propose(ctx, q)`` with ``q > 1`` returns a constant-liar q-EI batch.
+    The refit and the (mean + std) candidate predict are paid once; each
+    pick after the first conditions a *fantasy copy* of the GP on a
+    constant lie at the previous pick through the rank-1 Cholesky
+    ``add_observation`` and refreshes the remaining candidates' mean.
+    The lie is the smallest objective observed so far (the pessimistic
+    CL-min): it steers later picks away from the fantasized region without
+    inflating the incumbent.  The real surrogate never sees a fantasy;
+    measured objectives enter through the normal schedule once the batch
+    is evaluated.
+
+    On a streamed lattice each pick runs its own block-wise argmax pass
+    with the same acquisition definition (fantasy mean over the pre-batch
+    std), so both regimes propose the same points; the streamed regime
+    gives up the once-per-batch std amortization for its memory bound.
+    """
+
     def propose(self, ctx: AcquisitionContext, q: int = 1) -> list[int]:
         """Up to ``q`` unsampled lattice cell indices to evaluate next.
 
         An empty list means no candidate cells remain (the search stops).
         """
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}()"
-
-
-class SequentialEI(ProposalEngine):
-    """One EI-argmax proposal per GP update — the paper's schedule.
-
-    Bit-identical to the pre-refactor ``RibbonOptimizer._propose``: same
-    surrogate build/update order, same masking, same flat-acquisition
-    fallback, same tie tolerance, same RNG draws.  ``q`` is ignored
-    (always a single proposal).
-    """
-
-    name = "sequential-ei"
-    supports_batch = False
-
-    def propose(self, ctx: AcquisitionContext, q: int = 1) -> list[int]:
-        if ctx.lattice.streaming:
-            gp = ctx.surrogate_gp()
-            idx = _stream_argmax(ctx, gp, ctx.best_observed())
-            return [] if idx is None else [idx]
-        idx = ctx.candidate_indices()
-        if idx.size == 0:
-            return []
-        gp = ctx.surrogate_gp()
-        prepared = take_prepared(ctx.lattice.prepared(), idx)
-        mean, std = gp.predict(prepared, return_std=True)
-        ei = expected_improvement(mean, std, best_observed=ctx.best_observed())
-        return [int(idx[_candidate_argmax(ei, std, ctx.rng)])]
-
-
-class ConstantLiarQEI(ProposalEngine):
-    """q-point batch EI via constant-liar fantasy observations.
-
-    The surrogate is updated once per batch and the (mean + std)
-    candidate predict is paid once; each subsequent proposal conditions a
-    *fantasy copy* of the GP on a constant lie value at the previous pick
-    through the rank-1 Cholesky ``add_observation`` and refreshes the
-    remaining candidates' mean (O(M·n) per fantasy, against the O(M·n^2) std predict paid
-    once).  The real surrogate never sees a fantasy — after the batch is
-    evaluated, measured objectives enter through the normal schedule.
-
-    The lie is the smallest objective observed so far (the pessimistic
-    CL-min): it steers later picks away from the fantasized region without
-    inflating the incumbent.
-
-    With ``q=1`` no fantasy machinery runs and proposals are
-    bit-identical to :class:`SequentialEI` (the ``batch_size=1``
-    contract).  On streamed lattices each proposal runs its own
-    block-wise argmax pass with the *same* acquisition definition —
-    fantasy mean over the pre-batch std — so the streamed and
-    materialized regimes propose the same points, with peak memory still
-    bounded by the block size (the streamed regime trades the
-    once-per-batch std amortization for that memory bound).
-    """
-
-    name = "constant-liar-qei"
-    supports_batch = True
-
-    @staticmethod
-    def _lie_value(ctx: AcquisitionContext) -> float:
-        return float(np.asarray(ctx.observations_y, dtype=float).min())
-
-    def propose(self, ctx: AcquisitionContext, q: int = 1) -> list[int]:
         if q < 1:
             raise ValueError(f"q must be >= 1, got {q!r}")
-        if ctx.lattice.streaming:
+        if ctx.streaming:
             return self._propose_streaming(ctx, q)
         idx = ctx.candidate_indices()
         if idx.size == 0:
             return []
         gp = ctx.surrogate_gp()
-        prepared = take_prepared(ctx.lattice.prepared(), idx)
+        prepared = take_prepared(ctx.prepared(), idx)
         mean, std = gp.predict(prepared, return_std=True)
         best_observed = ctx.best_observed()
         selected: list[int] = []
@@ -580,12 +448,7 @@ class ConstantLiarQEI(ProposalEngine):
                 rest = np.delete(np.arange(idx.size), pos)
                 idx, std = idx[rest], std[rest]
                 prepared = take_prepared(prepared, rest)
-                if fantasy is None:
-                    fantasy = copy.deepcopy(gp)
-                fantasy.add_observation(
-                    ctx.unit_row(ctx.counts_at(selected[-1])),
-                    self._lie_value(ctx),
-                )
+                fantasy = _fantasize(ctx, gp, fantasy, selected[-1])
                 mean = fantasy.predict(prepared)
         return selected
 
@@ -602,64 +465,20 @@ class ConstantLiarQEI(ProposalEngine):
             selected.append(idx)
             exclude.add(idx)
             if j + 1 < q:
-                if fantasy is None:
-                    fantasy = copy.deepcopy(gp)
-                fantasy.add_observation(
-                    ctx.unit_row(ctx.counts_at(idx)), self._lie_value(ctx)
-                )
+                fantasy = _fantasize(ctx, gp, fantasy, idx)
         return selected
 
 
-#: Canonical engine names (plus aliases) -> factory.
-_ENGINES: dict[str, Callable[[], ProposalEngine]] = {
-    "sequential": SequentialEI,
-    "sequential-ei": SequentialEI,
-    "ei": SequentialEI,
-    "constant-liar": ConstantLiarQEI,
-    "constant-liar-qei": ConstantLiarQEI,
-    "qei": ConstantLiarQEI,
-}
-
-
-def available_proposal_engines() -> tuple[str, ...]:
-    """Recognized proposal-engine names (including aliases), sorted."""
-    return tuple(sorted(_ENGINES))
-
-
-def resolve_proposal_engine(
-    spec: "str | ProposalEngine | None", batch_size: int = 1
-) -> ProposalEngine:
-    """Resolve a name / instance / None into a :class:`ProposalEngine`.
-
-    ``None`` picks the default for the batch size: :class:`SequentialEI`
-    for ``batch_size=1`` (the paper's schedule), :class:`ConstantLiarQEI`
-    otherwise.  A batch size above 1 with an engine that cannot batch is
-    rejected here, before any search runs.
-    """
-    if spec is None:
-        engine: ProposalEngine = (
-            SequentialEI() if batch_size <= 1 else ConstantLiarQEI()
-        )
-    elif isinstance(spec, ProposalEngine):
-        engine = spec
-    elif isinstance(spec, str):
-        key = spec.strip().lower().replace("_", "-").replace(" ", "-")
-        factory = _ENGINES.get(key)
-        if factory is None:
-            raise ValueError(
-                f"unknown proposal engine {spec!r}; available: "
-                f"{', '.join(available_proposal_engines())}"
-            )
-        engine = factory()
-    else:
-        raise TypeError(
-            "proposal_engine must be a name, a ProposalEngine instance or "
-            f"None, got {type(spec).__name__}"
-        )
-    if batch_size > 1 and not engine.supports_batch:
-        raise ValueError(
-            f"proposal engine {engine.name!r} proposes one point at a time; "
-            f"batch_size={batch_size} needs a batching engine such as "
-            "'constant-liar-qei'"
-        )
-    return engine
+def _fantasize(
+    ctx: AcquisitionContext,
+    gp: GaussianProcessRegressor,
+    fantasy: GaussianProcessRegressor | None,
+    picked: int,
+) -> GaussianProcessRegressor:
+    """``fantasy`` (a copy of ``gp`` on first use) conditioned on the
+    CL-min lie at lattice cell ``picked``."""
+    if fantasy is None:
+        fantasy = copy.deepcopy(gp)
+    lie = float(np.asarray(ctx.observations_y, dtype=float).min())
+    fantasy.add_observation(ctx.unit_row(ctx.space.counts_at(picked)), lie)
+    return fantasy

@@ -164,35 +164,6 @@ class SnapshotStore:
                     except ValueError:
                         continue  # torn trailing line from a crash mid-append
 
-    def lookup(
-        self, scenario: Scenario, strategy: str, seed: int, options_key: str = ""
-    ) -> dict | None:
-        """Latest stored job record matching (scenario, strategy, seed).
-
-        ``options_key`` is the job manager's canonical strategy-kwargs
-        fingerprint — results are only reused for an *identical* request.
-        """
-        path = self.results_path(scenario)
-        if not path.exists():
-            return None
-        hit: dict | None = None
-        with path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError:
-                    continue
-                if (
-                    rec.get("strategy") == strategy
-                    and rec.get("seed") == seed
-                    and rec.get("options_key", "") == options_key
-                ):
-                    hit = rec
-        return hit
-
     def stats(self) -> dict:
         """Store shape for the service's /stats endpoint."""
         n_results = 0

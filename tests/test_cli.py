@@ -32,16 +32,12 @@ class TestParser:
         assert args.method == "bo"
 
     def test_search_batch_args(self):
-        args = build_parser().parse_args(
-            ["search", "MT-WND", "--batch-size", "4", "--proposal-engine", "qei"]
-        )
+        args = build_parser().parse_args(["search", "MT-WND", "--batch-size", "4"])
         assert args.batch_size == 4
-        assert args.proposal_engine == "qei"
 
     def test_search_batch_defaults_off(self):
         args = build_parser().parse_args(["search", "MT-WND"])
         assert args.batch_size is None
-        assert args.proposal_engine is None
 
     @pytest.mark.parametrize(
         "argv",
@@ -55,6 +51,8 @@ class TestParser:
             ["search", "MT-WND", "--samples", "0"],
             ["search", "MT-WND", "--samples", "many"],
             ["serve", "--workers", "0"],
+            # Refused as a value before the strategy's options are read.
+            ["search", "MT-WND", "--method", "random", "--batch-size", "0"],
         ],
     )
     def test_count_flags_must_be_positive(self, argv, capsys):
@@ -120,8 +118,8 @@ class TestCommands:
         assert main(["strategies"]) == 0
         out = capsys.readouterr().out
         assert "batch_size=1" in out
-        assert "proposal_engine=None" in out
         assert "max_samples" in out
+        assert "proposal_engine" not in out and "stream" not in out
 
     def test_search_with_batch_size(self, capsys):
         rc = main(
@@ -159,18 +157,10 @@ class TestCommands:
         assert "RANDOM" in capsys.readouterr().out
 
     def test_unknown_proposal_engine_is_clean_error(self, capsys):
-        rc = main(["search", "MT-WND", "--proposal-engine", "thompson"])
-        assert rc == 2
+        # There is no engine selector: the flag is a usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["search", "MT-WND", "--proposal-engine", "thompson"])
+        assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "unknown proposal engine" in err
-
-    def test_nonbatching_engine_with_batch_size_is_clean_error(self, capsys):
-        rc = main(
-            [
-                "search", "MT-WND",
-                "--proposal-engine", "sequential-ei",
-                "--batch-size", "4",
-            ]
-        )
-        assert rc == 2
-        assert "batch" in capsys.readouterr().err
+        assert "unrecognized arguments: --proposal-engine" in err
+        assert "Traceback" not in err

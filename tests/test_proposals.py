@@ -1,12 +1,12 @@
-"""The proposal-engine refactor's contracts.
+"""The acquisition layer's contracts.
 
 Four layers, one exactness story:
 
-* the streamed lattice (``iter_grid`` / ``iter_grid_unit`` / ``index_of``)
+* the streamed lattice (``iter_grid`` / ``index_of`` / ``counts_at``)
   is bit-identical, row for row, to the materialized grid;
-* ``ConstantLiarQEI`` at ``batch_size=1`` replays the ``SequentialEI``
-  sample sequences bit-for-bit, and the streamed block-wise argmax
-  reproduces the materialized argmax on small spaces;
+* a q-EI batch opens with the ``q=1`` pick, and the streamed block-wise
+  argmax reproduces the materialized argmax on small spaces (streaming
+  is forced by lowering ``AcquisitionContext.AUTO_STREAM_CELLS``);
 * batch evaluation (``Budget.evaluate_batch``) matches per-pool
   ``Budget.evaluate`` calls: record order, budget cut and accounting;
 * a 5-family, 10^6+-cell space completes a Ribbon search without ever
@@ -24,16 +24,10 @@ from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.objective import RibbonObjective
 from repro.core.optimizer import RibbonOptimizer
 from repro.core.pruning import PruneSet
-from repro.core.search_space import LazyPoolSequence, SearchSpace
+from repro.core.search_space import SearchSpace
 from repro.core.strategy import Budget
 from repro.gp.kernels import Matern52
-from repro.gp.proposals import (
-    AcquisitionContext,
-    ConstantLiarQEI,
-    SequentialEI,
-    available_proposal_engines,
-    resolve_proposal_engine,
-)
+from repro.gp.proposals import AcquisitionContext, SequentialEI
 from repro.models.base import LatencyProfile, ModelCategory, ModelProfile
 from repro.simulator.engine import DispatchCounters
 from repro.simulator.pool import PoolConfiguration
@@ -92,6 +86,12 @@ def sequence(result):
     return [r.pool.counts for r in result.history]
 
 
+def force_streaming(monkeypatch, block_size: int) -> None:
+    """Stream every lattice from here on, in blocks of ``block_size`` rows."""
+    monkeypatch.setattr(AcquisitionContext, "AUTO_STREAM_CELLS", 0)
+    monkeypatch.setattr(AcquisitionContext, "BLOCK_SIZE", block_size)
+
+
 # ---------------------------------------------------------------------------
 # Streamed lattice primitives
 # ---------------------------------------------------------------------------
@@ -108,11 +108,6 @@ class TestStreamedLattice:
         streamed = np.vstack([b for _, b in blocks])
         np.testing.assert_array_equal(streamed, space.grid())
         assert streamed.dtype == space.grid().dtype
-
-    def test_iter_grid_unit_matches_grid_unit(self):
-        space = SearchSpace(("g4dn", "t3"), (4, 6))
-        streamed = np.vstack([b for _, b in space.iter_grid_unit(9)])
-        np.testing.assert_array_equal(streamed, space.grid_unit())
 
     def test_iter_grid_rejects_bad_block(self):
         space = SearchSpace(("g4dn",), (4,))
@@ -144,120 +139,82 @@ class TestStreamedLattice:
         assert space.total_lattice_cost == pytest.approx(expected, rel=1e-12)
 
 
-class TestLazyPools:
-    def test_sequence_protocol(self):
-        space = SearchSpace(("g4dn", "t3"), (4, 6))
-        pools = space.pools()
-        assert isinstance(pools, LazyPoolSequence)
-        assert len(pools) == space.n_configurations
-        assert pools[0].counts == tuple(space.grid()[0])
-        assert pools[-1].counts == tuple(space.grid()[-1])
-        assert [p.counts for p in pools[:3]] == [
-            tuple(v) for v in space.grid()[:3]
-        ]
-
-    def test_iteration_matches_grid(self):
-        space = SearchSpace(("g4dn", "t3"), (2, 3))
-        assert [p.counts for p in space.pools()] == [
-            tuple(int(v) for v in row) for row in space.grid()
-        ]
-
-    def test_access_does_not_materialize_grid(self):
-        space = SearchSpace(("g4dn", "t3"), (4, 6))
-        pools = space.pools()
-        _ = len(pools), pools[5], pools[-2]
-        assert "_grid" not in space.__dict__
-
-
 # ---------------------------------------------------------------------------
-# Engine resolution
+# Construction: what RibbonOptimizer resolves before any search runs
 # ---------------------------------------------------------------------------
 class TestEngineResolution:
-    def test_default_by_batch_size(self):
-        assert isinstance(resolve_proposal_engine(None, 1), SequentialEI)
-        assert isinstance(resolve_proposal_engine(None, 4), ConstantLiarQEI)
-
-    def test_names_and_aliases(self):
-        assert isinstance(resolve_proposal_engine("sequential-ei"), SequentialEI)
-        assert isinstance(resolve_proposal_engine("EI"), SequentialEI)
-        assert isinstance(resolve_proposal_engine("qei", 4), ConstantLiarQEI)
-        assert isinstance(
-            resolve_proposal_engine("constant_liar", 2), ConstantLiarQEI
-        )
-
-    def test_instances_pass_through(self):
-        engine = ConstantLiarQEI()
-        assert resolve_proposal_engine(engine, 4) is engine
-
-    def test_unknown_name_lists_available(self):
-        with pytest.raises(ValueError, match="unknown proposal engine"):
-            resolve_proposal_engine("thompson")
-        assert "qei" in available_proposal_engines()
-
-    def test_sequential_cannot_batch(self):
-        with pytest.raises(ValueError, match="batch"):
-            resolve_proposal_engine("sequential-ei", 4)
-        with pytest.raises(ValueError, match="batch"):
-            RibbonOptimizer(batch_size=3, proposal_engine="sequential-ei")
-
     def test_bad_batch_size_rejected(self):
         with pytest.raises(ValueError, match="batch_size"):
             RibbonOptimizer(batch_size=0)
 
     def test_stream_knobs_fail_fast_at_construction(self):
-        with pytest.raises(ValueError, match="stream"):
-            RibbonOptimizer(stream="sometimes")
-        with pytest.raises(ValueError, match="stream_block_size"):
-            RibbonOptimizer(stream_block_size=0)
+        """The lattice size alone picks the regime and there is one
+        engine: RibbonOptimizer takes no regime or engine knob."""
+        for knob, value in (
+            ("stream", "always"), ("stream_block_size", 7), ("proposal_engine", "qei")
+        ):
+            with pytest.raises(TypeError, match=knob):
+                RibbonOptimizer(**{knob: value})
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity: qEI at q=1 and streamed argmax vs materialized
+# Bit-identity: a q-EI batch's first pick, and streamed vs materialized
 # ---------------------------------------------------------------------------
 class TestBatchSequentialEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_qei_at_batch_one_is_bit_identical(self, seed):
-        baseline = run_ribbon(seed)
-        qei = run_ribbon(seed, proposal_engine="constant-liar-qei", batch_size=1)
-        assert sequence(baseline) == sequence(qei)
-        assert baseline.best.pool.counts == qei.best.pool.counts
-        assert baseline.best.qos_rate == qei.best.qos_rate
-        assert qei.metadata["proposal_engine"] == "constant-liar-qei"
+        """The q-EI batch's pick one is the q=1 pick, bit for bit: the same
+        refit, predict and first tie-break draw.  The fantasy picks after
+        it are new, unsampled cells."""
+        space = SearchSpace(("g4dn", "t3"), (4, 6))
+
+        def ctx_after_design() -> AcquisitionContext:
+            ctx = AcquisitionContext(
+                space, rng=np.random.default_rng(seed), make_kernel=Matern52
+            )
+            for _ in range(5):
+                cell = ctx.random_unsampled()
+                ctx.observe(space.counts_at(cell), float(np.sin(cell)))
+            return ctx
+
+        one = SequentialEI().propose(ctx_after_design(), 1)
+        ctx = ctx_after_design()
+        batch = SequentialEI().propose(ctx, 4)
+        assert len(one) == 1 and batch[0] == one[0]
+        assert len(set(batch)) == 4
+        assert not set(batch) & ctx.sampled_idx
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_streamed_argmax_matches_materialized(self, seed):
-        materialized = run_ribbon(seed, stream="never")
-        streamed = run_ribbon(seed, stream="always", stream_block_size=7)
+    def test_streamed_argmax_matches_materialized(self, seed, monkeypatch):
+        materialized = run_ribbon(seed)
+        force_streaming(monkeypatch, 7)
+        streamed = run_ribbon(seed)
         assert sequence(materialized) == sequence(streamed)
         assert streamed.metadata["acquisition_streamed"] is True
         assert materialized.metadata["acquisition_streamed"] is False
 
     @pytest.mark.parametrize("seed", [0, 2])
-    def test_streamed_qei_batch_matches_small_blocks(self, seed):
+    def test_streamed_qei_batch_matches_small_blocks(self, seed, monkeypatch):
         """Streamed q-EI is deterministic across block sizes."""
-        a = run_ribbon(
-            seed, batch_size=3, stream="always", stream_block_size=5, patience=None
-        )
-        b = run_ribbon(
-            seed, batch_size=3, stream="always", stream_block_size=50, patience=None
-        )
+        force_streaming(monkeypatch, 5)
+        a = run_ribbon(seed, batch_size=3, patience=None)
+        force_streaming(monkeypatch, 50)
+        b = run_ribbon(seed, batch_size=3, patience=None)
         assert sequence(a) == sequence(b)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_streamed_qei_batch_matches_materialized(self, seed):
+    def test_streamed_qei_batch_matches_materialized(self, seed, monkeypatch):
         """Both regimes share one acquisition definition (fantasy mean
-        over the pre-batch std), so `stream` changes memory, not the
+        over the pre-batch std), so streaming changes memory, not the
         proposals — at q>1 too."""
-        materialized = run_ribbon(seed, batch_size=3, stream="never", patience=None)
-        streamed = run_ribbon(
-            seed, batch_size=3, stream="always", stream_block_size=7, patience=None
-        )
+        materialized = run_ribbon(seed, batch_size=3, patience=None)
+        force_streaming(monkeypatch, 7)
+        streamed = run_ribbon(seed, batch_size=3, patience=None)
         assert sequence(materialized) == sequence(streamed)
 
     def test_small_space_default_is_materialized(self):
         res = run_ribbon(0)
         assert res.metadata["acquisition_streamed"] is False
-        assert res.metadata["proposal_engine"] == "sequential-ei"
         assert res.metadata["proposal_batches"] > 0
 
 
@@ -284,11 +241,9 @@ class TestIncrementalCandidateMask:
         prune = PruneSet(space.prices)
         ctx = AcquisitionContext(
             space,
-            Matern52(),
             rng=np.random.default_rng(0),
             make_kernel=Matern52,
             prune=prune if pruning else None,
-            stream="never",
         )
         grid = space.grid()
         costs = prune.costs(grid)
@@ -310,11 +265,10 @@ class TestIncrementalCandidateMask:
             elif kind == "threshold-at-cell":
                 prune.update_cost_threshold(float(costs[arg % costs.size]))
             else:
-                got = ctx.candidate_mask()
-                np.testing.assert_array_equal(got, fresh())
+                got = ctx.candidate_indices()
+                np.testing.assert_array_equal(got, np.flatnonzero(fresh()))
                 if arg:
-                    got[:] = ~got  # a caller mutating its copy
-        np.testing.assert_array_equal(ctx.candidate_mask(), fresh())
+                    got[:] = 0  # a caller mutating its copy
         np.testing.assert_array_equal(
             ctx.candidate_indices(), np.flatnonzero(fresh())
         )
@@ -322,17 +276,16 @@ class TestIncrementalCandidateMask:
     def test_initial_design_marks_reach_the_kept_mask(self):
         space = SearchSpace(("g4dn", "t3"), (3, 3))
         ctx = AcquisitionContext(
-            space, Matern52(), rng=np.random.default_rng(1),
-            make_kernel=Matern52, stream="never",
+            space, rng=np.random.default_rng(1), make_kernel=Matern52
         )
-        assert ctx.candidate_mask().all()
+        assert ctx.candidate_indices().size == space.n_configurations
         drawn = set()
         while (cell := ctx.random_unsampled()) is not None:
             assert cell not in drawn
             ctx.mark_sampled(cell)
             drawn.add(cell)
         assert drawn == set(range(space.n_configurations))
-        assert not ctx.candidate_mask().any()
+        assert ctx.candidate_indices().size == 0
         assert ctx.sampled_idx == frozenset(drawn)
 
 
@@ -393,7 +346,6 @@ class TestBatchedSearch:
         evaluator = fresh_evaluator(model, trace, objective)
         res = RibbonOptimizer(max_samples=10, seed=0).search(evaluator)
         assert len(res.history) == 1  # candidates ran out before the BO loop
-        assert res.metadata["proposal_engine"] == "sequential-ei"
         assert res.metadata["proposal_batches"] == 0
         assert res.metadata["acquisition_streamed"] is False
         assert "n_pruned_final" in res.metadata
@@ -401,7 +353,6 @@ class TestBatchedSearch:
 
     def test_batch_metadata(self):
         res = run_ribbon(0, batch_size=4, patience=None)
-        assert res.metadata["proposal_engine"] == "constant-liar-qei"
         assert res.metadata["proposal_batches"] >= 1
         # 25 samples, 3 initial, 4 per batch -> at most ceil(22/4)+1 batches.
         assert res.metadata["proposal_batches"] <= 7
@@ -553,8 +504,9 @@ class TestScenarioPlumbing:
             .build()
         )
         res = scn.run("ribbon", seed=0, patience=None)
-        assert res.metadata["proposal_engine"] == "constant-liar-qei"
-        assert res.metadata["proposal_batches"] >= 1
+        # Fewer batches than BO samples (the 3 initial-design samples are
+        # not proposals): the scenario's batch size engaged.
+        assert 1 <= res.metadata["proposal_batches"] < len(res.history) - 3
 
     def test_runner_leaves_baselines_alone(self):
         from repro.api import Scenario
@@ -580,7 +532,8 @@ class TestScenarioPlumbing:
             .build()
         )
         res = scn.run("ribbon", seed=0, batch_size=1)
-        assert res.metadata["proposal_engine"] == "sequential-ei"
+        # One BO sample per batch: the sequential schedule.
+        assert res.metadata["proposal_batches"] == len(res.history) - 3
 
 
 class TestStrategyOptionsRegistry:
@@ -589,15 +542,15 @@ class TestStrategyOptionsRegistry:
 
         names = [opt.name for opt in strategy_options("ribbon")]
         assert "batch_size" in names
-        assert "proposal_engine" in names
         assert "max_samples" in names
+        for gone in ("proposal_engine", "stream", "stream_block_size"):
+            assert gone not in names
 
     def test_defaults_reported(self):
         from repro.api import strategy_options
 
         by_name = {opt.name: opt for opt in strategy_options("ribbon")}
         assert by_name["batch_size"].default == 1
-        assert by_name["proposal_engine"].default is None
         assert not by_name["batch_size"].required
 
     def test_unknown_strategy_raises(self):

@@ -438,6 +438,42 @@ class TestWarmRestart:
             mgr.shutdown()
 
 
+    def test_restored_reuse_matches_options_exactly(self, tmp_path):
+        """Two stored records differ only in their options: after a
+        restart each identical request reuses its own record, and another
+        seed or scenario reuses neither."""
+        store = SnapshotStore(tmp_path)
+        scenario = make_scenario()
+        for job_id, options, key in (
+            ("j-plain", {}, ""),
+            ("j-batch", {"batch_size": 4}, '{"batch_size": 4}'),
+        ):
+            store.append_result(scenario, {
+                "job_id": job_id, "strategy": "ribbon", "seed": 0,
+                "options": options, "options_key": key,
+                "submitted_at": 100.0, "started_at": 100.0,
+                "finished_at": 101.0,
+                "result": {"n_samples": 3, "best": None},
+            })
+        factory = StubFactory()
+        mgr = JobManager(runner_factory=factory, store=store)
+        try:
+            plain, batch = mgr.get("j-plain"), mgr.get("j-batch")
+            assert mgr.submit(scenario, "ribbon", seed=0) is plain
+            assert mgr.submit(scenario, "ribbon", seed=0, batch_size=4) is batch
+            assert factory.built == []
+            fresh = [
+                mgr.submit(scenario, "ribbon", seed=1),
+                mgr.submit(make_scenario(seed=9), "ribbon", seed=0),
+                mgr.submit(make_scenario(seed=9), "ribbon", seed=0, batch_size=4),
+            ]
+            for job in fresh:
+                mgr.wait(job.id, timeout=10)
+                assert job.state == "done" and not job.restored
+            assert len(factory.built) == 3
+        finally:
+            mgr.shutdown()
+
     def test_history_survives_a_daemon_generation(self, tmp_path):
         store = SnapshotStore(tmp_path)
         first_gen = JobManager(runner_factory=StubFactory(), store=store)
@@ -533,8 +569,10 @@ class TestStoreFaults:
         assert mgr.stats()["store_errors"] == 1
         failures = [r for r in caplog.records if r.levelno == logging.ERROR]
         assert len(failures) == 1 and first.id in failures[0].getMessage()
-        assert store.lookup(make_scenario(), "ribbon", 1) is None
-        assert store.lookup(make_scenario(), "ribbon", 2)["job_id"] == second.id
+        # Only the second job's record reached the store.
+        assert [(rec["job_id"], rec["seed"]) for _, rec in store.iter_results()] == [
+            (second.id, 2)
+        ]
 
     def test_no_store_reports_zero_errors(self, manager):
         job = manager.submit(make_scenario(), "ribbon")
@@ -580,26 +618,6 @@ class TestStore:
         store.save_scenario(scn)
         assert path.read_text() == before
         assert path.name == f"{scn.identity()}.json"
-
-    def test_lookup_matches_options_key_exactly(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        scn = make_scenario()
-        store.append_result(
-            scn, {"strategy": "ribbon", "seed": 0, "options_key": "", "n": 1}
-        )
-        store.append_result(
-            scn,
-            {
-                "strategy": "ribbon",
-                "seed": 0,
-                "options_key": '{"batch_size": 4}',
-                "n": 2,
-            },
-        )
-        assert store.lookup(scn, "ribbon", 0)["n"] == 1
-        assert store.lookup(scn, "ribbon", 0, '{"batch_size": 4}')["n"] == 2
-        assert store.lookup(scn, "ribbon", 1) is None
-        assert store.lookup(make_scenario(seed=9), "ribbon", 0) is None
 
     def test_record_round_trip_shape(self):
         rec = make_record(2, cost=1.5)

@@ -22,7 +22,13 @@ from urllib.parse import urlparse
 import pytest
 
 from repro.api.scenario import Scenario
-from repro.service import JobManager, ServiceClient, ServiceError, make_server
+from repro.service import (
+    JobManager,
+    ServiceClient,
+    ServiceError,
+    SnapshotStore,
+    make_server,
+)
 from repro.service.http import MAX_BODY_BYTES
 from tests.test_service import StubFactory, make_scenario
 
@@ -219,6 +225,38 @@ class TestErrors:
             assert "bogus_knob" in err.value.message
             assert "batch_size" in err.value.message
             assert client.jobs() == []
+        finally:
+            server.shutdown()
+            server.server_close()
+            manager.shutdown(cancel_running=True)
+
+    def test_stored_engine_option_restores_but_is_refused_anew(self, tmp_path):
+        """A record written while ``proposal_engine`` was an option restores
+        as a done job; submitting that option now is a structured 400."""
+        store = SnapshotStore(tmp_path)
+        store.append_result(make_scenario(), {
+            "job_id": "j-old-engine", "strategy": "ribbon", "seed": 0,
+            "options": {"proposal_engine": "qei"},
+            "options_key": '{"proposal_engine": "qei"}',
+            "submitted_at": 100.0, "started_at": 100.0, "finished_at": 101.0,
+            "result": {"n_samples": 3, "best": None},
+        })
+        manager = JobManager(store=store, max_workers=1)
+        server = make_server(manager, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        host, port = server.server_address[:2]
+        client = ServiceClient(f"http://{host}:{port}", timeout=10.0)
+        try:
+            restored = client.job("j-old-engine")
+            assert restored["state"] == "done" and restored["restored"]
+            with pytest.raises(ServiceError) as err:
+                client.submit(make_scenario(), "ribbon", proposal_engine="qei")
+            assert err.value.status == 400
+            assert err.value.error_type == "ScenarioError"
+            assert "'proposal_engine'" in err.value.message
+            assert "accepted options" in err.value.message
+            assert "batch_size" in err.value.message
+            assert [job["id"] for job in client.jobs()] == ["j-old-engine"]
         finally:
             server.shutdown()
             server.server_close()
