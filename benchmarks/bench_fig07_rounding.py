@@ -14,7 +14,7 @@ from conftest import once, register_figure
 
 from repro.analysis.reporting import series_table
 from repro.gp.acquisition import expected_improvement
-from repro.gp.kernels import Matern52, RoundedKernel
+from repro.gp.kernels import Matern52
 from repro.gp.regression import GaussianProcessRegressor
 
 BOUND = 10  # instance counts 1..10, as in the figure
@@ -32,9 +32,7 @@ def true_objective(x_unit):
 def fit_and_score(use_rounding: bool):
     X = (OBSERVED_N / BOUND)[:, None]
     y = true_objective(X.ravel())
-    kernel = Matern52(length_scale=0.25)
-    if use_rounding:
-        kernel = RoundedKernel(kernel, scale=float(BOUND))
+    kernel = Matern52(length_scale=0.25, scale=float(BOUND) if use_rounding else None)
     gp = GaussianProcessRegressor(kernel, noise=1e-6, optimize_hyperparameters=False)
     gp.fit(X, y)
     # Continuous acquisition domain: a fine grid across all cells.

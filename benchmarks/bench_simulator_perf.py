@@ -13,7 +13,7 @@ from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.objective import RibbonObjective
 from repro.core.optimizer import RibbonOptimizer
 from repro.core.search_space import SearchSpace
-from repro.gp.kernels import Matern52, RoundedKernel
+from repro.gp.kernels import Matern52
 from repro.gp.regression import GaussianProcessRegressor
 from repro.models.zoo import get_model
 from repro.simulator.engine import InferenceServingSimulator
@@ -87,7 +87,7 @@ def test_perf_gp_fit_predict(benchmark):
     X = rng.uniform(size=(30, 3))
     y = np.sin(X.sum(axis=1) * 3.0)
     grid = rng.uniform(size=(500, 3))
-    kernel = RoundedKernel(Matern52(0.3), scale=np.array([5.0, 6.0, 8.0]))
+    kernel = Matern52(0.3, scale=np.array([5.0, 6.0, 8.0]))
 
     def fit_predict():
         gp = GaussianProcessRegressor(

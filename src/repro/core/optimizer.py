@@ -2,7 +2,7 @@
 
 One BO iteration:
 
-1. fit a GP surrogate (Matern 5/2 under the Eq. 3 rounding wrapper, inputs
+1. fit a GP surrogate (Matern 5/2 with the Eq. 3 rounding, inputs
    normalized to the unit cube) to all objective observations;
 2. compute Expected Improvement over every lattice configuration;
 3. mask out configurations already sampled (the rounding kernel makes the
@@ -44,7 +44,7 @@ import numpy as np
 from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.pruning import PruneSet
 from repro.core.strategy import Budget, SearchStrategy
-from repro.gp.kernels import Kernel, Matern52, RoundedKernel
+from repro.gp.kernels import Matern52
 from repro.gp.proposals import AcquisitionContext, SequentialEI
 from repro.simulator.pool import PoolConfiguration
 
@@ -102,7 +102,6 @@ class RibbonOptimizer(SearchStrategy):
         use_pruning: bool = True,
         pseudo_observations: Sequence[PseudoObservation] = (),
         prune_seed: Sequence[tuple[int, ...]] = (),
-        gp_noise: float = 1e-5,
         batch_size: int = 1,
     ):
         super().__init__(max_samples=max_samples, seed=seed)
@@ -122,19 +121,8 @@ class RibbonOptimizer(SearchStrategy):
         self.use_pruning = bool(use_pruning)
         self.pseudo_observations = tuple(pseudo_observations)
         self.prune_seed = tuple(prune_seed)
-        self.gp_noise = float(gp_noise)
         #: Prune set of the last run (exposed for warm-start transfer).
         self.prune_set: PruneSet | None = None
-
-    # -- kernel -------------------------------------------------------------
-    def _make_kernel(self, bounds: Sequence[int]) -> Kernel:
-        """Matern 5/2, under the Eq. 3 rounding wrapper unless ablated."""
-        base = Matern52(length_scale=0.3, variance=1.0)
-        if self.use_rounding:
-            # Inputs are normalized by the bounds; scale maps them back to
-            # integer counts for rounding.
-            return RoundedKernel(base, scale=np.asarray(bounds, dtype=float))
-        return base
 
     # -- main loop -------------------------------------------------------------
     def _run(
@@ -152,12 +140,14 @@ class RibbonOptimizer(SearchStrategy):
                 prune.add_violator(counts)
         self.prune_set = prune
 
+        # Matern 5/2; unless ablated, scale maps the unit-cube inputs back
+        # to integer counts for the Eq. 3 rounding.
+        scale = space.bounds if self.use_rounding else None
         ctx = AcquisitionContext(
             space,
             rng=rng,
-            make_kernel=lambda: self._make_kernel(space.bounds),
+            make_kernel=lambda: Matern52(0.3, 1.0, scale=scale),
             prune=prune if self.use_pruning else None,
-            gp_noise=self.gp_noise,
         )
         for pseudo in self.pseudo_observations:
             ctx.add_pseudo_observation(pseudo.counts, pseudo.objective)

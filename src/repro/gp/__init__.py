@@ -2,14 +2,15 @@
 
 Implements what Ribbon's BO engine runs (Sec. 4 of the paper):
 
-* the Matern 5/2 covariance kernel (Ribbon's choice);
-* the **rounding kernel wrapper** of Eq. 3,
-  ``k'(x_i, x_j) = k(R(x_i), R(x_j))``, which makes the GP piecewise
-  constant across integer cells so the surrogate matches the categorical
-  (integer instance count) true objective;
+* the Matern 5/2 covariance kernel (Ribbon's choice),
+  :class:`~repro.gp.kernels.Matern52`; with ``scale=`` it applies the
+  **rounding** of Eq. 3, ``k'(x_i, x_j) = k(R(x_i), R(x_j))``, which makes
+  the GP piecewise constant across integer cells so the surrogate matches
+  the categorical (integer instance count) true objective;
 * exact GP regression via Cholesky factorization with log-marginal-
-  likelihood hyperparameter fitting (multi-restart L-BFGS-B with analytic
-  kernel gradients) and incremental rank-1 conditioning
+  likelihood hyperparameter fitting (L-BFGS-B with analytic kernel
+  gradients from the current theta and one random start) and incremental
+  rank-1 conditioning
   (:meth:`~repro.gp.regression.GaussianProcessRegressor.add_observation`);
 * the Expected Improvement acquisition function;
 * the acquisition step (:mod:`repro.gp.proposals`):
@@ -19,16 +20,14 @@ Implements what Ribbon's BO engine runs (Sec. 4 of the paper):
   (grid never built) above 200 000 cells.
 """
 
-from repro.gp.kernels import Kernel, Matern52, PreparedInput, RoundedKernel
+from repro.gp.kernels import Matern52, PreparedInput
 from repro.gp.regression import GaussianProcessRegressor
 from repro.gp.proposals import AcquisitionContext, SequentialEI
 from repro.gp.acquisition import expected_improvement
 
 __all__ = [
-    "Kernel",
     "PreparedInput",
     "Matern52",
-    "RoundedKernel",
     "GaussianProcessRegressor",
     "AcquisitionContext",
     "SequentialEI",

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.gp.acquisition import expected_improvement
-from repro.gp.kernels import Kernel, take_prepared
+from repro.gp.kernels import Matern52, take_prepared
 from repro.gp.regression import GaussianProcessRegressor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
@@ -68,20 +68,21 @@ class AcquisitionContext:
     AUTO_STREAM_CELLS = 200_000
     #: Rows per streamed block (bounds a streamed sweep's peak memory).
     BLOCK_SIZE = 65_536
+    #: Surrogate observation noise variance: evaluations are deterministic
+    #: given a trace, so it only stabilizes the Cholesky factorization.
+    GP_NOISE = 1e-5
 
     def __init__(
         self,
         space: "SearchSpace",
         *,
         rng: np.random.Generator,
-        make_kernel: Callable[[], Kernel],
+        make_kernel: Callable[[], Matern52],
         prune: "PruneSet | None" = None,
-        gp_noise: float = 1e-5,
     ):
         self.space = space
         self.rng = rng
         self.prune = prune
-        self.gp_noise = float(gp_noise)
         self.streaming = space.n_configurations > self.AUTO_STREAM_CELLS
         self._make_kernel = make_kernel
         # Lattice preparation only (theta-independent); fits make their own.
@@ -240,13 +241,13 @@ class AcquisitionContext:
         """A fresh GP fit to every observation so far (the paper's schedule).
 
         Hyperparameters are re-optimized on every call once four
-        observations exist; each call draws one restart seed from ``rng``.
+        observations exist; each call draws the seed of the fit's random
+        start from ``rng``.
         """
         gp = GaussianProcessRegressor(
             self._make_kernel(),
-            noise=self.gp_noise,
+            noise=self.GP_NOISE,
             optimize_hyperparameters=len(self.observations_y) >= 4,
-            n_restarts=1,
             seed=int(self.rng.integers(2**31 - 1)),
         )
         return gp.fit(

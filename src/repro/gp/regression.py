@@ -6,8 +6,9 @@ numpy/scipy:
 * posterior mean/variance via a Cholesky factorization of
   ``K + sigma_n^2 I`` (jitter-stabilized);
 * hyperparameter selection by maximizing the log marginal likelihood with
-  multi-restart L-BFGS-B over the kernel's log-space parameter vector,
-  with exact gradients (``jac=True``, R&W Eq. 5.9) — one kernel build per
+  L-BFGS-B over the kernel's log-space parameter vector from two starts
+  (the current theta, then one uniform draw within the bounds), with
+  exact gradients (``jac=True``, R&W Eq. 5.9) — one kernel build per
   line-search step.
 
 Own L-BFGS-B loop: a fit sees ~10 points, so the per-call layers of
@@ -48,13 +49,7 @@ from scipy import linalg as sla
 from scipy import optimize
 from scipy.linalg import get_lapack_funcs
 
-from repro.gp.kernels import (
-    Kernel,
-    Matern52,
-    PreparedInput,
-    _as_2d,
-    concat_prepared,
-)
+from repro.gp.kernels import Matern52, PreparedInput, _as_2d, concat_prepared
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -199,28 +194,26 @@ class GaussianProcessRegressor:
     Parameters
     ----------
     kernel:
-        Covariance function (its hyperparameters are mutated by ``fit`` when
-        ``optimize_hyperparameters`` is on).
+        The Matern 5/2 covariance (its hyperparameters are mutated by
+        ``fit`` when ``optimize_hyperparameters`` is on).
     noise:
         Observation noise variance ``sigma_n^2`` added to the kernel
         diagonal.  Ribbon's objective evaluations are deterministic given a
         trace, so the default is a small stabilizing value.  Targets are
         centered and scaled before fitting and restored on prediction.
     optimize_hyperparameters:
-        Maximize the log marginal likelihood on ``fit``.
-    n_restarts:
-        Random restarts for the hyperparameter search.
+        Maximize the log marginal likelihood on ``fit`` (L-BFGS-B from the
+        current theta, then from one uniform draw within the bounds).
     seed:
-        Seed for restart sampling.
+        Seed for the drawn start.
     """
 
     def __init__(
         self,
-        kernel: Kernel,
+        kernel: Matern52,
         noise: float = 1e-6,
         *,
         optimize_hyperparameters: bool = True,
-        n_restarts: int = 2,
         seed: int = 0,
     ):
         if noise <= 0:
@@ -228,7 +221,6 @@ class GaussianProcessRegressor:
         self.kernel = kernel
         self.noise = float(noise)
         self.optimize_hyperparameters = bool(optimize_hyperparameters)
-        self.n_restarts = int(n_restarts)
         self._rng = np.random.default_rng(seed)
         self._X: np.ndarray | None = None
         self._pi: PreparedInput | None = None
@@ -367,24 +359,19 @@ class GaussianProcessRegressor:
             saved = self.kernel.get_theta()
             self.kernel.set_theta(np.asarray(theta, dtype=float))
         try:
-            return self._lml_current_theta()
-        finally:
-            if theta is not None:
-                self.kernel.set_theta(saved)
-
-    def _lml_current_theta(self) -> float:
-        K = self.kernel.eval_state(self._ensure_train_state()).copy()
-        K[np.diag_indices_from(K)] += self.noise
-        try:
+            K = self.kernel.eval_state(self._ensure_train_state()).copy()
+            K[np.diag_indices_from(K)] += self.noise
             L = self._stable_cholesky(K)
         except sla.LinAlgError:
             return -np.inf
+        finally:
+            if theta is not None:
+                self.kernel.set_theta(saved)
         alpha = sla.cho_solve((L, True), self._y, check_finite=False)
-        n = self._y.size
         return float(
             -0.5 * self._y @ alpha
             - np.sum(np.log(np.diag(L)))
-            - 0.5 * n * _LOG_2PI
+            - 0.5 * self._y.size * _LOG_2PI
         )
 
     def _make_analytic_objective(self):
@@ -435,11 +422,9 @@ class GaussianProcessRegressor:
     def _optimize_theta(self) -> None:
         bounds = self.kernel.theta_bounds()
         fun = self._make_analytic_objective()
-        starts = [self.kernel.get_theta()]
         lows = np.array([b[0] for b in bounds])
         highs = np.array([b[1] for b in bounds])
-        for _ in range(self.n_restarts):
-            starts.append(self._rng.uniform(lows, highs))
+        starts = [self.kernel.get_theta(), self._rng.uniform(lows, highs)]
 
         best_theta, best_val = None, np.inf
         for x0 in starts:
@@ -467,7 +452,7 @@ class GaussianProcessRegressor:
         if not return_std:
             return mean
         v = sla.solve_triangular(self._L, K_star.T, lower=True, check_finite=False)
-        var = self.kernel._diag_prepared(pi) - np.sum(v**2, axis=0)
+        var = self.kernel.diag(pi) - np.sum(v**2, axis=0)
         var = np.maximum(var, 1e-12)
         return mean, np.sqrt(var) * self._y_std
 

@@ -409,7 +409,15 @@ class JobManager:
             )
         if strategy is None:
             strategy = parent.strategy
-        self._validate(strategy, parent.strategy_kwargs)
+        try:
+            self._validate(strategy, parent.strategy_kwargs)
+        except ScenarioError as exc:
+            # A fork sends no options: they are the parent's (for a restored
+            # job, from a record an older build may have written).
+            raise ScenarioError(
+                f"cannot fork job {parent.id!r}: its options come from its "
+                f"stored record, and {exc}"
+            ) from None
         parent_runner = parent.runner
         if parent_runner is None:
             parent_runner = self._runner_factory(parent.scenario)

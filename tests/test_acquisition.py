@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gp.acquisition import expected_improvement
-from repro.gp.kernels import Matern52, RoundedKernel, take_prepared
+from repro.gp.kernels import Matern52, take_prepared
 from repro.gp.proposals import _candidate_argmax
 from repro.gp.regression import GaussianProcessRegressor
 from repro.simulator.pool import grid_vectors
@@ -127,9 +127,9 @@ class TestCandidateOnlyScoring:
         scale = bounds.astype(float)
         grid_unit = grid_vectors(bounds) / scale
         kernels = [
-            RoundedKernel(Matern52(0.3), scale=scale),
+            Matern52(0.3, scale=scale),
             Matern52(0.2, 0.5),
-            RoundedKernel(Matern52(0.6, 2.0), scale=scale),
+            Matern52(0.6, 2.0, scale=scale),
             Matern52(1.5),
         ]
         for kernel in kernels:
@@ -137,7 +137,7 @@ class TestCandidateOnlyScoring:
             X = grid_unit[rng.choice(grid_unit.shape[0], n, replace=False)]
             y = np.sin(3.0 * X @ rng.normal(size=X.shape[1]))
             gp = GaussianProcessRegressor(
-                kernel, noise=1e-5, n_restarts=1, seed=seed
+                kernel, noise=1e-5, seed=seed
             ).fit(X, y)
             full = kernel.precompute_input(grid_unit)
             candidates = rng.random(grid_unit.shape[0]) < rng.uniform(0.05, 0.5)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gp.kernels import Matern52, RoundedKernel
+from repro.gp.kernels import Matern52
 from repro.gp.regression import GaussianProcessRegressor
 
 
@@ -28,25 +28,30 @@ def all_kernels():
     return [
         Matern52(length_scale=0.4, variance=1.3),
         Matern52(length_scale=2.5, variance=0.2),
-        RoundedKernel(Matern52(0.3, 1.0), scale=np.array([5.0, 7.0])),
+        Matern52(0.3, 1.0, scale=np.array([5.0, 7.0])),
     ]
 
 
-@pytest.mark.parametrize("kernel", all_kernels(), ids=lambda k: repr(k)[:40])
+def kernel_id(kernel):
+    return repr(kernel)[:40] if kernel.scale is None else "Matern52-rounded"
+
+
+@pytest.mark.parametrize("kernel", all_kernels(), ids=kernel_id)
 def test_gradient_state_matches_finite_differences(kernel):
     rng = np.random.default_rng(3)
     X = rng.uniform(size=(12, 2))
     state = kernel.cross_state(kernel.precompute_input(X), kernel.precompute_input(X))
-    analytic = kernel.gradient_state(state, kernel.eval_state(state))
+    _, analytic = kernel.eval_and_gradient_state(state, {})
     numeric = fd_gradient(kernel, X)
     assert len(analytic) == kernel.n_params
     for a, n in zip(analytic, numeric):
         np.testing.assert_allclose(a, n, rtol=1e-5, atol=1e-7)
 
 
-@pytest.mark.parametrize("kernel", all_kernels(), ids=lambda k: repr(k)[:40])
+@pytest.mark.parametrize("kernel", all_kernels(), ids=kernel_id)
 def test_prepared_pipeline_matches_direct_call(kernel):
-    """__call__, eval_state and the fused path agree bit-for-bit."""
+    """__call__, eval_state and the fused path agree bit-for-bit, and the
+    log-variance gradient is K itself."""
     rng = np.random.default_rng(4)
     X1 = rng.uniform(size=(9, 2))
     X2 = rng.uniform(size=(5, 2))
@@ -55,10 +60,9 @@ def test_prepared_pipeline_matches_direct_call(kernel):
         kernel.precompute_input(X1), kernel.precompute_input(X2)
     )
     np.testing.assert_array_equal(direct, kernel.eval_state(state))
-    K, grads = kernel.eval_and_gradient_state(state)
+    K, grads = kernel.eval_and_gradient_state(state, {})
     np.testing.assert_array_equal(direct, K)
-    for fused, plain in zip(grads, kernel.gradient_state(state, K)):
-        np.testing.assert_array_equal(fused, plain)
+    np.testing.assert_array_equal(grads[1], K)
 
 
 def test_matern_workspace_variant_is_bit_identical():
@@ -66,15 +70,19 @@ def test_matern_workspace_variant_is_bit_identical():
     rng = np.random.default_rng(5)
     pi = kernel.precompute_input(rng.uniform(size=(20, 3)))
     state = kernel.cross_state(pi, pi)
-    K_plain, grads_plain = kernel.eval_and_gradient_state(state)
     ws: dict = {}
     K_ws, grads_ws = kernel.eval_and_gradient_state(state, ws)
-    np.testing.assert_array_equal(K_plain, K_ws)
-    for a, b in zip(grads_plain, grads_ws):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(kernel.eval_state(state), K_ws)
+    K_first, G_first = K_ws.copy(), grads_ws[0].copy()
     # The workspace is reused across calls: same buffers, same values.
-    K_ws2, _ = kernel.eval_and_gradient_state(state, ws)
-    assert K_ws2 is K_ws
+    K_ws2, grads_ws2 = kernel.eval_and_gradient_state(state, ws)
+    assert K_ws2 is K_ws and grads_ws2[0] is grads_ws[0]
+    np.testing.assert_array_equal(K_ws2, K_first)
+    np.testing.assert_array_equal(grads_ws2[0], G_first)
+    # A differently shaped state gets fresh buffers of its own shape.
+    small = state[:4, :4]
+    K_small, _ = kernel.eval_and_gradient_state(small, ws)
+    np.testing.assert_array_equal(K_small, kernel.eval_state(small))
 
 
 def test_kernel_diag_matches_full_matrix():
@@ -83,7 +91,7 @@ def test_kernel_diag_matches_full_matrix():
     for kernel in all_kernels():
         pi = kernel.precompute_input(X)
         full = np.diag(kernel(X, X))
-        fast = kernel._diag_prepared(pi)
+        fast = kernel.diag(pi)
         np.testing.assert_allclose(fast, full, rtol=1e-12, atol=1e-12)
 
 
@@ -95,7 +103,7 @@ def test_analytic_lml_gradient_matches_finite_differences():
     # otherwise the finite-difference reference (not the analytic gradient)
     # becomes numerically meaningless.
     gp = GaussianProcessRegressor(
-        RoundedKernel(Matern52(0.3), scale=np.array([5.0, 6.0])),
+        Matern52(0.3, scale=np.array([5.0, 6.0])),
         noise=1e-3,
         optimize_hyperparameters=False,
     ).fit(X, y)

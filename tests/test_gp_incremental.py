@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gp.kernels import Matern52, RoundedKernel
+from repro.gp.kernels import Matern52
 from repro.gp.regression import GaussianProcessRegressor
 from repro.simulator.pool import grid_vectors
 
@@ -60,22 +60,22 @@ class TestAddObservation:
     def test_duplicate_input_under_rounding_falls_back_safely(self):
         # An exactly duplicated row makes the bordered factor lose positive
         # definiteness; the update must fall back to the jittered path.
-        kernel = RoundedKernel(Matern52(0.3), scale=10.0)
+        kernel = Matern52(0.3, scale=10.0)
         gp = make_gp(kernel).fit(np.array([[0.5], [0.7]]), np.array([1.0, 2.0]))
         gp.add_observation([[0.5]], 1.0)
         mean = gp.predict([[0.5]])
         assert np.isfinite(mean[0])
 
     def test_composite_kernel(self):
-        # The Eq. 3 wrapper around Matern.  Distinct lattice cells keep the
+        # Matern under the Eq. 3 rounding.  Distinct lattice cells keep the
         # bordered factor positive definite (no jitter fallback).
         scale = np.array([5.0, 7.0])
         rng = np.random.default_rng(2)
         cells = rng.permutation(grid_vectors((5, 7)))[:11] / scale
         y = rng.normal(size=10)
-        inc = make_gp(RoundedKernel(Matern52(0.4), scale=scale)).fit(cells[:10], y)
+        inc = make_gp(Matern52(0.4, scale=scale)).fit(cells[:10], y)
         inc.add_observation(cells[10:], 0.3)
-        kernel2 = RoundedKernel(Matern52(0.4), scale=scale)
+        kernel2 = Matern52(0.4, scale=scale)
         scratch = make_gp(kernel2).fit(inc.X_train, inc.y_train)
         assert_same_posterior(inc, scratch, rng.uniform(size=(25, 2)))
 
@@ -103,7 +103,7 @@ class TestPreparedPredict:
         rng = np.random.default_rng(4)
         X = rng.uniform(size=(10, 3))
         y = rng.normal(size=10)
-        kernel = RoundedKernel(Matern52(0.3), scale=np.array([5.0, 6.0, 8.0]))
+        kernel = Matern52(0.3, scale=np.array([5.0, 6.0, 8.0]))
         gp = make_gp(kernel).fit(X, y)
         grid = rng.uniform(size=(30, 3))
         grid_pi = kernel.precompute_input(grid)

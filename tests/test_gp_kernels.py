@@ -6,12 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.gp.kernels import Matern52, RoundedKernel
+from repro.gp.kernels import Matern52
 
 ALL_KERNELS = [
     Matern52(length_scale=0.7, variance=1.3),
-    RoundedKernel(Matern52(length_scale=0.5, variance=0.8), scale=np.array([4.0, 6.0])),
+    Matern52(length_scale=0.5, variance=0.8, scale=np.array([4.0, 6.0])),
 ]
+
+
+def kernel_id(kernel):
+    return "Matern52" if kernel.scale is None else "Matern52-rounded"
 
 points = hnp.arrays(
     np.float64,
@@ -21,13 +25,13 @@ points = hnp.arrays(
 
 
 class TestKernelBasics:
-    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: type(k).__name__)
+    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=kernel_id)
     def test_symmetry(self, kernel):
         X = np.random.default_rng(0).normal(size=(6, 2))
         K = kernel(X, X)
         np.testing.assert_allclose(K, K.T, atol=1e-12)
 
-    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: type(k).__name__)
+    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=kernel_id)
     def test_psd(self, kernel):
         X = np.random.default_rng(1).normal(size=(8, 2))
         K = kernel(X, X)
@@ -39,7 +43,7 @@ class TestKernelBasics:
         X = np.random.default_rng(2).normal(size=(5, 2))
         np.testing.assert_allclose(np.diag(kernel(X, X)), kernel.variance, rtol=1e-6)
 
-    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: type(k).__name__)
+    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=kernel_id)
     def test_theta_roundtrip(self, kernel):
         theta = kernel.get_theta()
         kernel.set_theta(theta + 0.3)
@@ -74,10 +78,10 @@ class TestKernelBasics:
             Matern52(variance=-1.0)
 
 
-class TestRoundedKernel:
+class TestRounding:
     def test_constant_within_integer_cell(self):
         # Normalized inputs with scale 10: cell width 0.1.
-        k = RoundedKernel(Matern52(length_scale=0.3), scale=10.0)
+        k = Matern52(length_scale=0.3, scale=10.0)
         ref = np.array([[0.55]])
         a = k(np.array([[0.21]]), ref)[0, 0]
         b = k(np.array([[0.24]]), ref)[0, 0]  # same integer cell (round->2)
@@ -86,25 +90,18 @@ class TestRoundedKernel:
         assert a != pytest.approx(c, abs=1e-9)
 
     def test_round_input_maps_to_cell_centers(self):
-        k = RoundedKernel(Matern52(), scale=np.array([4.0, 8.0]))
-        out = k.round_input(np.array([[0.25 + 0.01, 0.5 - 0.01]]))
+        k = Matern52(scale=np.array([4.0, 8.0]))
+        out = k.precompute_input(np.array([[0.25 + 0.01, 0.5 - 0.01]])).x
         np.testing.assert_allclose(out, [[0.25, 0.5]])
-
-    def test_delegates_theta(self):
-        base = Matern52()
-        k = RoundedKernel(base, scale=5.0)
-        theta = k.get_theta()
-        k.set_theta(theta + 0.1)
-        np.testing.assert_allclose(base.get_theta(), theta + 0.1)
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
-            RoundedKernel(Matern52(), scale=0.0)
+            Matern52(scale=0.0)
 
     @given(points)
     @settings(max_examples=25, deadline=None)
     def test_rounded_matrix_is_psd(self, X):
-        k = RoundedKernel(Matern52(), scale=3.0)
+        k = Matern52(scale=3.0)
         K = k(X, X)
         eig = np.linalg.eigvalsh(K)
         assert eig.min() > -1e-8

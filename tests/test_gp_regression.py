@@ -11,7 +11,7 @@ import scipy
 from scipy import optimize
 
 from repro.gp import regression
-from repro.gp.kernels import Matern52, RoundedKernel
+from repro.gp.kernels import Matern52
 from repro.gp.regression import GaussianProcessRegressor
 
 
@@ -93,7 +93,7 @@ class TestHyperparameterFit:
         ).fit(X, y)
         lml_fixed = gp_fixed.log_marginal_likelihood()
         gp_opt = GaussianProcessRegressor(
-            k_bad, noise=1e-6, optimize_hyperparameters=True, n_restarts=2
+            k_bad, noise=1e-6, optimize_hyperparameters=True
         ).fit(X, y)
         lml_opt = gp_opt.log_marginal_likelihood()
         assert lml_opt >= lml_fixed - 1e-6
@@ -111,7 +111,7 @@ class TestHyperparameterFit:
         # Cholesky must survive them.
         X = np.array([[0.5], [0.5], [0.7]])
         y = np.array([1.0, 1.0, 2.0])
-        kernel = RoundedKernel(Matern52(0.3), scale=10.0)
+        kernel = Matern52(0.3, scale=10.0)
         gp = GaussianProcessRegressor(kernel, noise=1e-6, optimize_hyperparameters=False)
         gp.fit(X, y)
         mean = gp.predict([[0.5]])
@@ -133,11 +133,10 @@ def _random_likelihood(rng):
     noise, and whether (and at what scale) inputs are rounded.
     """
     d = int(rng.integers(1, 4))
-    kernel = Matern52(
-        float(10.0 ** rng.uniform(-1.5, 1.0)), float(10.0 ** rng.uniform(-2, 1))
-    )
-    if rng.random() < 0.5:
-        kernel = RoundedKernel(kernel, scale=rng.integers(2, 12, size=d))
+    length_scale = float(10.0 ** rng.uniform(-1.5, 1.0))
+    variance = float(10.0 ** rng.uniform(-2, 1))
+    scale = rng.integers(2, 12, size=d) if rng.random() < 0.5 else None
+    kernel = Matern52(length_scale, variance, scale=scale)
     n = int(rng.integers(3, 41))
     X = rng.uniform(0.0, 1.0, size=(n, d))
     y = np.sin(5.0 * X @ rng.normal(size=d)) + 0.1 * rng.normal(size=n)
@@ -213,7 +212,7 @@ class TestLbfgsbLoop:
         grid = np.random.default_rng(2).uniform(0.0, 1.0, size=(30, 2))
 
         def fit():
-            gp = GaussianProcessRegressor(Matern52(), n_restarts=2, seed=4)
+            gp = GaussianProcessRegressor(Matern52(), seed=4)
             gp.fit(X, y)
             return gp.kernel.get_theta(), *gp.predict(grid, return_std=True)
 
@@ -265,8 +264,8 @@ def _fit_digest(n_problems: int = 400) -> str:
         X = rng.integers(0, bounds + 1, size=(n + 1, d)) / bounds
         y = np.sin(4.0 * X @ rng.normal(size=d)) + 0.05 * rng.normal(size=n + 1)
         gp = GaussianProcessRegressor(
-            RoundedKernel(Matern52(0.3, 1.0), scale=bounds.astype(float)),
-            noise=1e-5, n_restarts=1, seed=problem,
+            Matern52(0.3, 1.0, scale=bounds.astype(float)),
+            noise=1e-5, seed=problem,
         ).fit(X[:n], y[:n])
         h.update(gp.kernel.get_theta().tobytes())
         h.update(gp._alpha.tobytes())

@@ -543,7 +543,7 @@ class TestStrategyOptionsRegistry:
         names = [opt.name for opt in strategy_options("ribbon")]
         assert "batch_size" in names
         assert "max_samples" in names
-        for gone in ("proposal_engine", "stream", "stream_block_size"):
+        for gone in ("proposal_engine", "stream", "stream_block_size", "gp_noise"):
             assert gone not in names
 
     def test_defaults_reported(self):

@@ -231,6 +231,30 @@ class TestOptionValidation:
         registry_manager.wait(child.id, timeout=10)
         assert child.state == "done"
 
+    def test_fork_refuses_options_from_a_restored_record(self, tmp_path):
+        """A restored parent whose stored options this build no longer
+        accepts is not forked: the error names the parent and its stored
+        record, and nothing is queued."""
+        store = SnapshotStore(tmp_path)
+        store.append_result(make_scenario(), {
+            "job_id": "j-old", "strategy": "ribbon", "seed": 0,
+            "options": {"proposal_engine": "qei"},
+            "submitted_at": 100.0, "started_at": 100.0, "finished_at": 101.0,
+            "result": {"n_samples": 3, "best": None},
+        })
+        mgr = JobManager(store=store, max_workers=1)
+        factory = mgr._runner_factory = StubFactory()
+        try:
+            with pytest.raises(ScenarioError) as err:
+                mgr.fork("j-old", load_factor=1.5)
+            message = str(err.value)
+            assert "'j-old'" in message and "stored record" in message
+            assert "'proposal_engine'" in message and "batch_size" in message
+            assert [job.id for job in mgr.jobs()] == ["j-old"]
+            assert factory.built == []
+        finally:
+            mgr.shutdown()
+
     def test_injected_factory_skips_option_checks(self, manager):
         job = manager.submit(make_scenario(), "ribbon", bogus_knob=3)
         manager.wait(job.id, timeout=10)
