@@ -15,7 +15,9 @@ the lattice in ascending cost order with the paper's own dominance rules:
   (counted, not simulated).
 
 Both rules rest on the same capacity-monotonicity assumption the paper's
-active pruning uses.
+active pruning uses.  Each rule is one boolean mask over the ordered
+candidates, ORed with a box per simulated outcome, so the walk reads two
+entries per candidate instead of rescanning every earlier outcome.
 """
 
 from __future__ import annotations
@@ -74,15 +76,15 @@ def _count_better_configs(
     candidates = grid[under_cap][order]
     cand_costs = costs[under_cap][order]
 
-    violator_ceilings: list[np.ndarray] = []
-    satisfier_floors: list[np.ndarray] = []
+    below_violator = np.zeros(len(candidates), dtype=bool)
+    above_satisfier = np.zeros(len(candidates), dtype=bool)
     n_better = 0
     best_cost = np.inf
     n_sim = 0
-    for vec, cost in zip(candidates, cand_costs):
-        if any(np.all(vec <= c) for c in violator_ceilings):
+    for i, (vec, cost) in enumerate(zip(candidates, cand_costs)):
+        if below_violator[i]:
             continue
-        if any(np.all(f <= vec) for f in satisfier_floors):
+        if above_satisfier[i]:
             n_better += 1  # inferred satisfier, cheaper than the baseline
             continue
         res = sim.simulate(trace, PoolConfiguration(families, tuple(int(v) for v in vec)))
@@ -90,9 +92,9 @@ def _count_better_configs(
         if res.qos_satisfaction_rate(qos_target_ms) >= qos_rate_target:
             n_better += 1
             best_cost = min(best_cost, float(cost))
-            satisfier_floors.append(np.asarray(vec))
+            above_satisfier |= np.all(vec <= candidates, axis=1)
         else:
-            violator_ceilings.append(np.asarray(vec))
+            below_violator |= np.all(candidates <= vec, axis=1)
     saving = (
         100.0 * (1.0 - best_cost / homogeneous_cost)
         if np.isfinite(best_cost)

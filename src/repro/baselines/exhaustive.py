@@ -2,7 +2,8 @@
 
 Evaluates lattice configurations in ascending cost order.  With dominance
 acceleration on (the default), configurations component-wise below a known
-QoS violator are skipped (the paper's own pruning soundness argument), and
+QoS violator are skipped (the paper's own pruning soundness argument): one
+boolean mask over the lattice, ORed with each violator's box, and
 the search stops at the first QoS-meeting configuration — which, in
 ascending cost order, *is* the optimum.  With acceleration off it sweeps the
 whole lattice (used by tests to validate the accelerated path).
@@ -58,15 +59,13 @@ class ExhaustiveSearch(SearchStrategy):
         costs = grid @ space.prices
         order = np.argsort(costs, kind="stable")
 
-        violator_ceilings: list[np.ndarray] = []
+        dominated = np.zeros(grid.shape[0], dtype=bool)
         for idx in order:
             if budget.exhausted:
                 return
-            vec = grid[idx]
-            if self.accelerate and any(
-                np.all(vec <= c) for c in violator_ceilings
-            ):
+            if dominated[idx]:
                 continue
+            vec = grid[idx]
             rec = budget.evaluate(space.pool(vec))
             if rec is None:
                 return
@@ -75,7 +74,7 @@ class ExhaustiveSearch(SearchStrategy):
                     budget.stopped = True
                     return
             elif self.accelerate:
-                violator_ceilings.append(np.asarray(vec, dtype=np.int64))
+                dominated |= np.all(grid <= vec, axis=1)
         budget.stopped = True
 
 

@@ -43,12 +43,9 @@ class HillClimb(SearchStrategy):
             mid = tuple(max(1, round(b / 2)) for b in space.bounds)
             start = space.pool(mid)
 
-        current = budget.evaluate(start)
-        if current is None:
-            return
-
         restarts = 0
-        while not budget.exhausted:
+        current = budget.evaluate(start)
+        while current is not None and not budget.exhausted:
             improved = self._climb_step(budget, current, bounds)
             if improved is not None:
                 current = improved
@@ -57,16 +54,13 @@ class HillClimb(SearchStrategy):
             # (the dark-orange restart point of Fig. 12).
             if restarts >= self.max_restarts:
                 budget.stopped = True
-                return
+                break
             restarts += 1
             fresh = self._random_unvisited(space, budget, rng)
             if fresh is None:
                 budget.stopped = True
-                return
-            nxt = budget.evaluate(fresh)
-            if nxt is None:
-                return
-            current = nxt
+                break
+            current = budget.evaluate(fresh)
         budget.metadata["restarts"] = restarts
 
     def _climb_step(

@@ -9,6 +9,10 @@ intelligence rules: a candidate is skipped without evaluation when
 * a previously evaluated configuration with component-wise *less-or-equal*
   counts met the QoS (the candidate can only match that outcome at a higher
   price, so it cannot become the new optimum).
+
+Both rules live in one boolean mask over the lattice: each evaluation ORs
+its dominated box into the mask once, and the sweep reads one entry per
+candidate instead of rescanning every earlier observation.
 """
 
 from __future__ import annotations
@@ -38,28 +42,17 @@ class RandomSearch(SearchStrategy):
         rng = np.random.default_rng(self.seed)
         grid = space.grid()
         order = rng.permutation(grid.shape[0])
-
-        violator_ceilings: list[np.ndarray] = []
-        satisfier_floors: list[np.ndarray] = []
-
-        def skip(vec: np.ndarray) -> bool:
-            if any(np.all(vec <= c) for c in violator_ceilings):
-                return True
-            if any(np.all(f <= vec) for f in satisfier_floors):
-                return True
-            return False
+        dominated = np.zeros(grid.shape[0], dtype=bool)
 
         if start is not None and space.contains(start):
-            self._observe(budget, start, violator_ceilings, satisfier_floors)
+            self._observe(budget, start, grid, dominated)
 
         for idx in order:
             if budget.exhausted:
                 return
-            vec = grid[idx]
-            pool = space.pool(vec)
-            if budget.seen(pool) or skip(vec):
-                continue
-            self._observe(budget, pool, violator_ceilings, satisfier_floors)
+            # Every sampled cell masks itself, so a clear cell is unseen.
+            if not dominated[idx]:
+                self._observe(budget, space.pool(grid[idx]), grid, dominated)
 
         budget.stopped = True  # exhausted the (non-skipped) space
 
@@ -67,14 +60,15 @@ class RandomSearch(SearchStrategy):
     def _observe(
         budget: Budget,
         pool: PoolConfiguration,
-        violator_ceilings: list[np.ndarray],
-        satisfier_floors: list[np.ndarray],
+        grid: np.ndarray,
+        dominated: np.ndarray,
     ) -> None:
+        """Evaluate ``pool`` and OR the box it dominates into ``dominated``."""
         rec = budget.evaluate(pool)
         if rec is None:
             return
         vec = np.asarray(pool.counts, dtype=np.int64)
         if rec.meets_qos:
-            satisfier_floors.append(vec)
+            dominated |= np.all(vec <= grid, axis=1)
         else:
-            violator_ceilings.append(vec)
+            dominated |= np.all(grid <= vec, axis=1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.cardinality import _count_better_configs
 from repro.baselines.exhaustive import ExhaustiveSearch, find_optimal_configuration
 from repro.baselines.hill_climb import HillClimb
 from repro.baselines.random_search import RandomSearch
@@ -10,6 +11,8 @@ from repro.baselines.rsm import ResponseSurface, ccf_design
 from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.objective import RibbonObjective
 from repro.core.search_space import SearchSpace
+from repro.simulator.engine import InferenceServingSimulator
+from repro.simulator.pool import PoolConfiguration
 from tests.conftest import make_toy_model, make_toy_trace
 
 
@@ -120,6 +123,23 @@ class TestHillClimb:
         with pytest.raises(ValueError):
             HillClimb(max_restarts=-1)
 
+    @pytest.mark.parametrize(
+        "max_samples, max_restarts, expected",
+        [
+            (10, 20, 2),  # the budget runs out mid-climb
+            (5, 20, 1),  # the budget refuses the first restart pool
+            (60, 0, 0),  # the restart limit is hit at the first optimum
+            (150, 20, 12),  # no unvisited cell is left to restart from
+        ],
+    )
+    def test_restart_count_recorded_on_every_exit(
+        self, ctx, max_samples, max_restarts, expected
+    ):
+        res = HillClimb(
+            max_samples=max_samples, seed=0, max_restarts=max_restarts
+        ).search(fresh_evaluator(ctx))
+        assert res.metadata == {"restarts": expected}
+
 
 class TestRSMDesign:
     def test_ccf_point_count_3_factors(self):
@@ -183,3 +203,190 @@ class TestComparative:
         hill = mean_samples(lambda s: HillClimb(max_samples=cap, seed=s))
         assert ribbon <= random_ + 1e-9
         assert ribbon <= hill + 1e-9
+
+
+class _ListScanRandom(RandomSearch):
+    """RANDOM with its skip rules as per-candidate scans over every earlier
+    observation: the readable reference the lattice mask must replay."""
+
+    def _run(self, evaluator, budget, start):
+        space = evaluator.space
+        rng = np.random.default_rng(self.seed)
+        grid = space.grid()
+        order = rng.permutation(grid.shape[0])
+        ceilings: list[np.ndarray] = []
+        floors: list[np.ndarray] = []
+
+        def observe(pool):
+            rec = budget.evaluate(pool)
+            if rec is not None:
+                vec = np.asarray(pool.counts, dtype=np.int64)
+                (floors if rec.meets_qos else ceilings).append(vec)
+
+        def skip(vec):
+            return any(np.all(vec <= c) for c in ceilings) or any(
+                np.all(f <= vec) for f in floors
+            )
+
+        if start is not None and space.contains(start):
+            observe(start)
+        for idx in order:
+            if budget.exhausted:
+                return
+            vec = grid[idx]
+            pool = space.pool(vec)
+            if budget.seen(pool) or skip(vec):
+                continue
+            observe(pool)
+        budget.stopped = True
+
+
+class _ListScanExhaustive(ExhaustiveSearch):
+    """Exhaustive with its violator rule as a per-candidate list scan."""
+
+    def _run(self, evaluator, budget, start):
+        space = evaluator.space
+        grid = space.grid()
+        order = np.argsort(grid @ space.prices, kind="stable")
+        ceilings: list[np.ndarray] = []
+        for idx in order:
+            if budget.exhausted:
+                return
+            vec = grid[idx]
+            if self.accelerate and any(np.all(vec <= c) for c in ceilings):
+                continue
+            rec = budget.evaluate(space.pool(vec))
+            if rec is None:
+                return
+            if rec.meets_qos:
+                if self.stop_at_first:
+                    budget.stopped = True
+                    return
+            elif self.accelerate:
+                ceilings.append(np.asarray(vec, dtype=np.int64))
+        budget.stopped = True
+
+
+def _list_scan_count(model, trace, families, bounds, homogeneous_cost,
+                     qos_target_ms, qos_rate_target):
+    """The Fig. 8 counter with both rules as per-candidate list scans."""
+    sim = InferenceServingSimulator(model)
+    grids = np.meshgrid(*[np.arange(b + 1) for b in bounds], indexing="ij")
+    grid = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
+    grid = grid[grid.sum(axis=1) > 0]
+    prices = np.asarray(
+        [model.catalog[f].price_per_hour for f in families], dtype=float
+    )
+    costs = grid @ prices
+    under_cap = costs < homogeneous_cost - 1e-9
+    order = np.argsort(costs[under_cap], kind="stable")
+    ceilings: list[np.ndarray] = []
+    floors: list[np.ndarray] = []
+    n_better, best_cost, n_sim = 0, np.inf, 0
+    for vec, cost in zip(grid[under_cap][order], costs[under_cap][order]):
+        if any(np.all(vec <= c) for c in ceilings):
+            continue
+        if any(np.all(f <= vec) for f in floors):
+            n_better += 1
+            continue
+        pool = PoolConfiguration(families, tuple(int(v) for v in vec))
+        n_sim += 1
+        if sim.simulate(trace, pool).qos_satisfaction_rate(qos_target_ms) >= (
+            qos_rate_target
+        ):
+            n_better += 1
+            best_cost = min(best_cost, float(cost))
+            floors.append(np.asarray(vec))
+        else:
+            ceilings.append(np.asarray(vec))
+    saving = (
+        100.0 * (1.0 - best_cost / homogeneous_cost)
+        if np.isfinite(best_cost)
+        else 0.0
+    )
+    return n_better, saving, n_sim
+
+
+class TestDominanceMask:
+    """The skip-rule masks of RANDOM, Exhaustive and the Fig. 8 counter
+    replay the per-candidate list scans they replaced, bit for bit."""
+
+    SPACES = {
+        "2d": (("g4dn", "t3"), (4, 6)),
+        "3d": (("g4dn", "t3", "c5"), (3, 4, 5)),
+    }
+
+    @pytest.fixture(scope="class")
+    def evaluators(self):
+        model = make_toy_model(arrival_rate_qps=400.0)
+        trace = make_toy_trace(model, n=600, seed=5)
+        out = {}
+        for key, (families, bounds) in self.SPACES.items():
+            space = SearchSpace(families, bounds)
+            objective = RibbonObjective(space, qos_rate_target=0.95)
+            out[key] = ConfigurationEvaluator(model, trace, objective)
+        return out
+
+    @staticmethod
+    def _starts(space):
+        inside = space.pool(tuple(max(1, b // 2) for b in space.bounds))
+        outside = PoolConfiguration(
+            space.families, tuple(b + 1 for b in space.bounds)
+        )
+        return {"none": None, "inside": inside, "outside": outside}
+
+    @staticmethod
+    def _trace(result):
+        return (
+            [r.pool.counts for r in result.history],
+            result.converged,
+            result.n_samples,
+        )
+
+    @pytest.mark.parametrize("dims", ["2d", "3d"])
+    @pytest.mark.parametrize("max_samples", [4, 12, 1000])
+    def test_random_replays_list_scan(self, evaluators, dims, max_samples):
+        ev = evaluators[dims]
+        for start in self._starts(ev.space).values():
+            for seed in range(4):
+                mask = RandomSearch(max_samples=max_samples, seed=seed)
+                scan = _ListScanRandom(max_samples=max_samples, seed=seed)
+                assert self._trace(mask.search(ev, start)) == self._trace(
+                    scan.search(ev, start)
+                ), (dims, max_samples, start, seed)
+
+    @pytest.mark.parametrize("dims", ["2d", "3d"])
+    @pytest.mark.parametrize("max_samples", [3, 1000])
+    @pytest.mark.parametrize(
+        "accelerate, stop_at_first",
+        [(True, None), (True, False), (False, False)],
+    )
+    def test_exhaustive_replays_list_scan(
+        self, evaluators, dims, max_samples, accelerate, stop_at_first
+    ):
+        ev = evaluators[dims]
+        kwargs = dict(
+            max_samples=max_samples,
+            accelerate=accelerate,
+            stop_at_first=stop_at_first,
+        )
+        for start in self._starts(ev.space).values():
+            mask = ExhaustiveSearch(**kwargs).search(ev, start)
+            scan = _ListScanExhaustive(**kwargs).search(ev, start)
+            assert self._trace(mask) == self._trace(scan), (dims, start)
+
+    @pytest.mark.parametrize("dims", ["2d", "3d"])
+    def test_cardinality_counter_replays_list_scan(self, dims):
+        families, bounds = self.SPACES[dims]
+        model = make_toy_model(arrival_rate_qps=400.0)
+        prices = np.asarray(
+            [model.catalog[f].price_per_hour for f in families], dtype=float
+        )
+        ceiling_cost = float(np.asarray(bounds) @ prices)
+        for seed in (3, 5):
+            trace = make_toy_trace(model, n=600, seed=seed)
+            for frac in (0.3, 0.6, 1.01):
+                args = (model, trace, families, bounds, frac * ceiling_cost,
+                        model.qos_target_ms, 0.95)
+                got = _count_better_configs(*args)
+                assert got == _list_scan_count(*args), (dims, seed, frac)
