@@ -7,17 +7,20 @@ the diverse-pool cardinality at three: both curves saturate there.
 
 Counting every under-the-cost-cap configuration exactly would need
 thousands of simulations for 4-5 dimensional spaces, so the counter walks
-the lattice in ascending cost order with the paper's own dominance rules:
+the lattice in ascending cost order and counts a configuration
+component-wise above a known QoS satisfier as a satisfier without
+simulating it — the capacity-monotonicity assumption the paper's active
+pruning also uses.  The rule is one boolean mask over the ordered
+candidates, ORed with a box per simulated satisfier, so the walk reads one
+entry per candidate instead of rescanning every earlier outcome.
 
-* a configuration component-wise below a known QoS violator is a violator
-  (not counted, not simulated);
-* a configuration component-wise above a known QoS satisfier is a satisfier
-  (counted, not simulated).
+The mirror rule (skip configurations below a known violator) would never
+fire: prices are positive, so every such configuration costs less than
+the violator — equal costs keep lattice order, which puts it first too —
+and the ascending walk has already simulated it.
 
-Both rules rest on the same capacity-monotonicity assumption the paper's
-active pruning uses.  Each rule is one boolean mask over the ordered
-candidates, ORed with a box per simulated outcome, so the walk reads two
-entries per candidate instead of rescanning every earlier outcome.
+The one-shot simulations bypass the shared result memo: they are never
+asked for again, and storing them would only evict entries that are.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from repro.models.base import ModelProfile
 from repro.models.zoo import get_model
 from repro.simulator.engine import InferenceServingSimulator
 from repro.simulator.pool import PoolConfiguration
+from repro.simulator.result_cache import SimulationResultCache
 
 #: Instance families ordered by how early they join the growing pool, per
 #: model category (the Table 3 pool first, then further catalog types).
@@ -63,7 +67,9 @@ def _count_better_configs(
     qos_rate_target: float,
 ) -> tuple[int, float, int]:
     """Count QoS-meeting configs cheaper than the homogeneous optimum."""
-    sim = InferenceServingSimulator(model)
+    sim = InferenceServingSimulator(
+        model, result_cache=SimulationResultCache(maxsize=0)
+    )
     grids = np.meshgrid(*[np.arange(b + 1) for b in bounds], indexing="ij")
     grid = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
     grid = grid[grid.sum(axis=1) > 0]
@@ -76,14 +82,11 @@ def _count_better_configs(
     candidates = grid[under_cap][order]
     cand_costs = costs[under_cap][order]
 
-    below_violator = np.zeros(len(candidates), dtype=bool)
     above_satisfier = np.zeros(len(candidates), dtype=bool)
     n_better = 0
     best_cost = np.inf
     n_sim = 0
     for i, (vec, cost) in enumerate(zip(candidates, cand_costs)):
-        if below_violator[i]:
-            continue
         if above_satisfier[i]:
             n_better += 1  # inferred satisfier, cheaper than the baseline
             continue
@@ -93,8 +96,6 @@ def _count_better_configs(
             n_better += 1
             best_cost = min(best_cost, float(cost))
             above_satisfier |= np.all(vec <= candidates, axis=1)
-        else:
-            below_violator |= np.all(candidates <= vec, axis=1)
     saving = (
         100.0 * (1.0 - best_cost / homogeneous_cost)
         if np.isfinite(best_cost)

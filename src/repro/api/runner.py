@@ -32,7 +32,7 @@ from repro.core.result import SearchResult
 from repro.core.search_space import SearchSpace, estimate_instance_bounds
 from repro.core.strategy import SearchStrategy
 from repro.models.base import ModelProfile
-from repro.simulator.engine import DispatchCounters, InferenceServingSimulator
+from repro.simulator.engine import InferenceServingSimulator, global_dispatch_counters
 from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import (
     SimulationResultCache,
@@ -103,8 +103,8 @@ class ScenarioRunner:
         :meth:`run_many` sweep and across load-change forks.  Pass
         ``SimulationResultCache(maxsize=0)`` to opt out of memoization
         (every evaluation re-simulates).  :meth:`cache_stats` reports
-        hit/miss/eviction counters for both caches plus this runner's
-        dispatch-path engagement counts.
+        hit/miss/eviction counters for both caches plus the process-wide
+        dispatch-path counts.
     """
 
     def __init__(
@@ -115,7 +115,6 @@ class ScenarioRunner:
         objective: RibbonObjective | None = None,
         service_cache: ServiceTimeCache | None = None,
         simulation_cache: SimulationResultCache | None = None,
-        dispatch_counters: DispatchCounters | None = None,
     ):
         if not isinstance(scenario, Scenario):
             raise ScenarioError(
@@ -131,11 +130,6 @@ class ScenarioRunner:
             simulation_cache
             if simulation_cache is not None
             else shared_simulation_cache()
-        )
-        # One counter sink for every evaluator (and fork) this runner
-        # builds: sweeps report their whole dispatch mix from one place.
-        self._dispatch_counters = (
-            dispatch_counters if dispatch_counters is not None else DispatchCounters()
         )
         # LRU per trace seed: materializations hold full traces and every
         # simulated record, so a wide follow-seed sweep must not pin them
@@ -209,12 +203,11 @@ class ScenarioRunner:
                 qos_target_ms=target_ms,
                 hard_cap=scn.pool.bound_cap,
                 catalog=model.catalog,
-                # Bound simulations honor this runner's memo and counters.
+                # Bound simulations honor this runner's caches.
                 simulator=InferenceServingSimulator(
                     model,
                     service_cache=self._service_cache,
                     result_cache=self._simulation_cache,
-                    dispatch_counters=self._dispatch_counters,
                 ),
             )
         objective = (
@@ -230,7 +223,6 @@ class ScenarioRunner:
             eval_duration_hours=scn.budget.eval_duration_hours,
             service_cache=self._service_cache,
             result_cache=self._simulation_cache,
-            dispatch_counters=self._dispatch_counters,
         )
         return MaterializedScenario(
             scenario=scn,
@@ -258,29 +250,24 @@ class ScenarioRunner:
         """The service-time matrix cache this runner's evaluators share."""
         return self._service_cache
 
-    def dispatch_counts(self) -> dict[str, int]:
-        """Per-loop dispatch run counts across this runner's evaluators
-        and their forks (see :class:`DispatchCounters`; result-memo hits
-        never dispatch, so warmed sweeps can legitimately report zeros)."""
-        return self._dispatch_counters.snapshot()
-
     def cache_stats(self) -> dict[str, dict[str, int]]:
-        """Hit/miss/eviction counters of both process-level caches, plus
-        this runner's dispatch-path engagement counts.
+        """Hit/miss/eviction counters of both caches, plus the
+        dispatch-path run counts.
 
         Keys: ``"simulation"`` (the :class:`SimulationResultCache` —
         whole-result reuse across seeds/forks), ``"service"`` (the
         :class:`ServiceTimeCache` — per-workload service-time matrices)
-        and ``"dispatch"`` (per-loop run counts, see
-        :meth:`dispatch_counts`).  Cache counters are cumulative over each
-        cache's lifetime; with the default process-wide caches that spans
-        every runner in the process, not just this one.  Dispatch counts
-        are scoped to this runner.
+        and ``"dispatch"`` (per-loop run counts from
+        :func:`~repro.simulator.engine.global_dispatch_counters`;
+        result-memo hits never dispatch).  Every counter is cumulative:
+        with the default process-wide caches, and always for the dispatch
+        counts, that spans every runner in the process, not just this
+        one.
         """
         return {
             "simulation": self._simulation_cache.stats(),
             "service": self._service_cache.stats(),
-            "dispatch": self.dispatch_counts(),
+            "dispatch": global_dispatch_counters().snapshot(),
         }
 
     # -- search ---------------------------------------------------------------------
@@ -460,7 +447,6 @@ class ScenarioRunner:
             objective=mat.objective,
             service_cache=self._service_cache,
             simulation_cache=self._simulation_cache,
-            dispatch_counters=self._dispatch_counters,
         )
 
     def homogeneous_optimum(
@@ -492,13 +478,11 @@ class ScenarioRunner:
         # this runner already materialized (make_experiment does), its trace
         # is reused; otherwise the scan generates its own without forcing
         # the parent's (possibly expensive) bound estimation.  Caches
-        # and dispatch counters carry over: the scan must honor the
-        # parent's memo opt-out and report into the parent's stats.
+        # carry over: the scan must honor the parent's memo opt-out.
         single_runner = ScenarioRunner(
             single,
             service_cache=self._service_cache,
             simulation_cache=self._simulation_cache,
-            dispatch_counters=self._dispatch_counters,
         )
         with self._lock:
             base = self._materialized.get(self.scenario.trace_seed(seed))

@@ -5,7 +5,8 @@
 * :class:`HillClimb` — multi-dimensional hill climbing with random restarts;
 * :class:`ResponseSurface` — 3-level face-centered central composite design
   followed by local exploration around the most promising design point;
-* :class:`ExhaustiveSearch` — ground truth (optionally dominance-accelerated).
+* :class:`ExhaustiveSearch` — ground truth (ascending cost, stopping at the
+  first satisfier).
 
 All strategies share the :class:`repro.core.strategy.SearchStrategy`
 interface and are scored by the same accounting, so Figs. 10/13/14 compare

@@ -1,12 +1,13 @@
 """Exhaustive search — the ground truth every figure is scored against.
 
-Evaluates lattice configurations in ascending cost order.  With dominance
-acceleration on (the default), configurations component-wise below a known
-QoS violator are skipped (the paper's own pruning soundness argument): one
-boolean mask over the lattice, ORed with each violator's box, and
-the search stops at the first QoS-meeting configuration — which, in
-ascending cost order, *is* the optimum.  With acceleration off it sweeps the
-whole lattice (used by tests to validate the accelerated path).
+Evaluates lattice configurations in ascending cost order and, by default,
+stops at the first QoS-meeting configuration — which, in ascending cost
+order, *is* the optimum.  With ``stop_at_first=False`` it sweeps the whole
+lattice (used by tests to validate the early stop).
+
+No violator skip is needed: prices are positive, so a configuration
+component-wise below a violator costs less (equal costs keep lattice
+order, which puts it first too) and the sweep has already evaluated it.
 """
 
 from __future__ import annotations
@@ -23,13 +24,10 @@ class ExhaustiveSearch(SearchStrategy):
 
     Parameters
     ----------
-    accelerate:
-        Skip dominated-below configurations of known violators and stop at
-        the first satisfier (exact under the capacity-monotonicity
-        assumption the paper's pruning also relies on).
     stop_at_first:
-        Stop at the first QoS-meeting configuration (only meaningful with
-        ascending cost order; on by default when ``accelerate`` is on).
+        Stop at the first QoS-meeting configuration, the optimum under
+        ascending cost order (exact under the capacity-monotonicity
+        assumption the paper's pruning also relies on).
     """
 
     name = "Exhaustive"
@@ -39,14 +37,10 @@ class ExhaustiveSearch(SearchStrategy):
         max_samples: int = 1_000_000,
         seed: int = 0,
         *,
-        accelerate: bool = True,
-        stop_at_first: bool | None = None,
+        stop_at_first: bool = True,
     ):
         super().__init__(max_samples=max_samples, seed=seed)
-        self.accelerate = bool(accelerate)
-        self.stop_at_first = (
-            bool(stop_at_first) if stop_at_first is not None else self.accelerate
-        )
+        self.stop_at_first = bool(stop_at_first)
 
     def _run(
         self,
@@ -56,25 +50,16 @@ class ExhaustiveSearch(SearchStrategy):
     ) -> None:
         space = evaluator.space
         grid = space.grid()
-        costs = grid @ space.prices
-        order = np.argsort(costs, kind="stable")
-
-        dominated = np.zeros(grid.shape[0], dtype=bool)
+        order = np.argsort(grid @ space.prices, kind="stable")
         for idx in order:
             if budget.exhausted:
                 return
-            if dominated[idx]:
-                continue
-            vec = grid[idx]
-            rec = budget.evaluate(space.pool(vec))
+            rec = budget.evaluate(space.pool(grid[idx]))
             if rec is None:
                 return
-            if rec.meets_qos:
-                if self.stop_at_first:
-                    budget.stopped = True
-                    return
-            elif self.accelerate:
-                dominated |= np.all(grid <= vec, axis=1)
+            if rec.meets_qos and self.stop_at_first:
+                budget.stopped = True
+                return
         budget.stopped = True
 
 
@@ -83,8 +68,8 @@ def find_optimal_configuration(
 ) -> EvaluationRecord | None:
     """Cheapest QoS-meeting configuration of the space (or None).
 
-    Ascending-cost accelerated sweep; the returned record is the ground
-    truth optimum used to score every search method.
+    Ascending-cost sweep to the first satisfier; the returned record is
+    the ground truth optimum used to score every search method.
     """
     result = ExhaustiveSearch().search(evaluator)
     return result.best

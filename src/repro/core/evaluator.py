@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.core.objective import ObjectiveFunction
 from repro.core.search_space import SearchSpace
 from repro.models.base import ModelProfile
-from repro.simulator.engine import DispatchCounters, InferenceServingSimulator
+from repro.simulator.engine import InferenceServingSimulator
 from repro.simulator.metrics import SimulationResult
 from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import SimulationResultCache
@@ -79,11 +79,6 @@ class ConfigurationEvaluator:
         re-evaluations of one configuration free *across* evaluators —
         every seed of a sweep, every load-change fork.  Pass
         ``SimulationResultCache(maxsize=0)`` to opt out.
-    dispatch_counters:
-        Per-path engagement counter sink shared with the simulator (and
-        every fork), so a whole sweep's dispatch mix can be reported from
-        one object.  Defaults to a fresh
-        :class:`~repro.simulator.engine.DispatchCounters`.
 
     Raises
     ------
@@ -104,7 +99,6 @@ class ConfigurationEvaluator:
         eval_duration_hours: float | None = None,
         service_cache: ServiceTimeCache | None = None,
         result_cache: SimulationResultCache | None = None,
-        dispatch_counters: DispatchCounters | None = None,
     ):
         if len(trace) == 0:
             raise ValueError(
@@ -134,7 +128,6 @@ class ConfigurationEvaluator:
             model,
             service_cache=service_cache,
             result_cache=result_cache,
-            dispatch_counters=dispatch_counters,
         )
         self._cache: dict[tuple[int, ...], EvaluationRecord] = {}
         self._history: list[EvaluationRecord] = []
@@ -316,5 +309,4 @@ class ConfigurationEvaluator:
             ),
             service_cache=self._sim.service_cache,
             result_cache=self._sim.result_cache,
-            dispatch_counters=self._sim.dispatch_counters,
         )

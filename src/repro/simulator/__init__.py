@@ -27,7 +27,9 @@ shared by both engines) and the per-(workload, pool)
 :class:`~repro.simulator.result_cache.SimulationResultCache` (whole
 simulation results, one entry per pool's non-zero counts, fast engine
 only — the reference engine stays independent so equivalence tests keep
-meaning something).
+meaning something).  The fast engine reads the cached matrix on every
+path, and counts each dispatch once, in the process-wide
+:func:`~repro.simulator.engine.global_dispatch_counters`.
 """
 
 from repro.simulator.pool import PoolConfiguration

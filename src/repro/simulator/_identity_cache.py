@@ -25,7 +25,7 @@ Subclasses store entries in ``self._entries`` under tuple keys whose
 first two elements are ``id(model), id(trace)``, insert through
 :meth:`IdentityKeyedCache._insert`, and may override
 :meth:`IdentityKeyedCache._on_drop_key` to keep side tables (e.g. the
-service cache's list-row views) in sync with eviction.
+result memo's per-entry byte counts) in sync with eviction.
 """
 
 from __future__ import annotations

@@ -42,10 +42,10 @@ The family loop runs on one of two substrates with bit-identical results:
   named by a hash of the source, the flags and the interpreter, so a host
   compiles it once (~0.1 s).  A self-check must then reproduce the Python
   loops bit for bit on a fixed problem full of ties;
-* Python: the loops below, on the service cache's list views.  They are
-  the compiled loop's spec and self-check oracle, and they run whenever
-  no compiler is on ``PATH``, the build or load fails, or the self-check
-  disagrees.
+* Python: the loops below, on plain lists converted from the service
+  matrix and the arrivals at each call.  They are the compiled loop's
+  spec and self-check oracle, and they run whenever no compiler is on
+  ``PATH``, the build or load fails, or the self-check disagrees.
 
 The loop emits only start times and the per-query family choice;
 :meth:`InferenceServingSimulator.simulate` derives the latencies with vector
@@ -63,7 +63,8 @@ Service times come pre-noised from the per-workload
 memoized by the process-wide
 :class:`~repro.simulator.result_cache.SimulationResultCache`, keyed once per
 workload and pool, so the bounds bisection, the homogeneous scan and every
-evaluator share one entry per pool.
+evaluator share one entry per pool.  Every dispatch (never a memo hit) is
+counted once, in the process-wide :func:`global_dispatch_counters`.
 """
 
 from __future__ import annotations
@@ -101,6 +102,8 @@ class DispatchCounters:
     ``linear`` counts family-loop runs (the key keeps its older name for
     readers of the counters) and ``heap`` per-instance reference runs.
     Only simulations actually *dispatched* count; result-memo hits do not.
+    One process-wide instance, :func:`global_dispatch_counters`, records
+    every dispatch.
     """
 
     __slots__ = ("_lock", "_counts")
@@ -126,14 +129,8 @@ class DispatchCounters:
         with self._lock:
             return dict(self._counts)
 
-    def reset(self) -> None:
-        with self._lock:
-            for key in self._counts:
-                self._counts[key] = 0
 
-
-#: Process-wide engagement counters, aggregated across every simulator
-#: (in addition to each simulator's own counters).
+#: Process-wide dispatch counters, recorded into by every simulator.
 _GLOBAL_DISPATCH = DispatchCounters()
 
 
@@ -158,12 +155,8 @@ class InferenceServingSimulator:
         it builds; ``"heap"`` runs the per-instance reference loop (the
         equivalence tests compare both on equal inputs).  The dispatch
         path is deliberately *not* part of the result-memo key: both loops
-        are bit-identical by contract.
-    dispatch_counters:
-        Engagement-counter sink for this simulator (also mirrored into the
-        process-wide :func:`global_dispatch_counters`).  Evaluators and
-        runners share one counters object across their forks so sweeps can
-        report which dispatch loops actually ran.
+        are bit-identical by contract.  Every dispatch is counted in
+        :func:`global_dispatch_counters`.
     result_cache:
         Whole-result memo; defaults to the process-wide shared instance so
         any simulator asked for a ``(model, trace, pool)`` it (or a sibling
@@ -183,7 +176,6 @@ class InferenceServingSimulator:
         service_cache: ServiceTimeCache | None = None,
         dispatch: str = "family",
         result_cache: SimulationResultCache | None = None,
-        dispatch_counters: DispatchCounters | None = None,
     ):
         if dispatch not in self.DISPATCH_POLICIES:
             raise ValueError(
@@ -199,9 +191,6 @@ class InferenceServingSimulator:
             result_cache if result_cache is not None else shared_simulation_cache()
         )
         self._dispatch = dispatch
-        self._counters = (
-            dispatch_counters if dispatch_counters is not None else DispatchCounters()
-        )
 
     @property
     def model(self) -> ModelProfile:
@@ -214,23 +203,6 @@ class InferenceServingSimulator:
     @property
     def result_cache(self) -> SimulationResultCache:
         return self._result_cache
-
-    @property
-    def dispatch_counters(self) -> DispatchCounters:
-        """The engagement-counter sink this simulator records into."""
-        return self._counters
-
-    @property
-    def dispatch_counts(self) -> dict[str, int]:
-        """Per-path dispatch run counts recorded through this simulator's
-        counters (shared with sibling simulators when a counters object
-        was passed in)."""
-        return self._counters.snapshot()
-
-    def _record_dispatch(self, path: str) -> None:
-        self._counters.record(path)
-        if self._counters is not _GLOBAL_DISPATCH:
-            _GLOBAL_DISPATCH.record(path)
 
     def simulate(
         self, trace: QueryTrace, pool: PoolConfiguration
@@ -264,33 +236,29 @@ class InferenceServingSimulator:
                 return hit
 
         n = len(trace)
-        families, counts = pool.families, pool.counts
-        cache = self._service_cache
+        counts = pool.counts
+        matrix = self._service_cache.matrix(self._model, trace, pool.families)
         loops = _native_loops() if self._dispatch == "family" else None
         if loops is not None:
             # Compiled loop: reads the matrix and arrivals in place.
-            matrix = cache.matrix(self._model, trace, families)
             starts, family = loops.run(trace.arrival_s, matrix, counts)
-            self._record_dispatch("linear")
+            _GLOBAL_DISPATCH.record("linear")
         else:
-            service_rows = cache.rows(self._model, trace, families)
-            arrivals = cache.arrival_list(trace)
-            matrix = (
-                cache.matrix(self._model, trace, families)
-                if cache.maxsize > 0
-                else np.asarray(service_rows)
-            )
+            # The Python loops run on plain lists, converted per call;
+            # they never read a zero-count family's row.
+            arrivals = trace.arrival_s.tolist()
+            rows = [row.tolist() if c else [] for row, c in zip(matrix, counts)]
             if self._dispatch == "heap":
                 type_of_instance, _ = pool.expand()
                 type_list = type_of_instance.tolist()
                 starts, chosen = _run_heap(
-                    arrivals, service_rows, type_list, len(type_list)
+                    arrivals, rows, type_list, len(type_list)
                 )
                 family = type_of_instance[chosen]
-                self._record_dispatch("heap")
+                _GLOBAL_DISPATCH.record("heap")
             else:
-                starts, family = _family_loop(arrivals, service_rows, counts)
-                self._record_dispatch("linear")
+                starts, family = _family_loop(arrivals, rows, counts)
+                _GLOBAL_DISPATCH.record("linear")
         if isinstance(family, int):  # a single-family pool
             service_s = matrix[family]
         else:

@@ -23,8 +23,6 @@ configuration evaluation.  Cached matrices are returned read-only.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 from repro.models.base import ModelProfile
@@ -88,19 +86,6 @@ class ServiceTimeCache(IdentityKeyedCache):
 
     def __init__(self, maxsize: int = 128):
         super().__init__(maxsize)
-        # Lazily materialized list-of-lists views of cached matrices and
-        # per-trace arrival lists: the scalar dispatch loop runs on plain
-        # python lists, and the ndarray->list conversion is a measurable
-        # per-evaluation cost.  Consumers must treat them as read-only.
-        # Row views are keyed like _entries and dropped with their entry
-        # via _on_drop_key; arrival lists are keyed per trace id with
-        # their own finalizer.
-        self._rows: dict[tuple, list[list[float]]] = {}
-        self._arrivals: dict[int, list[float]] = {}
-        self._arrival_finalized_ids: set[int] = set()
-
-    def _on_drop_key(self, key: tuple) -> None:
-        self._rows.pop(key, None)
 
     def matrix(
         self,
@@ -127,26 +112,12 @@ class ServiceTimeCache(IdentityKeyedCache):
         trace: QueryTrace,
         families: tuple[str, ...],
     ) -> list[list[float]]:
-        """The matrix as a list of per-family rows (read-only by contract)."""
-        fams = tuple(families)
-        key = (id(model), id(trace), fams)
-        with self._lock:
-            hit = self._rows.get(key)
-            if hit is not None:
-                self.hits += 1
-                if key in self._entries:
-                    self._entries.move_to_end(key)
-                return hit
-        matrix = self.matrix(model, trace, fams)
-        rows = [row.tolist() for row in matrix]
-        if self._maxsize == 0:
-            return rows
-        with self._lock:
-            # Only attach to a live matrix entry so eviction stays in sync.
-            if key in self._entries:
-                self._rows.setdefault(key, rows)
-                return self._rows[key]
-            return rows
+        """The matrix as a list of per-family rows, converted on each call.
+
+        The engine does not use it; it stays because instrumentation
+        (``perfbench/tracing.py``) wraps it by name.
+        """
+        return self.matrix(model, trace, families).tolist()
 
     def row_means(
         self,
@@ -156,50 +127,10 @@ class ServiceTimeCache(IdentityKeyedCache):
     ) -> np.ndarray:
         """Mean service time per family row, computed on each call.
 
-        The engine does not use it; it stays for callers (and
-        instrumentation) that look it up by name.
+        The engine does not use it; it stays because instrumentation
+        (``perfbench/tracing.py``) wraps it by name.
         """
         return self.matrix(model, trace, families).mean(axis=1)
-
-    def arrival_list(self, trace: QueryTrace) -> list[float]:
-        """``trace.arrival_s.tolist()``, cached per trace object."""
-        if self._maxsize == 0:
-            return trace.arrival_s.tolist()
-        obj_id = id(trace)
-        with self._lock:
-            hit = self._arrivals.get(obj_id)
-            if hit is not None:
-                return hit
-        arrivals = trace.arrival_s.tolist()
-        with self._lock:
-            if obj_id not in self._arrivals:
-                self._arrivals[obj_id] = arrivals
-                if obj_id not in self._arrival_finalized_ids:
-                    self._arrival_finalized_ids.add(obj_id)
-                    weakref.finalize(
-                        trace, _finalize_drop_arrivals, weakref.ref(self), obj_id
-                    )
-            return self._arrivals[obj_id]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._rows.clear()
-            self._arrivals.clear()
-            super().clear()
-
-    # -- internals ----------------------------------------------------------
-    def _drop_arrivals(self, obj_id: int) -> None:
-        with self._lock:
-            self._arrival_finalized_ids.discard(obj_id)
-            self._arrivals.pop(obj_id, None)
-
-
-def _finalize_drop_arrivals(
-    cache_ref: "weakref.ref[ServiceTimeCache]", obj_id: int
-) -> None:
-    cache = cache_ref()
-    if cache is not None:
-        cache._drop_arrivals(obj_id)
 
 
 #: Process-wide default cache: every simulator shares it unless given an

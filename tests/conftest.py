@@ -81,6 +81,18 @@ def python_loops():
     return mock.patch.object(engine, "_native_loops", lambda: None)
 
 
+@contextlib.contextmanager
+def dispatch_delta():
+    """Per-path dispatch runs recorded process-wide inside the block; the
+    yielded dict is filled in when the block exits."""
+    counters = engine.global_dispatch_counters()
+    before = counters.snapshot()
+    delta: dict[str, int] = {}
+    yield delta
+    after = counters.snapshot()
+    delta.update({path: after[path] - before[path] for path in after})
+
+
 #: The family-loop substrates: the compiled loop (when this host builds
 #: it), then the Python loops.
 SUBSTRATES = (contextlib.nullcontext, python_loops)

@@ -13,6 +13,7 @@ from repro.core.objective import RibbonObjective
 from repro.core.search_space import SearchSpace
 from repro.simulator.engine import InferenceServingSimulator
 from repro.simulator.pool import PoolConfiguration
+from repro.simulator.result_cache import shared_simulation_cache
 from tests.conftest import make_toy_model, make_toy_trace
 
 
@@ -35,7 +36,7 @@ def fresh_evaluator(ctx):
 class TestExhaustive:
     def test_accelerated_matches_full_sweep(self, ctx):
         *_, truth = ctx
-        full = ExhaustiveSearch(accelerate=False, stop_at_first=False).search(
+        full = ExhaustiveSearch(stop_at_first=False).search(
             fresh_evaluator(ctx)
         )
         assert full.best is not None
@@ -43,14 +44,14 @@ class TestExhaustive:
 
     def test_accelerated_uses_fewer_samples(self, ctx):
         fast = ExhaustiveSearch().search(fresh_evaluator(ctx))
-        slow = ExhaustiveSearch(accelerate=False, stop_at_first=False).search(
+        slow = ExhaustiveSearch(stop_at_first=False).search(
             fresh_evaluator(ctx)
         )
         assert fast.n_samples < slow.n_samples
 
     def test_full_sweep_covers_entire_grid(self, ctx):
         _, _, space, *_ = ctx
-        res = ExhaustiveSearch(accelerate=False, stop_at_first=False).search(
+        res = ExhaustiveSearch(stop_at_first=False).search(
             fresh_evaluator(ctx)
         )
         assert res.n_samples == space.n_configurations
@@ -242,7 +243,14 @@ class _ListScanRandom(RandomSearch):
 
 
 class _ListScanExhaustive(ExhaustiveSearch):
-    """Exhaustive with its violator rule as a per-candidate list scan."""
+    """Exhaustive as a per-candidate loop, optionally with the retired
+    violator rule as a list scan: the search without the rule must replay
+    it, since the ascending cost order visits every cell below a violator
+    before the violator."""
+
+    def __init__(self, *, violator_rule, **kwargs):
+        super().__init__(**kwargs)
+        self.violator_rule = violator_rule
 
     def _run(self, evaluator, budget, start):
         space = evaluator.space
@@ -253,7 +261,7 @@ class _ListScanExhaustive(ExhaustiveSearch):
             if budget.exhausted:
                 return
             vec = grid[idx]
-            if self.accelerate and any(np.all(vec <= c) for c in ceilings):
+            if self.violator_rule and any(np.all(vec <= c) for c in ceilings):
                 continue
             rec = budget.evaluate(space.pool(vec))
             if rec is None:
@@ -262,14 +270,15 @@ class _ListScanExhaustive(ExhaustiveSearch):
                 if self.stop_at_first:
                     budget.stopped = True
                     return
-            elif self.accelerate:
+            else:
                 ceilings.append(np.asarray(vec, dtype=np.int64))
         budget.stopped = True
 
 
 def _list_scan_count(model, trace, families, bounds, homogeneous_cost,
                      qos_target_ms, qos_rate_target):
-    """The Fig. 8 counter with both rules as per-candidate list scans."""
+    """The Fig. 8 counter with its satisfier rule and the retired violator
+    rule as per-candidate list scans."""
     sim = InferenceServingSimulator(model)
     grids = np.meshgrid(*[np.arange(b + 1) for b in bounds], indexing="ij")
     grid = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
@@ -308,8 +317,9 @@ def _list_scan_count(model, trace, families, bounds, homogeneous_cost,
 
 
 class TestDominanceMask:
-    """The skip-rule masks of RANDOM, Exhaustive and the Fig. 8 counter
-    replay the per-candidate list scans they replaced, bit for bit."""
+    """The skip-rule masks of RANDOM and the Fig. 8 counter replay the
+    per-candidate list scans they replaced, bit for bit, and Exhaustive
+    and the counter replay scans that still carry the violator rule."""
 
     SPACES = {
         "2d": (("g4dn", "t3"), (4, 6)),
@@ -358,21 +368,21 @@ class TestDominanceMask:
     @pytest.mark.parametrize("dims", ["2d", "3d"])
     @pytest.mark.parametrize("max_samples", [3, 1000])
     @pytest.mark.parametrize(
-        "accelerate, stop_at_first",
+        "violator_rule, stop_at_first",
         [(True, None), (True, False), (False, False)],
     )
     def test_exhaustive_replays_list_scan(
-        self, evaluators, dims, max_samples, accelerate, stop_at_first
+        self, evaluators, dims, max_samples, violator_rule, stop_at_first
     ):
         ev = evaluators[dims]
-        kwargs = dict(
-            max_samples=max_samples,
-            accelerate=accelerate,
-            stop_at_first=stop_at_first,
-        )
+        kwargs = dict(max_samples=max_samples)
+        if stop_at_first is not None:  # None: the default
+            kwargs["stop_at_first"] = stop_at_first
         for start in self._starts(ev.space).values():
             mask = ExhaustiveSearch(**kwargs).search(ev, start)
-            scan = _ListScanExhaustive(**kwargs).search(ev, start)
+            scan = _ListScanExhaustive(
+                violator_rule=violator_rule, **kwargs
+            ).search(ev, start)
             assert self._trace(mask) == self._trace(scan), (dims, start)
 
     @pytest.mark.parametrize("dims", ["2d", "3d"])
@@ -390,3 +400,18 @@ class TestDominanceMask:
                         model.qos_target_ms, 0.95)
                 got = _count_better_configs(*args)
                 assert got == _list_scan_count(*args), (dims, seed, frac)
+
+    def test_cardinality_counter_leaves_the_shared_memo_alone(self):
+        """The counter's one-shot simulations neither read nor fill the
+        process-wide memo, and count what the memo-backed scan counts."""
+        families, bounds = self.SPACES["3d"]
+        model = make_toy_model(arrival_rate_qps=400.0)
+        trace = make_toy_trace(model, n=600, seed=3)
+        prices = [model.catalog[f].price_per_hour for f in families]
+        args = (model, trace, families, bounds,
+                float(np.dot(bounds, prices)), model.qos_target_ms, 0.95)
+        before = shared_simulation_cache().stats()
+        got = _count_better_configs(*args)
+        assert shared_simulation_cache().stats() == before
+        assert got[2] > 0
+        assert got == _list_scan_count(*args)

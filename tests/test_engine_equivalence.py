@@ -15,12 +15,21 @@ from hypothesis import strategies as st
 
 from repro.api import PoolSpec, Scenario, ScenarioRunner, WorkloadSpec
 from repro.models.base import LatencyProfile
-from repro.simulator.engine import DispatchCounters, InferenceServingSimulator
+from repro.simulator.engine import (
+    DispatchCounters,
+    InferenceServingSimulator,
+    global_dispatch_counters,
+)
 from repro.simulator.events import EventHeapSimulator
 from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import SimulationResultCache
 from repro.workload.trace import QueryTrace
-from tests.conftest import SUBSTRATES, make_tied_trace, make_toy_model
+from tests.conftest import (
+    SUBSTRATES,
+    dispatch_delta,
+    make_tied_trace,
+    make_toy_model,
+)
 
 
 def fast_sim(model, **kwargs) -> InferenceServingSimulator:
@@ -327,23 +336,19 @@ def test_invalid_dispatch_mode_rejected(toy_model):
 
 
 def test_counts_skip_memo_hits_and_reach_the_runner(toy_model, toy_trace):
-    """Only real dispatches count (a memo hit does not), and a runner
-    reports every simulation it ran, bound estimation included."""
-    counters = DispatchCounters()
+    """Only real dispatches count (a memo hit does not), and a runner's
+    stats report the process-wide counts, bound estimation included."""
     sim = InferenceServingSimulator(
-        toy_model,
-        result_cache=SimulationResultCache(maxsize=8),
-        dispatch_counters=counters,
+        toy_model, result_cache=SimulationResultCache(maxsize=8)
     )
-    for pool in (
-        PoolConfiguration.homogeneous("g4dn", 1),
-        PoolConfiguration(("g4dn", "t3"), (1, 2)),
-    ):
-        sim.simulate(toy_trace, pool)
-        sim.simulate(toy_trace, pool)  # memo hit
-    assert counters.snapshot() == dict(
-        dict.fromkeys(DispatchCounters.PATHS, 0), linear=2
-    )
+    with dispatch_delta() as counts:
+        for pool in (
+            PoolConfiguration.homogeneous("g4dn", 1),
+            PoolConfiguration(("g4dn", "t3"), (1, 2)),
+        ):
+            sim.simulate(toy_trace, pool)
+            sim.simulate(toy_trace, pool)  # memo hit
+    assert counts == dict(dict.fromkeys(DispatchCounters.PATHS, 0), linear=2)
 
     runner = ScenarioRunner(
         Scenario(
@@ -353,8 +358,9 @@ def test_counts_skip_memo_hits_and_reach_the_runner(toy_model, toy_trace):
         ),
         simulation_cache=SimulationResultCache(maxsize=0),
     )
-    runner.homogeneous_optimum(seed=0)
+    with dispatch_delta() as counts:
+        runner.homogeneous_optimum(seed=0)
     stats = runner.cache_stats()
     assert set(stats["dispatch"]) == set(DispatchCounters.PATHS)
-    assert stats["dispatch"]["linear"] + stats["dispatch"]["heap"] > 0
-    assert runner.dispatch_counts() == stats["dispatch"]
+    assert counts["linear"] + counts["heap"] > 0
+    assert stats["dispatch"] == global_dispatch_counters().snapshot()

@@ -28,12 +28,13 @@ HAS_CC = shutil.which("cc") is not None
 needs_cc = pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
 
 
-def simulate_all(model, trace, pools, service_cache=None):
+def simulate_all(model, trace, pools, service_cache=None, dispatch="family"):
     """Start times and latencies of every pool, memo off."""
     sim = InferenceServingSimulator(
         model,
         result_cache=SimulationResultCache(maxsize=0),
         service_cache=service_cache,
+        dispatch=dispatch,
     )
     out = []
     for pool in pools:
@@ -112,6 +113,18 @@ def test_failed_build_falls_back_to_identical_results(
         monkeypatch.setattr(engine, "_native_agrees", lambda loops: False)
     assert simulate_all(TOY, TRACE, POOLS) == expected
     assert engine._native_loops() is None
+
+
+def test_python_loops_ignore_the_service_cache_setting():
+    """Without the compiled loop, the family and heap loops give the same
+    bytes whether the service matrix is cached or recomputed per call."""
+    with python_loops():
+        runs = [
+            simulate_all(TOY, TRACE, POOLS, cache, dispatch)
+            for cache in (ServiceTimeCache(), ServiceTimeCache(maxsize=0))
+            for dispatch in InferenceServingSimulator.DISPATCH_POLICIES
+        ]
+    assert all(run == runs[0] for run in runs[1:])
 
 
 # -- bit equality with the Python loops ----------------------------------------

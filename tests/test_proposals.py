@@ -29,10 +29,9 @@ from repro.core.strategy import Budget
 from repro.gp.kernels import Matern52
 from repro.gp.proposals import AcquisitionContext, SequentialEI
 from repro.models.base import LatencyProfile, ModelCategory, ModelProfile
-from repro.simulator.engine import DispatchCounters
 from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import SimulationResultCache
-from tests.conftest import make_toy_model, make_toy_trace
+from tests.conftest import dispatch_delta, make_toy_model, make_toy_trace
 
 FIVE_FAMILIES = ("g4dn", "t3", "c5", "m5", "r5")
 
@@ -414,17 +413,15 @@ class TestEvaluateBatch:
 
     def test_evaluate_many_dispatches_once_per_pool(self):
         model, trace, space, objective = toy_search_ctx()
-        counters = DispatchCounters()
         evaluator = ConfigurationEvaluator(
             model,
             trace,
             objective,
             result_cache=SimulationResultCache(maxsize=0),
-            dispatch_counters=counters,
         )
         pools = [space.pool(v) for v in [(1, 0), (0, 3), (2, 1), (3, 2)]]
-        evaluator.evaluate_many(pools)
-        counts = counters.snapshot()
+        with dispatch_delta() as counts:
+            evaluator.evaluate_many(pools)
         dispatched = counts["linear"] + counts["heap"]
         assert dispatched == len(pools)
 

@@ -10,11 +10,11 @@ from repro.api.runner import ScenarioRunner
 from repro.cloud.catalog import DEFAULT_CATALOG
 from repro.core.search_space import SearchSpace, estimate_instance_bounds
 from repro.models import MODEL_ZOO
-from repro.simulator.engine import DispatchCounters, InferenceServingSimulator
+from repro.simulator.engine import InferenceServingSimulator
 from repro.simulator.pool import PoolConfiguration, grid_vectors
 from repro.simulator.result_cache import SimulationResultCache, shared_simulation_cache
 from repro.workload.trace import trace_for_model
-from tests.conftest import make_toy_model, make_toy_trace
+from tests.conftest import dispatch_delta, make_toy_model, make_toy_trace
 
 
 class TestSearchSpace:
@@ -144,16 +144,14 @@ def scan_bounds(model, trace, families, *, qos_target_ms=None, hard_cap=16,
 
 def counted_bounds(model, trace, families, **kwargs):
     """Bisected bounds plus the number of simulations they dispatched."""
-    counters = DispatchCounters()
     sim = InferenceServingSimulator(
-        model,
-        result_cache=SimulationResultCache(maxsize=0),
-        dispatch_counters=counters,
+        model, result_cache=SimulationResultCache(maxsize=0)
     )
-    space = estimate_instance_bounds(model, trace, families, simulator=sim, **kwargs)
-    counts = counters.snapshot()
-    sims = counts["linear"] + counts["heap"]
-    return space.bounds, sims
+    with dispatch_delta() as counts:
+        space = estimate_instance_bounds(
+            model, trace, families, simulator=sim, **kwargs
+        )
+    return space.bounds, counts["linear"] + counts["heap"]
 
 
 def sim_budget(n_families, hard_cap):
@@ -257,8 +255,8 @@ class TestRunnerBoundSimulations:
         runner = ScenarioRunner(
             self.SCENARIO, simulation_cache=SimulationResultCache(maxsize=0)
         )
-        mat = runner.materialize(0)
-        counts = runner.dispatch_counts()
+        with dispatch_delta() as counts:
+            mat = runner.materialize(0)
         model = self.SCENARIO.profile
         _, sims = counted_bounds(
             model, mat.trace, self.SCENARIO.families,

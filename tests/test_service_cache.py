@@ -86,15 +86,10 @@ class TestMatrixCaching:
         np.testing.assert_array_equal(a, b)
         assert len(cache) == 0
 
-    def test_rows_and_arrivals_views(self, cache, toy_model, toy_trace):
+    def test_rows_equal_the_matrix_as_lists(self, cache, toy_model, toy_trace):
         fams = ("g4dn", "t3")
         rows = cache.rows(toy_model, toy_trace, fams)
-        mat = cache.matrix(toy_model, toy_trace, fams)
-        assert rows == [r.tolist() for r in mat]
-        assert cache.rows(toy_model, toy_trace, fams) is rows
-        arr = cache.arrival_list(toy_trace)
-        assert arr == toy_trace.arrival_s.tolist()
-        assert cache.arrival_list(toy_trace) is arr
+        assert rows == cache.matrix(toy_model, toy_trace, fams).tolist()
 
     def test_invalid_maxsize_rejected(self):
         with pytest.raises(ValueError):
@@ -178,7 +173,6 @@ class TestCacheLifetime:
         trace = make_toy_trace(make_toy_model(), n=20, seed=4)
         cache = ServiceTimeCache()
         cache.matrix(model, trace, ("g4dn",))
-        cache.arrival_list(trace)
         ref = weakref.ref(cache)
         del cache
         gc.collect()
