@@ -20,9 +20,12 @@ optimizer plugs into every existing entry point by subclassing
 from __future__ import annotations
 
 import inspect
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Callable, TypeVar
 
+from repro.api.scenario import ScenarioError
 from repro.baselines.exhaustive import ExhaustiveSearch
 from repro.baselines.hill_climb import HillClimb
 from repro.baselines.random_search import RandomSearch
@@ -34,6 +37,7 @@ __all__ = [
     "StrategyOption",
     "UnknownStrategyError",
     "available_strategies",
+    "check_strategy_options",
     "make_strategy",
     "register_strategy",
     "strategy_class",
@@ -136,9 +140,12 @@ def make_strategy(name: str, **kwargs) -> SearchStrategy:
     """Instantiate a registered strategy by name.
 
     ``kwargs`` are passed to the strategy constructor (``max_samples``,
-    ``seed``, and any strategy-specific knobs).
+    ``seed``, and any strategy-specific knobs) after
+    :func:`check_strategy_options` has accepted their names: an unknown
+    name raises :class:`UnknownStrategyError`, an option the constructor
+    lacks :class:`~repro.api.scenario.ScenarioError`.
     """
-    return strategy_class(name)(**kwargs)
+    return check_strategy_options(name, kwargs)(**kwargs)
 
 
 def available_strategies() -> tuple[str, ...]:
@@ -170,13 +177,46 @@ def strategy_options(name: str) -> tuple[StrategyOption, ...]:
     uses to reject knobs a strategy does not support (e.g.
     ``--batch-size`` on a non-batching baseline) before any search runs.
     """
+    return _constructor_options(strategy_class(name))[0]
+
+
+def check_strategy_options(
+    name: str, options: Iterable[str]
+) -> type[SearchStrategy]:
+    """Resolve ``name`` and refuse option names its constructor lacks.
+
+    The one option check behind :func:`make_strategy`, the runner and the
+    service: an unknown strategy raises :class:`UnknownStrategyError`, an
+    unknown option name :class:`~repro.api.scenario.ScenarioError`
+    listing the accepted ones (a constructor taking ``**kwargs`` accepts
+    any name).  Returns the resolved class.
+    """
     cls = strategy_class(name)
+    accepted, names = _constructor_options(cls)
+    if names is not None:
+        unknown = sorted(set(options) - names)
+        if unknown:
+            raise ScenarioError(
+                f"strategy {name!r} does not accept option(s) "
+                f"{', '.join(map(repr, unknown))}; accepted options: "
+                f"{', '.join(opt.name for opt in accepted)}"
+            )
+    return cls
+
+
+@cache
+def _constructor_options(
+    cls: type[SearchStrategy],
+) -> tuple[tuple[StrategyOption, ...], frozenset[str] | None]:
+    """``cls.__init__``'s options and their names (None when it takes
+    ``**kwargs``), introspected once per class."""
     options: list[StrategyOption] = []
+    any_name = False
     for param in inspect.signature(cls.__init__).parameters.values():
-        if param.name == "self" or param.kind in (
-            inspect.Parameter.VAR_POSITIONAL,
-            inspect.Parameter.VAR_KEYWORD,
-        ):
+        if param.kind is inspect.Parameter.VAR_KEYWORD:
+            any_name = True
+            continue
+        if param.name == "self" or param.kind is inspect.Parameter.VAR_POSITIONAL:
             continue
         required = param.default is inspect.Parameter.empty
         annotation = (
@@ -191,7 +231,8 @@ def strategy_options(name: str) -> tuple[StrategyOption, ...]:
                 required=required,
             )
         )
-    return tuple(options)
+    names = None if any_name else frozenset(opt.name for opt in options)
+    return tuple(options), names
 
 
 # -- built-in registrations -------------------------------------------------------

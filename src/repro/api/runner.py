@@ -24,7 +24,7 @@ from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-from repro.api.registry import make_strategy, strategy_options
+from repro.api.registry import check_strategy_options, make_strategy, strategy_options
 from repro.api.scenario import PoolSpec, Scenario, ScenarioError
 from repro.core.evaluator import ConfigurationEvaluator, EvaluationRecord
 from repro.core.objective import RibbonObjective
@@ -307,10 +307,13 @@ class ScenarioRunner:
         strategy_kwargs:
             Extra constructor knobs for the strategy (``patience=None``,
             ``use_pruning=False``, ...).  ``max_samples`` defaults to the
-            scenario budget; ``seed`` defaults to ``seed``.
+            scenario budget; ``seed`` defaults to ``seed``.  A name the
+            strategy's constructor lacks raises
+            :class:`~repro.api.scenario.ScenarioError` before anything is
+            materialized.
         """
-        mat = self.materialize(seed)
         strat = self._make_strategy(strategy, seed, strategy_kwargs)
+        mat = self.materialize(seed)
         if progress is not None:
             evaluator = mat.fresh_evaluator()
             evaluator.on_record = progress
@@ -336,7 +339,8 @@ class ScenarioRunner:
         (``parallel=True``; ``max_workers`` defaults to
         ``min(len(seeds), os.cpu_count())``).  Strategy instances cannot be
         swept (one instance holds per-run state); pass a registry name
-        instead.
+        instead.  Option names are checked, as in :meth:`run`, before any
+        seed materializes.
         """
         seed_list = [int(s) for s in seeds]
         if not seed_list:
@@ -348,6 +352,7 @@ class ScenarioRunner:
                 "run_many needs a strategy *name* (a fresh instance is built "
                 "per seed); got an instance"
             )
+        check_strategy_options(strategy, strategy_kwargs)
         if not parallel:
             return {s: self._run_isolated(strategy, s, start, strategy_kwargs) for s in seed_list}
         # Materialize up front (deterministic order), then search in parallel.

@@ -16,8 +16,24 @@ Usage
     python -m repro.devtools.lint src/ --format=json
     repro-lint --list-rules
 
-Exit code 0 means clean, 1 means findings, 2 means a usage/config
-error.  Findings print as ``file:line:col RULE message``.
+Exit code 0 means clean, 1 means findings, 2 means a usage error (a
+bad flag or a missing path).  Findings print as
+``file:line:col RULE message``.
+
+Policy
+------
+The project policy is code, next to the rule that reads it — there is
+no configuration file and no global switch to turn a rule off:
+
+* ``DETERMINISM_PATHS`` (:mod:`~repro.devtools.lint.rules.determinism`)
+  — where ``wall-clock`` and ``unseeded-rng`` apply;
+* ``PRINT_ALLOWED`` (:mod:`~repro.devtools.lint.rules.hygiene`) — the
+  CLI modules ``print-call`` exempts;
+* ``FROZEN_RESULT_MODULE`` / ``FROZEN_RESULT_FIELDS``
+  (:mod:`~repro.devtools.lint.rules.frozen`) — the result dataclass's
+  defining module and its write-once fields.
+
+Changing the policy is a reviewed code change to those constants.
 
 Rules
 -----
@@ -86,22 +102,16 @@ Per line, justification **required**::
 or, for wide statements, on a comment line directly above.  Multiple
 rules: ``disable=rule-a(why),rule-b(why)``.  A suppression without a
 reason is itself a finding (``suppression-missing-reason``) that cannot
-be suppressed.  Project-wide configuration lives in
-``[tool.repro-lint]`` of ``pyproject.toml`` (see
-:mod:`repro.devtools.lint.config`).
+be suppressed.
 """
 
-from repro.devtools.lint.config import LintConfig, LintConfigError, load_config
 from repro.devtools.lint.engine import run
 from repro.devtools.lint.findings import Finding
 from repro.devtools.lint.registry import all_rules, families
 
 __all__ = [
     "Finding",
-    "LintConfig",
-    "LintConfigError",
     "all_rules",
     "families",
-    "load_config",
     "run",
 ]

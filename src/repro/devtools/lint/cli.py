@@ -1,7 +1,8 @@
 """repro-lint command line: ``repro-lint [paths...]``.
 
-Exit codes: 0 clean, 1 findings, 2 usage/config error — so CI can gate
-on the exit status while archiving the ``--format=json`` report.
+Exit codes: 0 clean, 1 findings, 2 usage error (a bad flag or a missing
+path) — so CI can gate on the exit status while archiving the
+``--format=json`` report.
 """
 
 from __future__ import annotations
@@ -10,11 +11,6 @@ import argparse
 import sys
 
 from repro.devtools.lint import engine, registry
-from repro.devtools.lint.config import (
-    LintConfigError,
-    find_pyproject,
-    load_config,
-)
 from repro.devtools.lint.findings import format_json, format_text
 
 
@@ -39,15 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (text: file:line:col RULE message)",
     )
     parser.add_argument(
-        "--config",
-        default=None,
-        metavar="PYPROJECT",
-        help=(
-            "pyproject.toml with [tool.repro-lint] (default: nearest one"
-            " above the first path)"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list registered rules and exit",
@@ -56,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _list_rules() -> int:
-    import repro.devtools.lint.rules  # noqa: F401  (registers all rules)
-
     for item in registry.all_rules():
         print(f"{item.name}  [{item.family}]")
         print(f"    {item.description}")
@@ -69,15 +54,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_rules:
         return _list_rules()
-    config_path = (
-        args.config
-        if args.config is not None
-        else find_pyproject(args.paths[0])
-    )
     try:
-        config = load_config(config_path)
-        findings, checked = engine.run(args.paths, config)
-    except (LintConfigError, FileNotFoundError) as exc:
+        findings, checked = engine.run(args.paths)
+    except FileNotFoundError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.devtools.lint import registry, suppressions
-from repro.devtools.lint.config import LintConfig
 from repro.devtools.lint.findings import Finding
 
 
@@ -123,12 +122,8 @@ def collect_files(paths: list[str | Path]) -> list[tuple[Path, str]]:
     return out
 
 
-def run(
-    paths: list[str | Path], config: LintConfig
-) -> tuple[list[Finding], int]:
+def run(paths: list[str | Path]) -> tuple[list[Finding], int]:
     """Lint ``paths``; returns (post-suppression findings, files checked)."""
-    import repro.devtools.lint.rules  # noqa: F401  (registers all rules)
-
     modules: list[Module] = []
     findings: list[Finding] = []
     tables: dict[str, suppressions.Suppressions] = {}
@@ -141,13 +136,10 @@ def run(
         modules.append(module)
         tables[relpath] = suppressions.scan(relpath, module.source)
 
-    disabled = set(config.disable)
     raw: list[Finding] = []
     for rule in registry.all_rules():
-        if rule.name in disabled:
-            continue
         for module in modules:
-            raw.extend(rule.check(module, config))
+            raw.extend(rule.check(module))
 
     for finding in raw:
         table = tables.get(finding.path)

@@ -2,7 +2,7 @@
 
 A rule is a named check with a family, a human rationale (which invariant
 it guards, and which PR introduced that invariant), and a
-``check(module, config)`` pass over one parsed file.
+``check(module)`` pass over one parsed file.
 
 Rules register themselves at import time via :func:`rule`; the engine
 imports :mod:`repro.devtools.lint.rules` once and iterates the registry.
@@ -11,7 +11,7 @@ imports :mod:`repro.devtools.lint.rules` once and iterates the registry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 _REGISTRY: dict[str, "Rule"] = {}
 
@@ -66,11 +66,3 @@ def all_rules() -> tuple[Rule, ...]:
 def families() -> tuple[str, ...]:
     _ensure_registered()
     return tuple(sorted({r.family for r in _REGISTRY.values()}))
-
-
-def get(name: str) -> Rule:
-    return _REGISTRY[name]
-
-
-def rule_names() -> Iterable[str]:
-    return _REGISTRY.keys()

@@ -33,7 +33,6 @@ import ast
 import re
 from typing import Iterator
 
-from repro.devtools.lint.config import LintConfig
 from repro.devtools.lint.engine import Module
 from repro.devtools.lint.findings import Finding
 from repro.devtools.lint.registry import rule
@@ -68,6 +67,14 @@ _NP_RANDOM_SEEDED = {
 
 _KEY_FUNCTION = re.compile(r"(^|_)(key|digest|identity|fingerprint)", re.I)
 
+#: Path fragments (posix) under which ``wall-clock`` and ``unseeded-rng``
+#: apply: the packages whose output the golden replay compares.
+DETERMINISM_PATHS = ("repro/simulator", "repro/core", "repro/gp")
+
+
+def _in_determinism_scope(module: Module) -> bool:
+    return any(frag in module.relpath for frag in DETERMINISM_PATHS)
+
 
 @rule(
     "wall-clock",
@@ -79,8 +86,8 @@ _KEY_FUNCTION = re.compile(r"(^|_)(key|digest|identity|fingerprint)", re.I)
         " two identical runs diverge"
     ),
 )
-def check_wall_clock(module: Module, config: LintConfig) -> Iterator[Finding]:
-    if not config.in_determinism_scope(module.relpath):
+def check_wall_clock(module: Module) -> Iterator[Finding]:
+    if not _in_determinism_scope(module):
         return
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Call):
@@ -105,8 +112,8 @@ def check_wall_clock(module: Module, config: LintConfig) -> Iterator[Finding]:
         " bit-identity"
     ),
 )
-def check_unseeded_rng(module: Module, config: LintConfig) -> Iterator[Finding]:
-    if not config.in_determinism_scope(module.relpath):
+def check_unseeded_rng(module: Module) -> Iterator[Finding]:
+    if not _in_determinism_scope(module):
         return
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):
@@ -169,7 +176,7 @@ def _contains_id_call(node: ast.AST) -> ast.Call | None:
         " partition the service's snapshot store and reuse key across runs"
     ),
 )
-def check_id_in_key(module: Module, config: LintConfig) -> Iterator[Finding]:
+def check_id_in_key(module: Module) -> Iterator[Finding]:
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):
             continue
@@ -231,9 +238,7 @@ def _is_unordered_iterable(expr: ast.AST, module: Module) -> str | None:
         " every iteration feeding a key goes through sorted(...)"
     ),
 )
-def check_unordered_iteration(
-    module: Module, config: LintConfig
-) -> Iterator[Finding]:
+def check_unordered_iteration(module: Module) -> Iterator[Finding]:
     for func in ast.walk(module.tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue

@@ -27,25 +27,30 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.devtools.lint.config import LintConfig
 from repro.devtools.lint.engine import Module
 from repro.devtools.lint.findings import Finding
 from repro.devtools.lint.registry import rule
+
+#: Module (path suffix) defining the frozen result dataclass; its
+#: constructor is the one place allowed to install the fields.
+FROZEN_RESULT_MODULE = "repro/simulator/metrics.py"
+#: Field names of the frozen result payload.
+FROZEN_RESULT_FIELDS = frozenset({"latency_s", "start_s", "queue_len_at_arrival"})
 
 
 def _is_false(node: ast.AST | None) -> bool:
     return isinstance(node, ast.Constant) and node.value is False
 
 
-def _field_target(node: ast.AST, fields: frozenset[str]) -> str | None:
+def _field_target(node: ast.AST) -> str | None:
     """Field name when ``node`` writes a frozen field (or through one)."""
-    if isinstance(node, ast.Attribute) and node.attr in fields:
+    if isinstance(node, ast.Attribute) and node.attr in FROZEN_RESULT_FIELDS:
         return node.attr
     if isinstance(node, ast.Subscript):
-        return _field_target(node.value, fields)
+        return _field_target(node.value)
     if isinstance(node, (ast.Tuple, ast.List)):
         for elt in node.elts:
-            hit = _field_target(elt, fields)
+            hit = _field_target(elt)
             if hit is not None:
                 return hit
     return None
@@ -61,10 +66,9 @@ def _field_target(node: ast.AST, fields: frozenset[str]) -> str | None:
         " at once"
     ),
 )
-def check_frozen_result(module: Module, config: LintConfig) -> Iterator[Finding]:
-    if module.relpath.endswith(config.frozen_result_module):
+def check_frozen_result(module: Module) -> Iterator[Finding]:
+    if module.relpath.endswith(FROZEN_RESULT_MODULE):
         return
-    fields = frozenset(config.frozen_result_fields)
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Assign):
             for target in node.targets:
@@ -83,7 +87,7 @@ def check_frozen_result(module: Module, config: LintConfig) -> Iterator[Finding]
                         " result memo's freeze; copy instead",
                     )
                     continue
-                field = _field_target(target, fields)
+                field = _field_target(target)
                 if field is not None:
                     yield module.finding(
                         target,
@@ -92,7 +96,7 @@ def check_frozen_result(module: Module, config: LintConfig) -> Iterator[Finding]
                         " the constructor (results are shared frozen)",
                     )
         elif isinstance(node, ast.AugAssign):
-            field = _field_target(node.target, fields)
+            field = _field_target(node.target)
             if field is not None:
                 yield module.finding(
                     node.target,
@@ -104,7 +108,7 @@ def check_frozen_result(module: Module, config: LintConfig) -> Iterator[Finding]
             resolved = module.resolve(node.func)
             if resolved == "object.__setattr__" and len(node.args) >= 2:
                 name = node.args[1]
-                if isinstance(name, ast.Constant) and name.value in fields:
+                if isinstance(name, ast.Constant) and name.value in FROZEN_RESULT_FIELDS:
                     yield module.finding(
                         node,
                         "frozen-result",

@@ -21,10 +21,12 @@ import ast
 import sys
 from typing import Iterator
 
-from repro.devtools.lint.config import LintConfig
 from repro.devtools.lint.engine import Module
 from repro.devtools.lint.findings import Finding
 from repro.devtools.lint.registry import rule
+
+#: Modules (path suffixes) allowed to call ``print``: the user-facing CLIs.
+PRINT_ALLOWED = ("repro/cli.py", "repro/devtools/lint/cli.py")
 
 _MUTABLE_FACTORIES = {
     "list",
@@ -48,7 +50,7 @@ _MUTABLE_FACTORIES = {
         " propagating"
     ),
 )
-def check_bare_except(module: Module, config: LintConfig) -> Iterator[Finding]:
+def check_bare_except(module: Module) -> Iterator[Finding]:
     for node in ast.walk(module.tree):
         if isinstance(node, ast.ExceptHandler) and node.type is None:
             yield module.finding(
@@ -69,9 +71,7 @@ def check_bare_except(module: Module, config: LintConfig) -> Iterator[Finding]:
         " searches"
     ),
 )
-def check_mutable_default(
-    module: Module, config: LintConfig
-) -> Iterator[Finding]:
+def check_mutable_default(module: Module) -> Iterator[Finding]:
     for func in ast.walk(module.tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -106,8 +106,8 @@ def check_mutable_default(
         " output"
     ),
 )
-def check_print_call(module: Module, config: LintConfig) -> Iterator[Finding]:
-    if any(module.relpath.endswith(s) for s in config.print_allowed):
+def check_print_call(module: Module) -> Iterator[Finding]:
+    if any(module.relpath.endswith(s) for s in PRINT_ALLOWED):
         return
     for node in ast.walk(module.tree):
         if (
@@ -153,9 +153,7 @@ def _private_part(dotted: str) -> str | None:
         " that a SciPy upgrade could break silently"
     ),
 )
-def check_private_import(
-    module: Module, config: LintConfig
-) -> Iterator[Finding]:
+def check_private_import(module: Module) -> Iterator[Finding]:
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Import):
             paths = [alias.name for alias in node.names]

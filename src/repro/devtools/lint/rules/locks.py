@@ -27,7 +27,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.devtools.lint.config import LintConfig
 from repro.devtools.lint.engine import Module
 from repro.devtools.lint.findings import Finding
 from repro.devtools.lint.registry import rule
@@ -142,9 +141,7 @@ def _mutated_self_attr(stmt: ast.stmt) -> tuple[str, ast.AST] | None:
         " stress tests only catch probabilistically"
     ),
 )
-def check_lock_discipline(
-    module: Module, config: LintConfig
-) -> Iterator[Finding]:
+def check_lock_discipline(module: Module) -> Iterator[Finding]:
     for cls in ast.walk(module.tree):
         if not isinstance(cls, ast.ClassDef):
             continue
@@ -156,8 +153,6 @@ def check_lock_discipline(
                 continue
             if method.name.startswith("_"):
                 continue  # __init__, _helpers: the documented allowlist
-            if method.name in config.lock_exempt_methods:
-                continue
             args = method.args.posonlyargs + method.args.args
             if not args or args[0].arg != "self":
                 continue  # staticmethod / classmethod

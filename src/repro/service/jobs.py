@@ -22,7 +22,10 @@ a load change starts from everything the parent already simulated.
 The runner factory is injectable: the default is the process-wide
 :func:`~repro.api.runner.runner_for`, and the tests drive the whole
 manager (lifecycle, cancellation, forks, warm restart, concurrency) with
-a stub factory that never runs a single simulation.
+a stub factory that never runs a single simulation.  Whatever the
+factory, every submission and fork passes the registry's
+:func:`~repro.api.registry.check_strategy_options` first, so a bad
+strategy name or option is refused before anything is queued.
 
 With a :class:`~repro.service.store.SnapshotStore` attached, completed
 jobs are appended to disk and replayed on construction — a restarted
@@ -42,6 +45,7 @@ import uuid
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
+from repro.api.registry import check_strategy_options
 from repro.api.scenario import Scenario, ScenarioError
 from repro.service.store import SnapshotStore, record_to_dict, search_result_to_dict
 
@@ -212,18 +216,14 @@ class JobManager:
         the job table on construction (warm restart).
     max_workers:
         Concurrent searches.
-    reuse_results:
-        Default for ``submit(reuse=...)``: answer identical re-submissions
-        from a finished in-memory job or the store instead of searching.
-    strategy_validator:
-        ``name -> None`` callable raising on unknown strategies, so bad
-        submissions fail fast at the API boundary instead of inside a
-        worker.  Defaults to the registry lookup when ``runner_factory``
-        is the default, and to no validation for injected factories.  The
-        default lookup also checks every option name against the
-        strategy's constructor (:func:`~repro.api.registry.
-        strategy_options`), raising :class:`ScenarioError` on an unknown
-        one.
+
+    Submissions and forks are checked against the strategy registry
+    whatever the factory (:func:`~repro.api.registry.
+    check_strategy_options`): an unknown strategy raises
+    :class:`~repro.api.registry.UnknownStrategyError`, an option name its
+    constructor lacks :class:`ScenarioError`, before anything is queued.
+    Identical re-submissions are answered from a finished job unless the
+    request says ``reuse=False``.
     """
 
     def __init__(
@@ -232,27 +232,17 @@ class JobManager:
         runner_factory: Callable[[Scenario], Any] | None = None,
         store: SnapshotStore | None = None,
         max_workers: int = 2,
-        reuse_results: bool = True,
-        strategy_validator: Callable[[str], None] | None = None,
     ):
-        self._check_options = False
         if runner_factory is None:
             from repro.api.runner import runner_for
 
             runner_factory = runner_for
-            if strategy_validator is None:
-                from repro.api.registry import strategy_class
-
-                strategy_validator = lambda name: strategy_class(name)  # noqa: E731
-                self._check_options = True
         if int(max_workers) < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers!r}")
         self._runner_factory = runner_factory
-        self._validate_strategy = strategy_validator
         self.store = store
-        self.reuse_results = bool(reuse_results)
+        # Insertion order is admission order: restored history first.
         self._jobs: dict[str, Job] = {}
-        self._order: list[str] = []
         # reuse key -> the latest-submitted done job with that key
         self._reusable: dict[tuple, Job] = {}
         self._lock = threading.RLock()
@@ -314,9 +304,8 @@ class JobManager:
 
     def _admit(self, job: Job) -> None:
         """Add ``job`` to the table (caller holds ``self._lock``)."""
-        job.position = len(self._order)
+        job.position = len(self._jobs)
         self._jobs[job.id] = job
-        self._order.append(job.id)
 
     def _mark_reusable(self, job: Job) -> None:
         """Index a done job for reuse (caller holds ``self._lock``).
@@ -330,23 +319,6 @@ class JobManager:
             self._reusable[key] = job
 
     # -- submission ------------------------------------------------------------------
-    def _validate(self, strategy: str, options: dict) -> None:
-        """Fail fast on an unknown strategy or, by default, option name."""
-        if self._validate_strategy is not None:
-            self._validate_strategy(strategy)
-        if not self._check_options:
-            return
-        from repro.api.registry import strategy_options
-
-        accepted = [opt.name for opt in strategy_options(strategy)]
-        unknown = sorted(set(options) - set(accepted))
-        if unknown:
-            raise ScenarioError(
-                f"strategy {strategy!r} does not accept option(s) "
-                f"{', '.join(map(repr, unknown))}; accepted options: "
-                f"{', '.join(accepted)}"
-            )
-
     def submit(
         self,
         scenario: Scenario | dict,
@@ -359,11 +331,10 @@ class JobManager:
         """Queue one search; returns its :class:`Job` immediately.
 
         ``scenario`` may be a :class:`Scenario` or a ``to_dict``-shaped
-        document (the HTTP body); validation errors raise
-        :class:`~repro.api.scenario.ScenarioError` before anything is
-        queued.  With ``reuse`` (defaulting to the manager's
-        ``reuse_results``), an identical finished job — in memory or in
-        the snapshot store — is returned instead of searching again.
+        document (the HTTP body); validation errors — the scenario, the
+        strategy name, an option name — raise before anything is queued.
+        Unless ``reuse`` is false, an identical finished job — in memory
+        or in the snapshot store — is returned instead of searching again.
         """
         if not isinstance(scenario, Scenario):
             scenario = Scenario.from_dict(scenario)
@@ -372,11 +343,10 @@ class JobManager:
                 f"strategy must be a non-empty name string, got {strategy!r}"
             )
         strategy = strategy.strip()
-        self._validate(strategy, strategy_kwargs)
+        check_strategy_options(strategy, strategy_kwargs)
         job = Job(self._new_id(), scenario, strategy, seed, strategy_kwargs)
-        use_cache = self.reuse_results if reuse is None else bool(reuse)
         with self._lock:
-            if use_cache:
+            if reuse is None or reuse:
                 hit = self._reusable.get(job.reuse_key())
                 if hit is not None:
                     return hit
@@ -410,7 +380,7 @@ class JobManager:
         if strategy is None:
             strategy = parent.strategy
         try:
-            self._validate(strategy, parent.strategy_kwargs)
+            check_strategy_options(strategy, parent.strategy_kwargs)
         except ScenarioError as exc:
             # A fork sends no options: they are the parent's (for a restored
             # job, from a record an older build may have written).
@@ -572,12 +542,12 @@ class JobManager:
     def jobs(self) -> list[Job]:
         """All jobs, submission order (restored history first)."""
         with self._lock:
-            return [self._jobs[job_id] for job_id in self._order]
+            return list(self._jobs.values())
 
     def stats(self) -> dict:
         """Aggregate service statistics (the /stats endpoint body)."""
         with self._lock:
-            jobs = [self._jobs[job_id] for job_id in self._order]
+            jobs = list(self._jobs.values())
             store_errors = self._store_errors
         by_state = {state: 0 for state in JOB_STATES}
         evaluations = 0

@@ -1,6 +1,6 @@
 """Tests for repro-lint: every rule against its fixture pair, the
-suppression contract (justification required), configuration loading,
-the CLI exit-code contract, and the whole-tree smoke (``src/`` must be
+suppression contract (justification required), the CLI exit-code
+contract (directly and through ``repro-ribbon lint``), and the whole-tree smoke (``src/`` must be
 clean — the same gate CI runs).
 
 Fixtures live in ``tests/lint_fixtures/``; see its README for why the
@@ -12,14 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.lint import (
-    LintConfig,
-    LintConfigError,
-    all_rules,
-    families,
-    load_config,
-    run,
-)
+from repro.cli import main as repro_main
+from repro.devtools.lint import all_rules, families, run
 from repro.devtools.lint.cli import main as lint_main
 from repro.devtools.lint.suppressions import scan
 
@@ -28,7 +22,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def lint(*relpaths):
-    findings, _ = run([FIXTURES / p for p in relpaths], LintConfig())
+    findings, _ = run([FIXTURES / p for p in relpaths])
     return findings
 
 
@@ -70,7 +64,7 @@ class TestDeterminismRules:
         out_of_scope.write_text(
             (FIXTURES / "repro/simulator/bad_determinism.py").read_text()
         )
-        findings, _ = run([out_of_scope], LintConfig())
+        findings, _ = run([out_of_scope])
         assert rules_hit(findings) & {"wall-clock", "unseeded-rng"} == set()
 
     def test_id_in_key(self):
@@ -110,7 +104,7 @@ class TestLockDiscipline:
         assert mutated != source, "clear() changed shape; update this test"
         copy = tmp_path / "identity_cache.py"
         copy.write_text(mutated)
-        findings, _ = run([copy], LintConfig())
+        findings, _ = run([copy])
         assert "lock-discipline" in rules_hit(findings)
 
 
@@ -152,12 +146,12 @@ class TestHygiene:
             "# repro-lint: disable=private-import(checked against the public API)\n"
             "from scipy.optimize._lbfgsb import setulb\n"
         )
-        assert run([mod], LintConfig())[0] == []
+        assert run([mod])[0] == []
         mod.write_text(
             "from scipy.optimize._lbfgsb import setulb"
             "  # repro-lint: disable=private-import\n"
         )
-        findings, _ = run([mod], LintConfig())
+        findings, _ = run([mod])
         assert rules_hit(findings) == {
             "private-import",
             "suppression-missing-reason",
@@ -167,7 +161,7 @@ class TestHygiene:
         cli = tmp_path / "repro" / "cli.py"
         cli.parent.mkdir()
         cli.write_text("def main():\n    print('hello')\n")
-        findings, _ = run([cli], LintConfig())
+        findings, _ = run([cli])
         assert findings == []
 
 
@@ -197,32 +191,6 @@ class TestSuppressions:
         assert table.malformed == []
 
 
-class TestConfig:
-    def test_defaults_without_pyproject(self):
-        config = load_config(None)
-        assert "repro/simulator" in config.determinism_paths
-
-    def test_unknown_key_is_an_error(self, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text("[tool.repro-lint]\ndeterminism-pathz = []\n")
-        with pytest.raises(LintConfigError, match="determinism-pathz"):
-            load_config(pyproject)
-
-    def test_overrides_apply(self, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(
-            '[tool.repro-lint]\ndisable = ["print-call"]\n'
-        )
-        config = load_config(pyproject)
-        assert config.disable == ("print-call",)
-        findings, _ = run([FIXTURES / "bad_hygiene.py"], config)
-        assert "print-call" not in rules_hit(findings)
-
-    def test_repo_pyproject_parses(self):
-        config = load_config(REPO_ROOT / "pyproject.toml")
-        assert config == LintConfig()
-
-
 class TestCli:
     def test_findings_exit_1_and_render_locations(self, capsys):
         rc = lint_main([str(FIXTURES / "bad_hygiene.py")])
@@ -249,14 +217,18 @@ class TestCli:
         assert lint_main([str(FIXTURES / "no_such_dir")]) == 2
         assert "no such file" in capsys.readouterr().err
 
-    def test_bad_config_exits_2(self, tmp_path, capsys):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text("[tool.repro-lint]\nbogus = 1\n")
-        rc = lint_main(
-            ["--config", str(pyproject), str(FIXTURES / "good_hygiene.py")]
-        )
-        assert rc == 2
-        assert "bogus" in capsys.readouterr().err
+    def test_unknown_flag_is_a_usage_error(self, capsys):
+        # No flag configures the policy; argparse refuses one with exit 2.
+        with pytest.raises(SystemExit) as exc:
+            lint_main(["--config", "pyproject.toml", str(FIXTURES)])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
+    def test_repro_ribbon_lint_delegates(self, capsys):
+        assert repro_main(["lint", str(FIXTURES / "bad_hygiene.py")]) == 1
+        assert "bad_hygiene.py:7:4 bare-except" in capsys.readouterr().out
+        assert repro_main(["lint", str(FIXTURES / "good_hygiene.py")]) == 0
+        assert "clean" in capsys.readouterr().out
 
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
@@ -268,10 +240,9 @@ class TestCli:
 
 class TestWholeTree:
     def test_src_is_clean_under_the_repo_config(self):
-        # The same invocation CI gates on: src/ lints clean with the
-        # committed pyproject configuration.
-        config = load_config(REPO_ROOT / "pyproject.toml")
-        findings, n_files = run([REPO_ROOT / "src"], config)
+        # The same invocation CI gates on: src/ lints clean under the
+        # policy constants the rules carry.
+        findings, n_files = run([REPO_ROOT / "src"])
         assert findings == [], "\n".join(f.render() for f in findings)
         assert n_files > 50
 

@@ -76,6 +76,24 @@ class TestRegistry:
         strat = make_strategy("ribbon", max_samples=9, seed=1, patience=None)
         assert strat.patience is None
 
+    def test_unknown_option_is_a_scenario_error(self):
+        with pytest.raises(ScenarioError) as err:
+            make_strategy("exhaustive", accelerate=True)
+        message = str(err.value)
+        assert "'accelerate'" in message and "stop_at_first" in message
+
+    def test_var_keyword_constructor_accepts_any_option(self):
+        @register_strategy("unit-kwargs")
+        class UnitKwargs(RandomSearch):
+            def __init__(self, max_samples=100, seed=0, **extra):
+                super().__init__(max_samples=max_samples, seed=seed)
+                self.extra = extra
+
+        try:
+            assert make_strategy("unit-kwargs", bogus=1).extra == {"bogus": 1}
+        finally:
+            registry_module._STRATEGIES.pop("unit-kwargs", None)
+
     def test_register_custom_strategy(self):
         @register_strategy("unit-greedy", "ug")
         class UnitGreedy(RandomSearch):
@@ -213,6 +231,27 @@ SMALL = Scenario(
 
 
 class TestScenarioRunner:
+    @pytest.fixture
+    def no_materializing(self, monkeypatch):
+        def build(runner, key):
+            pytest.fail("materialized before the option check")
+
+        monkeypatch.setattr(ScenarioRunner, "_build", build)
+
+    def test_unknown_option_refused_before_materializing(self, no_materializing):
+        with pytest.raises(ScenarioError) as err:
+            Scenario("MT-WND").run("exhaustive", accelerate=True)
+        message = str(err.value)
+        assert "'accelerate'" in message and "stop_at_first" in message
+
+    def test_run_many_refuses_unknown_option_before_materializing(
+        self, no_materializing
+    ):
+        runner = ScenarioRunner(SMALL)
+        with pytest.raises(ScenarioError, match="'bogus'.*accepted options"):
+            runner.run_many("random", bogus=1)
+        assert not runner._materialized
+
     def test_materialization_is_cached(self):
         runner = ScenarioRunner(SMALL)
         assert runner.materialize(0) is runner.materialize(0)

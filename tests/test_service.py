@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.api.registry import UnknownStrategyError
 from repro.api.scenario import Scenario, ScenarioError
 from repro.core.evaluator import EvaluationRecord
 from repro.core.result import SearchResult
@@ -159,21 +160,14 @@ class TestLifecycle:
         with pytest.raises(ScenarioError, match="strategy"):
             manager.submit(make_scenario(), "  ")
 
-    def test_strategy_validator_rejects_unknown_names(self):
-        def validator(name):
-            if name != "known":
-                raise KeyError(f"unknown strategy {name!r}")
-
-        mgr = JobManager(
-            runner_factory=StubFactory(), strategy_validator=validator
-        )
-        try:
-            with pytest.raises(KeyError, match="no-such"):
-                mgr.submit(make_scenario(), "no-such")
-            assert mgr.jobs() == []
-            mgr.submit(make_scenario(), "known")
-        finally:
-            mgr.shutdown(cancel_running=True)
+    def test_strategy_validator_rejects_unknown_names(self, manager):
+        # The registry refuses the name even behind an injected factory.
+        with pytest.raises(UnknownStrategyError, match="no-such"):
+            manager.submit(make_scenario(), "no-such")
+        assert manager.jobs() == []
+        job = manager.submit(make_scenario(), "hill-climb")
+        manager.wait(job.id, timeout=10)
+        assert job.state == "done"
 
     def test_failure_is_captured_not_raised(self):
         factory = StubFactory(fail=RuntimeError("lattice exploded"))
@@ -202,13 +196,11 @@ class TestLifecycle:
 
 
 class TestOptionValidation:
-    """The default registry validator checks option names at submission."""
+    """The registry checks option names at submission, whatever the factory."""
 
     @pytest.fixture
     def registry_manager(self):
-        # Registry validation of the default factory, stub searches.
-        mgr = JobManager(max_workers=1)
-        mgr._runner_factory = StubFactory()
+        mgr = JobManager(runner_factory=StubFactory(), max_workers=1)
         yield mgr
         mgr.shutdown(cancel_running=True)
 
@@ -242,8 +234,8 @@ class TestOptionValidation:
             "submitted_at": 100.0, "started_at": 100.0, "finished_at": 101.0,
             "result": {"n_samples": 3, "best": None},
         })
-        mgr = JobManager(store=store, max_workers=1)
-        factory = mgr._runner_factory = StubFactory()
+        factory = StubFactory()
+        mgr = JobManager(runner_factory=factory, store=store, max_workers=1)
         try:
             with pytest.raises(ScenarioError) as err:
                 mgr.fork("j-old", load_factor=1.5)
@@ -255,10 +247,15 @@ class TestOptionValidation:
         finally:
             mgr.shutdown()
 
-    def test_injected_factory_skips_option_checks(self, manager):
-        job = manager.submit(make_scenario(), "ribbon", bogus_knob=3)
-        manager.wait(job.id, timeout=10)
-        assert job.result_dict["metadata"]["bogus_knob"] == 3
+    def test_injected_factory_gets_option_checks(self):
+        factory = StubFactory()
+        mgr = JobManager(runner_factory=factory, max_workers=1)
+        try:
+            with pytest.raises(ScenarioError, match="'bogus_knob'"):
+                mgr.submit(make_scenario(), "ribbon", bogus_knob=3)
+            assert mgr.jobs() == [] and factory.built == []
+        finally:
+            mgr.shutdown()
 
 
 class TestCancellation:
