@@ -9,8 +9,9 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
-    # The compiled dispatch loop is built from this source on first use.
-    package_data={"repro.simulator": ["_dispatch.c"]},
+    # The compiled dispatch loop and GP likelihood are built from these
+    # sources on first use.
+    package_data={"repro.simulator": ["_dispatch.c"], "repro.gp": ["_lml.c"]},
     python_requires=">=3.10",
     install_requires=["numpy", "scipy"],
     extras_require={"test": ["pytest", "hypothesis"]},

@@ -136,19 +136,11 @@ def _cmd_fig10(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    strategy_class(args.method)  # fail fast, before the costly materialization
     kwargs = {"max_samples": args.samples, "seed": args.seed}
     if args.batch_size is not None and args.batch_size != 1:
         # --batch-size 1 is the sequential default, a no-op everywhere;
-        # strategies without the knob simply ignore it (runner semantics).
-        supported = {opt.name for opt in strategy_options(args.method)}
-        if "batch_size" not in supported:
-            print(
-                f"error: strategy {args.method!r} does not accept --batch-size "
-                f"(its options: {', '.join(sorted(supported))})",
-                file=sys.stderr,
-            )
-            return 2
+        # any other value goes to the strategy, whose option check refuses
+        # it before the costly materialization if the constructor lacks it.
         kwargs["batch_size"] = args.batch_size
     strategy = make_strategy(args.method, **kwargs)
     setting = ExperimentSetting(n_queries=args.queries)
@@ -197,12 +189,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server.server_close()
         manager.shutdown(cancel_running=True)
     return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.devtools.lint.cli import main as lint_main
-
-    return lint_main(args.lint_args)
 
 
 def _cmd_strategies(args: argparse.Namespace) -> int:
@@ -324,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         add_help=False,
     )
     pt.add_argument("lint_args", nargs=argparse.REMAINDER)
-    pt.set_defaults(func=_cmd_lint)
 
     return parser
 

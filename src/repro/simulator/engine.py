@@ -36,12 +36,11 @@ The family loop runs on one of two substrates with bit-identical results:
   :func:`_run_families` with the same float comparisons and additions and a
   plain binary min-heap (the loops only read a heap's minimum), called once
   per simulation through ctypes on the service matrix and the trace's
-  arrivals in place.  :func:`_native_loops` builds it at the first family
-  dispatch with the system ``cc`` (``-O2 -ffp-contract=off``) into
-  ``$XDG_CACHE_HOME/repro-ribbon/`` (default ``~/.cache/repro-ribbon/``),
-  named by a hash of the source, the flags and the interpreter, so a host
-  compiles it once (~0.1 s).  A self-check must then reproduce the Python
-  loops bit for bit on a fixed problem full of ties;
+  arrivals in place.  :func:`_native_loops` builds and loads it at the
+  first family dispatch through :mod:`repro._native` (one compile recipe,
+  cache directory and fallback rule for the package's C files); a
+  self-check must then reproduce the Python loops bit for bit on a fixed
+  problem full of ties;
 * Python: the loops below, on plain lists converted from the service
   matrix and the arrivals at each call.  They are the compiled loop's
   spec and self-check oracle, and they run whenever no compiler is on
@@ -71,20 +70,12 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
-import os
-import platform
-import shutil
-import subprocess
-import sys
-import tempfile
 import threading
 from heapq import heapify, heappop, heappush, heapreplace
-from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
+from repro import _native
 from repro.models.base import ModelProfile
 from repro.simulator.metrics import SimulationResult
 from repro.simulator.pool import PoolConfiguration
@@ -394,10 +385,6 @@ def _run_heap(
 
 # -- compiled family loop -----------------------------------------------------
 
-#: Compiler flags; -ffp-contract=off forbids fused multiply-adds, so every
-#: float operation rounds as it does in Python.
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-
 _F64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 _I64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 
@@ -442,38 +429,6 @@ class _NativeLoops:
         return start, chosen
 
 
-def _cache_dir() -> Path:
-    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    return Path(base) / "repro-ribbon"
-
-
-def _build_native() -> Path:
-    """Compile ``_dispatch.c`` into the user cache unless a library built
-    from the same source, flags and interpreter is already there."""
-    source = resources.files("repro.simulator").joinpath("_dispatch.c").read_bytes()
-    cc = shutil.which("cc")
-    if cc is None:
-        raise OSError("no C compiler 'cc' on PATH")
-    host = f"{sys.implementation.cache_tag}-{platform.machine()}"
-    digest = hashlib.sha256(
-        b"\0".join([source, " ".join(_CFLAGS).encode(), host.encode()])
-    ).hexdigest()[:16]
-    target = _cache_dir() / f"_dispatch-{host}-{digest}.so"
-    if target.exists():
-        return target
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=target.parent) as tmp:
-        src, out = Path(tmp, "_dispatch.c"), Path(tmp, target.name)
-        src.write_bytes(source)
-        subprocess.run(
-            [cc, *_CFLAGS, "-o", str(out), str(src)],
-            check=True, capture_output=True, timeout=120,
-        )
-        # Atomic: a concurrent build of the same source just wins or loses.
-        os.replace(out, target)
-    return target
-
-
 def _native_agrees(loops: _NativeLoops) -> bool:
     """Bit-equality of the compiled and the Python family loops on a fixed
     problem: tied arrivals, exact (dyadic) times so that free times tie
@@ -508,8 +463,6 @@ def _native_loops() -> _NativeLoops | None:
 
     Runs once per process, at the first family dispatch.
     """
-    try:
-        loops = _NativeLoops(ctypes.CDLL(str(_build_native())))
-    except (OSError, RuntimeError, subprocess.SubprocessError, AttributeError):
-        return None
-    return loops if _native_agrees(loops) else None
+    return _native.load(
+        "repro.simulator", "_dispatch.c", _NativeLoops, _native_agrees
+    )

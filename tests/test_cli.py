@@ -139,7 +139,8 @@ class TestCommands:
         )
         assert rc == 2
         err = capsys.readouterr().err
-        assert "--batch-size" in err and "random" in err
+        assert "'random'" in err and "batch_size" in err
+        assert "accepted options" in err
 
     def test_batch_size_one_is_noop_on_any_strategy(self, capsys):
         # --batch-size 1 is the sequential default; strategies without

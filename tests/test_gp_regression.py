@@ -2,6 +2,7 @@
 
 import hashlib
 import platform
+import shutil
 import sys
 import types
 
@@ -289,7 +290,7 @@ def _fit_digest(n_problems: int = 400) -> str:
     return h.hexdigest()
 
 
-def test_fits_match_the_recorded_digest_bit_for_bit():
+def _assert_recorded_digest() -> None:
     toolchain = (
         np.__version__, scipy.__version__, platform.machine(), _exp_dispatch()
     )
@@ -297,3 +298,16 @@ def test_fits_match_the_recorded_digest_bit_for_bit():
         pytest.skip(f"no fit digest recorded for toolchain {toolchain}")
     assert regression._checked_setulb() is not None
     assert _fit_digest() == _FIT_DIGESTS[toolchain]
+
+
+def test_fits_match_the_recorded_digest_bit_for_bit():
+    """Fits on the compiled likelihood, wherever a C compiler exists."""
+    if shutil.which("cc") is not None:
+        assert regression._compiled_lml() is not None
+    _assert_recorded_digest()
+
+
+def test_python_objective_fits_match_the_recorded_digest(monkeypatch):
+    """Fits on the Python likelihood, as on a host without a compiler."""
+    monkeypatch.setattr(regression, "_compiled_lml", lambda: None)
+    _assert_recorded_digest()

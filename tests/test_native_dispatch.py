@@ -1,11 +1,13 @@
 """The compiled family loop against the Python loops it ports.
 
-``engine._native_loops()`` builds ``_dispatch.c`` with the system C
-compiler on first use and loads it with ctypes; the Python loops are its
-spec, its self-check oracle and its fallback.  These tests pin that the
-two agree bit for bit, that the compiled path engages where a compiler
-exists, and that every way the build can fail leaves ``simulate()``
-answering identically on the Python loops.
+``engine._native_loops()`` builds ``_dispatch.c`` through
+``repro._native`` with the system C compiler on first use and loads it
+with ctypes; the Python loops are its spec, its self-check oracle and its
+fallback.  These tests pin that the two agree bit for bit, that the
+compiled path engages where a compiler exists, that ``repro._native``
+caches its builds of both C files in one directory, and that every way
+the build can fail leaves ``simulate()`` answering identically on the
+Python loops.
 """
 
 import shutil
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro import _native
 from repro.simulator import engine
 from repro.simulator.engine import InferenceServingSimulator
 from repro.simulator.pool import PoolConfiguration
@@ -75,24 +78,33 @@ def test_compiled_loop_engages_where_a_compiler_exists():
         simulate_all(TOY, TRACE, POOLS)
 
 
+#: The package's two C files, as ``repro._native.build`` takes them.
+SOURCES = (("repro.simulator", "_dispatch.c"), ("repro.gp", "_lml.c"))
+
+
 @needs_cc
 def test_build_is_cached_by_source_hash(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    built = engine._build_native()
-    assert built.parent == tmp_path / "repro-ribbon"
-    stamp = built.stat().st_mtime_ns
-    assert engine._build_native() == built
-    assert built.stat().st_mtime_ns == stamp  # reused, not rebuilt
-    assert [p.name for p in built.parent.iterdir()] == [built.name]
+    built = [_native.build(*source) for source in SOURCES]
+    assert {path.parent for path in built} == {tmp_path / "repro-ribbon"}
+    stamps = [path.stat().st_mtime_ns for path in built]
+    assert [_native.build(*source) for source in SOURCES] == built
+    # Reused, not rebuilt, and nothing but the two libraries left behind.
+    assert [path.stat().st_mtime_ns for path in built] == stamps
+    assert sorted(p.name for p in built[0].parent.iterdir()) == sorted(
+        path.name for path in built
+    )
 
 
 @needs_cc
 def test_concurrent_cold_builds_agree(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     with ThreadPoolExecutor(max_workers=3) as pool:
-        paths = list(pool.map(lambda _: engine._build_native(), range(3)))
-    assert len(set(paths)) == 1
-    assert [p.name for p in paths[0].parent.iterdir()] == [paths[0].name]
+        paths = list(pool.map(lambda k: _native.build(*SOURCES[k % 2]), range(6)))
+    assert len(set(paths[0::2])) == 1 and len(set(paths[1::2])) == 1
+    assert sorted(p.name for p in paths[0].parent.iterdir()) == sorted(
+        {path.name for path in paths}
+    )
 
 
 @pytest.mark.parametrize("failure", ["build", "no-compiler", "self-check"])
@@ -102,13 +114,13 @@ def test_failed_build_falls_back_to_identical_results(
     with python_loops():
         expected = simulate_all(TOY, TRACE, POOLS)
 
-    def raise_oserror():
+    def raise_oserror(package, filename):
         raise OSError("cc: cannot execute")
 
     if failure == "build":
-        monkeypatch.setattr(engine, "_build_native", raise_oserror)
+        monkeypatch.setattr(_native, "build", raise_oserror)
     elif failure == "no-compiler":
-        monkeypatch.setattr(engine.shutil, "which", lambda name: None)
+        monkeypatch.setattr(_native.shutil, "which", lambda name: None)
     else:
         monkeypatch.setattr(engine, "_native_agrees", lambda loops: False)
     assert simulate_all(TOY, TRACE, POOLS) == expected
