@@ -9,8 +9,10 @@ paper).  Two independently written engines are provided:
   the first free instance in type order, or waits for the earliest-free
   instance).  Instances of one family are interchangeable for latency, so
   by default it decides only the serving *family* per query, on one float
-  heap of free times per family (``dispatch="family"``); the queue length
-  seen per arrival (``queue_len_at_arrival``) is derived on first read.
+  heap of free times per family (``dispatch="family"``).  Its compiled
+  loop also returns the latencies and the total queue length seen at
+  arrivals in the same pass; the per-arrival column
+  (``queue_len_at_arrival``) is derived only on first read.
   ``dispatch="heap"`` runs the per-instance loop instead, the bit-identical
   reference the tests compare it with.
 * :class:`~repro.simulator.events.EventHeapSimulator` — an event-heap
@@ -19,7 +21,8 @@ paper).  Two independently written engines are provided:
 
 Both report the same :class:`~repro.simulator.metrics.SimulationResult`:
 per-query latencies and start times, from which it derives the QoS
-satisfaction rate, latency percentiles and the queue length at arrivals.
+satisfaction rate, latency percentiles (``np.percentile``'s ``linear``
+method, read off the sorted latencies) and the queue length at arrivals.
 
 Two process-wide in-memory caches back the fast engine: the per-workload
 :class:`~repro.simulator.service.ServiceTimeCache` (service-time matrices,

@@ -39,22 +39,28 @@ The family loop runs on one of two substrates with bit-identical results:
   arrivals in place.  :func:`_native_loops` builds and loads it at the
   first family dispatch through :mod:`repro._native` (one compile recipe,
   cache directory and fallback rule for the package's C files); a
-  self-check must then reproduce the Python loops bit for bit on a fixed
-  problem full of ties;
+  self-check must then reproduce the Python path's start times, latencies
+  and queue total bit for bit on a fixed problem full of ties;
 * Python: the loops below, on plain lists converted from the service
   matrix and the arrivals at each call.  They are the compiled loop's
   spec and self-check oracle, and they run whenever no compiler is on
   ``PATH``, the build or load fails, or the self-check disagrees.
 
-The loop emits only start times and the per-query family choice;
-:meth:`InferenceServingSimulator.simulate` derives the latencies with vector
-operations: the service times are a gather from the service-time matrix by
-family, and ``latency = (start - arrival) + service``.  The result stores
-the latencies and start times only; the queue length seen by each arrival
-is derived from them on first read
-(:func:`~repro.simulator.metrics.queue_lengths_at_arrival`), so bounds
-bisection never pays for it.  ``dispatch="heap"`` runs the per-instance
-loop :func:`_run_heap` over the whole pool instead; it is the reference the
+Both substrates emit the start times.  The compiled loop also computes the
+figures of merit that need a pass over the queries, with the operations
+the Python path runs in NumPy: the latencies, ``(start - arrival) +
+service``, and the total waiting-queue length seen at arrivals, one exact
+integer from a two-pointer pass (arrivals are sorted and FCFS starts are
+monotone).  :meth:`InferenceServingSimulator.simulate` hands that total
+over the query count to the result as its mean queue length.  On the
+Python loops, ``simulate`` derives the latencies with vector operations
+(the service times are a gather from the service-time matrix by family),
+and the result derives the mean from the queue column.  Either way the
+result stores the latencies and start times only; the per-arrival queue
+column is derived on first read
+(:func:`~repro.simulator.metrics.queue_lengths_at_arrival`), and nothing
+in the search reads it.  ``dispatch="heap"`` runs the per-instance loop
+:func:`_run_heap` over the whole pool instead; it is the reference the
 equivalence tests compare the family loop with.
 
 Service times come pre-noised from the per-workload
@@ -77,7 +83,7 @@ import numpy as np
 
 from repro import _native
 from repro.models.base import ModelProfile
-from repro.simulator.metrics import SimulationResult
+from repro.simulator.metrics import SimulationResult, queue_lengths_at_arrival
 from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import (
     SimulationResultCache,
@@ -231,9 +237,18 @@ class InferenceServingSimulator:
         matrix = self._service_cache.matrix(self._model, trace, pool.families)
         loops = _native_loops() if self._dispatch == "family" else None
         if loops is not None:
-            # Compiled loop: reads the matrix and arrivals in place.
-            starts, family = loops.run(trace.arrival_s, matrix, counts)
+            # Compiled loop: reads the matrix and arrivals in place and
+            # returns the latencies and the queue total with the starts.
+            start_s, latency_s, queued = loops.run(
+                trace.arrival_s, matrix, counts
+            )
             _GLOBAL_DISPATCH.record("linear")
+            result = SimulationResult(
+                latency_s=latency_s,
+                start_s=start_s,
+                arrival_s=trace.arrival_s,
+                mean_queue_length=queued / n if n else 0.0,
+            )
         else:
             # The Python loops run on plain lists, converted per call;
             # they never read a zero-count family's row.
@@ -250,16 +265,16 @@ class InferenceServingSimulator:
             else:
                 starts, family = _family_loop(arrivals, rows, counts)
                 _GLOBAL_DISPATCH.record("linear")
-        if isinstance(family, int):  # a single-family pool
-            service_s = matrix[family]
-        else:
-            service_s = matrix[family, np.arange(n)]
-        start_s = np.asarray(starts, dtype=float)
-        result = SimulationResult(
-            latency_s=(start_s - trace.arrival_s) + service_s,
-            start_s=start_s,
-            arrival_s=trace.arrival_s,
-        )
+            if isinstance(family, int):  # a single-family pool
+                service_s = matrix[family]
+            else:
+                service_s = matrix[family, np.arange(n)]
+            start_s = np.asarray(starts, dtype=float)
+            result = SimulationResult(
+                latency_s=(start_s - trace.arrival_s) + service_s,
+                start_s=start_s,
+                arrival_s=trace.arrival_s,
+            )
         if memoize:
             result = memo.put(
                 self._model, trace, pool.families, pool.counts, result
@@ -269,9 +284,9 @@ class InferenceServingSimulator:
 
 # -- dispatch loops -----------------------------------------------------------
 # Each returns the per-query start times (plus the family or instance
-# choices); simulate() derives everything else.  Bound methods are hoisted
-# out of the loops: their bodies run hundreds of thousands of times per
-# search, where attribute lookups are a measurable cost.
+# choices); simulate() derives the latencies from them.  Bound methods are
+# hoisted out of the loops: their bodies run hundreds of thousands of times
+# per search, where attribute lookups are a measurable cost.
 
 
 def _serve_family(arrivals: list[float], row: list[float], count: int):
@@ -385,25 +400,31 @@ def _run_heap(
 
 # -- compiled family loop -----------------------------------------------------
 
-_F64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-_I64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-
-
 class _NativeLoops:
     """ctypes bindings of ``_dispatch.c``'s ``serve_family`` and
-    ``run_families``; ctypes releases the GIL for the call."""
+    ``run_families``; ctypes releases the GIL for the call.
+
+    Arrays cross as plain addresses: :meth:`run` makes every input
+    C-contiguous float64 and allocates every output itself, and checks the
+    sizes before any address reaches C, so per-argument ``ndpointer``
+    validation would only repeat it.
+    """
 
     def __init__(self, lib: ctypes.CDLL):
-        n = ctypes.c_int64
+        n, p = ctypes.c_int64, ctypes.c_void_p
         self._serve = lib.serve_family
-        self._serve.argtypes = (n, _F64, _F64, n, _F64, _F64)
-        self._serve.restype = None
+        self._serve.argtypes = (n, p, p, n, p, p, p)
+        self._serve.restype = n
         self._run = lib.run_families
-        self._run.argtypes = (n, _F64, _F64, n, _I64, _I64, _F64, _F64, _I64)
-        self._run.restype = None
+        self._run.argtypes = (n, p, p, n, p, p, p, p, p)
+        self._run.restype = n
 
     def run(self, arrival_s: np.ndarray, matrix: np.ndarray, counts):
-        """:func:`_family_loop` on arrays: ``(start_s, family)``."""
+        """:func:`_family_loop` on arrays, with the figures of merit
+        ``simulate`` needs: ``(start_s, latency_s, queue_total)``, where
+        ``latency_s`` is ``(start - arrival) + service`` and
+        ``queue_total`` is ``queue_lengths_at_arrival(start_s,
+        arrival_s).sum()``."""
         arrival_s = np.ascontiguousarray(arrival_s, dtype=np.float64)
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
         n = arrival_s.size
@@ -414,26 +435,31 @@ class _NativeLoops:
             )
         live = [k for k, count in enumerate(counts) if count]
         start = np.empty(n)
+        latency = np.empty(n)
         heap = np.empty(sum(counts))
+        out = (heap.ctypes.data, start.ctypes.data, latency.ctypes.data)
         if len(live) == 1:
             k = live[0]
-            self._serve(n, arrival_s, matrix[k], counts[k], heap, start)
-            return start, k
-        chosen = np.empty(n, dtype=np.int64)
-        self._run(
-            n, arrival_s, matrix, len(live),
-            np.array(live, dtype=np.int64),
-            np.array([counts[k] for k in live], dtype=np.int64),
-            heap, start, chosen,
-        )
-        return start, chosen
+            queued = self._serve(
+                n, arrival_s.ctypes.data, matrix[k].ctypes.data, counts[k], *out
+            )
+        else:
+            family = np.array(live, dtype=np.int64)
+            count = np.array([counts[k] for k in live], dtype=np.int64)
+            queued = self._run(
+                n, arrival_s.ctypes.data, matrix.ctypes.data, len(live),
+                family.ctypes.data, count.ctypes.data, *out,
+            )
+        return start, latency, queued
 
 
 def _native_agrees(loops: _NativeLoops) -> bool:
     """Bit-equality of the compiled and the Python family loops on a fixed
     problem: tied arrivals, exact (dyadic) times so that free times tie
     with each other and with arrivals, two families with equal service
-    rows, zero service times, and count-1 and zero-count families."""
+    rows, zero service times, and count-1 and zero-count families.  The
+    start times, the latencies and the queue total must all match what
+    ``simulate`` derives from the Python loops."""
     arrival = np.repeat(np.arange(40.0) * 0.25, np.arange(40) % 3 + 1)
     step = np.arange(arrival.size)
     matrix = np.stack([
@@ -447,11 +473,15 @@ def _native_agrees(loops: _NativeLoops) -> bool:
     for counts in ((1, 0, 0, 0, 0), (0, 0, 3, 0, 0), (1, 1, 0, 0, 0),
                    (2, 0, 1, 3, 0), (0, 1, 2, 1, 0), (1, 2, 1, 0, 1),
                    (1, 0, 1, 1, 2)):
-        starts, family = loops.run(arrival, matrix, counts)
-        ref_starts, ref_family = _family_loop(arrival.tolist(), rows, counts)
-        if starts.tobytes() != np.asarray(ref_starts, dtype=float).tobytes():
-            return False
-        if not np.array_equal(family, ref_family):
+        start, latency, queued = loops.run(arrival, matrix, counts)
+        ref_starts, family = _family_loop(arrival.tolist(), rows, counts)
+        ref_start = np.asarray(ref_starts, dtype=float)
+        service = matrix[family] if isinstance(family, int) else matrix[family, step]
+        if (
+            start.tobytes() != ref_start.tobytes()
+            or latency.tobytes() != ((ref_start - arrival) + service).tobytes()
+            or queued != queue_lengths_at_arrival(ref_start, arrival).sum()
+        ):
             return False
     return True
 

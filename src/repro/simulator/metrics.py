@@ -11,18 +11,25 @@ The serving metrics Ribbon observes per configuration evaluation:
   detection signal of Sec. 4).
 
 A result stores only what these read: the per-query latencies and start
-times, with the trace's arrival times borrowed.  All figures of merit are
-array-native — one vectorized pass over those arrays — and memoized per
-result object: a :class:`SimulationResult` is immutable and (through the
-simulation-result memo) shared by every evaluator that re-serves the same
-configuration, so the sorted-latency pass behind the percentiles and the
-QoS counts are paid once per *distinct simulation*, not once per evaluator
-fork.  The memo is an idempotent cache of deterministic values, so
-concurrent readers (sweep threads) can at worst recompute the same number.
+times, with the trace's arrival times borrowed.  The figures of merit are
+derived from those arrays and memoized per result object: a
+:class:`SimulationResult` is immutable and (through the simulation-result
+memo) shared by every evaluator that re-serves the same configuration, so
+the one sort of the latencies behind the percentiles and the QoS counts is
+paid once per *distinct simulation*, not once per evaluator fork.  A
+percentile reads two order statistics off that sorted array and
+interpolates as ``np.percentile``'s default ``linear`` method does, with
+the same float operations, so it equals ``np.percentile`` bit for bit.  The
+mean queue length comes from the engine when its compiled loop counted it
+(an exact integer total over the query count); otherwise it is the mean of
+the queue column, which is derived on first read.  The memo is an
+idempotent cache of deterministic values, so concurrent readers (sweep
+threads) can at worst recompute the same number.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +44,9 @@ class SimulationResult:
     trace's own array, borrowed, not copied.  The queue length seen by
     each arrival, ``queue_len_at_arrival``, is derived from the start and
     arrival times on first read, unless the engine counted it itself and
-    passed it in.  Either way the column is read-only.
+    passed it in.  Either way the column is read-only.  An engine that
+    summed the column itself passes its mean as ``mean_queue_length``
+    instead, and the column stays underived until something reads it.
 
     .. rubric:: Zero-query windows
 
@@ -64,6 +73,7 @@ class SimulationResult:
         start_s: np.ndarray,
         arrival_s: np.ndarray,
         queue_len_at_arrival: np.ndarray | None = None,
+        mean_queue_length: float | None = None,
     ):
         lat = np.asarray(latency_s, dtype=float)
         if lat.ndim != 1:
@@ -75,7 +85,7 @@ class SimulationResult:
         ):
             if arr is not None and np.shape(arr) != lat.shape:
                 raise ValueError(f"{name} shape {np.shape(arr)} != {lat.shape}")
-        if np.any(lat < 0):
+        if not np.all(lat >= 0):  # NaN included
             raise ValueError("latencies must be non-negative")
         object.__setattr__(self, "latency_s", latency_s)
         object.__setattr__(self, "start_s", start_s)
@@ -86,6 +96,8 @@ class SimulationResult:
             derived["queue_len_at_arrival"] = _read_only(
                 np.asarray(queue_len_at_arrival)
             )
+        if mean_queue_length is not None:
+            derived["mean_queue"] = float(mean_queue_length)
         object.__setattr__(self, "_derived", derived)
 
     def _memo(self, key, compute):
@@ -146,20 +158,22 @@ class SimulationResult:
     def latency_percentile_ms(self, q: float) -> float:
         """q-th percentile of end-to-end latency, in milliseconds.
 
-        Computed on the cached ascending latencies — ``np.percentile``
-        selects order statistics and interpolates, a pure function of the
-        value multiset, so sorting first changes nothing but the cost of
-        repeat calls.  0.0 for a zero-query window — there is no latency
-        distribution to take a percentile of (reporting convention; see
-        class docstring).
+        ``np.percentile``'s default ``linear`` method, bit for bit, on the
+        cached ascending latencies: see :func:`_linear_percentile`.  0.0
+        for a zero-query window — there is no latency distribution to take
+        a percentile of (reporting convention; see class docstring).
+
+        Raises
+        ------
+        ValueError
+            If ``q`` is outside [0, 100].
         """
+        fraction = float(q) / 100
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"percentile must be in [0, 100], got {q!r}")
         if len(self) == 0:
             return 0.0
-        q = float(q)
-        return self._memo(
-            ("percentile", q),
-            lambda: float(np.percentile(self._latency_s_ascending(), q) * 1000.0),
-        )
+        return _linear_percentile(self._latency_s_ascending(), fraction) * 1000.0
 
     @property
     def p99_ms(self) -> float:
@@ -198,6 +212,30 @@ def queue_lengths_at_arrival(
     q = np.arange(start_s.size)
     started = np.searchsorted(start_s, arrival_s, "right")
     return q - np.minimum(q, started)
+
+
+def _linear_percentile(ascending: np.ndarray, fraction: float) -> float:
+    """The ``fraction`` quantile of a non-empty ascending array, as
+    ``np.quantile(ascending, fraction)`` computes it, in scalar float
+    operations: the virtual index ``(n - 1) * fraction``, its floor and
+    fractional part ``gamma``, and NumPy's two-sided ``_lerp``.  At or
+    past the last index NumPy reads the last element twice and measures
+    ``gamma`` from index -1; that quirk is kept because it picks the
+    ``_lerp`` branch."""
+    n = ascending.size
+    virtual = (n - 1) * fraction
+    if virtual >= n - 1:
+        below = above = -1
+    else:
+        below = math.floor(virtual)
+        above = below + 1
+    gamma = virtual - below
+    a = float(ascending[below])
+    b = float(ascending[above])
+    diff = b - a
+    if gamma >= 0.5:
+        return b - diff * (1 - gamma)
+    return a + diff * gamma
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

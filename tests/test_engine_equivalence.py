@@ -111,7 +111,8 @@ def assert_dispatch_modes_match_reference(model, trace, pool):
     equal the event-heap reference bit-for-bit on every result array.  On
     noisy service rows equal starts and equal latencies pin the serving
     family, so the type-order and earliest-free tie rules are checked too;
-    the reference counts its queue column itself."""
+    the reference counts its queue column itself, and the compiled loop
+    its queue total."""
     ref = EventHeapSimulator(model).simulate(trace, pool)
     runs = {
         mode: fast_sim(model, dispatch=mode).simulate(trace, pool)
@@ -125,6 +126,8 @@ def assert_dispatch_modes_match_reference(model, trace, pool):
                 getattr(res, field), getattr(ref, field), err_msg=f"{mode}: {field}"
             )
         assert res.queue_len_at_arrival.dtype == np.int64, mode
+        for figure in ("p99_ms", "mean_queue_length"):
+            assert getattr(res, figure) == getattr(ref, figure), f"{mode}: {figure}"
 
 
 @given(

@@ -20,11 +20,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import _native
+from repro.core.evaluator import ConfigurationEvaluator
+from repro.core.objective import RibbonObjective
+from repro.core.search_space import SearchSpace
+from repro.models.zoo import get_model
 from repro.simulator import engine
 from repro.simulator.engine import InferenceServingSimulator
+from repro.simulator.metrics import queue_lengths_at_arrival
 from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import SimulationResultCache
 from repro.simulator.service import ServiceTimeCache
+from repro.workload.trace import trace_for_model
 from tests.conftest import make_tied_trace, make_toy_model, python_loops
 
 HAS_CC = shutil.which("cc") is not None
@@ -164,20 +170,81 @@ def family_problems(draw):
     return np.cumsum(gaps), matrix, tuple(counts)
 
 
+def python_figures(arrival, matrix, counts):
+    """The Python spec of the compiled loop's outputs: the Python family
+    loop's start times, the latencies ``simulate`` derives from them, and
+    the summed queue column the result derives."""
+    starts, family = engine._family_loop(
+        arrival.tolist(), [row.tolist() for row in matrix], counts
+    )
+    start = np.asarray(starts, dtype=float)
+    if isinstance(family, int):
+        service = matrix[family]
+    else:
+        service = matrix[family, np.arange(arrival.size)]
+    queue = queue_lengths_at_arrival(start, arrival)
+    return start, (start - arrival) + service, queue
+
+
 @needs_cc
 @given(problem=family_problems())
 @settings(max_examples=200, deadline=None)
 def test_compiled_loops_equal_python_loops(problem):
     arrival, matrix, counts = problem
-    starts, family = engine._native_loops().run(arrival, matrix, counts)
-    ref_starts, ref_family = engine._family_loop(
-        arrival.tolist(), [row.tolist() for row in matrix], counts
-    )
-    assert starts.tobytes() == np.asarray(ref_starts, dtype=float).tobytes()
-    if isinstance(ref_family, int):
-        assert family == ref_family
-    else:
-        np.testing.assert_array_equal(family, ref_family)
+    start, latency, queued = engine._native_loops().run(arrival, matrix, counts)
+    ref_start, ref_latency, ref_queue = python_figures(arrival, matrix, counts)
+    assert start.tobytes() == ref_start.tobytes()
+    assert latency.tobytes() == ref_latency.tobytes()
+    assert queued == ref_queue.sum()
+    assert float(queued) / arrival.size == ref_queue.mean()
+
+
+@needs_cc
+@pytest.mark.parametrize("output", ["start", "latency", "queue total"])
+def test_self_check_covers_every_output(output):
+    """A compiled loop that is off by one ulp in one latency or start, or
+    by one in the queue total, fails the self-check."""
+    loops = engine._native_loops()
+
+    class Drifted:
+        def run(self, arrival, matrix, counts):
+            start, latency, queued = loops.run(arrival, matrix, counts)
+            if output == "queue total":
+                return start, latency, queued + 1
+            drifted = start if output == "start" else latency
+            drifted[-1] = np.nextafter(drifted[-1], np.inf)
+            return start, latency, queued
+
+    assert engine._native_agrees(loops)
+    assert not engine._native_agrees(Drifted())
+
+
+@needs_cc
+@pytest.mark.parametrize("model_name", ["CANDLE", "MT-WND"])
+def test_evaluation_records_equal_on_both_substrates(model_name):
+    """On a paper model, every figure the search reads from a simulation
+    is the same float whether the compiled loop or the Python loops ran."""
+    model = get_model(model_name)
+    trace = trace_for_model(model, n_queries=1500, seed=3)
+    families = model.profiled_families()
+    space = SearchSpace(families, (3,) * len(families))
+    rng = np.random.default_rng(0)
+    pools = {tuple(int(c) for c in rng.integers(0, 4, len(families)))
+             for _ in range(40)} - {(0,) * len(families)}
+
+    def records():
+        evaluator = ConfigurationEvaluator(
+            model, trace, RibbonObjective(space),
+            result_cache=SimulationResultCache(maxsize=0),
+        )
+        return [
+            np.array([rec.qos_rate, rec.p99_ms, rec.mean_queue_length]).tobytes()
+            for rec in map(evaluator.evaluate, map(space.pool, sorted(pools)))
+        ]
+
+    compiled = records()
+    with python_loops():
+        assert records() == compiled
 
 
 def test_threads_share_one_read_only_matrix():
