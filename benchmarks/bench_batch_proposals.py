@@ -18,15 +18,12 @@ shared artifact format (see :mod:`_artifact`).  The bench
 * asserts the **bit-identity contract**: the sequential sweep replays
   its golden per-seed sample sequences exactly,
 * asserts batching actually **engaged** (per-result metadata: fewer
-  proposal batches than BO samples),
-* runs the **streaming-argmax demonstration**: a 5-family, 10^6+-cell
-  lattice searched end-to-end without ever materializing
-  ``SearchSpace.grid()`` (the streamed block-wise acquisition path), and
+  proposal batches than BO samples), and
 * enforces the >= 2x sweep speedup on the recording host
   (``BENCH_ENFORCE_SPEEDUP=1/0`` overrides, as in the sibling benches).
 
 CI runs this bench at full size with ``BENCH_ENFORCE_SPEEDUP=0``: every
-golden, engagement and streaming assert runs, and the speedup is
+golden and engagement assert runs, and the speedup is
 recorded but not enforced (wall-clock ratios against another host's
 baseline are meaningless there).
 """
@@ -46,7 +43,6 @@ from repro.api import (
     ScenarioRunner,
     WorkloadSpec,
 )
-from repro.gp.proposals import AcquisitionContext
 from repro.simulator.result_cache import SimulationResultCache
 from repro.simulator.service import ServiceTimeCache
 
@@ -141,34 +137,6 @@ def test_perf_batch_proposals(benchmark, batch_ctx):
         assert len(counts) == len(set(counts)) <= spec["max_samples"], seed
         assert res.best is not None, seed
 
-    # Streaming-argmax demonstration: a 5-family, 10^6+-cell lattice is
-    # searched end to end without ever materializing the grid.
-    demo = spec["streaming_demo"]
-    demo_scenario = Scenario(
-        model=spec["model"],
-        workload=WorkloadSpec(
-            n_queries=demo["n_queries"],
-            seed=spec["workload_seed"],
-            load_factor=spec["load_factor"],
-        ),
-        pool=PoolSpec(
-            families=tuple(demo["families"]), bounds=tuple(demo["bounds"])
-        ),
-        budget=EvaluationBudget(max_samples=demo["max_samples"]),
-    )
-    demo_runner = _runner(demo_scenario, service)
-    mat = demo_runner.materialize(0)
-    n_cells = mat.space.n_configurations
-    assert n_cells >= 10**6
-    t0 = time.perf_counter()
-    demo_result = demo_runner.run(
-        "ribbon", seed=0, n_initial=2, patience=None
-    )
-    demo_wall = time.perf_counter() - t0
-    assert demo_result.metadata["acquisition_streamed"] is True
-    assert len(demo_result.history) == demo["max_samples"]
-    assert "_grid" not in mat.space.__dict__, "streamed search built the grid"
-
     artifact = BenchArtifact("BENCH_batch_proposals.json")
     artifact.ensure_section(
         "golden", {str(s): v for s, v in _sequences(seq_results).items()}
@@ -194,13 +162,6 @@ def test_perf_batch_proposals(benchmark, batch_ctx):
         batched_wall_s=batch_wall,
         speedup_batched=speedup,
         batch_size=batch_size,
-        streaming_demo={
-            "n_cells": n_cells,
-            "families": len(demo["families"]),
-            "max_samples": demo["max_samples"],
-            "wall_s": demo_wall,
-            "streamed": True,
-        },
     )
     artifact.enforce_speedup(
         speedup,
@@ -211,30 +172,3 @@ def test_perf_batch_proposals(benchmark, batch_ctx):
             "sequential proposal schedule"
         ),
     )
-
-
-def test_streamed_equals_materialized_argmax(batch_ctx, monkeypatch):
-    """Block-streamed acquisition argmax == materialized argmax.
-
-    Streaming forced in-process (every lattice above 0 cells, in blocks
-    of a deliberately awkward 97 rows) must replay the materialized-grid
-    search sequence on the bench workload.
-    """
-    spec, scenario, seeds = batch_ctx
-    service = ServiceTimeCache()
-    runner = _runner(scenario, service)
-    seed = seeds[0]
-    materialized = runner.run(
-        "ribbon", seed=seed, fresh_evaluator=True, patience=None
-    )
-    monkeypatch.setattr(AcquisitionContext, "AUTO_STREAM_CELLS", 0)
-    monkeypatch.setattr(AcquisitionContext, "BLOCK_SIZE", 97)
-    streamed = runner.run(
-        "ribbon", seed=seed, fresh_evaluator=True, patience=None
-    )
-    assert [r.pool.counts for r in materialized.history] == [
-        r.pool.counts for r in streamed.history
-    ]
-    assert materialized.metadata["acquisition_streamed"] is False
-    assert streamed.metadata["acquisition_streamed"] is True
-

@@ -13,7 +13,7 @@ from conftest import BENCH_SETTING, once, register_figure
 from repro.analysis.reporting import ascii_table
 from repro.models.zoo import get_model
 from repro.simulator.engine import InferenceServingSimulator
-from repro.simulator.pool import PoolConfiguration, enumerate_grid
+from repro.simulator.pool import PoolConfiguration, grid_vectors
 from repro.workload.trace import trace_for_model
 
 
@@ -21,7 +21,10 @@ def test_fig05_counterintuitive_pairs(benchmark):
     model = get_model("MT-WND")
     trace = trace_for_model(model, n_queries=3000, seed=BENCH_SETTING.seed)
     sim = InferenceServingSimulator(model)
-    pools = enumerate_grid(("g4dn", "t3"), (5, 12))
+    pools = [
+        PoolConfiguration(("g4dn", "t3"), tuple(int(v) for v in row))
+        for row in grid_vectors((5, 12))
+    ]
 
     def sweep():
         out = []

@@ -34,7 +34,7 @@ from repro.api.runner import ScenarioRunner
 from repro.models.base import ModelProfile
 from repro.models.zoo import get_model
 from repro.simulator.engine import InferenceServingSimulator
-from repro.simulator.pool import PoolConfiguration
+from repro.simulator.pool import PoolConfiguration, grid_vectors
 from repro.simulator.result_cache import SimulationResultCache
 
 #: Instance families ordered by how early they join the growing pool, per
@@ -70,9 +70,7 @@ def _count_better_configs(
     sim = InferenceServingSimulator(
         model, result_cache=SimulationResultCache(maxsize=0)
     )
-    grids = np.meshgrid(*[np.arange(b + 1) for b in bounds], indexing="ij")
-    grid = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
-    grid = grid[grid.sum(axis=1) > 0]
+    grid = grid_vectors(bounds)
     prices = np.asarray(
         [model.catalog[f].price_per_hour for f in families], dtype=float
     )

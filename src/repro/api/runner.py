@@ -196,20 +196,28 @@ class ScenarioRunner:
         elif scn.pool.bounds is not None:
             space = SearchSpace(scn.families, scn.pool.bounds, catalog=model.catalog)
         else:
-            space = estimate_instance_bounds(
-                model,
-                trace,
-                scn.families,
-                qos_target_ms=target_ms,
-                hard_cap=scn.pool.bound_cap,
-                catalog=model.catalog,
-                # Bound simulations honor this runner's caches.
-                simulator=InferenceServingSimulator(
+            try:
+                space = estimate_instance_bounds(
                     model,
-                    service_cache=self._service_cache,
-                    result_cache=self._simulation_cache,
-                ),
-            )
+                    trace,
+                    scn.families,
+                    qos_target_ms=target_ms,
+                    hard_cap=scn.pool.bound_cap,
+                    catalog=model.catalog,
+                    # Bound simulations honor this runner's caches.
+                    simulator=InferenceServingSimulator(
+                        model,
+                        service_cache=self._service_cache,
+                        result_cache=self._simulation_cache,
+                    ),
+                )
+            except ValueError as exc:
+                # The scenario is validated, so only the lattice cap on the
+                # measured bounds can refuse here.
+                raise ScenarioError(
+                    f"measured pool bounds for {model.name}: {exc}; lower "
+                    "bound_cap or search fewer families"
+                ) from None
         objective = (
             self._shared_objective
             if self._shared_objective is not None

@@ -15,9 +15,11 @@ growing another hand-wired ``get_model -> trace -> bounds -> objective ->
 evaluator -> search`` chain at a call site.
 
 Validation is front-loaded: constructing a :class:`Scenario` with an
-unknown model, an empty or duplicated pool, or a non-positive QoS target
-raises :class:`ScenarioError` with an actionable message immediately,
-instead of failing deep inside the evaluator half a search later.
+unknown model, an empty or duplicated pool, explicit bounds whose lattice
+exceeds :data:`~repro.core.search_space.MAX_LATTICE_CELLS` cells, or a
+non-positive QoS target raises :class:`ScenarioError` with an actionable
+message immediately, instead of failing deep inside the evaluator half a
+search later.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
+from repro.core.search_space import check_lattice_size
 from repro.models.base import ModelProfile
 from repro.models.zoo import MODEL_ZOO, get_model
 
@@ -285,6 +288,13 @@ class Scenario:
                 f"pool bounds has {len(self.pool.bounds)} entries for "
                 f"{len(self.families)} families; they must match 1:1"
             )
+        if self.pool.bounds is not None:
+            try:
+                check_lattice_size(self.pool.bounds)
+            except ValueError as exc:
+                raise ScenarioError(
+                    f"pool bounds: {exc}; lower the bounds or search fewer families"
+                ) from None
 
     # -- resolved views -----------------------------------------------------------
     @property

@@ -198,10 +198,8 @@ class ConfigurationEvaluator:
     def exhaustive_cost_dollars(self) -> float:
         """Dollars to exhaustively deploy every configuration in the space.
 
-        Computed in closed form (:attr:`SearchSpace.total_lattice_cost`)
-        so pricing the lattice never materializes it — streamed-argmax
-        searches over ``10^6+``-cell spaces must stay grid-free end to
-        end.
+        Computed in closed form (:attr:`SearchSpace.total_lattice_cost`),
+        whose docstring says why it is not a grid sum.
         """
         return float(self.space.total_lattice_cost * self._eval_hours)
 

@@ -20,12 +20,10 @@ The acquisition step is :class:`~repro.gp.proposals.SequentialEI`:
 ``batch_size=1`` (the default) is the paper's one-proposal-per-iteration
 schedule, bit-for-bit; ``batch_size > 1`` proposes a constant-liar q-EI
 batch per surrogate update and evaluates it through
-:meth:`~repro.core.strategy.Budget.evaluate_batch`.  Lattices above
-:attr:`~repro.gp.proposals.AcquisitionContext.AUTO_STREAM_CELLS` cells
-(5+ families, ``10^6+`` cells) are swept block-by-block through
-:meth:`~repro.core.search_space.SearchSpace.iter_grid` instead of being
-materialized; the lattice size alone picks the regime, and both make the
-same proposals.
+:meth:`~repro.core.strategy.Budget.evaluate_batch`.  The lattice is
+always materialized: :class:`~repro.core.search_space.SearchSpace`
+refuses one above :data:`~repro.core.search_space.MAX_LATTICE_CELLS`
+cells, far above a paper model's ~1 000.
 
 Hot-path notes: the lattice, its unit-cube normalization, and the kernel's
 theta-independent view of it (rounding + squared norms) are prepared once
@@ -173,10 +171,9 @@ class RibbonOptimizer(SearchStrategy):
             learn(pool, rec)
             return True
 
-        # Search-constant metadata first, loop/prune statistics in the
-        # finally below: every exit path — the early returns out of the
-        # initial design included — reports the full metadata set.
-        budget.metadata["acquisition_streamed"] = ctx.streaming
+        # Loop/prune statistics in the finally below: every exit path — the
+        # early returns out of the initial design included — reports the
+        # full metadata set.
         n_batches = 0
         try:
             # ---- initial design ---------------------------------------------
@@ -255,6 +252,6 @@ class RibbonOptimizer(SearchStrategy):
                     budget.stopped = True
                     break
         finally:
-            budget.metadata["n_pruned_final"] = ctx.n_pruned()
+            budget.metadata["n_pruned_final"] = prune.n_pruned(space.grid())
             budget.metadata["cost_threshold"] = prune.cost_threshold
             budget.metadata["proposal_batches"] = n_batches

@@ -6,11 +6,18 @@ families.  The per-type upper bound :math:`m_i` is defined by the paper as
 the count beyond which adding more instances of type *i* stops improving the
 QoS satisfaction rate; :func:`estimate_instance_bounds` measures it by
 simulation exactly that way.
+
+Every strategy materializes its lattice as one ``(m, n)`` integer grid, so
+a space above :data:`MAX_LATTICE_CELLS` cells is refused at construction:
+the cap is one check in front of every search, whether the bounds are
+explicit or measured.  A paper model's default lattice has 419–1 511
+cells (trace seeds 0–2), and a 5-family space of Fig. 8 at most 113 255.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +28,22 @@ from repro.simulator.engine import InferenceServingSimulator
 from repro.simulator.pool import PoolConfiguration, grid_vectors
 from repro.workload.trace import QueryTrace
 
+#: The largest lattice a :class:`SearchSpace` may span, in cells.
+MAX_LATTICE_CELLS = 200_000
+
+
+def check_lattice_size(bounds: Sequence[int]) -> None:
+    """Raise ``ValueError`` if the lattice over ``bounds`` exceeds the cap.
+
+    The lattice is ``{0..b_1} x ... x {0..b_n}`` minus the empty pool.
+    """
+    cells = math.prod(int(b) + 1 for b in bounds) - 1
+    if cells > MAX_LATTICE_CELLS:
+        raise ValueError(
+            f"search space with bounds {tuple(bounds)} has {cells} cells, "
+            f"above the cap of {MAX_LATTICE_CELLS}"
+        )
+
 
 @dataclass(frozen=True)
 class SearchSpace:
@@ -28,7 +51,8 @@ class SearchSpace:
 
     The family order is semantic (FCFS dispatch preference and the
     "increasing order along each dimension" smoothness arrangement of
-    Sec. 4).
+    Sec. 4).  A lattice above :data:`MAX_LATTICE_CELLS` cells raises
+    ``ValueError``.
     """
 
     families: tuple[str, ...]
@@ -48,6 +72,7 @@ class SearchSpace:
             raise ValueError(f"duplicate families: {fams}")
         if any(b < 1 for b in bnds):
             raise ValueError(f"each bound must be >= 1, got {bnds}")
+        check_lattice_size(bnds)
         for f in fams:
             self.catalog[f]  # validate existence
         object.__setattr__(self, "families", fams)
@@ -88,28 +113,6 @@ class SearchSpace:
             cached.flags.writeable = False
             object.__setattr__(self, "_grid_unit", cached)
         return cached
-
-    def iter_grid(self, block_size: int) -> Iterator[tuple[int, np.ndarray]]:
-        """Stream the lattice in ``(start_index, block)`` chunks.
-
-        Yields the same rows, in the same order, as :meth:`grid` — block
-        ``k`` holds rows ``start_index .. start_index + len(block) - 1`` of
-        the materialized grid — without ever building the full array, so
-        peak memory is bounded by ``block_size`` rows.  This is the
-        acquisition-argmax path for 5+-family spaces whose lattice
-        (``10^6+`` cells) must not be materialized; small spaces keep the
-        cached :meth:`grid` fast path.
-        """
-        if block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {block_size!r}")
-        dims = tuple(b + 1 for b in self.bounds)
-        total = self.n_configurations
-        for start in range(0, total, block_size):
-            stop = min(start + block_size, total)
-            # Box index start+1..stop (the all-zero cell is box index 0 and
-            # is excluded from the lattice, shifting grid indices by one).
-            coords = np.unravel_index(np.arange(start + 1, stop + 1), dims)
-            yield start, np.stack(coords, axis=1).astype(np.int64)
 
     def index_of(self, vector: Sequence[int]) -> int | None:
         """Grid-row index of a lattice vector, or ``None`` if off-lattice.
@@ -180,13 +183,12 @@ class SearchSpace:
         Per dimension ``i`` the count ``v_i`` sums to
         ``b_i (b_i + 1) / 2`` over ``0..b_i`` and appears once for each of
         the other dimensions' combinations; the excluded all-zero cell
-        contributes nothing.  Exhaustive-deployment accounting uses this
-        instead of ``(grid @ prices).sum()`` so large spaces never
-        materialize the grid just to price it.  The value agrees with the
-        grid sum only to float roundoff (different summation order, ulp
-        differences on multi-family spaces) — the bit-identity contract
-        covers sample sequences and per-record results, not this
-        accounting scalar.
+        contributes nothing.  Exhaustive-deployment accounting
+        (``exhaustive_cost_dollars``) reads this value; a grid sum
+        ``(grid @ prices).sum()`` adds in another order and would move that
+        scalar in its last bits on multi-family spaces, so the closed form
+        stays.  The bit-identity contract covers sample sequences and
+        per-record results; the two forms agree to float roundoff.
         """
         n_box = 1
         for b in self.bounds:

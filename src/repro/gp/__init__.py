@@ -16,8 +16,7 @@ Implements what Ribbon's BO engine runs (Sec. 4 of the paper):
 * the acquisition step (:mod:`repro.gp.proposals`):
   :class:`~repro.gp.proposals.SequentialEI` takes the EI argmax of the
   paper's schedule, or a constant-liar q-EI batch per surrogate update,
-  over a lattice that is materialized when small and block-streamed
-  (grid never built) above 200 000 cells.
+  over the materialized lattice.
 """
 
 from repro.gp.kernels import Matern52, PreparedInput

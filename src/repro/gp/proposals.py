@@ -3,14 +3,11 @@
 * :class:`AcquisitionContext` — the per-search state the optimizer loop
   and the acquisition share: observations (normalized to the unit cube),
   the set of already-sampled lattice cells, the prune set, and the
-  surrogate, refit on every proposal.  It also owns candidate access, in
-  one of two regimes picked by the lattice size alone.  A lattice of at
-  most :attr:`~AcquisitionContext.AUTO_STREAM_CELLS` cells (every paper
-  model's, and any 3-family space) is materialized: one kernel
-  preparation per search, and one candidate mask narrowed as cells are
-  sampled and pruned.  A larger one (``10^6+`` cells, 5+ families) is
-  streamed in blocks of :attr:`~AcquisitionContext.BLOCK_SIZE` rows via
-  :meth:`SearchSpace.iter_grid`, so the grid is never built;
+  surrogate, refit on every proposal.  It also owns candidate access over
+  the materialized lattice: one kernel preparation per search, and one
+  candidate mask narrowed as cells are sampled and pruned.  Every lattice
+  fits in memory: :class:`~repro.core.search_space.SearchSpace` refuses
+  one above :data:`~repro.core.search_space.MAX_LATTICE_CELLS` cells;
 * :class:`SequentialEI` — ``propose(ctx, q)``: one surrogate refit and
   one (mean + std) candidate predict, then ``q`` picks.  The first pick
   is the plain EI argmax, with the masking, flat-acquisition fallback and
@@ -22,9 +19,9 @@
   and refreshes the candidates' *mean* (O(M·n), against the O(M·n^2) std
   predict paid once per batch).  At ``q=1`` no fantasy runs.
 
-Candidate-only scoring: every acquisition path predicts and computes EI
-on the candidate cells alone (unsampled and unpruned; a median of ~13 %
-of a paper model's lattice at proposal time), in ascending lattice order,
+Candidate-only scoring: the acquisition predicts and computes EI on the
+candidate cells alone (unsampled and unpruned; a median of ~13 % of a
+paper model's lattice at proposal time), in ascending lattice order,
 so the argmax sees the tie set a masked whole-lattice sweep would.  Sample
 sequences are unchanged; a cell's mean or std can differ from a
 whole-lattice predict in the last bits, because BLAS blocks a product
@@ -33,8 +30,7 @@ over fewer rows differently.
 Determinism contract: the acquisition draws only from the context's
 generator, in a fixed order (one surrogate seed draw per refit, one
 tie-break draw per pick), so equal seeds give equal proposal sequences
-regardless of how the proposals are evaluated downstream.  Both regimes
-make the same picks with the same draws.
+regardless of how the proposals are evaluated downstream.
 """
 
 from __future__ import annotations
@@ -59,15 +55,11 @@ class AcquisitionContext:
     """Per-search state shared between the optimizer loop and the acquisition.
 
     Owns the observation lists (unit-cube inputs + objective values), the
-    sampled-cell index set, the surrogate fit, the candidate masking
-    (sampled cells plus the active prune set) and the lattice regime.
-    All randomness flows through ``rng``.
+    sampled-cell index set, the surrogate fit and the candidate masking
+    (sampled cells plus the active prune set).  All randomness flows
+    through ``rng``.
     """
 
-    #: A lattice with more cells than this is streamed, never materialized.
-    AUTO_STREAM_CELLS = 200_000
-    #: Rows per streamed block (bounds a streamed sweep's peak memory).
-    BLOCK_SIZE = 65_536
     #: Surrogate observation noise variance: evaluations are deterministic
     #: given a trace, so it only stabilizes the Cholesky factorization.
     GP_NOISE = 1e-5
@@ -83,7 +75,6 @@ class AcquisitionContext:
         self.space = space
         self.rng = rng
         self.prune = prune
-        self.streaming = space.n_configurations > self.AUTO_STREAM_CELLS
         self._make_kernel = make_kernel
         # Lattice preparation only (theta-independent); fits make their own.
         self._kernel = make_kernel()
@@ -92,8 +83,8 @@ class AcquisitionContext:
         self.observations_x: list[np.ndarray] = []
         self.observations_y: list[float] = []
         self._sampled: set[int] = set()
-        # Materialized regime: the kept candidate mask, the cost threshold
-        # and the ceilings it already reflects, and the per-cell costs.
+        # The kept candidate mask, the cost threshold and the ceilings it
+        # already reflects, and the per-cell costs.
         self._mask: np.ndarray | None = None
         self._mask_threshold = np.inf
         self._mask_ceilings: set[tuple[int, ...]] = set()
@@ -101,16 +92,10 @@ class AcquisitionContext:
 
     # -- lattice preparation ---------------------------------------------------
     def prepared(self):
-        """The kernel's theta-independent view of the full lattice, cached
-        (materialized regime)."""
+        """The kernel's theta-independent view of the full lattice, cached."""
         if self._prepared is None:
             self._prepared = self._kernel.precompute_input(self.space.grid_unit())
         return self._prepared
-
-    def prepare_block(self, block: np.ndarray):
-        """Kernel-prepared unit-cube view of streamed lattice rows
-        (bit-identical to the same rows of :meth:`prepared`)."""
-        return self._kernel.precompute_input(self.space.normalize(block))
 
     # -- observations ----------------------------------------------------------
     def unit_row(self, counts) -> np.ndarray:
@@ -179,62 +164,15 @@ class AcquisitionContext:
         return mask
 
     def candidate_indices(self) -> np.ndarray:
-        """Lattice indices of the materialized grid's candidates, ascending."""
+        """Lattice indices of the candidate cells, ascending."""
         return np.flatnonzero(self._kept_mask())
 
-    def block_mask(self, start: int, block: np.ndarray) -> np.ndarray:
-        """The candidate mask restricted to one streamed block."""
-        mask = np.ones(block.shape[0], dtype=bool)
-        if self._sampled:
-            stop = start + block.shape[0]
-            local = [i - start for i in self._sampled if start <= i < stop]
-            if local:
-                mask[local] = False
-        if self.prune is not None:
-            mask &= ~self.prune.mask(block)
-        return mask
-
     def random_unsampled(self) -> int | None:
-        """A uniformly random candidate cell index (initial design).
-
-        The streaming regime draws in two block-bounded passes — count
-        the candidates, draw a position, find it — so peak memory stays
-        O(:attr:`BLOCK_SIZE`).  ``Generator.choice(k)`` and
-        ``choice(array)`` consume the generator identically
-        (``array[choice(len(array))]`` == ``choice(array)``), so both
-        regimes draw the same cell; the streamed-vs-materialized
-        equivalence tests pin that.
-        """
-        if not self.streaming:
-            idx = self.candidate_indices()
-            if idx.size == 0:
-                return None
-            return int(self.rng.choice(idx))
-        n_candidates = sum(
-            int(self.block_mask(start, block).sum())
-            for start, block in self.space.iter_grid(self.BLOCK_SIZE)
-        )
-        if n_candidates == 0:
+        """A uniformly random candidate cell index (initial design)."""
+        idx = self.candidate_indices()
+        if idx.size == 0:
             return None
-        position = int(self.rng.choice(n_candidates))
-        passed = 0
-        for start, block in self.space.iter_grid(self.BLOCK_SIZE):
-            local = np.flatnonzero(self.block_mask(start, block))
-            if position < passed + local.size:
-                return int(start + local[position - passed])
-            passed += local.size
-        raise AssertionError("candidate count changed mid-draw")  # pragma: no cover
-
-    def n_pruned(self) -> int:
-        """Currently pruned cell count (streaming-safe metadata)."""
-        if self.prune is None:
-            return 0
-        if not self.streaming:
-            return self.prune.n_pruned(self.space.grid())
-        return sum(
-            int(self.prune.mask(block).sum())
-            for _, block in self.space.iter_grid(self.BLOCK_SIZE)
-        )
+        return int(self.rng.choice(idx))
 
     # -- surrogate -----------------------------------------------------------
     def surrogate_gp(self) -> GaussianProcessRegressor:
@@ -275,127 +213,6 @@ def _candidate_argmax(
     return int(rng.choice(top))
 
 
-class _TieTracker:
-    """Running max + tie set over a streamed score sweep.
-
-    Collects ``(index, value)`` pairs whose value is within the tie
-    tolerance of the running maximum; :meth:`ties` re-filters against the
-    final maximum, so the result equals the lattice indices of
-    ``score >= threshold(max)`` over the concatenated sweep — same values,
-    same ascending index order as the materialized argmax.
-    """
-
-    def __init__(
-        self,
-        *,
-        rel: float | None = None,
-        abs_: float | None = None,
-        positive_only: bool = False,
-    ):
-        self._rel = rel
-        self._abs = abs_
-        # Drop non-positive values entirely: the EI selection rule only
-        # consults ties when the maximum is > 0 (otherwise the std
-        # fallback runs), so ties at exactly 0.0 are dead weight — and on
-        # a flat acquisition they would otherwise accumulate one entry
-        # per lattice cell, breaking the block-bounded memory contract.
-        self._positive_only = positive_only
-        self.best = -np.inf
-        self._idx: list[np.ndarray] = []
-        self._val: list[np.ndarray] = []
-        self._stored = 0
-
-    def _threshold(self) -> float:
-        if not np.isfinite(self.best):
-            return np.inf
-        if self._rel is not None:
-            return self.best * (1.0 - self._rel)
-        return self.best - self._abs
-
-    def update(self, indices: np.ndarray, values: np.ndarray) -> None:
-        """Offer ``values`` scored at ascending lattice ``indices``."""
-        m = float(values.max()) if values.size else -np.inf
-        if m > self.best:
-            self.best = m
-        keep = values >= self._threshold()
-        if self._positive_only:
-            keep &= values > 0.0
-        if keep.any():
-            local = np.flatnonzero(keep)
-            self._idx.append(indices[local])
-            self._val.append(values[local])
-            self._stored += local.size
-            if self._stored > 4 * max(values.size, 1024):
-                self._compact()
-
-    def _compact(self) -> None:
-        idx = np.concatenate(self._idx)
-        val = np.concatenate(self._val)
-        keep = val >= self._threshold()
-        self._idx, self._val = [idx[keep]], [val[keep]]
-        self._stored = int(keep.sum())
-
-    def ties(self) -> np.ndarray:
-        """Indices tied with the final maximum, ascending."""
-        if not self._idx:
-            return np.empty(0, dtype=np.int64)
-        idx = np.concatenate(self._idx)
-        val = np.concatenate(self._val)
-        return idx[val >= self._threshold()]
-
-
-def _stream_argmax(
-    ctx: AcquisitionContext,
-    gp: GaussianProcessRegressor,
-    best_observed: float,
-    exclude: set[int] | None = None,
-    mean_gp: GaussianProcessRegressor | None = None,
-) -> int | None:
-    """One block-streamed EI argmax pass (grid never materialized).
-
-    Returns the selected cell index, or ``None`` when no candidate cell
-    remains.  Each block predicts on its candidate rows only.  Tie
-    handling mirrors :func:`_candidate_argmax`: EI ties within
-    ``1e-9`` relative of the maximum, falling back to the
-    highest-variance candidate (``1e-15`` absolute ties) when the
-    acquisition is flat — with one ``rng.choice`` draw either way.
-
-    ``mean_gp`` (the constant-liar fantasy surrogate) overrides the
-    posterior *mean* only, keeping ``gp``'s std — the same acquisition
-    definition the materialized path uses, so the two regimes pick the
-    same points.
-    """
-    ei_ties = _TieTracker(rel=1e-9, positive_only=True)
-    std_ties = _TieTracker(abs_=1e-15)
-    any_candidates = False
-    for start, block in ctx.space.iter_grid(ctx.BLOCK_SIZE):
-        mask = ctx.block_mask(start, block)
-        if exclude:
-            stop = start + block.shape[0]
-            local = [i - start for i in exclude if start <= i < stop]
-            if local:
-                mask[local] = False
-        rows = np.flatnonzero(mask)
-        if rows.size == 0:
-            # Masked first so fully pruned/sampled blocks never pay the
-            # normalize + kernel-precompute + predict work.
-            continue
-        any_candidates = True
-        prepared = ctx.prepare_block(block[rows])
-        mean, std = gp.predict(prepared, return_std=True)
-        if mean_gp is not None:
-            mean = mean_gp.predict(prepared)
-        ei = expected_improvement(mean, std, best_observed=best_observed)
-        ei_ties.update(start + rows, ei)
-        std_ties.update(start + rows, std)
-    if not any_candidates:
-        return None
-    best = ei_ties.best
-    if not np.isfinite(best) or best <= 0.0:
-        return int(ctx.rng.choice(std_ties.ties()))
-    return int(ctx.rng.choice(ei_ties.ties()))
-
-
 class SequentialEI:
     """EI-argmax proposals, ``q`` per surrogate update (Sec. 4).
 
@@ -413,11 +230,6 @@ class SequentialEI:
     inflating the incumbent.  The real surrogate never sees a fantasy;
     measured objectives enter through the normal schedule once the batch
     is evaluated.
-
-    On a streamed lattice each pick runs its own block-wise argmax pass
-    with the same acquisition definition (fantasy mean over the pre-batch
-    std), so both regimes propose the same points; the streamed regime
-    gives up the once-per-batch std amortization for its memory bound.
     """
 
     def propose(self, ctx: AcquisitionContext, q: int = 1) -> list[int]:
@@ -427,8 +239,6 @@ class SequentialEI:
         """
         if q < 1:
             raise ValueError(f"q must be >= 1, got {q!r}")
-        if ctx.streaming:
-            return self._propose_streaming(ctx, q)
         idx = ctx.candidate_indices()
         if idx.size == 0:
             return []
@@ -451,22 +261,6 @@ class SequentialEI:
                 prepared = take_prepared(prepared, rest)
                 fantasy = _fantasize(ctx, gp, fantasy, selected[-1])
                 mean = fantasy.predict(prepared)
-        return selected
-
-    def _propose_streaming(self, ctx: AcquisitionContext, q: int) -> list[int]:
-        gp = ctx.surrogate_gp()
-        best_observed = ctx.best_observed()
-        selected: list[int] = []
-        exclude: set[int] = set()
-        fantasy = None
-        for j in range(q):
-            idx = _stream_argmax(ctx, gp, best_observed, exclude, mean_gp=fantasy)
-            if idx is None:
-                break
-            selected.append(idx)
-            exclude.add(idx)
-            if j + 1 < q:
-                fantasy = _fantasize(ctx, gp, fantasy, idx)
         return selected
 
 

@@ -24,12 +24,14 @@ JobManager` — no web framework, no new dependencies.  Endpoints:
 All responses are JSON.  Malformed scenarios surface as structured 400
 bodies — ``{"error": {"type": "ScenarioError", "message": ...}}`` — with
 the validation message produced by :meth:`Scenario.from_dict`, unknown
-jobs as 404, results-not-ready as 409.  A ``Content-Length`` that is not
-a non-negative integer is a 400, and one above :data:`MAX_BODY_BYTES` a
-413; both are refused before any of the body is read.  Any other failure
-is a 500 with the fixed body ``{"error": {"type": "InternalError",
-"message": "internal server error"}}``: exception text never reaches the
-client.
+jobs as 404, results-not-ready as 409.  A ``seed`` that is not a
+non-negative integer, or a body that is not a JSON object, is such a
+400 too.  A
+``Content-Length`` that is not a non-negative integer is a 400, and one
+above :data:`MAX_BODY_BYTES` a 413; both are refused before any of the
+body is read.  Any other failure is a 500 with the fixed body
+``{"error": {"type": "InternalError", "message": "internal server
+error"}}``: exception text never reaches the client.
 
 The handler is deliberately free of optimization logic: everything it
 does is translate HTTP to :class:`JobManager` calls, which is why the
@@ -51,6 +53,14 @@ __all__ = ["MAX_BODY_BYTES", "ServiceHandler", "ServiceServer", "make_server"]
 
 #: Largest request body the service reads, in bytes.
 MAX_BODY_BYTES = 1 << 20
+
+
+def _seed(value) -> int:
+    """A request's ``seed`` field; anything but a non-negative JSON integer
+    is a 400 (a negative seed would only fail later, in the worker)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ScenarioError(f"'seed' must be a non-negative integer, got {value!r}")
+    return value
 
 
 class _BodyError(Exception):
@@ -212,7 +222,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             job = self.manager.submit(
                 body["scenario"],
                 body.get("strategy", "ribbon"),
-                seed=int(body.get("seed", 0)),
+                seed=_seed(body.get("seed", 0)),
                 reuse=body.get("reuse"),
                 **options,
             )
@@ -227,12 +237,14 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 self._send_json(200, job.snapshot())
             elif action == "fork":
                 body = self._read_json()
+                if not isinstance(body, dict):
+                    raise ScenarioError("fork body must be a JSON object")
                 changes = body.get("workload") or {}
                 if not isinstance(changes, dict):
                     raise ScenarioError("'workload' must be a JSON object")
                 kwargs = {}
                 if body.get("seed") is not None:
-                    kwargs["seed"] = int(body["seed"])
+                    kwargs["seed"] = _seed(body["seed"])
                 if body.get("strategy") is not None:
                     kwargs["strategy"] = body["strategy"]
                 job = self.manager.fork(job_id, **kwargs, **changes)

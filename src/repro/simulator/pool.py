@@ -153,28 +153,6 @@ class PoolConfiguration:
         return f"({inner})"
 
 
-def enumerate_grid(
-    families: Sequence[str], bounds: Sequence[int]
-) -> list[PoolConfiguration]:
-    """Every configuration with ``0 <= x_i <= bounds[i]`` except all-zero.
-
-    The full discrete search space of Sec. 4; used by exhaustive search and
-    by the grid-based acquisition maximizer.
-    """
-    if len(families) != len(bounds):
-        raise ValueError("families/bounds length mismatch")
-    if any(b < 0 for b in bounds):
-        raise ValueError(f"bounds must be non-negative: {bounds}")
-    grids = np.meshgrid(*[np.arange(b + 1) for b in bounds], indexing="ij")
-    flat = np.stack([g.ravel() for g in grids], axis=1)
-    fams = tuple(families)
-    return [
-        PoolConfiguration(fams, tuple(int(v) for v in row))
-        for row in flat
-        if row.sum() > 0
-    ]
-
-
 def grid_vectors(bounds: Sequence[int]) -> np.ndarray:
     """Integer grid as an ``(m, n)`` array (all-zero row excluded)."""
     grids = np.meshgrid(*[np.arange(b + 1) for b in bounds], indexing="ij")

@@ -1,16 +1,13 @@
 """Unit + property tests for pool configurations and the lattice helpers."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator.pool import (
-    PoolConfiguration,
-    enumerate_grid,
-    grid_vectors,
-    pool_from_vector,
-)
+from repro.simulator.pool import PoolConfiguration, grid_vectors, pool_from_vector
 
 
 class TestConstruction:
@@ -113,26 +110,18 @@ class TestNeighbors:
 
 
 class TestGrid:
-    def test_enumerate_grid_size(self):
-        pools = enumerate_grid(("g4dn", "t3"), (2, 3))
-        assert len(pools) == 3 * 4 - 1  # all-zero excluded
-
     def test_grid_vectors_matches_enumerate(self):
+        # Row-major over the bounds box, the all-zero row dropped.
+        expected = [
+            row for row in itertools.product(range(3), range(4)) if any(row)
+        ]
         grid = grid_vectors((2, 3))
-        pools = enumerate_grid(("g4dn", "t3"), (2, 3))
-        assert grid.shape == (len(pools), 2)
+        assert grid.dtype == np.int64
+        assert [tuple(int(v) for v in row) for row in grid] == expected
 
     def test_grid_excludes_zero(self):
         grid = grid_vectors((2, 2))
         assert not np.any(grid.sum(axis=1) == 0)
-
-    def test_enumerate_rejects_mismatch(self):
-        with pytest.raises(ValueError):
-            enumerate_grid(("a",), (1, 2))
-
-    def test_enumerate_rejects_negative_bounds(self):
-        with pytest.raises(ValueError):
-            enumerate_grid(("a",), (-1,))
 
     def test_pool_from_vector_roundtrip(self):
         p = PoolConfiguration(("g4dn", "t3"), (2, 5))

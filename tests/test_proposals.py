@@ -1,16 +1,9 @@
 """The acquisition layer's contracts.
 
-Four layers, one exactness story:
-
-* the streamed lattice (``iter_grid`` / ``index_of`` / ``counts_at``)
-  is bit-identical, row for row, to the materialized grid;
-* a q-EI batch opens with the ``q=1`` pick, and the streamed block-wise
-  argmax reproduces the materialized argmax on small spaces (streaming
-  is forced by lowering ``AcquisitionContext.AUTO_STREAM_CELLS``);
+* a q-EI batch opens with the ``q=1`` pick, and the search's candidate
+  mask, narrowed incrementally, always equals a fresh one;
 * batch evaluation (``Budget.evaluate_batch``) matches per-pool
-  ``Budget.evaluate`` calls: record order, budget cut and accounting;
-* a 5-family, 10^6+-cell space completes a Ribbon search without ever
-  materializing its grid.
+  ``Budget.evaluate`` calls: record order, budget cut and accounting.
 """
 
 from __future__ import annotations
@@ -28,36 +21,11 @@ from repro.core.search_space import SearchSpace
 from repro.core.strategy import Budget
 from repro.gp.kernels import Matern52
 from repro.gp.proposals import AcquisitionContext, SequentialEI
-from repro.models.base import LatencyProfile, ModelCategory, ModelProfile
 from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import SimulationResultCache
 from tests.conftest import dispatch_delta, make_toy_model, make_toy_trace
 
 FIVE_FAMILIES = ("g4dn", "t3", "c5", "m5", "r5")
-
-
-def make_toy_model5() -> ModelProfile:
-    """A five-family toy model (for the large-lattice streaming tests)."""
-    return ModelProfile(
-        name="toy5",
-        category=ModelCategory.RECOMMENDATION,
-        description="synthetic 5-family test model",
-        qos_target_ms=20.0,
-        profiles={
-            "g4dn": LatencyProfile(2.0, 0.05),
-            "t3": LatencyProfile(1.0, 0.15),
-            "c5": LatencyProfile(0.8, 0.10),
-            "m5": LatencyProfile(0.9, 0.12),
-            "r5": LatencyProfile(0.7, 0.14),
-        },
-        arrival_rate_qps=400.0,
-        batch_median=30.0,
-        batch_sigma=0.8,
-        max_batch=256,
-        homogeneous_family="g4dn",
-        diverse_pool=FIVE_FAMILIES,
-        noise_sigma=0.0,
-    )
 
 
 def toy_search_ctx():
@@ -85,59 +53,6 @@ def sequence(result):
     return [r.pool.counts for r in result.history]
 
 
-def force_streaming(monkeypatch, block_size: int) -> None:
-    """Stream every lattice from here on, in blocks of ``block_size`` rows."""
-    monkeypatch.setattr(AcquisitionContext, "AUTO_STREAM_CELLS", 0)
-    monkeypatch.setattr(AcquisitionContext, "BLOCK_SIZE", block_size)
-
-
-# ---------------------------------------------------------------------------
-# Streamed lattice primitives
-# ---------------------------------------------------------------------------
-class TestStreamedLattice:
-    @pytest.mark.parametrize("bounds", [(4, 6), (3,), (2, 3, 4)])
-    @pytest.mark.parametrize("block_size", [1, 7, 64, 10_000])
-    def test_iter_grid_matches_grid(self, bounds, block_size):
-        space = SearchSpace(("g4dn", "t3", "c5")[: len(bounds)], bounds)
-        blocks = list(space.iter_grid(block_size))
-        assert blocks[0][0] == 0
-        starts = [s for s, _ in blocks]
-        sizes = [len(b) for _, b in blocks]
-        assert starts == [sum(sizes[:i]) for i in range(len(sizes))]
-        streamed = np.vstack([b for _, b in blocks])
-        np.testing.assert_array_equal(streamed, space.grid())
-        assert streamed.dtype == space.grid().dtype
-
-    def test_iter_grid_rejects_bad_block(self):
-        space = SearchSpace(("g4dn",), (4,))
-        with pytest.raises(ValueError, match="block_size"):
-            next(space.iter_grid(0))
-
-    def test_index_of_roundtrip(self):
-        space = SearchSpace(("g4dn", "t3"), (4, 6))
-        grid = space.grid()
-        for i, row in enumerate(grid):
-            assert space.index_of(row) == i
-            assert space.counts_at(i) == tuple(int(v) for v in row)
-
-    def test_index_of_off_lattice(self):
-        space = SearchSpace(("g4dn", "t3"), (4, 6))
-        assert space.index_of((0, 0)) is None  # the excluded empty cell
-        assert space.index_of((5, 0)) is None  # out of bounds
-        assert space.index_of((-1, 2)) is None
-        assert space.index_of((1,)) is None  # dimension mismatch
-
-    def test_counts_at_out_of_range(self):
-        space = SearchSpace(("g4dn",), (4,))
-        with pytest.raises(IndexError):
-            space.counts_at(space.n_configurations)
-
-    def test_total_lattice_cost_matches_grid_sum(self):
-        space = SearchSpace(("g4dn", "t3", "c5"), (3, 4, 2))
-        expected = float((space.grid() @ space.prices).sum())
-        assert space.total_lattice_cost == pytest.approx(expected, rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # Construction: what RibbonOptimizer resolves before any search runs
 # ---------------------------------------------------------------------------
@@ -147,8 +62,8 @@ class TestEngineResolution:
             RibbonOptimizer(batch_size=0)
 
     def test_stream_knobs_fail_fast_at_construction(self):
-        """The lattice size alone picks the regime and there is one
-        engine: RibbonOptimizer takes no regime or engine knob."""
+        """There is one lattice regime and one engine: RibbonOptimizer
+        takes no regime or engine knob."""
         for knob, value in (
             ("stream", "always"), ("stream_block_size", 7), ("proposal_engine", "qei")
         ):
@@ -157,7 +72,7 @@ class TestEngineResolution:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity: a q-EI batch's first pick, and streamed vs materialized
+# Bit-identity: a q-EI batch's first pick
 # ---------------------------------------------------------------------------
 class TestBatchSequentialEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -182,39 +97,6 @@ class TestBatchSequentialEquivalence:
         assert len(one) == 1 and batch[0] == one[0]
         assert len(set(batch)) == 4
         assert not set(batch) & ctx.sampled_idx
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_streamed_argmax_matches_materialized(self, seed, monkeypatch):
-        materialized = run_ribbon(seed)
-        force_streaming(monkeypatch, 7)
-        streamed = run_ribbon(seed)
-        assert sequence(materialized) == sequence(streamed)
-        assert streamed.metadata["acquisition_streamed"] is True
-        assert materialized.metadata["acquisition_streamed"] is False
-
-    @pytest.mark.parametrize("seed", [0, 2])
-    def test_streamed_qei_batch_matches_small_blocks(self, seed, monkeypatch):
-        """Streamed q-EI is deterministic across block sizes."""
-        force_streaming(monkeypatch, 5)
-        a = run_ribbon(seed, batch_size=3, patience=None)
-        force_streaming(monkeypatch, 50)
-        b = run_ribbon(seed, batch_size=3, patience=None)
-        assert sequence(a) == sequence(b)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_streamed_qei_batch_matches_materialized(self, seed, monkeypatch):
-        """Both regimes share one acquisition definition (fantasy mean
-        over the pre-batch std), so streaming changes memory, not the
-        proposals — at q>1 too."""
-        materialized = run_ribbon(seed, batch_size=3, patience=None)
-        force_streaming(monkeypatch, 7)
-        streamed = run_ribbon(seed, batch_size=3, patience=None)
-        assert sequence(materialized) == sequence(streamed)
-
-    def test_small_space_default_is_materialized(self):
-        res = run_ribbon(0)
-        assert res.metadata["acquisition_streamed"] is False
-        assert res.metadata["proposal_batches"] > 0
 
 
 # One mask-changing step: (kind, argument).  Cells and costs are drawn as
@@ -288,29 +170,6 @@ class TestIncrementalCandidateMask:
         assert ctx.sampled_idx == frozenset(drawn)
 
 
-class TestTieTrackerMemory:
-    def test_flat_acquisition_stores_no_dead_ei_ties(self):
-        """All-zero EI (the std-fallback case) must not accumulate one
-        tie entry per lattice cell — the selection rule never consults
-        EI ties when the maximum is <= 0."""
-        from repro.gp.proposals import _TieTracker
-
-        tracker = _TieTracker(rel=1e-9, positive_only=True)
-        for start in range(0, 10_000, 1000):
-            tracker.update(np.arange(start, start + 1000), np.zeros(1000))
-        assert tracker.best == 0.0
-        assert tracker._stored == 0
-        assert tracker.ties().size == 0
-
-    def test_positive_ties_still_collected(self):
-        from repro.gp.proposals import _TieTracker
-
-        tracker = _TieTracker(rel=1e-9, positive_only=True)
-        tracker.update(np.arange(4), np.array([0.0, 0.5, 0.5, 0.2]))
-        tracker.update(np.arange(4, 6), np.array([0.5, 0.0]))
-        np.testing.assert_array_equal(tracker.ties(), [1, 2, 4])
-
-
 class TestBatchedSearch:
     def test_batch_respects_budget_and_no_resampling(self):
         res = run_ribbon(1, batch_size=4, patience=None)
@@ -346,7 +205,6 @@ class TestBatchedSearch:
         res = RibbonOptimizer(max_samples=10, seed=0).search(evaluator)
         assert len(res.history) == 1  # candidates ran out before the BO loop
         assert res.metadata["proposal_batches"] == 0
-        assert res.metadata["acquisition_streamed"] is False
         assert "n_pruned_final" in res.metadata
         assert "cost_threshold" in res.metadata
 
@@ -431,44 +289,6 @@ class TestEvaluateBatch:
         with pytest.raises(ValueError, match="families"):
             evaluator.evaluate_many([space.pool((1, 0)), alien])
         assert evaluator.n_evaluations == 0
-
-
-# ---------------------------------------------------------------------------
-# Large lattices: 10^6+ cells, grid never materialized
-# ---------------------------------------------------------------------------
-class TestLargeLatticeStreaming:
-    def test_million_cell_search_never_materializes_grid(self):
-        model = make_toy_model5()
-        trace = make_toy_trace(model, n=250, seed=3)
-        space = SearchSpace(FIVE_FAMILIES, (15, 15, 15, 15, 15))
-        assert space.n_configurations == 16**5 - 1
-        assert space.n_configurations >= 10**6
-        objective = RibbonObjective(space, qos_rate_target=0.95)
-        evaluator = ConfigurationEvaluator(model, trace, objective)
-        res = RibbonOptimizer(
-            max_samples=6, n_initial=2, seed=0, patience=None
-        ).search(evaluator)
-        assert len(res.history) == 6
-        assert res.metadata["acquisition_streamed"] is True
-        # The whole search — acquisition, pruning stats, exhaustive-cost
-        # accounting — ran without ever building the 10^6-row grid.
-        assert "_grid" not in space.__dict__
-        assert "_grid_unit" not in space.__dict__
-        assert res.exhaustive_cost_dollars > 0.0
-
-    def test_million_cell_batched_search(self):
-        model = make_toy_model5()
-        trace = make_toy_trace(model, n=250, seed=3)
-        space = SearchSpace(FIVE_FAMILIES, (15, 15, 15, 15, 15))
-        objective = RibbonObjective(space, qos_rate_target=0.95)
-        evaluator = ConfigurationEvaluator(model, trace, objective)
-        res = RibbonOptimizer(
-            max_samples=6, n_initial=2, seed=0, batch_size=2, patience=None
-        ).search(evaluator)
-        assert len(res.history) == 6
-        counts = sequence(res)
-        assert len(counts) == len(set(counts))
-        assert "_grid" not in space.__dict__
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.api import Scenario
+import repro.core.search_space as search_space_module
+from repro.api import PoolSpec, Scenario, ScenarioError
 from repro.api.runner import ScenarioRunner
 from repro.cloud.catalog import DEFAULT_CATALOG
 from repro.core.search_space import SearchSpace, estimate_instance_bounds
@@ -70,6 +71,60 @@ class TestSearchSpace:
             SearchSpace(("g4dn",), (0,))
         with pytest.raises(KeyError):
             SearchSpace(("nope",), (3,))
+
+
+class TestLatticeIndexing:
+    def test_index_of_roundtrip(self):
+        space = SearchSpace(("g4dn", "t3"), (4, 6))
+        grid = space.grid()
+        for i, row in enumerate(grid):
+            assert space.index_of(row) == i
+            assert space.counts_at(i) == tuple(int(v) for v in row)
+
+    def test_index_of_off_lattice(self):
+        space = SearchSpace(("g4dn", "t3"), (4, 6))
+        assert space.index_of((0, 0)) is None  # the excluded empty cell
+        assert space.index_of((5, 0)) is None  # out of bounds
+        assert space.index_of((-1, 2)) is None
+        assert space.index_of((1,)) is None  # dimension mismatch
+
+    def test_counts_at_out_of_range(self):
+        space = SearchSpace(("g4dn",), (4,))
+        with pytest.raises(IndexError):
+            space.counts_at(space.n_configurations)
+
+    def test_total_lattice_cost_matches_grid_sum(self):
+        space = SearchSpace(("g4dn", "t3", "c5"), (3, 4, 2))
+        expected = float((space.grid() @ space.prices).sum())
+        assert space.total_lattice_cost == pytest.approx(expected, rel=1e-12)
+
+
+class TestLatticeCap:
+    """No space above MAX_LATTICE_CELLS cells is built, whatever asks."""
+
+    def test_cap_itself_is_accepted(self):
+        space = SearchSpace(("g4dn", "t3"), (2, 66666))
+        assert space.n_configurations == search_space_module.MAX_LATTICE_CELLS
+
+    def test_over_the_cap_is_refused_with_its_count(self):
+        with pytest.raises(ValueError, match=r"has 200003 cells.*cap of 200000"):
+            SearchSpace(("g4dn", "t3"), (2, 66667))
+
+    def test_scenario_refuses_oversized_explicit_bounds(self):
+        # Refused at construction, so nothing can be materialized.
+        with pytest.raises(ScenarioError, match=r"pool bounds: .* 1030300 cells"):
+            Scenario("MT-WND", pool=PoolSpec(bounds=(100, 100, 100)))
+
+    def test_runner_refuses_oversized_measured_bounds(self, monkeypatch):
+        # A paper model's measured lattice (719 cells here) against a
+        # lowered cap: the refusal comes after estimate_instance_bounds.
+        monkeypatch.setattr(search_space_module, "MAX_LATTICE_CELLS", 100)
+        scenario = Scenario("MT-WND").with_workload(n_queries=800, seed=0)
+        runner = ScenarioRunner(
+            scenario, simulation_cache=SimulationResultCache(maxsize=0)
+        )
+        with pytest.raises(ScenarioError, match=r"measured pool bounds .* cells"):
+            runner.materialize(0)
 
 
 class TestBoundEstimation:

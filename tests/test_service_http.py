@@ -209,6 +209,43 @@ class TestErrors:
             )
         assert err.value.status == 400
 
+    @pytest.mark.parametrize("seed", ["abc", None, [1], True, 1.5, -1])
+    def test_bad_seed_is_400_and_queues_nothing(self, service, seed):
+        _, client = service
+        body = {"scenario": make_scenario().to_dict(), "seed": seed}
+        with pytest.raises(ServiceError) as err:
+            client._request("POST", "/jobs", body)
+        assert err.value.status == 400
+        assert err.value.error_type == "ScenarioError"
+        assert "seed" in err.value.message
+        assert client.jobs() == []
+
+    def test_bad_fork_seed_and_non_object_fork_body_are_400(self, service):
+        _, client = service
+        parent = client.submit(make_scenario(), "ribbon")
+        client.wait(parent["id"], timeout=10)
+        path = f"/jobs/{parent['id']}/fork"
+        for body in (
+            [{"workload": {"load_factor": 1.5}}],
+            {"workload": {"load_factor": 1.5}, "seed": "abc"},
+        ):
+            with pytest.raises(ServiceError) as err:
+                client._request("POST", path, body)
+            assert err.value.status == 400
+            assert err.value.error_type == "ScenarioError"
+        assert [job["id"] for job in client.jobs()] == [parent["id"]]
+
+    def test_oversized_lattice_is_400_and_queues_nothing(self, service):
+        _, client = service
+        doc = make_scenario().to_dict()
+        doc["pool"]["bounds"] = [1000, 1000]
+        with pytest.raises(ServiceError) as err:
+            client.submit(doc, "exhaustive")
+        assert err.value.status == 400
+        assert err.value.error_type == "ScenarioError"
+        assert "1002000 cells" in err.value.message
+        assert client.jobs() == []
+
     def test_unknown_option_is_400_and_queues_nothing(self):
         # The default factory's registry validator; nothing is simulated
         # because the submission is refused before queueing.
