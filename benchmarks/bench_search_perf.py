@@ -2,7 +2,7 @@
 
 Times the full Ribbon hot path this PR rebuilt — GP surrogate refits with
 analytic-gradient likelihood optimization, the cached service-time matrix,
-and heap dispatch on saturated pools — as one end-to-end search workload:
+and dispatch on saturated pools — as one end-to-end search workload:
 three seeded `RibbonOptimizer` searches (fresh evaluators) over a surge-load
 MT-WND trace on a 3-family, 24-instance-max lattice.
 
@@ -21,9 +21,9 @@ sequences; this bench
   ``BENCH_ENFORCE_SPEEDUP=0`` to disable it).
 
 Component micro-benchmarks of the same hot paths (cached vs uncached
-matrix, family vs per-instance dispatch under saturation, analytic vs
-finite-difference GP fit, incremental vs full refit) ride along so
-regressions are attributable.
+matrix, the family loop vs the event-heap reference under saturation,
+analytic vs finite-difference GP fit, incremental vs full refit) ride along
+so regressions are attributable.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from repro.gp.kernels import Matern52
 from repro.gp.regression import GaussianProcessRegressor
 from repro.models.zoo import get_model
 from repro.simulator.engine import InferenceServingSimulator
+from repro.simulator.events import EventHeapSimulator
 from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import SimulationResultCache
 from repro.simulator.service import ServiceTimeCache
@@ -150,14 +151,12 @@ def test_perf_service_matrix_cached_vs_fresh(benchmark, search_ctx):
 
 def test_perf_family_vs_heap_dispatch_saturated(benchmark, search_ctx):
     """The family loop (default) on a saturated large pool, with one timed
-    run of the per-instance heap reference it must equal."""
+    run of the event-heap reference it must equal."""
     _, model, trace, space, _ = search_ctx
     pool = PoolConfiguration(space.families, (8, 8, 8))
     no_memo = SimulationResultCache(maxsize=0)  # time dispatch, not the memo
-    family_sim = InferenceServingSimulator(
-        model, dispatch="family", result_cache=no_memo
-    )
-    heap_sim = InferenceServingSimulator(model, dispatch="heap", result_cache=no_memo)
+    family_sim = InferenceServingSimulator(model, result_cache=no_memo)
+    heap_sim = EventHeapSimulator(model)
     family_sim.simulate(trace, pool)  # warm caches
 
     res = benchmark(family_sim.simulate, trace, pool)

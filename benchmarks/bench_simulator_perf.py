@@ -60,17 +60,16 @@ def test_perf_fast_engine_then_queue_read(benchmark, workload):
 @pytest.fixture(scope="module")
 def hetero_workload():
     """A saturated 128-instance three-family mix (this bench tracks
-    absolute engine cost there, per dispatch policy)."""
+    absolute engine cost there)."""
     model = get_model("MT-WND")
     trace = trace_for_model(model, n_queries=4000, seed=1, load_factor=60.0)
     pool = PoolConfiguration(("g4dn", "c5", "r5n"), (64, 32, 32))
     return model, trace, pool
 
 
-@pytest.mark.parametrize("dispatch", InferenceServingSimulator.DISPATCH_POLICIES)
-def test_perf_fast_engine_hetero(benchmark, hetero_workload, dispatch):
+def test_perf_fast_engine_hetero(benchmark, hetero_workload):
     model, trace, pool = hetero_workload
-    sim = InferenceServingSimulator(model, dispatch=dispatch, **_NO_MEMO)
+    sim = InferenceServingSimulator(model, **_NO_MEMO)
     res = benchmark(sim.simulate, trace, pool)
     assert len(res) == len(trace)
 

@@ -16,10 +16,10 @@ evaluator -> search`` chain at a call site.
 
 Validation is front-loaded: constructing a :class:`Scenario` with an
 unknown model, an empty or duplicated pool, explicit bounds whose lattice
-exceeds :data:`~repro.core.search_space.MAX_LATTICE_CELLS` cells, or a
-non-positive QoS target raises :class:`ScenarioError` with an actionable
-message immediately, instead of failing deep inside the evaluator half a
-search later.
+exceeds :data:`~repro.core.search_space.MAX_LATTICE_CELLS` cells, a
+``bound_cap`` above that cap, or a non-positive QoS target raises
+:class:`ScenarioError` with an actionable message immediately, instead of
+failing deep inside the evaluator half a search later.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
-from repro.core.search_space import check_lattice_size
+from repro.core.search_space import MAX_LATTICE_CELLS, check_lattice_size
 from repro.models.base import ModelProfile
 from repro.models.zoo import MODEL_ZOO, get_model
 
@@ -144,7 +144,8 @@ class PoolSpec:
         them by simulation (the paper's :math:`m_i` saturation rule, via
         :func:`repro.core.search_space.estimate_instance_bounds`).
     bound_cap:
-        Hard cap on measured bounds (keeps the lattice tractable).
+        Hard cap on measured bounds (keeps the lattice tractable); at most
+        :data:`~repro.core.search_space.MAX_LATTICE_CELLS`.
     """
 
     families: tuple[str, ...] | None = None
@@ -178,9 +179,10 @@ class PoolSpec:
                     f"{len(self.families)} families; they must match 1:1"
                 )
             object.__setattr__(self, "bounds", bnds)
-        if int(self.bound_cap) < 1:
+        if not 1 <= int(self.bound_cap) <= MAX_LATTICE_CELLS:
             raise ScenarioError(
-                f"pool bound_cap must be >= 1, got {self.bound_cap!r}"
+                f"pool bound_cap must be between 1 and {MAX_LATTICE_CELLS}, "
+                f"got {self.bound_cap!r}"
             )
         object.__setattr__(self, "bound_cap", int(self.bound_cap))
 

@@ -55,14 +55,6 @@ __all__ = ["MAX_BODY_BYTES", "ServiceHandler", "ServiceServer", "make_server"]
 MAX_BODY_BYTES = 1 << 20
 
 
-def _seed(value) -> int:
-    """A request's ``seed`` field; anything but a non-negative JSON integer
-    is a 400 (a negative seed would only fail later, in the worker)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ScenarioError(f"'seed' must be a non-negative integer, got {value!r}")
-    return value
-
-
 class _BodyError(Exception):
     """A request body refused before reading it (``status`` is 400 or 413)."""
 
@@ -222,7 +214,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             job = self.manager.submit(
                 body["scenario"],
                 body.get("strategy", "ribbon"),
-                seed=_seed(body.get("seed", 0)),
+                seed=body.get("seed", 0),
                 reuse=body.get("reuse"),
                 **options,
             )
@@ -244,7 +236,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                     raise ScenarioError("'workload' must be a JSON object")
                 kwargs = {}
                 if body.get("seed") is not None:
-                    kwargs["seed"] = _seed(body["seed"])
+                    kwargs["seed"] = body["seed"]
                 if body.get("strategy") is not None:
                     kwargs["strategy"] = body["strategy"]
                 job = self.manager.fork(job_id, **kwargs, **changes)

@@ -197,6 +197,13 @@ class Job:
             return self.version
 
 
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not a non-negative ``int`` (``bool`` included)
+    before a job is admitted; it would otherwise fail later, in the worker."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ScenarioError(f"'seed' must be a non-negative integer, got {seed!r}")
+
+
 class JobManager:
     """Owns the worker pool, the job table, and the snapshot store.
 
@@ -332,10 +339,12 @@ class JobManager:
 
         ``scenario`` may be a :class:`Scenario` or a ``to_dict``-shaped
         document (the HTTP body); validation errors — the scenario, the
-        strategy name, an option name — raise before anything is queued.
+        strategy name, an option name, the seed — raise before anything is
+        queued.
         Unless ``reuse`` is false, an identical finished job — in memory
         or in the snapshot store — is returned instead of searching again.
         """
+        _check_seed(seed)
         if not isinstance(scenario, Scenario):
             scenario = Scenario.from_dict(scenario)
         if not isinstance(strategy, str) or not strategy.strip():
@@ -371,6 +380,8 @@ class JobManager:
         load change re-optimizes from shared state instead of cold.
         ``seed``/``strategy`` default to the parent's.
         """
+        if seed is not None:
+            _check_seed(seed)
         parent = self.get(job_id)
         if not workload_changes:
             raise ScenarioError(

@@ -13,11 +13,10 @@ paper).  Two independently written engines are provided:
   loop also returns the latencies and the total queue length seen at
   arrivals in the same pass; the per-arrival column
   (``queue_len_at_arrival``) is derived only on first read.
-  ``dispatch="heap"`` runs the per-instance loop instead, the bit-identical
-  reference the tests compare it with.
-* :class:`~repro.simulator.events.EventHeapSimulator` — an event-heap
-  reference implementation used to cross-validate the fast engine in the
-  test suite.
+* :class:`~repro.simulator.events.EventHeapSimulator` — the per-instance
+  event-heap reference, which the test suite cross-validates the fast
+  engine against bit for bit (``dispatch="heap"`` on the fast engine
+  runs it).
 
 Both report the same :class:`~repro.simulator.metrics.SimulationResult`:
 per-query latencies and start times, from which it derives the QoS

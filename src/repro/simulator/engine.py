@@ -27,8 +27,8 @@ This is exact, not an approximation:
 
 A single-family pool has no family to choose and runs one heap (one clock
 for a single instance).  The event-heap engine in
-:mod:`repro.simulator.events` independently verifies all of this in the test
-suite.
+:mod:`repro.simulator.events`, written independently of this one, is the
+per-instance reference the test suite verifies all of this against.
 
 The family loop runs on one of two substrates with bit-identical results:
 
@@ -59,9 +59,8 @@ and the result derives the mean from the queue column.  Either way the
 result stores the latencies and start times only; the per-arrival queue
 column is derived on first read
 (:func:`~repro.simulator.metrics.queue_lengths_at_arrival`), and nothing
-in the search reads it.  ``dispatch="heap"`` runs the per-instance loop
-:func:`_run_heap` over the whole pool instead; it is the reference the
-equivalence tests compare the family loop with.
+in the search reads it.  ``dispatch="heap"`` hands the whole simulation
+to the event-heap reference instead, off the result memo.
 
 Service times come pre-noised from the per-workload
 :class:`~repro.simulator.service.ServiceTimeCache`, and whole simulations are
@@ -77,12 +76,13 @@ from __future__ import annotations
 import ctypes
 import functools
 import threading
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapreplace
 
 import numpy as np
 
 from repro import _native
 from repro.models.base import ModelProfile
+from repro.simulator.events import EventHeapSimulator
 from repro.simulator.metrics import SimulationResult, queue_lengths_at_arrival
 from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import (
@@ -97,10 +97,9 @@ class DispatchCounters:
     """Thread-safe run counters for the dispatch loops.
 
     ``linear`` counts family-loop runs (the key keeps its older name for
-    readers of the counters) and ``heap`` per-instance reference runs.
-    Only simulations actually *dispatched* count; result-memo hits do not.
-    One process-wide instance, :func:`global_dispatch_counters`, records
-    every dispatch.
+    readers of the counters) and ``heap`` ``dispatch="heap"`` runs of the
+    event-heap reference.  Only real dispatches count, not memo hits; one
+    process-wide instance, :func:`global_dispatch_counters`, records them.
     """
 
     __slots__ = ("_lock", "_counts")
@@ -149,10 +148,11 @@ class InferenceServingSimulator:
         matrix.  Pass ``ServiceTimeCache(maxsize=0)`` to disable caching.
     dispatch:
         ``"family"`` (default) runs the family-level loop, compiled where
-        it builds; ``"heap"`` runs the per-instance reference loop (the
-        equivalence tests compare both on equal inputs).  The dispatch
-        path is deliberately *not* part of the result-memo key: both loops
-        are bit-identical by contract.  Every dispatch is counted in
+        it builds.  ``"heap"`` runs a fresh
+        :class:`~repro.simulator.events.EventHeapSimulator` on this
+        simulator's service cache, off the result memo; it remains only
+        for the benchmark harness's re-simulation check (new code calls
+        ``EventHeapSimulator`` directly).  Every dispatch is counted in
         :func:`global_dispatch_counters`.
     result_cache:
         Whole-result memo; defaults to the process-wide shared instance so
@@ -163,7 +163,7 @@ class InferenceServingSimulator:
         benchmarking the dispatch loop itself).
     """
 
-    #: The dispatch-policy set: the family loop and the per-instance loop.
+    #: The dispatch-policy set: the family loop and the event-heap reference.
     DISPATCH_POLICIES = ("family", "heap")
 
     def __init__(
@@ -220,6 +220,11 @@ class InferenceServingSimulator:
                 raise KeyError(
                     f"model {self._model.name!r} has no profile for {fam!r}"
                 )
+        if self._dispatch == "heap":
+            _GLOBAL_DISPATCH.record("heap")
+            return EventHeapSimulator(
+                self._model, service_cache=self._service_cache
+            ).simulate(trace, pool)
 
         # Whole-result memo: the simulation is deterministic per
         # (model, trace, pool), so a repeat — the homogeneous scan after
@@ -235,14 +240,13 @@ class InferenceServingSimulator:
         n = len(trace)
         counts = pool.counts
         matrix = self._service_cache.matrix(self._model, trace, pool.families)
-        loops = _native_loops() if self._dispatch == "family" else None
+        loops = _native_loops()
         if loops is not None:
             # Compiled loop: reads the matrix and arrivals in place and
             # returns the latencies and the queue total with the starts.
             start_s, latency_s, queued = loops.run(
                 trace.arrival_s, matrix, counts
             )
-            _GLOBAL_DISPATCH.record("linear")
             result = SimulationResult(
                 latency_s=latency_s,
                 start_s=start_s,
@@ -254,17 +258,7 @@ class InferenceServingSimulator:
             # they never read a zero-count family's row.
             arrivals = trace.arrival_s.tolist()
             rows = [row.tolist() if c else [] for row, c in zip(matrix, counts)]
-            if self._dispatch == "heap":
-                type_of_instance, _ = pool.expand()
-                type_list = type_of_instance.tolist()
-                starts, chosen = _run_heap(
-                    arrivals, rows, type_list, len(type_list)
-                )
-                family = type_of_instance[chosen]
-                _GLOBAL_DISPATCH.record("heap")
-            else:
-                starts, family = _family_loop(arrivals, rows, counts)
-                _GLOBAL_DISPATCH.record("linear")
+            starts, family = _family_loop(arrivals, rows, counts)
             if isinstance(family, int):  # a single-family pool
                 service_s = matrix[family]
             else:
@@ -275,6 +269,7 @@ class InferenceServingSimulator:
                 start_s=start_s,
                 arrival_s=trace.arrival_s,
             )
+        _GLOBAL_DISPATCH.record("linear")
         if memoize:
             result = memo.put(
                 self._model, trace, pool.families, pool.counts, result
@@ -283,8 +278,8 @@ class InferenceServingSimulator:
 
 
 # -- dispatch loops -----------------------------------------------------------
-# Each returns the per-query start times (plus the family or instance
-# choices); simulate() derives the latencies from them.  Bound methods are
+# Each returns the per-query start times (plus the family choices);
+# simulate() derives the latencies from them.  Bound methods are
 # hoisted out of the loops: their bodies run hundreds of thousands of times
 # per search, where attribute lookups are a measurable cost.
 
@@ -355,47 +350,6 @@ def _family_loop(
     return starts, np.asarray(
         chosen, dtype=np.min_scalar_type(len(service_rows) - 1)
     )
-
-
-def _run_heap(
-    arrivals: list[float],
-    service_rows: list[list[float]],
-    type_list: list[int],
-    n_instances: int,
-):
-    """The per-instance loop, O(n log m): ``(starts, chosen instances)``.
-
-    ``free`` holds indices of instances with ``free_at <= t`` (min-heap =>
-    lowest index => type-order preference).  ``busy_heap`` holds
-    ``(free_at, index)`` pairs; its top is the earliest-free instance with
-    the lowest-index tie-break.
-    """
-    rows = [service_rows[t] for t in type_list]
-    free = list(range(n_instances))
-    heapify(free)
-    busy_heap: list[tuple[float, int]] = []
-    starts: list[float] = []
-    chosen: list[int] = []
-    push, pop, replace = heappush, heappop, heapreplace
-    starts_append = starts.append
-    chosen_append = chosen.append
-    for q, t in enumerate(arrivals):
-        while busy_heap and busy_heap[0][0] <= t:
-            push(free, pop(busy_heap)[1])
-        if free:
-            i = pop(free)
-            start = t
-            push(busy_heap, (start + rows[i][q], i))
-        else:
-            # Saturated: the root instance serves this query; replace
-            # in place (one sift) instead of pop + push.  Tuples are
-            # strictly ordered (indices unique), so the pop sequence —
-            # the only observable — is unchanged.
-            start, i = busy_heap[0]
-            replace(busy_heap, (start + rows[i][q], i))
-        starts_append(start)
-        chosen_append(i)
-    return starts, chosen
 
 
 # -- compiled family loop -----------------------------------------------------

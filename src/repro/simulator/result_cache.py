@@ -16,11 +16,11 @@ workload identity with the pool's live ``(family, count)`` pairs in pool
 order.  Zero-count families are dropped: service rows are keyed per trace
 seed and family name, so ``(a, b, c)`` with counts ``(0, k, 0)`` serves
 exactly like ``k`` instances of ``b`` alone, and the bounds bisection,
-the homogeneous scan and the search share one entry per pool.  The
-dispatch path is *not* part of the key either, because both paths are
-bit-identical by contract.  Cached results have all their arrays frozen
-read-only, so one result can back any number of concurrent consumers
-(``run_many(parallel=True)`` simulates on a thread pool).  ``maxsize=0``
+the homogeneous scan and the search share one entry per pool.  Only the
+family loop reads and writes the memo: the engine's ``dispatch="heap"``
+runs the event-heap reference past it.  Cached results have all their
+arrays frozen read-only, so one result can back any number of concurrent
+consumers (``run_many(parallel=True)`` simulates on a thread pool).  ``maxsize=0``
 disables the memo entirely (explicit opt-out); a result holds four arrays
 of ``len(trace)`` 8-byte values once read (latencies, start times, sorted
 latencies, queue column), bounded both by entry count (``maxsize``) and by

@@ -103,23 +103,21 @@ def test_three_type_pool_equivalence():
     np.testing.assert_allclose(fast.latency_s, ref.latency_s, rtol=1e-12, atol=1e-12)
 
 
-# -- heap dispatcher: bit-identical to the reference on adversarial pools ------
+# -- family loop: bit-identical to the reference on adversarial pools ---------
 
 
 def assert_dispatch_modes_match_reference(model, trace, pool):
-    """Every dispatch policy, the family loop on both substrates, must
-    equal the event-heap reference bit-for-bit on every result array.  On
-    noisy service rows equal starts and equal latencies pin the serving
-    family, so the type-order and earliest-free tie rules are checked too;
-    the reference counts its queue column itself, and the compiled loop
-    its queue total."""
+    """The family loop on both substrates must equal the event-heap
+    reference bit-for-bit on every result array.  On noisy service rows
+    equal starts and equal latencies pin the serving family, so the
+    type-order and earliest-free tie rules are checked too; the reference
+    counts its queue column itself, and the compiled loop its queue
+    total."""
     ref = EventHeapSimulator(model).simulate(trace, pool)
-    runs = {
-        mode: fast_sim(model, dispatch=mode).simulate(trace, pool)
-        for mode in InferenceServingSimulator.DISPATCH_POLICIES
-    }
-    with SUBSTRATES[1]():
-        runs["family (python)"] = fast_sim(model).simulate(trace, pool)
+    runs = {}
+    for substrate in SUBSTRATES:
+        with substrate():
+            runs[substrate.__name__] = fast_sim(model).simulate(trace, pool)
     for mode, res in runs.items():
         for field in ("latency_s", "start_s", "queue_len_at_arrival"):
             np.testing.assert_array_equal(
@@ -152,7 +150,7 @@ def test_heap_dispatch_single_instance(seed, n, rate):
 )
 @settings(max_examples=15, deadline=None)
 def test_heap_dispatch_large_pools(seed, g, c, t):
-    """30+-instance pools, the heap dispatcher's target regime."""
+    """30+-instance pools: deep per-family heaps of free times."""
     model = make_toy_model(noise={"g4dn": 0.05, "c5": 0.1, "t3": 0.2})
     trace = random_trace(seed, 300)
     assert_dispatch_modes_match_reference(
@@ -315,18 +313,15 @@ def test_default_dispatch_equals_forced_paths(toy_model, toy_trace):
     for substrate in SUBSTRATES:
         with substrate():
             default = fast_sim(toy_model).simulate(toy_trace, pool)
-            for mode in ("family", "heap"):
-                forced = fast_sim(toy_model, dispatch=mode).simulate(
-                    toy_trace, pool
-                )
-                for res in (default, forced):
-                    for field in (
-                        "latency_s", "start_s", "queue_len_at_arrival"
-                    ):
-                        np.testing.assert_array_equal(
-                            getattr(res, field), getattr(ref, field),
-                            err_msg=f"{substrate.__name__}: {field}",
-                        )
+            forced = fast_sim(toy_model, dispatch="family").simulate(
+                toy_trace, pool
+            )
+            for res in (default, forced):
+                for field in ("latency_s", "start_s", "queue_len_at_arrival"):
+                    np.testing.assert_array_equal(
+                        getattr(res, field), getattr(ref, field),
+                        err_msg=f"{substrate.__name__}: {field}",
+                    )
 
 
 def test_invalid_dispatch_mode_rejected(toy_model):
@@ -365,5 +360,6 @@ def test_counts_skip_memo_hits_and_reach_the_runner(toy_model, toy_trace):
         runner.homogeneous_optimum(seed=0)
     stats = runner.cache_stats()
     assert set(stats["dispatch"]) == set(DispatchCounters.PATHS)
-    assert counts["linear"] + counts["heap"] > 0
+    assert counts["linear"] > 0
+    assert counts["heap"] == 0
     assert stats["dispatch"] == global_dispatch_counters().snapshot()

@@ -37,13 +37,12 @@ HAS_CC = shutil.which("cc") is not None
 needs_cc = pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
 
 
-def simulate_all(model, trace, pools, service_cache=None, dispatch="family"):
+def simulate_all(model, trace, pools, service_cache=None):
     """Start times and latencies of every pool, memo off."""
     sim = InferenceServingSimulator(
         model,
         result_cache=SimulationResultCache(maxsize=0),
         service_cache=service_cache,
-        dispatch=dispatch,
     )
     out = []
     for pool in pools:
@@ -134,15 +133,14 @@ def test_failed_build_falls_back_to_identical_results(
 
 
 def test_python_loops_ignore_the_service_cache_setting():
-    """Without the compiled loop, the family and heap loops give the same
-    bytes whether the service matrix is cached or recomputed per call."""
+    """Without the compiled loop, the family loop gives the same bytes
+    whether the service matrix is cached or recomputed per call."""
     with python_loops():
-        runs = [
-            simulate_all(TOY, TRACE, POOLS, cache, dispatch)
+        cached, uncached = (
+            simulate_all(TOY, TRACE, POOLS, cache)
             for cache in (ServiceTimeCache(), ServiceTimeCache(maxsize=0))
-            for dispatch in InferenceServingSimulator.DISPATCH_POLICIES
-        ]
-    assert all(run == runs[0] for run in runs[1:])
+        )
+    assert cached == uncached
 
 
 # -- bit equality with the Python loops ----------------------------------------

@@ -280,8 +280,8 @@ class TestEvaluateBatch:
         pools = [space.pool(v) for v in [(1, 0), (0, 3), (2, 1), (3, 2)]]
         with dispatch_delta() as counts:
             evaluator.evaluate_many(pools)
-        dispatched = counts["linear"] + counts["heap"]
-        assert dispatched == len(pools)
+        assert counts["linear"] == len(pools)
+        assert counts["heap"] == 0
 
     def test_rejects_foreign_families_upfront(self):
         space, evaluator, budget = self.make_budget()

@@ -39,6 +39,7 @@ from repro.api import (
 )
 from repro.api import registry as registry_module
 from repro.baselines import ExhaustiveSearch, HillClimb, RandomSearch, ResponseSurface
+from repro.core.search_space import MAX_LATTICE_CELLS
 from repro.core.strategy import Budget, SearchStrategy
 
 BUILTIN_STRATEGIES = {
@@ -179,6 +180,12 @@ class TestScenarioValidation:
             Scenario(
                 "MT-WND", pool=PoolSpec(families=("g4dn", "c5"), bounds=(4,))
             )
+
+    def test_bound_cap_is_capped_at_the_lattice_cap(self):
+        assert PoolSpec(bound_cap=MAX_LATTICE_CELLS).bound_cap == MAX_LATTICE_CELLS
+        for cap in (0, MAX_LATTICE_CELLS + 1):
+            with pytest.raises(ScenarioError, match="bound_cap"):
+                PoolSpec(bound_cap=cap)
 
     def test_bad_workload(self):
         with pytest.raises(ScenarioError, match="n_queries"):

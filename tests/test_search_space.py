@@ -206,7 +206,8 @@ def counted_bounds(model, trace, families, **kwargs):
         space = estimate_instance_bounds(
             model, trace, families, simulator=sim, **kwargs
         )
-    return space.bounds, counts["linear"] + counts["heap"]
+    assert counts["heap"] == 0
+    return space.bounds, counts["linear"]
 
 
 def sim_budget(n_families, hard_cap):
@@ -318,7 +319,8 @@ class TestRunnerBoundSimulations:
             qos_target_ms=self.SCENARIO.qos_target_ms,
             hard_cap=self.SCENARIO.pool.bound_cap,
         )
-        dispatched = counts["linear"] + counts["heap"]
+        dispatched = counts["linear"]
+        assert counts["heap"] == 0
         assert 0 < dispatched == sims
         assert dispatched <= sim_budget(
             len(self.SCENARIO.families), self.SCENARIO.pool.bound_cap

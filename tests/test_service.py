@@ -194,6 +194,20 @@ class TestLifecycle:
         with pytest.raises(KeyError, match="nope"):
             manager.get("nope")
 
+    @pytest.mark.parametrize("seed", [-1, "1", True])
+    def test_bad_seed_rejected_before_queueing(self, manager, seed):
+        with pytest.raises(ScenarioError, match="seed"):
+            manager.submit(make_scenario(), "ribbon", seed=seed)
+        assert manager.jobs() == []
+
+    @pytest.mark.parametrize("seed", [-1, "1", True])
+    def test_bad_fork_seed_rejected_before_queueing(self, manager, seed):
+        parent = manager.submit(make_scenario(), "ribbon")
+        manager.wait(parent.id, timeout=10)
+        with pytest.raises(ScenarioError, match="seed"):
+            manager.fork(parent.id, seed=seed, load_factor=1.5)
+        assert manager.jobs() == [parent]
+
 
 class TestOptionValidation:
     """The registry checks option names at submission, whatever the factory."""

@@ -235,6 +235,17 @@ class TestErrors:
             assert err.value.error_type == "ScenarioError"
         assert [job["id"] for job in client.jobs()] == [parent["id"]]
 
+    def test_oversized_bound_cap_is_400_and_queues_nothing(self, service):
+        _, client = service
+        doc = make_scenario().to_dict()
+        doc["pool"]["bound_cap"] = 4_000_000
+        with pytest.raises(ServiceError) as err:
+            client.submit(doc, "ribbon")
+        assert err.value.status == 400
+        assert err.value.error_type == "ScenarioError"
+        assert "bound_cap" in err.value.message
+        assert client.jobs() == []
+
     def test_oversized_lattice_is_400_and_queues_nothing(self, service):
         _, client = service
         doc = make_scenario().to_dict()

@@ -26,7 +26,7 @@ from repro.simulator.result_cache import (
     shared_simulation_cache,
 )
 from repro.simulator.service import ServiceTimeCache
-from tests.conftest import SUBSTRATES, make_toy_trace
+from tests.conftest import SUBSTRATES, dispatch_delta, make_toy_trace
 
 
 @pytest.fixture
@@ -82,12 +82,17 @@ class TestResultMemo:
         assert len(memo) == 2
         assert memo.misses == 2
 
-    def test_dispatch_path_is_not_part_of_the_key(self, memo, toy_model, toy_trace):
-        # Both paths are bit-identical by contract, so the memo may hand a
-        # family-loop result to a heap-dispatch simulator.
+    def test_heap_dispatch_bypasses_the_memo(self, memo, toy_model, toy_trace):
+        # The heap reference runs the event-heap engine past the memo: it
+        # neither returns the family loop's entry nor looks it up.
         a = make_sim(toy_model, memo, dispatch="family").simulate(toy_trace, POOL)
-        b = make_sim(toy_model, memo, dispatch="heap").simulate(toy_trace, POOL)
-        assert a is b
+        with dispatch_delta() as counts:
+            b = make_sim(toy_model, memo, dispatch="heap").simulate(toy_trace, POOL)
+        assert counts["heap"] == 1 and counts["linear"] == 0
+        assert b is not a
+        assert memo.hits == 0 and memo.misses == 1 and len(memo) == 1
+        for field in ("latency_s", "start_s", "queue_len_at_arrival"):
+            assert getattr(b, field).tobytes() == getattr(a, field).tobytes(), field
 
     def test_distinct_traces_are_distinct_entries(self, memo, toy_model):
         sim = make_sim(toy_model, memo)
@@ -260,7 +265,7 @@ class TestEngineAndEvaluatorWiring:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("dispatch ran despite a memo hit")
 
-        for loop in ("_run_families", "_serve_family", "_run_heap", "_native_loops"):
+        for loop in ("_run_families", "_serve_family", "_native_loops"):
             monkeypatch.setattr(engine, loop, boom)
         monkeypatch.setattr(engine._NativeLoops, "run", boom)
         assert sim.simulate(toy_trace, POOL) is first
@@ -350,20 +355,17 @@ class TestOneKeyPerPool:
             toy_trace, PoolConfiguration.homogeneous("t3", 3)
         )
         for substrate in SUBSTRATES:
-            for mode in InferenceServingSimulator.DISPATCH_POLICIES:
-                with substrate():
-                    plain = make_sim(
-                        toy_model, SimulationResultCache(maxsize=0), dispatch=mode
-                    ).simulate(
-                        toy_trace, PoolConfiguration(("g4dn", "t3", "c5"), (0, 3, 0))
+            with substrate():
+                plain = make_sim(toy_model, SimulationResultCache(maxsize=0)).simulate(
+                    toy_trace, PoolConfiguration(("g4dn", "t3", "c5"), (0, 3, 0))
+                )
+            for res in (alone, plain):
+                for field in ("latency_s", "start_s", "queue_len_at_arrival"):
+                    np.testing.assert_array_equal(
+                        getattr(res, field),
+                        getattr(ref, field),
+                        err_msg=f"{substrate.__name__}: {field}",
                     )
-                for res in (alone, plain):
-                    for field in ("latency_s", "start_s", "queue_len_at_arrival"):
-                        np.testing.assert_array_equal(
-                            getattr(res, field),
-                            getattr(ref, field),
-                            err_msg=f"{substrate.__name__}, {mode}: {field}",
-                        )
 
     def test_family_order_stays_in_the_key(self, memo, toy_model, toy_trace):
         sim = make_sim(toy_model, memo)
