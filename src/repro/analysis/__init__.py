@@ -19,7 +19,6 @@ from repro.analysis.cardinality import cardinality_sweep
 from repro.analysis.reporting import (
     ascii_bar_chart,
     ascii_table,
-    format_percent,
     series_table,
 )
 
@@ -34,5 +33,4 @@ __all__ = [
     "ascii_table",
     "ascii_bar_chart",
     "series_table",
-    "format_percent",
 ]

@@ -10,11 +10,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 
-def format_percent(value: float, decimals: int = 1) -> str:
-    """Format a percentage value, e.g. ``12.3%``."""
-    return f"{value:.{decimals}f}%"
-
-
 def ascii_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[object]],

@@ -78,7 +78,7 @@ class MaterializedScenario:
     evaluator: ConfigurationEvaluator
 
     def fresh_evaluator(self) -> ConfigurationEvaluator:
-        """A fresh evaluator on the same trace (isolated accounting)."""
+        """A fork on the same trace with an empty record cache."""
         return self.evaluator.fork(self.trace)
 
 
@@ -243,7 +243,8 @@ class ScenarioRunner:
         )
 
     def evaluator(self, seed: int = 0, *, fresh: bool = False) -> ConfigurationEvaluator:
-        """The scenario's evaluator (``fresh`` forks isolated accounting)."""
+        """The scenario's evaluator (``fresh`` forks one with an empty
+        record cache, so its ``sample_index`` numbering starts at 0)."""
         mat = self.materialize(seed)
         return mat.fresh_evaluator() if fresh else mat.evaluator
 
@@ -303,15 +304,18 @@ class ScenarioRunner:
             Optional start configuration — a :class:`PoolConfiguration` or
             a per-family count vector.
         fresh_evaluator:
-            Search against a forked evaluator so this run's accounting is
-            isolated from earlier runs sharing the materialization.
+            Search against a forked evaluator whose record cache starts
+            empty, so the records' ``sample_index`` numbering restarts at
+            0.  Samples, dollars and violations are windowed per search
+            either way.
         progress:
             Optional observer called with each newly admitted
             :class:`EvaluationRecord` as the search runs (the optimization
             service's live-progress/cancellation hook).  Implies a fresh
-            evaluator — per-run progress must not be polluted by records
-            other runs admitted — and an exception raised by the observer
-            aborts the search and propagates to the caller.
+            evaluator — a record another run already admitted would be a
+            cache hit and never reach the observer — and an exception
+            raised by the observer aborts the search and propagates to the
+            caller.
         strategy_kwargs:
             Extra constructor knobs for the strategy (``patience=None``,
             ``use_pruning=False``, ...).  ``max_samples`` defaults to the

@@ -2,8 +2,8 @@
 
 This package models the AWS EC2 instance types studied by the Ribbon paper
 (Table 2): their families, sizes, hardware envelope, category, and on-demand
-prices.  It also provides the pricing helpers that the rest of the library
-(pool costing, Eq. 1 cost-effectiveness) is built on.
+prices, plus the Eq. 1 cost-effectiveness figure of merit.  Pool cost is
+priced by :meth:`~repro.simulator.pool.PoolConfiguration.hourly_cost`.
 
 The catalog intentionally mirrors the instance set of the paper:
 
@@ -27,11 +27,7 @@ from repro.cloud.catalog import (
     InstanceCatalog,
     get_instance,
 )
-from repro.cloud.pricing import (
-    cost_effectiveness,
-    hourly_pool_cost,
-    normalized_cost,
-)
+from repro.cloud.pricing import cost_effectiveness
 
 __all__ = [
     "InstanceCategory",
@@ -39,7 +35,5 @@ __all__ = [
     "InstanceCatalog",
     "DEFAULT_CATALOG",
     "get_instance",
-    "hourly_pool_cost",
-    "normalized_cost",
     "cost_effectiveness",
 ]

@@ -118,8 +118,8 @@ _TABLE2: tuple[InstanceSpec, ...] = (
 class InstanceCatalog(Mapping[str, InstanceSpec]):
     """An immutable registry of instance types, keyed by family code name.
 
-    Behaves as a read-only mapping ``family -> InstanceSpec`` with a few
-    convenience query methods.  The module-level :data:`DEFAULT_CATALOG`
+    Behaves as a read-only mapping ``family -> InstanceSpec`` plus
+    :attr:`families` and :meth:`cheapest`.  The module-level :data:`DEFAULT_CATALOG`
     holds the Table 2 set; custom catalogs can be built for what-if studies.
     """
 
@@ -155,27 +155,9 @@ class InstanceCatalog(Mapping[str, InstanceSpec]):
         """Family code names in registration (Table 2) order."""
         return tuple(self._by_family)
 
-    def by_category(self, category: InstanceCategory) -> tuple[InstanceSpec, ...]:
-        """All specs belonging to a marketing category."""
-        return tuple(
-            spec for spec in self._by_family.values() if spec.category is category
-        )
-
     def cheapest(self) -> InstanceSpec:
         """The lowest hourly price spec in the catalog."""
         return min(self._by_family.values(), key=lambda s: s.price_per_hour)
-
-    def most_expensive(self) -> InstanceSpec:
-        """The highest hourly price spec in the catalog."""
-        return max(self._by_family.values(), key=lambda s: s.price_per_hour)
-
-    def price_vector(self, families: Iterable[str]) -> tuple[float, ...]:
-        """Hourly prices for an ordered list of families."""
-        return tuple(self[f].price_per_hour for f in families)
-
-    def subset(self, families: Iterable[str]) -> "InstanceCatalog":
-        """A new catalog restricted to ``families`` (order preserved)."""
-        return InstanceCatalog(self[f] for f in families)
 
 
 #: The paper's Table 2 instance set.

@@ -4,8 +4,7 @@ An :class:`InstanceSpec` is an immutable record of one purchasable cloud
 instance type.  The fields mirror what a user sees on the EC2 pricing page
 plus two *relative* hardware scores that the analytic performance model in
 :mod:`repro.models.perf_model` uses to derive latency profiles for models
-that were not profiled explicitly (e.g. the "other recommendation models"
-robustness sweep of Fig. 8).
+that were not profiled explicitly.
 """
 
 from __future__ import annotations
@@ -87,17 +86,6 @@ class InstanceSpec:
             raise ValueError(
                 f"name {self.name!r} does not match family/size {expected!r}"
             )
-
-    @property
-    def price_per_second(self) -> float:
-        """On-demand price in USD per second."""
-        return self.price_per_hour / 3600.0
-
-    def cost_for(self, hours: float) -> float:
-        """Cost in USD of holding this instance for ``hours`` hours."""
-        if hours < 0:
-            raise ValueError(f"hours must be non-negative, got {hours!r}")
-        return self.price_per_hour * hours
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name

@@ -1,6 +1,4 @@
-"""Pricing and cost-effectiveness helpers.
-
-Implements the paper's figure of merit (Sec. 2):
+"""Cost-effectiveness: the paper's per-instance figure of merit (Sec. 2).
 
 * instance *performance* = achievable throughput, the reciprocal of mean
   service latency (queries per second);
@@ -12,14 +10,13 @@ Implements the paper's figure of merit (Sec. 2):
                       = \\frac{3600 \\cdot \\text{Perf}}{\\text{Price}}
                       \\;\\; [\\text{query}/\\$]
 
-and the pool-costing helpers used throughout the library.
+A pool's $/hour is
+:meth:`~repro.simulator.pool.PoolConfiguration.hourly_cost`, and the Eq. 2
+normalized cost is :meth:`~repro.core.search_space.SearchSpace.cost` over
+:attr:`~repro.core.search_space.SearchSpace.max_cost`.
 """
 
 from __future__ import annotations
-
-from collections.abc import Mapping
-
-from repro.cloud.catalog import DEFAULT_CATALOG, InstanceCatalog
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -39,37 +36,3 @@ def cost_effectiveness(throughput_qps: float, price_per_hour: float) -> float:
     if price_per_hour <= 0:
         raise ValueError(f"price must be positive, got {price_per_hour!r}")
     return SECONDS_PER_HOUR * throughput_qps / price_per_hour
-
-
-def hourly_pool_cost(
-    counts: Mapping[str, int],
-    catalog: InstanceCatalog = DEFAULT_CATALOG,
-) -> float:
-    """Total $/hour of a pool described as ``{family: count}``.
-
-    Zero counts are allowed (and contribute nothing); negative counts are an
-    error.
-    """
-    total = 0.0
-    for family, count in counts.items():
-        if count < 0:
-            raise ValueError(f"negative instance count for {family!r}: {count}")
-        total += catalog[family].price_per_hour * count
-    return total
-
-
-def normalized_cost(
-    counts: Mapping[str, int],
-    bounds: Mapping[str, int],
-    catalog: InstanceCatalog = DEFAULT_CATALOG,
-) -> float:
-    """Pool cost normalized by the cost of the all-max pool.
-
-    This is the :math:`\\sum p_i x_i / \\sum p_i m_i` term of Eq. 2.  The
-    result lies in ``[0, 1]`` whenever ``0 <= counts[f] <= bounds[f]``.
-    """
-    numer = hourly_pool_cost(counts, catalog)
-    denom = hourly_pool_cost(bounds, catalog)
-    if denom <= 0:
-        raise ValueError("bounds describe an empty search space (zero max cost)")
-    return numer / denom

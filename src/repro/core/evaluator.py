@@ -3,10 +3,12 @@
 Evaluating a configuration means deploying the pool and serving the query
 stream; the optimizer only sees the resulting (QoS satisfaction rate, cost)
 pair.  :class:`ConfigurationEvaluator` wraps the simulator behind exactly
-that interface, adds memoization (re-evaluating a configuration on the same
-trace is free — the paper's methods never pay twice for one configuration),
-and keeps full bookkeeping: sample order, violating-sample counts, and the
-dollar cost of exploration (Fig. 13/14 accounting).
+that interface and adds memoization (re-evaluating a configuration on the
+same trace is free — the paper's methods never pay twice for one
+configuration).  Each newly admitted record carries its admission index;
+the per-search accounting of Figs. 13/14 (exploration dollars,
+violating samples) lives in :class:`~repro.core.strategy.Budget` and
+:class:`~repro.core.result.SearchResult`.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class EvaluationRecord:
 
 
 class ConfigurationEvaluator:
-    """Serve-and-measure black box with memoization and accounting.
+    """Serve-and-measure black box with memoization.
 
     Parameters
     ----------
@@ -65,9 +67,9 @@ class ConfigurationEvaluator:
     qos_target_ms:
         Latency target; defaults to the model's calibrated target.
     eval_duration_hours:
-        Wall-clock cost attributed to one evaluation when accounting
-        exploration dollars (the paper deploys each sampled configuration
-        for a fixed observation window).  Defaults to the trace duration;
+        Wall-clock hours a search bills each sampled configuration for
+        (the paper deploys each sampled configuration for a fixed
+        observation window).  Defaults to the trace duration;
         a *defaulted* window is re-derived from the new trace on
         :meth:`fork`, while an explicit one is kept.
     service_cache:
@@ -130,7 +132,6 @@ class ConfigurationEvaluator:
             result_cache=result_cache,
         )
         self._cache: dict[tuple[int, ...], EvaluationRecord] = {}
-        self._history: list[EvaluationRecord] = []
         #: Optional observer called with each *newly admitted* record (cache
         #: hits never re-fire).  Evaluation runs in the calling thread, so
         #: the hook needs no locking.
@@ -138,10 +139,6 @@ class ConfigurationEvaluator:
         #: after the record is admitted; the optimization service uses this
         #: for live progress reporting and cooperative job cancellation.
         self.on_record: "Callable[[EvaluationRecord], None] | None" = None
-        # Running accumulators mirroring _history (kept O(1) per evaluation;
-        # summed in history order so totals match a left-to-right re-sum).
-        self._cost_per_hour_sum = 0.0
-        self._n_violating = 0
 
     # -- properties -------------------------------------------------------------
     @property
@@ -174,26 +171,6 @@ class ConfigurationEvaluator:
     def eval_duration_hours(self) -> float:
         """Wall-clock hours one evaluation is billed for (Fig. 13/14)."""
         return self._eval_hours
-
-    @property
-    def history(self) -> tuple[EvaluationRecord, ...]:
-        """Unique evaluations in the order they were first performed."""
-        return tuple(self._history)
-
-    @property
-    def n_evaluations(self) -> int:
-        """Number of distinct configurations actually simulated."""
-        return len(self._history)
-
-    @property
-    def n_violating_evaluations(self) -> int:
-        """How many distinct sampled configurations violated QoS (Fig. 14)."""
-        return self._n_violating
-
-    @property
-    def exploration_cost_dollars(self) -> float:
-        """Dollars spent deploying sampled configurations (Fig. 13)."""
-        return self._cost_per_hour_sum * self._eval_hours
 
     def exhaustive_cost_dollars(self) -> float:
         """Dollars to exhaustively deploy every configuration in the space.
@@ -248,18 +225,14 @@ class ConfigurationEvaluator:
             cost_per_hour=0.0,
             objective=self._objective.value(pool.counts, 0.0),
             meets_qos=False,
-            sample_index=len(self._history),
+            sample_index=len(self._cache),
             p99_ms=float("inf"),
             mean_queue_length=float("inf"),
         )
 
     def _admit(self, key: tuple[int, ...], record: EvaluationRecord) -> None:
-        """Store one newly measured record (cache, history, accounting)."""
+        """Store one newly measured record and notify the observer."""
         self._cache[key] = record
-        self._history.append(record)
-        self._cost_per_hour_sum += record.cost_per_hour
-        if not record.meets_qos:
-            self._n_violating += 1
         if self.on_record is not None:
             self.on_record(record)
 
@@ -273,21 +246,10 @@ class ConfigurationEvaluator:
             cost_per_hour=pool.hourly_cost(self.space.catalog),
             objective=self._objective.value(pool.counts, rate),
             meets_qos=self._objective.meets_qos(rate),
-            sample_index=len(self._history),
+            sample_index=len(self._cache),
             p99_ms=result.p99_ms,
             mean_queue_length=result.mean_queue_length,
         )
-
-    def peek(self, pool: PoolConfiguration) -> EvaluationRecord | None:
-        """Cached record for a configuration, or None if never evaluated."""
-        return self._cache.get(pool.counts)
-
-    def best_satisfying(self) -> EvaluationRecord | None:
-        """Cheapest QoS-meeting configuration evaluated so far."""
-        meeting = [r for r in self._history if r.meets_qos]
-        if not meeting:
-            return None
-        return min(meeting, key=lambda r: r.cost_per_hour)
 
     def fork(self, trace: QueryTrace) -> "ConfigurationEvaluator":
         """A fresh evaluator on a different trace (load-change experiments).

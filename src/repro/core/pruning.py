@@ -22,8 +22,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.simulator.pool import PoolConfiguration
-
 
 class PruneSet:
     """The set ``P`` of configurations excluded from future sampling."""
@@ -81,10 +79,6 @@ class PruneSet:
         if float(self._prices @ vec) >= self._cost_threshold:
             return True
         return any(np.all(vec <= c) for c in self._ceilings)
-
-    def contains_pool(self, pool: PoolConfiguration) -> bool:
-        """Whether a pool configuration is pruned."""
-        return self.contains(pool.counts)
 
     def costs(self, grid: np.ndarray) -> np.ndarray:
         """Per-row hourly cost of an ``(m, n)`` grid, as :meth:`mask` prices it."""

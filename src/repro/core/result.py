@@ -38,11 +38,6 @@ class SearchResult:
         return sum(1 for r in self.history if not r.meets_qos)
 
     @property
-    def found_qos_config(self) -> bool:
-        """Whether any sampled configuration met the QoS."""
-        return self.best is not None and self.best.meets_qos
-
-    @property
     def best_cost(self) -> float:
         """Hourly cost of the best QoS-meeting configuration found."""
         if self.best is None:
@@ -74,16 +69,6 @@ class SearchResult:
             raise ValueError("baseline_cost must be positive")
         target = baseline_cost * (1.0 - saving_percent / 100.0)
         return self.samples_to_cost(target)
-
-    def best_cost_curve(self) -> list[float]:
-        """Best-so-far QoS-meeting cost after each sample (inf before any)."""
-        best = float("inf")
-        curve: list[float] = []
-        for rec in self.history:
-            if rec.meets_qos:
-                best = min(best, rec.cost_per_hour)
-            curve.append(best)
-        return curve
 
     def violations_before_sample(self, n: int) -> int:
         """QoS-violating samples among the first ``n`` evaluations."""

@@ -67,23 +67,16 @@ class SearchStrategy(abc.ABC):
         budget = Budget(evaluator, self.max_samples)
         self._run(evaluator, budget, start)
         history = budget.window()
-        meeting = [r for r in history if r.meets_qos]
-        best = min(meeting, key=lambda r: r.cost_per_hour) if meeting else None
-        eval_hours = _eval_hours(evaluator)
         return SearchResult(
             method=self.name,
-            best=best,
+            best=budget.best_satisfying(),
             history=tuple(history),
             exploration_cost_dollars=sum(r.cost_per_hour for r in history)
-            * eval_hours,
+            * evaluator.eval_duration_hours,
             exhaustive_cost_dollars=evaluator.exhaustive_cost_dollars(),
             converged=budget.exhausted or budget.stopped,
             metadata=dict(budget.metadata),
         )
-
-
-def _eval_hours(evaluator: ConfigurationEvaluator) -> float:
-    return evaluator.eval_duration_hours
 
 
 class Budget:

@@ -24,7 +24,7 @@ from repro.models.zoo import (
     VGG19,
     get_model,
 )
-from repro.models.perf_model import derive_profile, synthetic_recommender
+from repro.models.perf_model import derive_profile
 
 __all__ = [
     "ModelCategory",
@@ -37,5 +37,4 @@ __all__ = [
     "MODEL_ZOO",
     "get_model",
     "derive_profile",
-    "synthetic_recommender",
 ]

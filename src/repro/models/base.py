@@ -49,14 +49,6 @@ class LatencyProfile:
         """Service latency in milliseconds for batch size(s) ``batch_size``."""
         return self.base_ms + self.slope_ms * np.asarray(batch_size, dtype=float)
 
-    def max_batch_within(self, budget_ms: float) -> int:
-        """Largest batch size served within ``budget_ms`` (0 if none)."""
-        if budget_ms <= self.base_ms:
-            return 0
-        if self.slope_ms == 0.0:
-            return np.iinfo(np.int64).max
-        return int((budget_ms - self.base_ms) / self.slope_ms)
-
 
 @dataclass(frozen=True)
 class ModelProfile:

@@ -1,12 +1,8 @@
 """Analytic profile generator.
 
-The paper notes (Sec. 5.2) that the effective diverse pool "tends to be
-common for models of the same category" and that Ribbon yields similar
-savings on *other* recommendation models (NCF, Wide&Deep, DIN) that are not
-shown for brevity.  To reproduce those robustness claims without hand-tuned
-tables for every model, this module derives a latency profile for an
-arbitrary model from the instance hardware scores in the catalog using a
-two-term roofline-style model:
+Derives a latency profile for a model that was not profiled explicitly
+from the instance hardware scores in the catalog, using a two-term
+roofline-style model:
 
 .. math::
 
@@ -22,10 +18,8 @@ larger for GPUs (kernel launch / PCIe transfer overhead).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from repro.cloud.catalog import DEFAULT_CATALOG, InstanceCatalog
-from repro.models.base import LatencyProfile, ModelCategory, ModelProfile
+from repro.models.base import LatencyProfile
 
 #: GPU dispatch overhead multiplier relative to a CPU instance.
 GPU_OVERHEAD_FACTOR = 2.2
@@ -80,50 +74,3 @@ def derive_profile(
     base = overhead_ms * (GPU_OVERHEAD_FACTOR if spec.gpu else 1.0)
     slope = work_ms_per_sample / _effective_score(catalog, family, memory_intensity)
     return LatencyProfile(base_ms=base, slope_ms=slope)
-
-
-def synthetic_recommender(
-    name: str,
-    *,
-    work_ms_per_sample: float = 0.13,
-    overhead_ms: float = 1.0,
-    memory_intensity: float = 0.8,
-    qos_target_ms: float = 25.0,
-    arrival_rate_qps: float = 700.0,
-    batch_median: float = 30.0,
-    batch_sigma: float = 0.8,
-    max_batch: int = 256,
-    families: Iterable[str] | None = None,
-    catalog: InstanceCatalog = DEFAULT_CATALOG,
-) -> ModelProfile:
-    """Build a synthetic recommendation model (NCF / DIN / Wide&Deep class).
-
-    Used by the Fig. 8 robustness sweep: "Besides the two recommendation
-    models in the table, we also tested on various other recommendation
-    models ... the diverse pool (g4dn, c5, r5n) yields similar cost saving".
-    """
-    fams = tuple(families) if families is not None else catalog.families
-    profiles = {
-        fam: derive_profile(
-            fam,
-            work_ms_per_sample=work_ms_per_sample,
-            overhead_ms=overhead_ms,
-            memory_intensity=memory_intensity,
-            catalog=catalog,
-        )
-        for fam in fams
-    }
-    return ModelProfile(
-        name=name,
-        category=ModelCategory.RECOMMENDATION,
-        description=f"Synthetic recommendation model ({name}).",
-        qos_target_ms=qos_target_ms,
-        profiles=profiles,
-        arrival_rate_qps=arrival_rate_qps,
-        batch_median=batch_median,
-        batch_sigma=batch_sigma,
-        max_batch=max_batch,
-        homogeneous_family="g4dn",
-        diverse_pool=("g4dn", "c5", "r5n"),
-        catalog=catalog,
-    )

@@ -4,8 +4,8 @@ A thin :mod:`http.server` layer over :class:`~repro.service.jobs.
 JobManager` — no web framework, no new dependencies.  Endpoints:
 
 ==========================  =====================================================
-``GET  /health``            liveness + job counts
-``GET  /stats``             manager/store statistics
+``GET  /health``            liveness + job counts (job table only)
+``GET  /stats``             job + snapshot-store statistics
 ``GET  /jobs``              all jobs (progress snapshots, submission order)
 ``POST /jobs``              submit ``{"scenario": {...}, "strategy": "ribbon",
                             "seed": 0, "options": {...}, "reuse": true}``
@@ -168,7 +168,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 },
             )
         elif path == "/stats":
-            self._send_json(200, self.manager.stats())
+            stats = self.manager.stats()
+            if self.manager.store is not None:
+                stats["store"] = self.manager.store.stats()
+            self._send_json(200, stats)
         elif path == "/jobs":
             self._send_json(
                 200, {"jobs": [job.snapshot() for job in self.manager.jobs()]}

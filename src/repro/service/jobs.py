@@ -556,7 +556,11 @@ class JobManager:
             return list(self._jobs.values())
 
     def stats(self) -> dict:
-        """Aggregate service statistics (the /stats endpoint body)."""
+        """Job-table statistics, read without touching the snapshot store.
+
+        ``/health`` answers from these alone; ``/stats`` adds the store's
+        shape (:meth:`SnapshotStore.stats`, which reads every result file).
+        """
         with self._lock:
             jobs = list(self._jobs.values())
             store_errors = self._store_errors
@@ -565,16 +569,13 @@ class JobManager:
         for job in jobs:
             by_state[job.state] = by_state.get(job.state, 0) + 1
             evaluations += job.n_evaluations
-        out = {
+        return {
             "n_jobs": len(jobs),
             "jobs_by_state": by_state,
             "total_evaluations": evaluations,
             "store_errors": store_errors,
             "uptime_s": time.time() - self.started_at,
         }
-        if self.store is not None:
-            out["store"] = self.store.stats()
-        return out
 
     def shutdown(self, *, wait: bool = True, cancel_running: bool = False) -> None:
         """Stop accepting work; optionally cancel in-flight searches."""

@@ -55,7 +55,9 @@ class EventHeapSimulator:
         if pool.is_empty():
             raise ValueError(f"cannot serve on an empty pool {pool}")
         n = len(trace)
-        type_of_instance, families = pool.expand()
+        # Family index of each instance, earlier families first.
+        families = pool.families
+        type_of_instance = np.repeat(np.arange(len(families)), pool.counts)
 
         service_by_type = self._service_cache.matrix(self._model, trace, families)
 

@@ -8,7 +8,7 @@ dimensions and the FCFS dispatch preference order.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,42 +55,15 @@ class PoolConfiguration:
         """A single-type pool (the baseline the paper improves upon)."""
         return cls((family,), (count,))
 
-    @classmethod
-    def from_mapping(
-        cls, counts: Mapping[str, int], order: Sequence[str] | None = None
-    ) -> "PoolConfiguration":
-        """Build from ``{family: count}``; ``order`` fixes dimension order."""
-        fams = tuple(order) if order is not None else tuple(counts)
-        return cls(fams, tuple(counts.get(f, 0) for f in fams))
-
     # -- views -------------------------------------------------------------
     @property
     def total_instances(self) -> int:
         """Total number of instances across all types."""
         return sum(self.counts)
 
-    def as_vector(self) -> np.ndarray:
-        """The configuration as an integer numpy vector."""
-        return np.asarray(self.counts, dtype=np.int64)
-
-    def as_mapping(self) -> dict[str, int]:
-        """The configuration as ``{family: count}``."""
-        return dict(zip(self.families, self.counts))
-
     def is_empty(self) -> bool:
         """True when the pool has no instances at all."""
         return self.total_instances == 0
-
-    def expand(self) -> tuple[np.ndarray, tuple[str, ...]]:
-        """Per-instance family indices in dispatch-preference order.
-
-        Returns ``(type_index, families)`` where ``type_index[k]`` is the
-        dimension index of the k-th instance; instances of earlier families
-        come first, which makes "lowest index among free instances" equal to
-        "first free instance in type order".
-        """
-        idx = np.repeat(np.arange(len(self.families)), self.counts)
-        return idx, self.families
 
     # -- cost ---------------------------------------------------------------
     def hourly_cost(self, catalog: InstanceCatalog = DEFAULT_CATALOG) -> float:
@@ -98,23 +71,6 @@ class PoolConfiguration:
         return float(
             sum(catalog[f].price_per_hour * c for f, c in zip(self.families, self.counts))
         )
-
-    # -- partial order (dominance, used by pruning) --------------------------
-    def dominates_or_equal(self, other: "PoolConfiguration") -> bool:
-        """True when every count is >= the other's (same families/order).
-
-        If ``self`` violates QoS by a margin, every configuration it
-        dominates (component-wise <=) must violate too (Sec. 4, active
-        pruning).
-        """
-        self._check_compatible(other)
-        return all(a >= b for a, b in zip(self.counts, other.counts))
-
-    def _check_compatible(self, other: "PoolConfiguration") -> None:
-        if self.families != other.families:
-            raise ValueError(
-                f"pool family mismatch: {self.families} vs {other.families}"
-            )
 
     # -- neighbourhood (used by hill climbing) -------------------------------
     def neighbors(
@@ -139,15 +95,6 @@ class PoolConfiguration:
                 out.append(PoolConfiguration(self.families, tuple(cnt)))
         return out
 
-    def with_count(self, family: str, count: int) -> "PoolConfiguration":
-        """Copy with one family's count replaced."""
-        if family not in self.families:
-            raise KeyError(f"family {family!r} not in pool {self.families}")
-        cnt = tuple(
-            count if f == family else c for f, c in zip(self.families, self.counts)
-        )
-        return PoolConfiguration(self.families, cnt)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         inner = " + ".join(f"{c} {f}" for f, c in zip(self.families, self.counts))
         return f"({inner})"
@@ -158,10 +105,3 @@ def grid_vectors(bounds: Sequence[int]) -> np.ndarray:
     grids = np.meshgrid(*[np.arange(b + 1) for b in bounds], indexing="ij")
     flat = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
     return flat[flat.sum(axis=1) > 0]
-
-
-def pool_from_vector(
-    families: Sequence[str], vector: Iterable[int]
-) -> PoolConfiguration:
-    """Inverse of :meth:`PoolConfiguration.as_vector`."""
-    return PoolConfiguration(tuple(families), tuple(int(v) for v in vector))

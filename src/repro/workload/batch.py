@@ -79,15 +79,6 @@ class HeavyTailLogNormalBatch(BatchSizeDistribution):
     def _raw_sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.lognormal(mean=np.log(self._median), sigma=self._sigma, size=n)
 
-    def tail_probability(self, threshold: float) -> float:
-        """P(batch > threshold) before clipping — calibration helper."""
-        if threshold <= 0:
-            return 1.0
-        from scipy.stats import norm
-
-        z = (np.log(threshold) - np.log(self._median)) / self._sigma
-        return float(norm.sf(z))
-
     def percentile(self, q: float) -> float:
         """Unclipped q-th percentile (q in [0, 100])."""
         from scipy.stats import norm

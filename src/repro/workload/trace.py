@@ -69,13 +69,6 @@ class QueryTrace:
         """Time span covered by the trace."""
         return float(self.arrival_s[-1]) if len(self) else 0.0
 
-    @property
-    def empirical_rate_qps(self) -> float:
-        """Observed arrival rate over the trace span."""
-        if len(self) < 2 or self.duration_s == 0.0:
-            return 0.0
-        return len(self) / self.duration_s
-
     def head(self, n: int) -> "QueryTrace":
         """The first ``n`` queries as a new trace."""
         if n < 0:

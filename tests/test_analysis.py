@@ -11,7 +11,6 @@ from repro.analysis.cardinality import cardinality_sweep
 from repro.analysis.reporting import (
     ascii_bar_chart,
     ascii_table,
-    format_percent,
     series_table,
 )
 from repro.core.result import SearchResult
@@ -48,9 +47,6 @@ class TestReporting:
     def test_series_table_mismatch(self):
         with pytest.raises(ValueError):
             series_table("x", [1], {"s1": [10, 20]})
-
-    def test_format_percent(self):
-        assert format_percent(12.345) == "12.3%"
 
 
 class TestMeanSamplesToSaving:

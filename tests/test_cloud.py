@@ -1,14 +1,16 @@
-"""Unit tests for the cloud instance catalog and pricing substrate."""
+"""Unit tests for the cloud instance catalog and pricing substrate.
+
+Pool prices are checked through :meth:`PoolConfiguration.hourly_cost` and
+the :class:`SearchSpace` price vector behind the Eq. 2 normalization.
+"""
 
 import pytest
 
 from repro.cloud.catalog import DEFAULT_CATALOG, InstanceCatalog, get_instance
 from repro.cloud.instance_types import InstanceCategory, InstanceSpec
-from repro.cloud.pricing import (
-    cost_effectiveness,
-    hourly_pool_cost,
-    normalized_cost,
-)
+from repro.cloud.pricing import cost_effectiveness
+from repro.core.search_space import SearchSpace
+from repro.simulator.pool import PoolConfiguration
 
 
 def spec(**overrides) -> InstanceSpec:
@@ -29,14 +31,7 @@ class TestInstanceSpec:
     def test_basic_construction(self):
         s = spec()
         assert s.name == "x1.large"
-        assert s.price_per_second == pytest.approx(0.10 / 3600.0)
-
-    def test_cost_for_hours(self):
-        assert spec().cost_for(2.5) == pytest.approx(0.25)
-
-    def test_cost_for_negative_hours_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            spec().cost_for(-1.0)
+        assert s.price_per_hour == 0.10
 
     def test_nonpositive_price_rejected(self):
         with pytest.raises(ValueError, match="price_per_hour"):
@@ -74,7 +69,8 @@ class TestDefaultCatalog:
         assert gpus == ["g4dn"]
 
     def test_g4dn_is_most_expensive(self):
-        assert DEFAULT_CATALOG.most_expensive().family == "g4dn"
+        priciest = max(DEFAULT_CATALOG.values(), key=lambda s: s.price_per_hour)
+        assert priciest.family == "g4dn"
 
     def test_r5_is_cheapest(self):
         assert DEFAULT_CATALOG.cheapest().family == "r5"
@@ -88,8 +84,12 @@ class TestDefaultCatalog:
         assert cat["g4dn"].category is InstanceCategory.ACCELERATOR
 
     def test_by_category(self):
-        general = DEFAULT_CATALOG.by_category(InstanceCategory.GENERAL_PURPOSE)
-        assert {s.family for s in general} == {"t3", "m5", "m5n"}
+        general = {
+            f
+            for f, s in DEFAULT_CATALOG.items()
+            if s.category is InstanceCategory.GENERAL_PURPOSE
+        }
+        assert general == {"t3", "m5", "m5n"}
 
     def test_unknown_family_raises_with_known_list(self):
         with pytest.raises(KeyError, match="known families"):
@@ -99,15 +99,11 @@ class TestDefaultCatalog:
         assert get_instance("g4dn").name == "g4dn.xlarge"
 
     def test_price_vector_order(self):
-        prices = DEFAULT_CATALOG.price_vector(["g4dn", "t3"])
-        assert prices == (
+        prices = SearchSpace(("g4dn", "t3"), (1, 1)).prices
+        assert prices.tolist() == [
             DEFAULT_CATALOG["g4dn"].price_per_hour,
             DEFAULT_CATALOG["t3"].price_per_hour,
-        )
-
-    def test_subset_preserves_order(self):
-        sub = DEFAULT_CATALOG.subset(["r5n", "c5"])
-        assert sub.families == ("r5n", "c5")
+        ]
 
     def test_mapping_protocol(self):
         assert len(DEFAULT_CATALOG) == 8
@@ -136,24 +132,31 @@ class TestPricing:
             cost_effectiveness(1.0, 0.0)
 
     def test_hourly_pool_cost(self):
-        cost = hourly_pool_cost({"g4dn": 2, "t3": 3})
+        cost = PoolConfiguration(("g4dn", "t3"), (2, 3)).hourly_cost()
         expected = 2 * 0.526 + 3 * 0.1664
         assert cost == pytest.approx(expected)
+        # Fig. 4's two homogeneous pools: $2.63/hr and $2.00/hr.
+        assert PoolConfiguration.homogeneous("g4dn", 5).hourly_cost() == pytest.approx(2.63)
+        assert PoolConfiguration.homogeneous("t3", 12).hourly_cost() == pytest.approx(
+            2.00, abs=0.005
+        )
 
     def test_hourly_pool_cost_zero_counts_ok(self):
-        assert hourly_pool_cost({"g4dn": 0}) == 0.0
+        assert PoolConfiguration(("g4dn",), (0,)).hourly_cost() == 0.0
 
     def test_hourly_pool_cost_rejects_negative(self):
         with pytest.raises(ValueError, match="negative"):
-            hourly_pool_cost({"g4dn": -1})
+            PoolConfiguration(("g4dn",), (-1,))
 
     def test_normalized_cost_bounds(self):
-        bounds = {"g4dn": 5, "t3": 12}
-        assert normalized_cost({"g4dn": 0, "t3": 0}, bounds) == 0.0
-        assert normalized_cost(bounds, bounds) == pytest.approx(1.0)
-        mid = normalized_cost({"g4dn": 2, "t3": 6}, bounds)
+        # The sum p_i x_i / sum p_i m_i term of Eq. 2.
+        space = SearchSpace(("g4dn", "t3"), (5, 12))
+        assert space.cost((0, 0)) / space.max_cost == 0.0
+        assert space.cost(space.bounds) / space.max_cost == pytest.approx(1.0)
+        mid = space.cost((2, 6)) / space.max_cost
         assert 0.0 < mid < 1.0
 
     def test_normalized_cost_empty_bounds_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            normalized_cost({"g4dn": 1}, {"g4dn": 0})
+        # A zero bound would give a zero-cost denominator; the space refuses it.
+        with pytest.raises(ValueError, match=">= 1"):
+            SearchSpace(("g4dn",), (0,))

@@ -1,12 +1,36 @@
-"""Unit tests for the configuration evaluator (caching + accounting)."""
+"""Unit tests for the configuration evaluator (caching + accounting).
+
+Exploration dollars and violating samples (Figs. 13/14) are read where a
+search reports them, on :class:`SearchResult`, through a strategy that
+samples a fixed list of configurations.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.objective import RibbonObjective
+from repro.core.strategy import Budget, SearchStrategy
 from repro.simulator.pool import PoolConfiguration
 from repro.workload.trace import trace_for_model
+
+
+class _Replay(SearchStrategy):
+    """Samples the given lattice vectors in order."""
+
+    name = "replay"
+
+    def __init__(self, vectors):
+        super().__init__(max_samples=max(1, len(vectors)))
+        self._vectors = vectors
+
+    def _run(self, evaluator, budget, start):
+        for vec in self._vectors:
+            budget.evaluate(evaluator.space.pool(vec))
+
+
+def search(evaluator, *vectors):
+    return _Replay(vectors).search(evaluator)
 
 
 class TestEvaluation:
@@ -23,15 +47,16 @@ class TestEvaluation:
     def test_caching_is_free(self, toy_evaluator, toy_space):
         pool = toy_space.pool((2, 2))
         r1 = toy_evaluator.evaluate(pool)
-        n = toy_evaluator.n_evaluations
         r2 = toy_evaluator.evaluate(pool)
-        assert toy_evaluator.n_evaluations == n
         assert r1 is r2
+        # The hit admitted nothing: the next new pool is sample 1.
+        assert toy_evaluator.evaluate(toy_space.pool((1, 1))).sample_index == 1
 
     def test_history_order_and_sample_index(self, toy_evaluator, toy_space):
-        toy_evaluator.evaluate(toy_space.pool((1, 0)))
-        toy_evaluator.evaluate(toy_space.pool((0, 3)))
-        hist = toy_evaluator.history
+        hist = [
+            toy_evaluator.evaluate(toy_space.pool((1, 0))),
+            toy_evaluator.evaluate(toy_space.pool((0, 3))),
+        ]
         assert [r.sample_index for r in hist] == [0, 1]
         assert hist[0].pool.counts == (1, 0)
 
@@ -45,30 +70,30 @@ class TestEvaluation:
         with pytest.raises(ValueError, match="families"):
             toy_evaluator.evaluate(PoolConfiguration(("g4dn", "c5"), (1, 1)))
 
-    def test_violating_counter(self, toy_evaluator, toy_space):
-        toy_evaluator.evaluate(toy_space.pool((0, 1)))  # hopeless -> violates
-        toy_evaluator.evaluate(toy_space.pool((4, 6)))  # max pool -> meets
-        assert toy_evaluator.n_violating_evaluations == 1
+    def test_violating_counter(self, toy_evaluator):
+        # (0, 1) is hopeless and violates; the max pool (4, 6) meets.
+        assert search(toy_evaluator, (0, 1), (4, 6)).n_violating_samples == 1
 
     def test_best_satisfying_cheapest(self, toy_evaluator, toy_space):
-        assert toy_evaluator.best_satisfying() is None
-        toy_evaluator.evaluate(toy_space.pool((4, 6)))
-        toy_evaluator.evaluate(toy_space.pool((4, 0)))
-        best = toy_evaluator.best_satisfying()
+        budget = Budget(toy_evaluator, max_samples=5)
+        assert budget.best_satisfying() is None
+        budget.evaluate(toy_space.pool((4, 6)))
+        budget.evaluate(toy_space.pool((4, 0)))
+        best = budget.best_satisfying()
         assert best is not None
         # The cheapest of the satisfying records evaluated so far.
-        satisfying = [r for r in toy_evaluator.history if r.meets_qos]
+        satisfying = [r for r in budget.window() if r.meets_qos]
         assert best.cost_per_hour == min(r.cost_per_hour for r in satisfying)
 
 
 class TestAccounting:
-    def test_exploration_cost_accumulates(self, toy_evaluator, toy_space):
-        assert toy_evaluator.exploration_cost_dollars == 0.0
-        toy_evaluator.evaluate(toy_space.pool((2, 2)))
+    def test_exploration_cost_accumulates(self, toy_evaluator):
+        assert search(toy_evaluator).exploration_cost_dollars == 0.0
         expected = (2 * 0.526 + 2 * 0.1664) * (
             toy_evaluator.trace.duration_s / 3600.0
         )
-        assert toy_evaluator.exploration_cost_dollars == pytest.approx(expected)
+        result = search(toy_evaluator, (2, 2))
+        assert result.exploration_cost_dollars == pytest.approx(expected)
 
     def test_exhaustive_cost_covers_whole_grid(self, toy_evaluator, toy_space):
         total = toy_evaluator.exhaustive_cost_dollars()
@@ -82,22 +107,25 @@ class TestAccounting:
         ev = ConfigurationEvaluator(
             toy_model, toy_trace, obj, eval_duration_hours=2.0
         )
-        ev.evaluate(toy_space.pool((1, 0)))
-        assert ev.exploration_cost_dollars == pytest.approx(0.526 * 2.0)
-
-    def test_peek_does_not_evaluate(self, toy_evaluator, toy_space):
-        pool = toy_space.pool((1, 1))
-        assert toy_evaluator.peek(pool) is None
-        toy_evaluator.evaluate(pool)
-        assert toy_evaluator.peek(pool) is not None
+        assert search(ev, (1, 0)).exploration_cost_dollars == pytest.approx(
+            0.526 * 2.0
+        )
 
 
 class TestFork:
-    def test_fork_uses_new_trace_and_fresh_cache(self, toy_evaluator, toy_model):
+    def test_fork_uses_new_trace_and_fresh_cache(
+        self, toy_evaluator, toy_model, toy_space
+    ):
+        pool = toy_space.pool((1, 1))
+        parent_record = toy_evaluator.evaluate(pool)
+        toy_evaluator.evaluate(toy_space.pool((2, 2)))
         heavier = trace_for_model(toy_model, n_queries=300, seed=9, load_factor=1.5)
         forked = toy_evaluator.fork(heavier)
         assert forked.trace is heavier
-        assert forked.n_evaluations == 0
+        # Nothing carries over: the parent's record is the fork's sample 0.
+        record = forked.evaluate(pool)
+        assert record is not parent_record
+        assert record.sample_index == 0
         assert forked.objective is toy_evaluator.objective
 
     def test_fork_redefaults_window_from_new_trace(
@@ -119,9 +147,9 @@ class TestFork:
             longer.duration_s / 3600.0
         )
         # The dollar accounting follows the new window.
-        rec = forked.evaluate(toy_space.pool((1, 0)))
-        assert forked.exploration_cost_dollars == pytest.approx(
-            rec.cost_per_hour * longer.duration_s / 3600.0
+        result = search(forked, (1, 0))
+        assert result.exploration_cost_dollars == pytest.approx(
+            result.history[0].cost_per_hour * longer.duration_s / 3600.0
         )
 
     def test_fork_keeps_explicit_window(self, toy_model, toy_trace, toy_space):
@@ -175,30 +203,16 @@ class TestEmptyTraceGuard:
 
 
 class TestRunningAccumulators:
-    """exploration_cost_dollars / n_violating_evaluations are O(1) counters."""
+    """A search's dollar and violation totals count each sample once."""
 
-    def test_accumulators_match_history_resum(self, toy_evaluator, toy_space):
-        for counts in ((1, 0), (0, 1), (2, 3), (4, 6), (1, 1)):
-            toy_evaluator.evaluate(toy_space.pool(counts))
-        history = toy_evaluator.history
-        expected_cost = sum(r.cost_per_hour for r in history) * (
-            toy_evaluator.eval_duration_hours
-        )
-        assert toy_evaluator.exploration_cost_dollars == expected_cost
-        assert toy_evaluator.n_violating_evaluations == sum(
-            1 for r in history if not r.meets_qos
-        )
+    def test_cache_hits_do_not_double_count(self, toy_evaluator):
+        once = search(toy_evaluator, (2, 2))
+        twice = search(toy_evaluator, (2, 2), (2, 2))
+        assert twice.n_samples == 1
+        assert twice.exploration_cost_dollars == once.exploration_cost_dollars
+        assert twice.n_violating_samples == once.n_violating_samples
 
-    def test_cache_hits_do_not_double_count(self, toy_evaluator, toy_space):
-        pool = toy_space.pool((2, 2))
-        toy_evaluator.evaluate(pool)
-        cost_once = toy_evaluator.exploration_cost_dollars
-        violating_once = toy_evaluator.n_violating_evaluations
-        toy_evaluator.evaluate(pool)
-        assert toy_evaluator.exploration_cost_dollars == cost_once
-        assert toy_evaluator.n_violating_evaluations == violating_once
-
-    def test_empty_pool_counts_as_violation(self, toy_evaluator, toy_space):
-        toy_evaluator.evaluate(toy_space.pool((0, 0)))
-        assert toy_evaluator.n_violating_evaluations == 1
-        assert toy_evaluator.exploration_cost_dollars == 0.0
+    def test_empty_pool_counts_as_violation(self, toy_evaluator):
+        result = search(toy_evaluator, (0, 0))
+        assert result.n_violating_samples == 1
+        assert result.exploration_cost_dollars == 0.0

@@ -5,12 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.models.base import LatencyProfile, ModelCategory, ModelProfile
-from repro.models.perf_model import (
-    GPU_OVERHEAD_FACTOR,
-    derive_profile,
-    synthetic_recommender,
-)
+from repro.models.base import LatencyProfile, ModelCategory
+from repro.models.perf_model import GPU_OVERHEAD_FACTOR, derive_profile
 from repro.models.zoo import MODEL_ZOO, MT_WND, RESNET50, get_model
 from tests.conftest import make_toy_model
 
@@ -30,14 +26,6 @@ class TestLatencyProfile:
             LatencyProfile(-1.0, 0.1)
         with pytest.raises(ValueError):
             LatencyProfile(1.0, -0.1)
-
-    def test_max_batch_within_budget(self):
-        lp = LatencyProfile(2.0, 0.5)
-        assert lp.max_batch_within(7.0) == 10
-        assert lp.max_batch_within(1.0) == 0
-
-    def test_max_batch_zero_slope(self):
-        assert LatencyProfile(1.0, 0.0).max_batch_within(2.0) > 10**9
 
 
 class TestModelProfile:
@@ -193,16 +181,3 @@ class TestPerfModel:
             "t3", work_ms_per_sample=0.1, overhead_ms=1.0, memory_intensity=1.0
         )
         assert r5.slope_ms < t3.slope_ms
-
-    def test_synthetic_recommender_wiring(self):
-        m = synthetic_recommender("NCF")
-        assert m.homogeneous_family == "g4dn"
-        assert m.diverse_pool == ("g4dn", "c5", "r5n")
-        assert set(m.profiled_families()) == set(m.catalog.families)
-        assert m.category is ModelCategory.RECOMMENDATION
-
-    def test_synthetic_recommender_gpu_wins_at_large_batch(self):
-        m = synthetic_recommender("DIN")
-        lat_gpu = float(m.latency_ms("g4dn", 256))
-        lat_cpu = float(m.latency_ms("m5", 256))
-        assert lat_gpu < lat_cpu

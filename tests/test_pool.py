@@ -7,23 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator.pool import PoolConfiguration, grid_vectors, pool_from_vector
+from repro.core.pruning import PruneSet
+from repro.simulator.pool import PoolConfiguration, grid_vectors
 
 
 class TestConstruction:
     def test_basic(self):
         p = PoolConfiguration(("g4dn", "t3"), (3, 4))
         assert p.total_instances == 7
-        assert p.as_mapping() == {"g4dn": 3, "t3": 4}
+        assert (p.families, p.counts) == (("g4dn", "t3"), (3, 4))
 
     def test_homogeneous_helper(self):
         p = PoolConfiguration.homogeneous("g4dn", 5)
         assert p.families == ("g4dn",)
         assert p.counts == (5,)
-
-    def test_from_mapping_with_order(self):
-        p = PoolConfiguration.from_mapping({"t3": 4}, order=("g4dn", "t3"))
-        assert p.counts == (0, 4)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -47,16 +44,6 @@ class TestConstruction:
 
 
 class TestViews:
-    def test_as_vector(self):
-        p = PoolConfiguration(("g4dn", "t3"), (2, 5))
-        np.testing.assert_array_equal(p.as_vector(), [2, 5])
-
-    def test_expand_orders_instances_by_type(self):
-        p = PoolConfiguration(("g4dn", "t3"), (2, 3))
-        idx, fams = p.expand()
-        assert idx.tolist() == [0, 0, 1, 1, 1]
-        assert fams == ("g4dn", "t3")
-
     def test_str_rendering(self):
         assert str(PoolConfiguration(("g4dn", "t3"), (3, 4))) == "(3 g4dn + 4 t3)"
 
@@ -66,23 +53,23 @@ class TestViews:
 
 
 class TestDominance:
+    """Component-wise dominance, as the Sec. 4 pruning rule applies it."""
+
+    @staticmethod
+    def dominates_or_equal(a, b):
+        # A violator's ceiling prunes exactly the pools it dominates.
+        prune = PruneSet((0.526, 0.1664))
+        prune.add_violator(a)
+        return prune.contains(b)
+
     def test_dominates_or_equal(self):
-        big = PoolConfiguration(("g4dn", "t3"), (3, 4))
-        small = PoolConfiguration(("g4dn", "t3"), (3, 2))
-        assert big.dominates_or_equal(small)
-        assert not small.dominates_or_equal(big)
+        assert self.dominates_or_equal((3, 4), (3, 2))
+        assert self.dominates_or_equal((3, 4), (3, 4))
+        assert not self.dominates_or_equal((3, 2), (3, 4))
 
     def test_incomparable_pair(self):
-        a = PoolConfiguration(("g4dn", "t3"), (3, 1))
-        b = PoolConfiguration(("g4dn", "t3"), (1, 3))
-        assert not a.dominates_or_equal(b)
-        assert not b.dominates_or_equal(a)
-
-    def test_family_mismatch_rejected(self):
-        a = PoolConfiguration(("g4dn", "t3"), (1, 1))
-        b = PoolConfiguration(("g4dn", "c5"), (1, 1))
-        with pytest.raises(ValueError, match="mismatch"):
-            a.dominates_or_equal(b)
+        assert not self.dominates_or_equal((3, 1), (1, 3))
+        assert not self.dominates_or_equal((1, 3), (3, 1))
 
 
 class TestNeighbors:
@@ -100,14 +87,6 @@ class TestNeighbors:
         moves = {n.counts for n in p.neighbors(bounds=(3,))}
         assert (0,) not in moves
 
-    def test_with_count(self):
-        p = PoolConfiguration(("g4dn", "t3"), (2, 3)).with_count("t3", 7)
-        assert p.counts == (2, 7)
-
-    def test_with_count_unknown_family(self):
-        with pytest.raises(KeyError):
-            PoolConfiguration(("g4dn",), (2,)).with_count("t3", 1)
-
 
 class TestGrid:
     def test_grid_vectors_matches_enumerate(self):
@@ -122,10 +101,6 @@ class TestGrid:
     def test_grid_excludes_zero(self):
         grid = grid_vectors((2, 2))
         assert not np.any(grid.sum(axis=1) == 0)
-
-    def test_pool_from_vector_roundtrip(self):
-        p = PoolConfiguration(("g4dn", "t3"), (2, 5))
-        assert pool_from_vector(p.families, p.as_vector()) == p
 
     @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=3))
     @settings(max_examples=30, deadline=None)

@@ -288,7 +288,8 @@ class TestEvaluateBatch:
         alien = PoolConfiguration(("g4dn", "c5"), (1, 1))
         with pytest.raises(ValueError, match="families"):
             evaluator.evaluate_many([space.pool((1, 0)), alien])
-        assert evaluator.n_evaluations == 0
+        # Nothing was admitted: the next evaluation is sample 0.
+        assert evaluator.evaluate(space.pool((1, 0))).sample_index == 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pruning import PruneSet
-from repro.simulator.pool import PoolConfiguration, grid_vectors
+from repro.simulator.pool import grid_vectors
 
 PRICES = (0.526, 0.1664)
 
@@ -113,12 +113,6 @@ class TestMask:
             )
             expensive = float(np.dot(PRICES, probe_arr)) >= threshold
             assert below_violator or expensive
-
-    def test_contains_pool(self):
-        p = PruneSet(PRICES)
-        p.add_violator((2, 4))
-        pool = PoolConfiguration(("g4dn", "t3"), (1, 1))
-        assert p.contains_pool(pool)
 
     def test_invalid_prices_rejected(self):
         with pytest.raises(ValueError):

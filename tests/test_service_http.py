@@ -2,16 +2,20 @@
 
 A stub-backed daemon on an ephemeral port covers every endpoint —
 submit, list, poll, result, NDJSON stream, cancel, fork, health, stats —
-plus the structured error bodies (400/404/409/500).  One smoke test
+plus the structured error bodies (400/404/409/500) and two injected
+faults (a client hanging up mid-stream, a cancel that lands after the
+last evaluation).  One smoke test
 drives the real runner factory end to end on a tiny scenario, the only
 test in this file that simulates anything, and one boots the real
 ``serve`` command in a child process to check its SIGTERM shutdown.
 """
 
+import contextlib
 import json
 import os
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -29,21 +33,30 @@ from repro.service import (
     SnapshotStore,
     make_server,
 )
-from repro.service.http import MAX_BODY_BYTES
-from tests.test_service import StubFactory, make_scenario
+from repro.service.http import MAX_BODY_BYTES, ServiceHandler, ServiceServer
+from tests.test_service import StubFactory, StubRunner, make_scenario
+
+
+@contextlib.contextmanager
+def served(manager):
+    """A client for ``manager`` behind a daemon on an OS-picked port."""
+    server = make_server(manager, port=0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    host, port = server.server_address[:2]
+    try:
+        yield ServiceClient(f"http://{host}:{port}", timeout=10.0)
+    finally:
+        server.shutdown()
+        server.server_close()
+        manager.shutdown(cancel_running=True)
 
 
 @pytest.fixture
 def service():
     """(manager, client) around a stub-backed daemon on an OS-picked port."""
     manager = JobManager(runner_factory=StubFactory(), max_workers=2)
-    server = make_server(manager, port=0)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    host, port = server.server_address[:2]
-    yield manager, ServiceClient(f"http://{host}:{port}", timeout=10.0)
-    server.shutdown()
-    server.server_close()
-    manager.shutdown(cancel_running=True)
+    with served(manager) as client:
+        yield manager, client
 
 
 class TestEndpoints:
@@ -62,6 +75,25 @@ class TestEndpoints:
         stats = client.stats()
         assert stats["n_jobs"] == 0
         assert stats["uptime_s"] >= 0
+
+    def test_health_does_not_read_the_store(self, tmp_path, monkeypatch):
+        """A liveness probe reads only the job table; the store, whose
+        stats read every result file, is left to ``/stats``."""
+        store = SnapshotStore(tmp_path)
+        manager = JobManager(runner_factory=StubFactory(), store=store)
+        with served(manager) as client:
+
+            def unreadable():
+                raise OSError("store unreadable")
+
+            monkeypatch.setattr(store, "stats", unreadable)
+            assert client.health()["status"] == "ok"
+            monkeypatch.undo()
+            assert client.stats()["store"] == {
+                "root": str(tmp_path),
+                "n_scenarios": 0,
+                "n_results": 0,
+            }
 
     def test_submit_poll_result_round_trip(self, service):
         _, client = service
@@ -362,6 +394,78 @@ class TestErrors:
         assert json.loads(raw) == {
             "error": {"type": "InternalError", "message": "internal server error"}
         }
+
+
+class TestInjectedFaults:
+    def test_client_disconnect_mid_stream(self, monkeypatch):
+        """A client that hangs up mid-stream ends its handler quietly: the
+        job still finishes and the daemon still answers."""
+        ended = threading.Event()
+        raised: list[type] = []
+        escaped: list[object] = []
+        stream = ServiceHandler._stream
+
+        def watched_stream(handler, job):
+            try:
+                stream(handler, job)
+            except BaseException as exc:
+                raised.append(type(exc))
+                raise
+            finally:
+                ended.set()
+
+        monkeypatch.setattr(ServiceHandler, "_stream", watched_stream)
+        monkeypatch.setattr(
+            ServiceServer, "handle_error", lambda self, req, addr: escaped.append(addr)
+        )
+        gate = threading.Event()
+        manager = JobManager(runner_factory=StubFactory(gate=gate), max_workers=1)
+        with served(manager) as client:
+            job = client.submit(make_scenario(), "ribbon")
+            url = urlparse(client.base_url)
+            sock = socket.create_connection((url.hostname, url.port), timeout=5)
+            sock.sendall(
+                f"GET /jobs/{job['id']}/stream HTTP/1.1\r\n"
+                f"Host: {url.hostname}\r\n\r\n".encode()
+            )
+            reply = b""
+            while b"\n" not in reply.partition(b"\r\n\r\n")[2]:
+                reply += sock.recv(4096)
+            # Close with a reset, so the handler's next write fails at once.
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            sock.close()
+            gate.set()
+            assert ended.wait(timeout=10.0)
+            assert client.wait(job["id"], timeout=10)["state"] == "done"
+            assert client.health()["status"] == "ok"
+        assert raised and raised[0] in (BrokenPipeError, ConnectionResetError)
+        assert escaped == []
+
+    def test_cancel_after_the_last_evaluation_ends_done(self):
+        """A cancel that lands after the last admitted evaluation, before
+        the worker marks the job done, comes too late: the job ends done
+        and its result is served."""
+        last_admitted, release = threading.Event(), threading.Event()
+
+        class PauseAfterLast(StubRunner):
+            def run(self, strategy, **kwargs):
+                result = super().run(strategy, **kwargs)
+                last_admitted.set()
+                assert release.wait(timeout=10.0), "test never released the run"
+                return result
+
+        manager = JobManager(runner_factory=PauseAfterLast, max_workers=1)
+        with served(manager) as client:
+            job = client.submit(make_scenario(), "ribbon")
+            assert last_admitted.wait(timeout=10.0)
+            assert client.cancel(job["id"])["state"] == "searching"
+            release.set()
+            final = client.wait(job["id"], timeout=10)
+            assert final["state"] == "done"
+            assert final["evaluations"] == 3
+            assert client.result(job["id"])["result"]["n_samples"] == 3
 
 
 class TestRealRunnerSmoke:

@@ -275,14 +275,14 @@ class TestEngineAndEvaluatorWiring:
         parent = ConfigurationEvaluator(
             toy_model, toy_trace, objective, result_cache=memo
         )
-        parent.evaluate(toy_space.pool((1, 2)))
+        first = parent.evaluate(toy_space.pool((1, 2)))
         assert memo.misses == 1
         # A fork on the *same* trace (run_many's fresh_evaluator pattern)
         # re-evaluates for free.
         fork = parent.fork(toy_trace)
         rec = fork.evaluate(toy_space.pool((1, 2)))
         assert memo.hits == 1 and memo.misses == 1
-        assert rec.qos_rate == parent.history[0].qos_rate
+        assert rec.qos_rate == first.qos_rate
         # A fork on a different trace is a distinct workload.
         other = parent.fork(make_toy_trace(toy_model, n=60, seed=11))
         other.evaluate(toy_space.pool((1, 2)))

@@ -46,7 +46,7 @@ class TestSearchResult:
         res = result(HISTORY)
         assert res.n_samples == 4
         assert res.n_violating_samples == 2
-        assert res.found_qos_config
+        assert res.best is not None
         assert res.best_cost == pytest.approx(2.24)
 
     def test_exploration_cost_fraction(self):
@@ -65,10 +65,6 @@ class TestSearchResult:
         with pytest.raises(ValueError):
             res.samples_to_saving(0.0, 10.0)
 
-    def test_best_cost_curve(self):
-        curve = result(HISTORY).best_cost_curve()
-        assert curve == pytest.approx([2.63, 2.63, 2.24, 2.24])
-
     def test_violations_before_sample(self):
         res = result(HISTORY)
         assert res.violations_before_sample(2) == 1
@@ -79,10 +75,9 @@ class TestSearchResult:
 
     def test_empty_result(self):
         res = result([rec((1, 0), 0.5, 0.53, False)])
-        assert not res.found_qos_config
+        assert res.best is None
         assert res.best_cost == float("inf")
         assert res.samples_to_best() is None
-        assert res.best_cost_curve() == [float("inf")]
 
     def test_summary_mentions_method_and_best(self):
         s = result(HISTORY, method="RIBBON").summary()
@@ -92,13 +87,12 @@ class TestSearchResult:
 class TestBudget:
     def test_window_tracks_only_this_search(self, toy_evaluator, toy_space):
         b1 = Budget(toy_evaluator, max_samples=5)
-        b1.evaluate(toy_space.pool((2, 2)))
+        first = b1.evaluate(toy_space.pool((2, 2)))
         b2 = Budget(toy_evaluator, max_samples=5)
         # Same config: cache hit on the evaluator but still a sample for b2.
-        b2.evaluate(toy_space.pool((2, 2)))
+        assert b2.evaluate(toy_space.pool((2, 2))) is first
         assert b1.n_samples == 1
         assert b2.n_samples == 1
-        assert toy_evaluator.n_evaluations == 1
 
     def test_revisits_within_search_are_free(self, toy_evaluator, toy_space):
         b = Budget(toy_evaluator, max_samples=5)
