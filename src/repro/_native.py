@@ -8,7 +8,8 @@ go through this module:
 
 * :func:`build` compiles a source with the system ``cc`` and one recipe,
   :data:`_CFLAGS` (``-O2 -ffp-contract=off``: no fused multiply-adds, so
-  every float operation rounds as it does in NumPy), into
+  every float operation rounds as it does in NumPy; linked with
+  :data:`_LDLIBS`, libm), into
   ``$XDG_CACHE_HOME/repro-ribbon/`` (default ``~/.cache/repro-ribbon/``),
   named by a hash of the source, the flags and the interpreter, so a host
   compiles each file once (~0.1 s);
@@ -39,6 +40,8 @@ T = TypeVar("T")
 
 #: The one compile recipe; -ffp-contract=off forbids fused multiply-adds.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+#: Linked after the source: the likelihood takes ``exp`` and ``log`` from libm.
+_LDLIBS = ("-lm",)
 
 
 def _cache_dir() -> Path:
@@ -55,7 +58,7 @@ def build(package: str, filename: str) -> Path:
         raise OSError("no C compiler 'cc' on PATH")
     host = f"{sys.implementation.cache_tag}-{platform.machine()}"
     digest = hashlib.sha256(
-        b"\0".join([source, " ".join(_CFLAGS).encode(), host.encode()])
+        b"\0".join([source, " ".join(_CFLAGS + _LDLIBS).encode(), host.encode()])
     ).hexdigest()[:16]
     stem = Path(filename).stem
     target = _cache_dir() / f"{stem}-{host}-{digest}.so"
@@ -66,7 +69,7 @@ def build(package: str, filename: str) -> Path:
         src, out = Path(tmp, filename), Path(tmp, target.name)
         src.write_bytes(source)
         subprocess.run(
-            [cc, *_CFLAGS, "-o", str(out), str(src)],
+            [cc, *_CFLAGS, "-o", str(out), str(src), *_LDLIBS],
             check=True, capture_output=True, timeout=120,
         )
         # Atomic: a concurrent build of the same source just wins or loses.

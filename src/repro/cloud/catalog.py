@@ -23,8 +23,6 @@ _TABLE2: tuple[InstanceSpec, ...] = (
         vcpus=4,
         memory_gib=16.0,
         price_per_hour=0.1664,
-        compute_score=0.60,
-        memory_bw_score=0.70,
         description="Burstable general purpose; balance of compute/memory/network.",
     ),
     InstanceSpec(
@@ -35,8 +33,6 @@ _TABLE2: tuple[InstanceSpec, ...] = (
         vcpus=4,
         memory_gib=16.0,
         price_per_hour=0.1920,
-        compute_score=1.00,
-        memory_bw_score=1.00,
         description="General purpose (Intel Xeon Platinum); balanced resources.",
     ),
     InstanceSpec(
@@ -47,8 +43,6 @@ _TABLE2: tuple[InstanceSpec, ...] = (
         vcpus=4,
         memory_gib=16.0,
         price_per_hour=0.2380,
-        compute_score=1.05,
-        memory_bw_score=1.05,
         description="General purpose, network optimized variant of m5.",
     ),
     InstanceSpec(
@@ -59,8 +53,6 @@ _TABLE2: tuple[InstanceSpec, ...] = (
         vcpus=8,
         memory_gib=16.0,
         price_per_hour=0.3400,
-        compute_score=2.10,
-        memory_bw_score=1.30,
         description="Compute optimized (Intel Cascade Lake); compute-heavy workloads.",
     ),
     InstanceSpec(
@@ -71,8 +63,6 @@ _TABLE2: tuple[InstanceSpec, ...] = (
         vcpus=8,
         memory_gib=16.0,
         price_per_hour=0.3080,
-        compute_score=2.00,
-        memory_bw_score=1.25,
         description="Compute optimized (AMD EPYC); compute-heavy workloads.",
     ),
     InstanceSpec(
@@ -83,8 +73,6 @@ _TABLE2: tuple[InstanceSpec, ...] = (
         vcpus=2,
         memory_gib=16.0,
         price_per_hour=0.1260,
-        compute_score=0.55,
-        memory_bw_score=1.10,
         description="Memory optimized ('r'); memory-intensive workloads.",
     ),
     InstanceSpec(
@@ -95,8 +83,6 @@ _TABLE2: tuple[InstanceSpec, ...] = (
         vcpus=2,
         memory_gib=16.0,
         price_per_hour=0.1490,
-        compute_score=0.58,
-        memory_bw_score=1.15,
         description="Memory optimized, network optimized variant of r5.",
     ),
     InstanceSpec(
@@ -107,8 +93,6 @@ _TABLE2: tuple[InstanceSpec, ...] = (
         vcpus=4,
         memory_gib=16.0,
         price_per_hour=0.5260,
-        compute_score=8.00,
-        memory_bw_score=4.00,
         gpu=True,
         description="Cost-effective GPU instance (NVIDIA T4) for ML inference.",
     ),

@@ -1,10 +1,7 @@
 """Instance type descriptions.
 
 An :class:`InstanceSpec` is an immutable record of one purchasable cloud
-instance type.  The fields mirror what a user sees on the EC2 pricing page
-plus two *relative* hardware scores that the analytic performance model in
-:mod:`repro.models.perf_model` uses to derive latency profiles for models
-that were not profiled explicitly.
+instance type.  The fields mirror what a user sees on the EC2 pricing page.
 """
 
 from __future__ import annotations
@@ -47,11 +44,6 @@ class InstanceSpec:
         Main memory in GiB.
     price_per_hour:
         On-demand price in USD per hour (us-east-1, 2021 list prices).
-    compute_score:
-        Relative dense-compute throughput (1.0 == m5.xlarge).  Used only by
-        the analytic profile generator, never by Ribbon's decision logic.
-    memory_bw_score:
-        Relative memory bandwidth (1.0 == m5.xlarge).
     gpu:
         Whether the instance carries a GPU accelerator.
     description:
@@ -65,8 +57,6 @@ class InstanceSpec:
     vcpus: int
     memory_gib: float
     price_per_hour: float
-    compute_score: float = 1.0
-    memory_bw_score: float = 1.0
     gpu: bool = False
     description: str = field(default="", compare=False)
 
@@ -79,8 +69,6 @@ class InstanceSpec:
             raise ValueError(f"vcpus must be positive, got {self.vcpus!r}")
         if self.memory_gib <= 0:
             raise ValueError(f"memory_gib must be positive, got {self.memory_gib!r}")
-        if self.compute_score <= 0 or self.memory_bw_score <= 0:
-            raise ValueError("hardware scores must be positive")
         expected = f"{self.family}.{self.size}"
         if self.name != expected:
             raise ValueError(

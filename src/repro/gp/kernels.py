@@ -16,9 +16,22 @@ fit instead of once per likelihood evaluation:
 
 ``__call__`` routes through the same pipeline, so cached and uncached
 evaluations are bit-identical by construction.
+
+The fit side takes every ``exp`` and ``log`` from libm, through
+:func:`math.exp` and :func:`math.log`: the hyperparameter transforms
+(:meth:`Matern52.set_theta`, :meth:`~Matern52.get_theta`,
+:meth:`~Matern52.theta_bounds`) and the training matrices of
+:meth:`~Matern52.eval_and_gradient_state`.  Those are the calls the
+compiled likelihood (``gp/_lml.c``) makes, and they do not depend on the
+SIMD code NumPy dispatches to (its AVX-512 float64 ``exp`` differs from
+libm in the last bit on some inputs), so fits give the same bits on every
+x86-64 host.  :meth:`~Matern52.eval_state`, which scores candidates, stays
+on NumPy's ``exp``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,6 +39,13 @@ _JITTER_EPS = 1e-12
 
 _SQRT5 = np.sqrt(5.0)
 _NEG_SQRT5 = -_SQRT5
+
+
+def _libm_exp(x: np.ndarray) -> np.ndarray:
+    """``np.exp(x)`` with every entry from libm's ``exp``."""
+    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(
+        x.shape
+    )
 
 
 def _as_2d(X) -> np.ndarray:
@@ -148,26 +168,27 @@ class Matern52:
 
         With u = sqrt(5) r / l:  k = v (1 + u + u^2/3) e^-u, and
         dk/d(log l) = v u^2 (1 + u) / 3 e^-u;  dk/d(log v) = k.
+        ``e^-u`` is libm's (the fit side; see the module docstring).
 
         ``workspace`` is a caller-owned scratch dict in which the kernel
         keeps its output buffers across calls (the likelihood optimizer
         passes one per fit); the returned arrays are only valid until the
         next call with the same workspace.
         """
-        # K is eval_state's matrix bit for bit, with every output written
-        # into workspace-owned arrays.  It carries nu = -u instead of u,
-        # exactly: (-sqrt5) r == -(sqrt5 r),
+        # K is eval_state's matrix with libm's exp, bit for bit, with every
+        # output written into workspace-owned arrays.  It carries nu = -u
+        # instead of u, exactly: (-sqrt5) r == -(sqrt5 r),
         # 1 - nu == 1 + u and nu^2 == u^2 in IEEE arithmetic, which saves
         # the separate negation.
         ws = workspace
         if ws.get("shape") != r0.shape:
             ws.clear()
             ws["shape"] = r0.shape
-            for name in ("r", "nu", "E", "one", "t", "K", "G"):
+            for name in ("r", "nu", "one", "t", "K", "G"):
                 ws[name] = np.empty(r0.shape)
         r = np.divide(r0, self.length_scale, out=ws["r"])
         nu = np.multiply(_NEG_SQRT5, r, out=ws["nu"])
-        E = np.exp(nu, out=ws["E"])
+        E = _libm_exp(nu)
         one_plus_u = np.subtract(1.0, nu, out=ws["one"])
         t = np.power(r, 2, out=ws["t"])
         np.multiply(5.0, t, out=t)
@@ -193,15 +214,16 @@ class Matern52:
     # Log-space hyperparameters ---------------------------------------------
     def get_theta(self) -> np.ndarray:
         """Current hyperparameters as a flat log-space vector."""
-        return np.log([self.length_scale, self.variance])
+        return np.array([math.log(self.length_scale), math.log(self.variance)])
 
     def set_theta(self, theta: np.ndarray) -> None:
         """Set hyperparameters from a flat log-space vector."""
-        self.length_scale, self.variance = np.exp(np.asarray(theta, dtype=float))
+        log_l, log_v = np.asarray(theta, dtype=float).tolist()
+        self.length_scale, self.variance = math.exp(log_l), math.exp(log_v)
 
     def theta_bounds(self) -> list[tuple[float, float]]:
         """Log-space (low, high) bounds per hyperparameter."""
-        return [(np.log(1e-2), np.log(1e2)), (np.log(1e-4), np.log(1e2))]
+        return [(math.log(1e-2), math.log(1e2)), (math.log(1e-4), math.log(1e2))]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         text = f"Matern52(length_scale={self.length_scale:.4g}, variance={self.variance:.4g}"

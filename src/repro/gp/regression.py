@@ -40,20 +40,27 @@ the wrapped calls (``tests/test_gp_regression.py`` pins a digest).
 
 Compiled likelihood: even unwrapped, a call costs ~40 µs at n = 10, nearly
 all of it NumPy's per-ufunc overhead around a tiny Cholesky.
-:meth:`GaussianProcessRegressor._make_compiled_objective` keeps in NumPy
-only ``set_theta``, the ufuncs whose bits depend on NumPy's SIMD code
-(``r``, ``nu``, ``E = exp(nu)``) and ``log(L.diagonal()).sum()``, and runs
-the rest in ``_lml.c`` with the same float operations: the kernel and
+:meth:`GaussianProcessRegressor._make_compiled_objective` makes one call
+into ``_lml.c`` per evaluation, which takes ``theta`` and does the whole
+evaluation with the same float operations: ``exp(theta)``, the kernel and
 gradient matrices, ``dpotrf``/``dpotrs``/``ddot`` (SciPy's own routines,
-taken from the public ``cython_lapack``/``cython_blas`` capsules) and the
-gradient traces, ~16 µs a call at n = 10.
+taken from the public ``cython_lapack``/``cython_blas`` capsules), the
+log-determinant in ``ndarray.sum``'s pairwise order and the gradient
+traces, ~4 µs a call at n = 10.  One more call at the chosen theta leaves
+the training matrix's ``dpotrf`` factor, which the fit keeps instead of
+factoring again.  Every ``exp`` and ``log`` on the fit side
+is libm's, in C and in the Python spec alike (``math.exp``/``math.log``,
+see :mod:`repro.gp.kernels`), so fits do not depend on the SIMD code NumPy
+dispatches to and give the same bits on AVX2 and AVX-512 hosts.
 :meth:`~GaussianProcessRegressor._make_analytic_objective` stays its spec
 and fallback: a ``dpotrf`` failure hands that call to it (the jitter path),
 and :func:`_compiled_lml` builds the C file through :mod:`repro._native` at
 the first fit and keeps it only if fixed problems (n = 3, 10 and 40 and a
-singular one) give bit-equal ``f`` and ``g`` through both objectives.
+singular one) give bit-equal ``f`` and ``g`` through both objectives, and
+that factor bit-equal to :meth:`~GaussianProcessRegressor._factorize_raw`'s.
 Without a compiler, or on any mismatch, every fit runs the Python
-objective, with identical results.
+objective, with identical results (its list-based libm ``exp`` makes it
+slower than NumPy's ufunc would, most at n ≈ 32).
 """
 
 from __future__ import annotations
@@ -69,14 +76,13 @@ from scipy.linalg import get_lapack_funcs
 
 from repro import _native
 from repro.gp.kernels import (
-    _NEG_SQRT5,
     Matern52,
     PreparedInput,
     _as_2d,
     concat_prepared,
 )
 
-_LOG_2PI = np.log(2.0 * np.pi)
+_LOG_2PI = math.log(2.0 * math.pi)
 
 # Hoisted float64 LAPACK routines: the likelihood optimizer calls them a few
 # hundred times per fit, where the scipy wrapper overhead (validation,
@@ -218,18 +224,17 @@ class _LmlFit(ctypes.Structure):
 
     _fields_ = [
         ("n", ctypes.c_int64),
+        ("sym", ctypes.c_int64),
         ("noise", ctypes.c_double),
         ("cnst", ctypes.c_double),
     ] + [
-        (name, ctypes.c_void_p)
-        for name in ("potrf", "potrs", "ddot", "r", "nu", "E", "y", "ny",
-                     "K", "G", "W", "A", "B", "g")
+        (name, ctypes.c_void_p) for name in ("potrf", "potrs", "ddot", "work")
     ]
 
 
 class _CompiledLml:
-    """ctypes bindings of ``_lml.c``'s ``lml_factor`` and ``lml_finish``,
-    with the addresses of SciPy's ``dpotrf``, ``dpotrs`` and ``ddot``."""
+    """ctypes binding of ``_lml.c``'s ``lml_eval``, with the addresses of
+    SciPy's ``dpotrf``, ``dpotrs`` and ``ddot``."""
 
     def __init__(self, lib: ctypes.CDLL):
         from scipy.linalg import cython_blas, cython_lapack
@@ -251,12 +256,9 @@ class _CompiledLml:
             routine(cython_lapack, "dpotrs"),
             routine(cython_blas, "ddot"),
         )
-        self.factor = lib.lml_factor
-        self.factor.argtypes = (ctypes.c_void_p, ctypes.c_double)
-        self.factor.restype = ctypes.c_int
-        self.finish = lib.lml_finish
-        self.finish.argtypes = (ctypes.c_void_p, ctypes.c_double)
-        self.finish.restype = ctypes.c_double
+        self.evaluate = lib.lml_eval
+        self.evaluate.argtypes = (ctypes.c_void_p, ctypes.c_double, ctypes.c_double)
+        self.evaluate.restype = ctypes.c_double
 
 
 def _self_check_problems():
@@ -281,8 +283,11 @@ def _self_check_problems():
 
 def _compiled_lml_agrees(lml: _CompiledLml) -> bool:
     """Bit-equality of the compiled and the Python objective, ``f`` and
-    ``g``, on :func:`_self_check_problems` at the kernel's default theta,
-    the four bound corners and four uniform draws within the bounds."""
+    ``g``, and of the compiled objective's ``factor`` and
+    :meth:`~GaussianProcessRegressor._factorize_raw`'s where ``dpotrf``
+    succeeds, on :func:`_self_check_problems` at the kernel's default
+    theta, the four bound corners and four uniform draws within the
+    bounds."""
     rng = np.random.default_rng(7)
     for gp in _self_check_problems():
         lows, highs = np.array(gp.kernel.theta_bounds()).T
@@ -299,6 +304,12 @@ def _compiled_lml_agrees(lml: _CompiledLml) -> bool:
                 and g_ours.tobytes() == g_spec.tobytes()
             ):
                 return False
+            L = ours.factor(theta)
+            if L is not None:
+                gp.kernel.set_theta(theta)
+                gp._factorize_raw()
+                if L.tobytes() != gp._L.tobytes():
+                    return False
     return True
 
 
@@ -361,9 +372,10 @@ class GaussianProcessRegressor:
     def fit(self, X, y) -> "GaussianProcessRegressor":
         """Condition the GP on observations ``(X, y)``."""
         self._set_training_data(X, y)
+        L = None
         if self.optimize_hyperparameters and self._X.shape[0] >= 3:
-            self._optimize_theta()
-        self._factorize()
+            L = self._optimize_theta()
+        self._factorize(L)
         return self
 
     def _set_training_data(self, X, y) -> None:
@@ -393,9 +405,14 @@ class GaussianProcessRegressor:
             self._train_state = self.kernel.cross_state(self._pi, self._pi)
         return self._train_state
 
-    def _factorize(self) -> None:
+    def _factorize(self, L: np.ndarray | None = None) -> None:
+        """Factor the training matrix, unless the fit hands over its factor
+        ``L``, and solve for ``alpha``."""
         assert self._pi is not None and self._y is not None
-        self._factorize_raw()
+        if L is None:
+            self._factorize_raw()
+        else:
+            self._L = L
         self._alpha, _ = _POTRS(self._L, self._y, lower=1)
 
     @staticmethod
@@ -438,12 +455,9 @@ class GaussianProcessRegressor:
                 f"got shape {x2.shape}"
             )
         pi_new = self.kernel.precompute_input(x2)
-        k_vec = self.kernel.eval_state(
-            self.kernel.cross_state(self._pi, pi_new)
-        ).reshape(-1)
-        kxx = float(
-            self.kernel.eval_state(self.kernel.cross_state(pi_new, pi_new))[0, 0]
-        )
+        k_vec = self._train_kernel(self.kernel.cross_state(self._pi, pi_new))
+        k_vec = k_vec.reshape(-1)
+        kxx = float(self._train_kernel(self.kernel.cross_state(pi_new, pi_new))[0, 0])
         l12 = sla.solve_triangular(
             self._L, k_vec, lower=True, check_finite=False
         )
@@ -469,9 +483,15 @@ class GaussianProcessRegressor:
         self._alpha, _ = _POTRS(self._L, self._y, lower=1)
         return self
 
+    def _train_kernel(self, r0: np.ndarray) -> np.ndarray:
+        """The kernel matrix at training distances ``r0`` as the likelihood
+        builds it (libm's ``exp``), in a fresh array."""
+        K, _ = self.kernel.eval_and_gradient_state(r0, {})
+        return K
+
     def _factorize_raw(self) -> None:
         """Full factorization of the current training set (no alpha)."""
-        K = self.kernel.eval_state(self._ensure_train_state()).copy()
+        K = self._train_kernel(self._ensure_train_state())
         K[np.diag_indices_from(K)] += self.noise
         self._L = self._stable_cholesky(K)
 
@@ -505,6 +525,10 @@ class GaussianProcessRegressor:
         Built as a closure so everything theta-independent — the kernel's
         prepared train structure, the noise matrix, the identity for the
         ``K^-1`` solve — is hoisted out of the L-BFGS-B evaluation loop.
+        Every ``exp`` and ``log`` is libm's (``set_theta``,
+        ``eval_and_gradient_state`` and ``math.log`` on the factor's
+        diagonal), summed by ``ndarray.sum``: the compiled objective
+        repeats exactly these.
         """
         kernel = self.kernel
         state = self._ensure_train_state()
@@ -531,7 +555,8 @@ class GaussianProcessRegressor:
                     return 1e25, np.zeros(p)
             sol, _ = _POTRS(L, rhs, lower=1)
             alpha = sol[:, 0]
-            lml = float(-0.5 * y @ alpha - np.log(L.diagonal()).sum() - const)
+            log_diag = np.fromiter(map(math.log, L.diagonal().tolist()), float, n)
+            lml = float(-0.5 * y @ alpha - log_diag.sum() - const)
             if not math.isfinite(lml):
                 return 1e25, np.zeros(p)
             # d lml / d theta_j = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta_j)
@@ -545,55 +570,58 @@ class GaussianProcessRegressor:
         return neg_lml_and_grad
 
     def _make_compiled_objective(self, lml: _CompiledLml):
-        """:meth:`_make_analytic_objective` with all but its ufuncs in C.
+        """:meth:`_make_analytic_objective` in one C call per evaluation.
 
-        Per call, Python runs ``set_theta`` and the ufuncs whose bits
-        depend on NumPy's SIMD code (``r``, ``nu`` and ``E = exp(nu)`` as
-        :meth:`Matern52.eval_and_gradient_state` computes them, and
-        ``log(L.diagonal()).sum()``); ``lml.factor`` and ``lml.finish``
-        do the rest with the same float operations.  Where ``dpotrf``
-        fails the call returns the Python objective's value, which takes
-        the jitter path.  Buffers are allocated and their addresses taken
-        once per fit.
+        ``lml.evaluate`` takes ``theta`` and does the whole evaluation with
+        the same float operations.  Where ``dpotrf`` fails it returns NaN
+        and the call returns the Python objective's value, which takes the
+        jitter path.  One workspace is allocated and its address taken once
+        per fit; the first call checks the training distances for symmetry.
         """
-        kernel = self.kernel
-        r0 = self._ensure_train_state()
         y = self._y
         n = y.size
-        r, nu, E, K, G, W = (np.empty((n, n)) for _ in range(6))
-        A = np.empty((n, n), order="F")
-        B = np.empty((n, n + 1), order="F")
-        ny = -0.5 * y
-        g = np.empty(kernel.n_params)
-        # A view of the factor's diagonal, strided as the spec's
-        # ``L.diagonal()`` is, so ``np.log`` runs the same code on it.
-        diag = A.diagonal()
+        # struct lml_fit's work layout: r0 and y, then C's buffers, the
+        # last two entries the gradient.
+        work = np.empty(6 * n * n + 4 * n + 2)
+        work[: n * n] = self._ensure_train_state().ravel()
+        work[n * n : n * n + n] = y
+        g = work[-2:]
+        # The factor, F order: A[i + j n] is L[i, j].
+        A = work[4 * n * n + 2 * n : 5 * n * n + 2 * n].reshape(n, n).T
         fit = _LmlFit(
-            n, self.noise, 0.5 * n * _LOG_2PI, *lml.routines,
-            *(a.ctypes.data for a in (r, nu, E, y, ny, K, G, W, A, B, g)),
+            n, -1, self.noise, 0.5 * n * _LOG_2PI, *lml.routines, work.ctypes.data
         )
         address = ctypes.addressof(fit)
-        factor, finish = lml.factor, lml.finish
+        evaluate = lml.evaluate
         spec = []
 
         def neg_lml_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-            kernel.set_theta(theta)
-            np.divide(r0, kernel.length_scale, out=r)
-            np.multiply(_NEG_SQRT5, r, out=nu)
-            np.exp(nu, out=E)
-            if factor(address, kernel.variance):
+            f = evaluate(address, *theta.tolist())
+            if f != f:  # NaN: K + noise I is not positive definite
                 if not spec:
                     spec.append(self._make_analytic_objective())
                 return spec[0](theta)
-            f = finish(address, np.log(diag).sum())
             return f, g.copy()
 
-        # C holds these buffers' addresses only: keep them alive with the
+        def factor(theta: np.ndarray) -> np.ndarray | None:
+            """:meth:`_stable_cholesky`'s factor of the training matrix at
+            ``theta`` (``dpotrf`` on the same matrix, upper triangle
+            zeroed, F order), or None where ``dpotrf`` fails."""
+            f = evaluate(address, *theta.tolist())
+            if f != f:
+                return None
+            return np.asfortranarray(np.tril(A))
+
+        # C holds the workspace's address only: keep it alive with the
         # objective.
-        neg_lml_and_grad.buffers = (fit, y, ny, K, G, W, B)
+        neg_lml_and_grad.buffers = (fit, work)
+        neg_lml_and_grad.factor = factor
         return neg_lml_and_grad
 
-    def _optimize_theta(self) -> None:
+    def _optimize_theta(self) -> np.ndarray | None:
+        """Set the kernel to the likelihood's best theta; return the
+        compiled objective's factor of the training matrix there, or None
+        (:meth:`_factorize_raw` then factors it)."""
         bounds = self.kernel.theta_bounds()
         lml = _compiled_lml()
         if lml is None:
@@ -611,8 +639,10 @@ class GaussianProcessRegressor:
             )
             if f < best_val:
                 best_val, best_theta = float(f), x
-        if best_theta is not None and np.isfinite(best_val):
-            self.kernel.set_theta(best_theta)
+        if best_theta is None or not np.isfinite(best_val):
+            return None
+        self.kernel.set_theta(best_theta)
+        return None if lml is None else fun.factor(best_theta)
 
     # -- prediction ------------------------------------------------------------
     def predict(self, X, return_std: bool = False):

@@ -24,7 +24,6 @@ from repro.models.zoo import (
     VGG19,
     get_model,
 )
-from repro.models.perf_model import derive_profile
 
 __all__ = [
     "ModelCategory",
@@ -36,5 +35,4 @@ __all__ = [
     "DIEN",
     "MODEL_ZOO",
     "get_model",
-    "derive_profile",
 ]

@@ -4,8 +4,8 @@ The optimization service persists two things, keyed by the frozen
 :meth:`~repro.api.scenario.Scenario.identity` content hash:
 
 * ``scenarios/<identity>.json`` — the scenario spec (the
-  :meth:`~repro.api.scenario.Scenario.to_dict` document), written once and
-  never rewritten;
+  :meth:`~repro.api.scenario.Scenario.to_dict` document), written once
+  through an atomic rename and rewritten only if it does not parse;
 * ``results/<identity>.ndjson`` — one JSON line per completed job
   (strategy, seed, timestamps, fork lineage, and the full serialized
   :class:`~repro.core.result.SearchResult`), append-only.
@@ -25,6 +25,7 @@ layer, and the throughput bench.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import threading
 from typing import Any
@@ -113,14 +114,26 @@ class SnapshotStore:
 
     # -- writes -----------------------------------------------------------------
     def save_scenario(self, scenario: Scenario) -> pathlib.Path:
-        """Persist the scenario spec (write-once; identical re-saves no-op)."""
+        """Persist the scenario spec (identical re-saves of a readable spec
+        no-op).
+
+        The spec is written to a temp file and renamed over ``path``, so a
+        crash or a full disk leaves either no spec or a whole one.  A spec
+        that exists but does not parse (torn before this was atomic) is
+        rewritten: :meth:`iter_results` skips every result whose spec does
+        not parse.
+        """
         path = self.scenario_path(scenario)
         with self._lock:
-            if not path.exists():
-                path.write_text(
+            try:
+                json.loads(path.read_text())
+            except (OSError, ValueError):
+                tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+                tmp.write_text(
                     json.dumps(scenario.to_dict(), indent=1, sort_keys=True)
                     + "\n"
                 )
+                os.replace(tmp, path)
         return path
 
     def append_result(self, scenario: Scenario, job_record: dict) -> pathlib.Path:

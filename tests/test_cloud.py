@@ -45,10 +45,6 @@ class TestInstanceSpec:
         with pytest.raises(ValueError, match="memory_gib"):
             spec(memory_gib=0.0)
 
-    def test_bad_hardware_scores_rejected(self):
-        with pytest.raises(ValueError, match="scores"):
-            spec(compute_score=0.0)
-
     def test_name_family_size_consistency(self):
         with pytest.raises(ValueError, match="does not match"):
             spec(name="y1.large")

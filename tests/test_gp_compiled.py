@@ -104,6 +104,18 @@ def test_compiled_objective_equals_the_python_objective(
         assert type(f_ours) is type(f_spec)
         assert np.float64(f_ours).tobytes() == np.float64(f_spec).tobytes()
         assert g_ours.tobytes() == g_spec.tobytes()
+        # The factor a fit takes from the compiled objective is
+        # _factorize_raw's, wherever dpotrf succeeds without jitter.
+        L = ours.factor(theta)
+        gp.kernel.set_theta(theta)
+        K = gp._train_kernel(gp._train_state)
+        K[np.diag_indices_from(K)] += gp.noise
+        _, info = regression._POTRF(K, lower=1)
+        assert (L is None) == (info != 0)
+        if L is not None:
+            gp._factorize_raw()
+            assert L.tobytes() == gp._L.tobytes()
+            assert L.flags.f_contiguous and gp._L.flags.f_contiguous
 
 
 def test_self_check_covers_a_failed_factorization():
@@ -177,6 +189,28 @@ def test_self_check_rejects_a_drifted_objective(fresh_lml, monkeypatch):
             return f, g
 
         return wrapped
+
+    monkeypatch.setattr(GaussianProcessRegressor, "_make_compiled_objective", drifted)
+    assert regression._compiled_lml() is None
+
+
+@needs_cc
+def test_self_check_rejects_a_drifted_factor(fresh_lml, monkeypatch):
+    """One ulp off in one entry of the factor a fit takes is a mismatch."""
+    make = GaussianProcessRegressor._make_compiled_objective
+
+    def drifted(self, lml):
+        fun = make(self, lml)
+        factor = fun.factor
+
+        def drifted_factor(theta):
+            L = factor(theta)
+            if L is not None:
+                L[-1, 0] = np.nextafter(L[-1, 0], np.inf)
+            return L
+
+        fun.factor = drifted_factor
+        return fun
 
     monkeypatch.setattr(GaussianProcessRegressor, "_make_compiled_objective", drifted)
     assert regression._compiled_lml() is None

@@ -1,6 +1,7 @@
 """Unit tests for the from-scratch GP regressor."""
 
 import hashlib
+import math
 import platform
 import shutil
 import sys
@@ -248,26 +249,15 @@ class TestLbfgsbLoop:
 # add_observation) over the problems of ``_fit_digest``, recorded before
 # the likelihood loop lost its wrapper calls.  Those trims keep every
 # floating-point op, so the digest must not move.  Last bits depend on the
-# toolchain (NumPy's and SciPy's OpenBLAS builds) and on the SIMD code
-# NumPy dispatches float64 ``exp`` to (its X86_V4 ``exp`` differs from
-# libm in the last bit on some inputs), so it is keyed by both.  The
-# X86_V3 digest is what an AVX2-only host runs; an AVX-512 host runs it
-# under NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".
+# toolchain (NumPy's and SciPy's OpenBLAS builds), so it is keyed by it.
+# Every exp, log and sin behind it is libm's, not NumPy's SIMD code (whose
+# AVX-512 float64 exp differs from libm in the last bit on some inputs), so
+# one digest serves AVX2 and AVX-512 hosts: CI also runs it under
+# NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".
 _FIT_DIGESTS = {
-    ("2.4.6", "1.17.1", "x86_64", "X86_V4"):
-        "92dad188f8be77777c5252e044385e148e829233a29055095044ff6e03a76182",
-    ("2.4.6", "1.17.1", "x86_64", "X86_V3"):
+    ("2.4.6", "1.17.1", "x86_64"):
         "0c7c1d44fa52f748aa29a185a88e10d0a2bb78ea9f8a055ed985eaedae6816b5",
 }
-
-
-def _exp_dispatch() -> str:
-    """The SIMD target NumPy runs float64 ``exp`` on in this process."""
-    introspect = getattr(np.lib, "introspect", None)
-    if introspect is None or not hasattr(introspect, "opt_func_info"):
-        return "unknown"
-    info = introspect.opt_func_info(func_name="^exp$", signature="float64")
-    return info.get("exp", {}).get("dd", {}).get("current", "unknown")
 
 
 def _fit_digest(n_problems: int = 400) -> str:
@@ -278,7 +268,9 @@ def _fit_digest(n_problems: int = 400) -> str:
         d = int(rng.integers(2, 5))
         bounds = rng.integers(2, 12, size=d)
         X = rng.integers(0, bounds + 1, size=(n + 1, d)) / bounds
-        y = np.sin(4.0 * X @ rng.normal(size=d)) + 0.05 * rng.normal(size=n + 1)
+        # libm's sin: NumPy's SIMD sin would key the inputs by host too.
+        u = 4.0 * X @ rng.normal(size=d)
+        y = np.array(list(map(math.sin, u.tolist()))) + 0.05 * rng.normal(size=n + 1)
         gp = GaussianProcessRegressor(
             Matern52(0.3, 1.0, scale=bounds.astype(float)),
             noise=1e-5, seed=problem,
@@ -291,9 +283,7 @@ def _fit_digest(n_problems: int = 400) -> str:
 
 
 def _assert_recorded_digest() -> None:
-    toolchain = (
-        np.__version__, scipy.__version__, platform.machine(), _exp_dispatch()
-    )
+    toolchain = (np.__version__, scipy.__version__, platform.machine())
     if toolchain not in _FIT_DIGESTS:
         pytest.skip(f"no fit digest recorded for toolchain {toolchain}")
     assert regression._checked_setulb() is not None

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.models.base import LatencyProfile, ModelCategory
-from repro.models.perf_model import GPU_OVERHEAD_FACTOR, derive_profile
 from repro.models.zoo import MODEL_ZOO, MT_WND, RESNET50, get_model
 from tests.conftest import make_toy_model
 
@@ -138,46 +137,3 @@ class TestModelZoo:
         for m in MODEL_ZOO.values():
             worst = float(m.latency_ms("g4dn", m.max_batch))
             assert worst < m.qos_target_ms
-
-
-class TestPerfModel:
-    def test_gpu_gets_higher_overhead(self):
-        cpu = derive_profile(
-            "m5", work_ms_per_sample=0.1, overhead_ms=1.0, memory_intensity=0.5
-        )
-        gpu = derive_profile(
-            "g4dn", work_ms_per_sample=0.1, overhead_ms=1.0, memory_intensity=0.5
-        )
-        assert gpu.base_ms == pytest.approx(cpu.base_ms * GPU_OVERHEAD_FACTOR)
-
-    def test_gpu_slope_much_flatter(self):
-        cpu = derive_profile(
-            "m5", work_ms_per_sample=0.1, overhead_ms=1.0, memory_intensity=0.0
-        )
-        gpu = derive_profile(
-            "g4dn", work_ms_per_sample=0.1, overhead_ms=1.0, memory_intensity=0.0
-        )
-        assert gpu.slope_ms < cpu.slope_ms / 2.0
-
-    def test_memory_intensity_bounds_checked(self):
-        with pytest.raises(ValueError):
-            derive_profile(
-                "m5", work_ms_per_sample=0.1, overhead_ms=1.0, memory_intensity=1.5
-            )
-
-    def test_bad_work_rejected(self):
-        with pytest.raises(ValueError):
-            derive_profile(
-                "m5", work_ms_per_sample=0.0, overhead_ms=1.0, memory_intensity=0.5
-            )
-
-    def test_memory_optimized_wins_at_high_memory_intensity(self):
-        # r5 has higher memory bandwidth score than t3, so memory-bound
-        # models should see a flatter slope there.
-        r5 = derive_profile(
-            "r5", work_ms_per_sample=0.1, overhead_ms=1.0, memory_intensity=1.0
-        )
-        t3 = derive_profile(
-            "t3", work_ms_per_sample=0.1, overhead_ms=1.0, memory_intensity=1.0
-        )
-        assert r5.slope_ms < t3.slope_ms

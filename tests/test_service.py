@@ -567,6 +567,28 @@ class TestWarmRestart:
             second.shutdown()
 
 
+    def test_torn_scenario_spec_is_rewritten(self, tmp_path):
+        """An empty spec (a write torn by a crash or a full disk) would
+        hide every result under its identity on each restart; the next
+        append rewrites it, so the restart restores the job."""
+        store = SnapshotStore(tmp_path)
+        scenario = make_scenario()
+        store.scenario_path(scenario).write_text("")
+        mgr = JobManager(runner_factory=StubFactory(), store=store)
+        job = mgr.submit(scenario, "ribbon", seed=3)
+        mgr.wait(job.id, timeout=10)
+        mgr.shutdown()
+        assert sorted(p.name for p in store.scenario_path(scenario).parent.iterdir()) == [
+            store.scenario_path(scenario).name
+        ]
+        second = JobManager(runner_factory=StubFactory(), store=store)
+        try:
+            restored = second.get(job.id)
+            assert restored.restored and restored.state == "done"
+        finally:
+            second.shutdown()
+
+
 class FullDiskStore(SnapshotStore):
     """A snapshot store whose first ``n_failures`` appends raise ENOSPC."""
 

@@ -34,7 +34,7 @@ from repro.service import (
     make_server,
 )
 from repro.service.http import MAX_BODY_BYTES, ServiceHandler, ServiceServer
-from tests.test_service import StubFactory, StubRunner, make_scenario
+from tests.test_service import StubFactory, StubRunner, make_record, make_scenario
 
 
 @contextlib.contextmanager
@@ -466,6 +466,40 @@ class TestInjectedFaults:
             assert final["state"] == "done"
             assert final["evaluations"] == 3
             assert client.result(job["id"])["result"]["n_samples"] == 3
+
+    def test_runner_raising_mid_search_fails_the_job(self, tmp_path):
+        """A runner that raises after two admitted evaluations: the job
+        ends failed with the error text and keeps the progress it made,
+        nothing reaches the snapshot store, and an identical resubmission
+        searches again instead of reusing the failed job."""
+        built = []
+
+        class RaiseAfterTwo(StubRunner):
+            def __init__(self, scenario):
+                super().__init__(scenario)
+                built.append(self)
+
+            def run(self, strategy, *, seed=0, progress=None, **kwargs):
+                for i in range(2):
+                    progress(make_record(i, cost=3.0 - 0.5 * i))
+                raise RuntimeError("simulator crashed")
+
+        store = SnapshotStore(tmp_path)
+        manager = JobManager(runner_factory=RaiseAfterTwo, store=store, max_workers=1)
+        with served(manager) as client:
+            job = client.submit(make_scenario(), "ribbon")
+            final = client.wait(job["id"], timeout=10)
+            assert final["state"] == "failed"
+            assert final["error"] == "RuntimeError: simulator crashed"
+            assert final["evaluations"] == 2
+            assert final["best"]["cost_per_hour"] == 2.5
+            assert manager.stats()["jobs_by_state"]["failed"] == 1
+            again = client.submit(make_scenario(), "ribbon")
+            assert again["id"] != job["id"] and not again["reused"]
+            assert client.wait(again["id"], timeout=10)["state"] == "failed"
+        assert len(built) == 2
+        assert list(store.iter_results()) == []
+        assert manager.stats()["jobs_by_state"]["failed"] == 2
 
 
 class TestRealRunnerSmoke:
