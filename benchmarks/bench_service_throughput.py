@@ -9,8 +9,8 @@ socket against a daemon on an ephemeral port:
   worker handoff) with zero simulation inside;
 * **daemon throughput vs direct calls** — an N-seed sweep of a real
   Ribbon search submitted as N concurrent service jobs, against the same
-  sweep through :meth:`ScenarioRunner.run_many` in-process with the same
-  thread count.  The service must return bit-identical per-seed results
+  sweep through the serial :meth:`ScenarioRunner.run_many` in-process.
+  The service must return bit-identical per-seed results
   (golden-pinned), and on the recording host its wall time must stay
   within ``1/EFFICIENCY_TARGET`` of the direct path — the daemon is a
   front-end, not a second optimizer.
@@ -182,12 +182,10 @@ def test_service_throughput_vs_direct(benchmark):
     seeds = list(spec["sweep_seeds"])
     strategy, workers = spec["strategy"], spec["workers"]
 
-    # Direct path: its own runner (cold caches), thread-parallel sweep.
+    # Direct path: its own runner (cold caches), serial sweep.
     direct_runner = ScenarioRunner(_scenario(spec))
     t0 = time.perf_counter()
-    direct = direct_runner.run_many(
-        strategy, seeds=seeds, parallel=True, max_workers=workers
-    )
+    direct = direct_runner.run_many(strategy, seeds=seeds)
     direct_wall = time.perf_counter() - t0
     direct_seq = _sequences(
         {
@@ -273,7 +271,7 @@ def test_service_throughput_vs_direct(benchmark):
         EFFICIENCY_TARGET,
         baseline_host=artifact.baseline("baseline_direct")["host"],
         label=(
-            f"{len(seeds)}-job service sweep vs direct run_many "
-            f"({workers} workers)"
+            f"{len(seeds)}-job service sweep ({workers} daemon workers) "
+            "vs serial direct run_many"
         ),
     )

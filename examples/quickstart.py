@@ -15,16 +15,15 @@ Walks the declarative Scenario API on MT-WND (the paper's running example):
 Run:  python examples/quickstart.py
 """
 
-from repro import Scenario
+from repro import EvaluationBudget, Scenario, WorkloadSpec
 
 
 def main() -> None:
     # 1. The whole experiment as one declarative, validated value.
-    scenario = (
-        Scenario.builder("MT-WND")
-        .workload(n_queries=4000, seed=1)
-        .budget(max_samples=40)
-        .build()
+    scenario = Scenario(
+        "MT-WND",
+        workload=WorkloadSpec(n_queries=4000, seed=1),
+        budget=EvaluationBudget(max_samples=40),
     )
     model = scenario.profile
     print(f"model: {model.name} — QoS p99 <= {scenario.qos_target_ms:g} ms, "

@@ -14,18 +14,17 @@ ablation behind Fig. 16's "<60% of the previous exploration time" claim.
 Run:  python examples/recommender_autoscaling.py
 """
 
-from repro import Scenario, make_strategy
+from repro import EvaluationBudget, Scenario, WorkloadSpec, make_strategy
 from repro.core import LoadAdaptiveRibbon
 
 LOAD_FACTOR = 1.5
 
 # Declare the surge phase; the base-load phase is a fork of it.  Sizing the
 # space on the heavier load means both phases share one lattice.
-SURGE = (
-    Scenario.builder("DIEN")
-    .workload(n_queries=4000, seed=1, load_factor=LOAD_FACTOR)
-    .budget(max_samples=45)
-    .build()
+SURGE = Scenario(
+    "DIEN",
+    workload=WorkloadSpec(n_queries=4000, seed=1, load_factor=LOAD_FACTOR),
+    budget=EvaluationBudget(max_samples=45),
 )
 
 
@@ -38,7 +37,8 @@ def run(warm_start: bool):
     )
     # Fresh evaluator forks keep the warm and cold runs' accounting apart.
     return adaptive.run(
-        runner_lo.evaluator(fresh=True), runner_hi.evaluator(fresh=True)
+        runner_lo.materialize().fresh_evaluator(),
+        runner_hi.materialize().fresh_evaluator(),
     )
 
 

@@ -23,7 +23,7 @@ Run:  python examples/service_client.py
 import tempfile
 import threading
 
-from repro import Scenario
+from repro import EvaluationBudget, PoolSpec, Scenario, WorkloadSpec
 from repro.service import JobManager, ServiceClient, SnapshotStore, make_server
 
 
@@ -41,12 +41,11 @@ def main() -> None:
 
     # 2. Submit a scenario document over HTTP (kept small so the example
     #    finishes in seconds; scale n_queries/max_samples for fidelity).
-    scenario = (
-        Scenario.builder("MT-WND")
-        .workload(n_queries=2000, seed=1)
-        .pool("g4dn", "t3", bounds=(5, 5))
-        .budget(max_samples=12)
-        .build()
+    scenario = Scenario(
+        "MT-WND",
+        workload=WorkloadSpec(n_queries=2000, seed=1),
+        pool=PoolSpec(families=("g4dn", "t3"), bounds=(5, 5)),
+        budget=EvaluationBudget(max_samples=12),
     )
     job = client.submit(scenario, "ribbon", seed=0)
     print(f"\nsubmitted {job['id']} ({job['strategy']}, state {job['state']})")

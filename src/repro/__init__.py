@@ -17,24 +17,20 @@ materializes the pipeline exactly once per workload.
 
 Quickstart::
 
-    from repro import Scenario
+    from repro import EvaluationBudget, Scenario, WorkloadSpec
 
     result = Scenario("MT-WND").run("ribbon", seed=0)
     print(result.summary())
 
-    # multi-seed sweep on a fixed workload, in parallel
-    sweep = (
-        Scenario.builder("DIEN")
-        .workload(n_queries=4000, seed=1)
-        .budget(max_samples=45)
-        .build()
-        .run_many("ribbon", seeds=(0, 1, 2), parallel=True)
-    )
+    # multi-seed sweep on a fixed workload
+    sweep = Scenario(
+        "DIEN",
+        workload=WorkloadSpec(n_queries=4000, seed=1),
+        budget=EvaluationBudget(max_samples=45),
+    ).run_many("ribbon", seeds=(0, 1, 2))
 
-:func:`quick_search` remains as a one-call convenience wrapper over the
-same path.  See ``examples/`` for full scenarios and ``benchmarks/`` for
-the harness that regenerates every table and figure of the paper's
-evaluation.
+See ``examples/`` for full scenarios and ``benchmarks/`` for the harness
+that regenerates every table and figure of the paper's evaluation.
 """
 
 from repro.cloud import DEFAULT_CATALOG, InstanceSpec, get_instance
@@ -65,7 +61,6 @@ from repro.api import (
     PoolSpec,
     QoSSpec,
     Scenario,
-    ScenarioBuilder,
     ScenarioError,
     ScenarioRunner,
     WorkloadSpec,
@@ -106,34 +101,11 @@ __all__ = [
     "PoolSpec",
     "QoSSpec",
     "Scenario",
-    "ScenarioBuilder",
     "ScenarioError",
     "ScenarioRunner",
     "WorkloadSpec",
     "available_strategies",
     "make_strategy",
     "register_strategy",
-    "quick_search",
 ]
 
-
-def quick_search(
-    model_name: str,
-    *,
-    n_queries: int = 4000,
-    seed: int = 0,
-    max_samples: int = 40,
-) -> SearchResult:
-    """One-call Ribbon run on a Table 1 model with paper-default settings.
-
-    Thin back-compat wrapper over the Scenario API: equivalent to
-    ``Scenario(model_name, workload=WorkloadSpec(n_queries=n_queries),
-    budget=EvaluationBudget(max_samples=max_samples)).run("ribbon",
-    seed=seed)``.
-    """
-    scenario = Scenario(
-        model=model_name,
-        workload=WorkloadSpec(n_queries=n_queries),
-        budget=EvaluationBudget(max_samples=max_samples),
-    )
-    return scenario.run("ribbon", seed=seed)

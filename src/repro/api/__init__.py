@@ -3,8 +3,8 @@
 Two ideas, one entry point:
 
 * a frozen :class:`Scenario` value object (model + workload + QoS + pool +
-  budget) with a fluent builder and front-loaded validation, materialized
-  lazily — and exactly once — by a :class:`ScenarioRunner`;
+  budget) with front-loaded validation, materialized lazily — and exactly
+  once — by a :class:`ScenarioRunner`;
 * a strategy registry mapping canonical names (``"ribbon"``,
   ``"hill-climb"``, ``"random"``, ``"rsm"``, ``"exhaustive"``) to
   :class:`~repro.core.strategy.SearchStrategy` classes, so every consumer
@@ -13,18 +13,16 @@ Two ideas, one entry point:
 
 Quickstart::
 
-    from repro.api import Scenario
+    from repro.api import EvaluationBudget, Scenario, WorkloadSpec
 
     result = Scenario("MT-WND").run("ribbon", seed=0)
     print(result.summary())
 
-    sweep = (
-        Scenario.builder("DIEN")
-        .workload(n_queries=4000, seed=1)
-        .budget(max_samples=45)
-        .build()
-        .run_many("ribbon", seeds=(0, 1, 2), parallel=True)
-    )
+    sweep = Scenario(
+        "DIEN",
+        workload=WorkloadSpec(n_queries=4000, seed=1),
+        budget=EvaluationBudget(max_samples=45),
+    ).run_many("ribbon", seeds=(0, 1, 2))
 """
 
 from repro.api.registry import (
@@ -42,7 +40,6 @@ from repro.api.scenario import (
     PoolSpec,
     QoSSpec,
     Scenario,
-    ScenarioBuilder,
     ScenarioError,
     WorkloadSpec,
 )
@@ -53,7 +50,6 @@ __all__ = [
     "PoolSpec",
     "QoSSpec",
     "Scenario",
-    "ScenarioBuilder",
     "ScenarioError",
     "ScenarioRunner",
     "StrategyOption",

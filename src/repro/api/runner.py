@@ -5,9 +5,8 @@ Scenario` into the concrete pipeline exactly once per trace seed — generate
 the trace, size the search space, build the Eq. 2 objective and the cached
 evaluator — and then runs any number of registered strategies against that
 materialization: single runs (:meth:`ScenarioRunner.run`), multi-seed
-sweeps (:meth:`ScenarioRunner.run_many`, optionally parallel via
-``concurrent.futures``), load-change forks sharing one lattice
-(:meth:`ScenarioRunner.fork`), and the homogeneous-baseline scan
+sweeps (:meth:`ScenarioRunner.run_many`), load-change forks sharing one
+lattice (:meth:`ScenarioRunner.fork`), and the homogeneous-baseline scan
 (:meth:`ScenarioRunner.homogeneous_optimum`).
 
 Equal scenarios share one runner through :func:`runner_for`, so repeated
@@ -17,11 +16,9 @@ configurations the service already deployed.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from repro.api.registry import check_strategy_options, make_strategy, strategy_options
@@ -242,12 +239,6 @@ class ScenarioRunner:
             evaluator=evaluator,
         )
 
-    def evaluator(self, seed: int = 0, *, fresh: bool = False) -> ConfigurationEvaluator:
-        """The scenario's evaluator (``fresh`` forks one with an empty
-        record cache, so its ``sample_index`` numbering starts at 0)."""
-        mat = self.materialize(seed)
-        return mat.fresh_evaluator() if fresh else mat.evaluator
-
     # -- cache introspection ----------------------------------------------------------
     @property
     def simulation_cache(self) -> SimulationResultCache:
@@ -286,7 +277,6 @@ class ScenarioRunner:
         *,
         seed: int = 0,
         start: PoolConfiguration | Sequence[int] | None = None,
-        fresh_evaluator: bool = False,
         progress: "Callable[[EvaluationRecord], None] | None" = None,
         **strategy_kwargs,
     ) -> SearchResult:
@@ -303,11 +293,6 @@ class ScenarioRunner:
         start:
             Optional start configuration — a :class:`PoolConfiguration` or
             a per-family count vector.
-        fresh_evaluator:
-            Search against a forked evaluator whose record cache starts
-            empty, so the records' ``sample_index`` numbering restarts at
-            0.  Samples, dollars and violations are windowed per search
-            either way.
         progress:
             Optional observer called with each newly admitted
             :class:`EvaluationRecord` as the search runs (the optimization
@@ -330,7 +315,7 @@ class ScenarioRunner:
             evaluator = mat.fresh_evaluator()
             evaluator.on_record = progress
         else:
-            evaluator = mat.fresh_evaluator() if fresh_evaluator else mat.evaluator
+            evaluator = mat.evaluator
         return strat.search(evaluator, start=self._resolve_start(mat, start))
 
     def run_many(
@@ -338,21 +323,16 @@ class ScenarioRunner:
         strategy: str | SearchStrategy = "ribbon",
         *,
         seeds: Iterable[int] = (0, 1, 2),
-        parallel: bool = False,
-        max_workers: int | None = None,
         start: PoolConfiguration | Sequence[int] | None = None,
         **strategy_kwargs,
     ) -> dict[int, SearchResult]:
         """Sweep the scenario over several seeds; returns ``{seed: result}``.
 
-        Every seed searches against its own forked evaluator, so results
-        are deterministic and identical whether the sweep runs
-        sequentially or on the ``concurrent.futures`` thread pool
-        (``parallel=True``; ``max_workers`` defaults to
-        ``min(len(seeds), os.cpu_count())``).  Strategy instances cannot be
-        swept (one instance holds per-run state); pass a registry name
-        instead.  Option names are checked, as in :meth:`run`, before any
-        seed materializes.
+        Seeds run one after another, each against its own forked
+        evaluator, so a seed's result does not depend on which seeds ran
+        before it.  Strategy instances cannot be swept (one instance holds
+        per-run state); pass a registry name instead.  Option names are
+        checked, as in :meth:`run`, before any seed materializes.
         """
         seed_list = [int(s) for s in seeds]
         if not seed_list:
@@ -365,33 +345,14 @@ class ScenarioRunner:
                 "per seed); got an instance"
             )
         check_strategy_options(strategy, strategy_kwargs)
-        if not parallel:
-            return {s: self._run_isolated(strategy, s, start, strategy_kwargs) for s in seed_list}
-        # Materialize up front (deterministic order), then search in parallel.
+        results = {}
         for s in seed_list:
-            self.materialize(s)
-        workers = (
-            max_workers
-            if max_workers is not None
-            else min(len(seed_list), os.cpu_count() or 1)
-        )
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                s: pool.submit(self._run_isolated, strategy, s, start, strategy_kwargs)
-                for s in seed_list
-            }
-            return {s: f.result() for s, f in futures.items()}
-
-    def _run_isolated(
-        self,
-        strategy: str,
-        seed: int,
-        start: PoolConfiguration | Sequence[int] | None,
-        strategy_kwargs: dict,
-    ) -> SearchResult:
-        mat = self.materialize(seed)
-        strat = self._make_strategy(strategy, seed, dict(strategy_kwargs))
-        return strat.search(mat.fresh_evaluator(), start=self._resolve_start(mat, start))
+            mat = self.materialize(s)
+            strat = self._make_strategy(strategy, s, dict(strategy_kwargs))
+            results[s] = strat.search(
+                mat.fresh_evaluator(), start=self._resolve_start(mat, start)
+            )
+        return results
 
     def _make_strategy(
         self,
@@ -452,7 +413,7 @@ class ScenarioRunner:
         phase this runner represents), then fork to the other load so both
         phases search the same lattice with the same objective::
 
-            surge = Scenario.builder("DIEN").workload(load_factor=1.5).build()
+            surge = Scenario("DIEN", workload=WorkloadSpec(load_factor=1.5))
             hi = surge.runner()
             lo = hi.fork(load_factor=1.0)   # same space, base-load trace
         """

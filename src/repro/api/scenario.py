@@ -8,10 +8,10 @@ without saying *how*.  Materializing it into the concrete pipeline objects
 :class:`repro.api.runner.ScenarioRunner`; choosing the search algorithm is
 the job of the strategy registry (:mod:`repro.api.registry`).
 
-Every consumer of the reproduction — :func:`repro.quick_search`, the CLI,
-the analysis harness, the examples, the benchmarks — goes through this one
-object, so a new workload, backend, or optimizer plugs in here instead of
-growing another hand-wired ``get_model -> trace -> bounds -> objective ->
+Every consumer of the reproduction — the CLI, the service, the analysis
+harness, the examples, the benchmarks — goes through this one object, so a
+new workload, backend, or optimizer plugs in here instead of growing
+another hand-wired ``get_model -> trace -> bounds -> objective ->
 evaluator -> search`` chain at a call site.
 
 Validation is front-loaded: constructing a :class:`Scenario` with an
@@ -71,8 +71,8 @@ class WorkloadSpec:
     seed:
         Trace generation seed.  ``None`` (the default) means "follow the
         run seed": ``Scenario.run(..., seed=s)`` generates the trace with
-        seed ``s``, matching :func:`repro.quick_search` semantics.  Pin an
-        integer to hold the workload fixed across multi-seed sweeps.
+        seed ``s``.  Pin an integer to hold the workload fixed across
+        multi-seed sweeps.
     load_factor:
         Multiplier on the model's calibrated arrival rate (load-change
         scenarios).
@@ -238,15 +238,15 @@ class Scenario:
 
         result = Scenario("MT-WND").run("ribbon", seed=0)
 
-    The fluent form::
+    Every other setting is one spec value; omitted specs keep their
+    defaults::
 
-        scenario = (
-            Scenario.builder("DIEN")
-            .workload(n_queries=4000, seed=1, load_factor=1.5)
-            .qos(rate_target=0.99)
-            .pool("g4dn", "c5", "r5n")
-            .budget(max_samples=45)
-            .build()
+        scenario = Scenario(
+            "DIEN",
+            workload=WorkloadSpec(n_queries=4000, seed=1, load_factor=1.5),
+            qos=QoSSpec(rate_target=0.99),
+            pool=PoolSpec(families=("g4dn", "c5", "r5n")),
+            budget=EvaluationBudget(max_samples=45),
         )
         results = scenario.run_many("ribbon", seeds=(0, 1, 2))
     """
@@ -366,7 +366,7 @@ class Scenario:
         """Build a validated :class:`Scenario` from a :meth:`to_dict` document.
 
         Accepts partial documents — any omitted (or ``None``) section
-        keeps its defaults, mirroring the builder.  Every malformation —
+        keeps its defaults, as in the constructor.  Every malformation —
         wrong container type, unknown field names, bad field values — is
         surfaced as a :class:`ScenarioError` whose message names the
         offending section and field, so service callers get structured,
@@ -443,24 +443,11 @@ class Scenario:
         """Copy with workload fields replaced (validated)."""
         return replace(self, workload=replace(self.workload, **changes))
 
-    def with_qos(self, **changes: Any) -> "Scenario":
-        """Copy with QoS fields replaced (validated)."""
-        return replace(self, qos=replace(self.qos, **changes))
-
-    def with_pool(self, **changes: Any) -> "Scenario":
-        """Copy with pool fields replaced (validated)."""
-        return replace(self, pool=replace(self.pool, **changes))
-
     def with_budget(self, **changes: Any) -> "Scenario":
         """Copy with budget fields replaced (validated)."""
         return replace(self, budget=replace(self.budget, **changes))
 
     # -- execution (delegates to the runner) ----------------------------------------
-    @staticmethod
-    def builder(model: str | None = None) -> "ScenarioBuilder":
-        """Start a fluent :class:`ScenarioBuilder`."""
-        return ScenarioBuilder(model)
-
     def runner(self) -> "ScenarioRunner":
         """The (cached) runner materializing this scenario.
 
@@ -490,98 +477,3 @@ class Scenario:
             f"budget {self.budget.max_samples})"
         )
 
-
-class ScenarioBuilder:
-    """Fluent construction of a :class:`Scenario`.
-
-    Each method returns the builder; :meth:`build` validates and freezes.
-    """
-
-    def __init__(self, model: str | None = None):
-        self._model = model
-        self._workload: dict[str, Any] = {}
-        self._qos: dict[str, Any] = {}
-        self._pool: dict[str, Any] = {}
-        self._budget: dict[str, Any] = {}
-
-    def model(self, name: str) -> "ScenarioBuilder":
-        """Set the model to serve (Table 1 name)."""
-        self._model = name
-        return self
-
-    def workload(
-        self,
-        *,
-        n_queries: int | None = None,
-        seed: int | None = None,
-        load_factor: float | None = None,
-        gaussian: bool | None = None,
-    ) -> "ScenarioBuilder":
-        """Set workload fields (unset fields keep their defaults)."""
-        for key, val in (
-            ("n_queries", n_queries),
-            ("seed", seed),
-            ("load_factor", load_factor),
-            ("gaussian", gaussian),
-        ):
-            if val is not None:
-                self._workload[key] = val
-        return self
-
-    def qos(
-        self,
-        *,
-        latency_target_ms: float | None = None,
-        rate_target: float | None = None,
-    ) -> "ScenarioBuilder":
-        """Set the QoS contract."""
-        if latency_target_ms is not None:
-            self._qos["latency_target_ms"] = latency_target_ms
-        if rate_target is not None:
-            self._qos["rate_target"] = rate_target
-        return self
-
-    def pool(
-        self,
-        *families: str,
-        bounds: tuple[int, ...] | None = None,
-        bound_cap: int | None = None,
-    ) -> "ScenarioBuilder":
-        """Set the instance families (and optionally fixed bounds)."""
-        if families:
-            self._pool["families"] = tuple(families)
-        if bounds is not None:
-            self._pool["bounds"] = tuple(bounds)
-        if bound_cap is not None:
-            self._pool["bound_cap"] = bound_cap
-        return self
-
-    def budget(
-        self,
-        max_samples: int | None = None,
-        *,
-        eval_duration_hours: float | None = None,
-        batch_size: int | None = None,
-    ) -> "ScenarioBuilder":
-        """Set the evaluation budget."""
-        if max_samples is not None:
-            self._budget["max_samples"] = max_samples
-        if eval_duration_hours is not None:
-            self._budget["eval_duration_hours"] = eval_duration_hours
-        if batch_size is not None:
-            self._budget["batch_size"] = batch_size
-        return self
-
-    def build(self) -> Scenario:
-        """Validate and freeze the scenario."""
-        if self._model is None:
-            raise ScenarioError(
-                "no model set; call .model(name) (or Scenario.builder(name))"
-            )
-        return Scenario(
-            model=self._model,
-            workload=WorkloadSpec(**self._workload),
-            qos=QoSSpec(**self._qos),
-            pool=PoolSpec(**self._pool),
-            budget=EvaluationBudget(**self._budget),
-        )

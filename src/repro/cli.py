@@ -166,11 +166,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     store = SnapshotStore(args.snapshot_dir) if args.snapshot_dir else None
     manager = JobManager(store=store, max_workers=args.workers)
     server = make_server(manager, host=args.host, port=args.port)
-    # SIGTERM (a service manager's stop) takes the same clean-shutdown
-    # path as Ctrl-C instead of killing the process mid-job.  It is
-    # installed before the banner, so a client that read the banner can
-    # already stop the daemon this way.
-    previous_sigterm = signal.signal(signal.SIGTERM, _interrupt)
+    # SIGTERM (a service manager's stop) and SIGINT take the same
+    # clean-shutdown path instead of killing the process mid-job.  SIGINT
+    # is installed explicitly because a process started with SIGINT
+    # ignored (backgrounded from a non-interactive shell) gets no
+    # KeyboardInterrupt from Python.  Both are installed before the
+    # banner, so a client that read the banner can already stop the
+    # daemon.
+    previous = {
+        sig: signal.signal(sig, _interrupt)
+        for sig in (signal.SIGTERM, signal.SIGINT)
+    }
     try:
         host, port = server.server_address[:2]
         print(f"repro-ribbon service listening on http://{host}:{port}")
@@ -185,7 +191,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # serve_forever ran (and returned) in this thread, so there is no
         # loop left for server.shutdown() to stop; calling it before the
         # loop ever started would block forever.
-        signal.signal(signal.SIGTERM, previous_sigterm)
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
         server.server_close()
         manager.shutdown(cancel_running=True)
     return 0

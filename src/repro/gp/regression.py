@@ -496,29 +496,6 @@ class GaussianProcessRegressor:
         self._L = self._stable_cholesky(K)
 
     # -- hyperparameter optimization ------------------------------------------
-    def log_marginal_likelihood(self, theta: np.ndarray | None = None) -> float:
-        """Log marginal likelihood of the (normalized) training targets."""
-        if self._pi is None or self._y is None:
-            raise RuntimeError("call fit() before log_marginal_likelihood()")
-        if theta is not None:
-            saved = self.kernel.get_theta()
-            self.kernel.set_theta(np.asarray(theta, dtype=float))
-        try:
-            K = self.kernel.eval_state(self._ensure_train_state()).copy()
-            K[np.diag_indices_from(K)] += self.noise
-            L = self._stable_cholesky(K)
-        except sla.LinAlgError:
-            return -np.inf
-        finally:
-            if theta is not None:
-                self.kernel.set_theta(saved)
-        alpha = sla.cho_solve((L, True), self._y, check_finite=False)
-        return float(
-            -0.5 * self._y @ alpha
-            - np.sum(np.log(np.diag(L)))
-            - 0.5 * self._y.size * _LOG_2PI
-        )
-
     def _make_analytic_objective(self):
         """Negative LML and its exact log-space gradient (R&W Eq. 5.9).
 

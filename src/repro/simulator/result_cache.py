@@ -20,11 +20,11 @@ the homogeneous scan and the search share one entry per pool.  Only the
 family loop reads and writes the memo: the engine's ``dispatch="heap"``
 runs the event-heap reference past it.  Cached results have all their
 arrays frozen read-only, so one result can back any number of concurrent
-consumers (``run_many(parallel=True)`` simulates on a thread pool).  ``maxsize=0``
-disables the memo entirely (explicit opt-out); a result holds four arrays
-of ``len(trace)`` 8-byte values once read (latencies, start times, sorted
-latencies, queue column), bounded both by entry count (``maxsize``) and by
-total payload bytes (``max_bytes``).
+consumers (the service's job workers are threads that share the memo).
+``maxsize=0`` disables the memo entirely (explicit opt-out); a result
+holds four arrays of ``len(trace)`` 8-byte values once read (latencies,
+start times, sorted latencies, queue column), bounded both by entry count
+(``maxsize``) and by total payload bytes (``max_bytes``).
 
 Hits, misses, and evictions are counted for introspection
 (:meth:`SimulationResultCache.stats`, surfaced by

@@ -79,8 +79,8 @@ class ServiceTimeCache(IdentityKeyedCache):
     :class:`~repro.simulator.result_cache.SimulationResultCache`);
     ``maxsize=0`` disables caching (every call recomputes).
 
-    The cache is thread-safe (``run_many(parallel=True)`` evaluates on a
-    thread pool) and returns read-only arrays, so one matrix can back any
+    The cache is thread-safe (the service's job workers are threads that
+    share it) and returns read-only arrays, so one matrix can back any
     number of concurrent simulations.
     """
 

@@ -1,7 +1,9 @@
 """Unit tests for the from-scratch GP regressor."""
 
+import ctypes
 import hashlib
 import math
+import pathlib
 import platform
 import shutil
 import sys
@@ -62,8 +64,6 @@ class TestFitPredict:
         gp = GaussianProcessRegressor(Matern52())
         with pytest.raises(RuntimeError):
             gp.predict([[0.0]])
-        with pytest.raises(RuntimeError):
-            gp.log_marginal_likelihood()
 
     def test_shape_validation(self):
         gp = GaussianProcessRegressor(Matern52())
@@ -84,6 +84,11 @@ class TestFitPredict:
         np.testing.assert_allclose(gp.y_train, y, atol=1e-12)
 
 
+def _lml(gp) -> float:
+    """The likelihood a fit maximizes, at the kernel's current theta."""
+    return -gp._make_analytic_objective()(gp.kernel.get_theta())[0]
+
+
 class TestHyperparameterFit:
     def test_lml_improves_with_optimization(self):
         rng = np.random.default_rng(0)
@@ -93,20 +98,26 @@ class TestHyperparameterFit:
         gp_fixed = GaussianProcessRegressor(
             Matern52(10.0, 0.01), noise=1e-6, optimize_hyperparameters=False
         ).fit(X, y)
-        lml_fixed = gp_fixed.log_marginal_likelihood()
+        lml_fixed = _lml(gp_fixed)
         gp_opt = GaussianProcessRegressor(
             k_bad, noise=1e-6, optimize_hyperparameters=True
         ).fit(X, y)
-        lml_opt = gp_opt.log_marginal_likelihood()
+        lml_opt = _lml(gp_opt)
         assert lml_opt >= lml_fixed - 1e-6
 
     def test_lml_theta_argument_is_side_effect_free(self):
+        """The likelihood at a theta does not depend on the thetas the
+        objective evaluated before it."""
         X = np.linspace(0, 1, 6)[:, None]
         y = smooth_fn(X)
         gp = GaussianProcessRegressor(Matern52(), optimize_hyperparameters=False).fit(X, y)
         theta0 = gp.kernel.get_theta().copy()
-        gp.log_marginal_likelihood(theta0 + 1.0)
-        np.testing.assert_allclose(gp.kernel.get_theta(), theta0)
+        objective = gp._make_analytic_objective()
+        first_val, first_grad = objective(theta0)
+        objective(theta0 + 1.0)
+        val, grad = objective(theta0)
+        assert val == first_val
+        assert np.array_equal(grad, first_grad)
 
     def test_duplicate_inputs_do_not_crash(self):
         # Rounded kernels create exactly duplicated rows; the jittered
@@ -246,18 +257,46 @@ class TestLbfgsbLoop:
 
 
 # sha256 of fitted theta and alpha (after the fit and after one
-# add_observation) over the problems of ``_fit_digest``, recorded before
-# the likelihood loop lost its wrapper calls.  Those trims keep every
-# floating-point op, so the digest must not move.  Last bits depend on the
-# toolchain (NumPy's and SciPy's OpenBLAS builds), so it is keyed by it.
-# Every exp, log and sin behind it is libm's, not NumPy's SIMD code (whose
-# AVX-512 float64 exp differs from libm in the last bit on some inputs), so
-# one digest serves AVX2 and AVX-512 hosts: CI also runs it under
-# NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".
+# add_observation) over the problems of ``_fit_digest``.  Every exp, log
+# and sin behind it is libm's, not NumPy's SIMD code (whose AVX-512 float64
+# exp differs from libm in the last bit on some inputs), so one digest
+# serves AVX2 and AVX-512 code paths: CI also runs it under
+# NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".  The fits' BLAS
+# and LAPACK calls still run on OpenBLAS kernels picked per CPU at run time
+# (``ddot`` alone already differs in the last bits between them), so the
+# digest is keyed by the toolchain and by the OpenBLAS core SciPy loaded.
+# CI also runs it under OPENBLAS_CORETYPE=Haswell, the kernels of AVX2-only
+# Intel and of AMD hosts.  The x86_64 values were recorded on one AVX-512
+# host under OPENBLAS_CORETYPE=SkylakeX (its default), Haswell, Zen (which
+# reports Haswell) and Sandybridge.
 _FIT_DIGESTS = {
-    ("2.4.6", "1.17.1", "x86_64"):
-        "0c7c1d44fa52f748aa29a185a88e10d0a2bb78ea9f8a055ed985eaedae6816b5",
+    ("2.4.6", "1.17.1", "x86_64", "SkylakeX"):
+        "399a78cff2f48134f94f29f43d35dcc948e588f4c448185735de8af8f523341e",
+    ("2.4.6", "1.17.1", "x86_64", "Haswell"):
+        "fae3c3670674d52363cb1672afae274edeeb8eb76962318983daebd0252b6558",
+    ("2.4.6", "1.17.1", "x86_64", "Sandybridge"):
+        "589918d5d49fc691e0b0b58bc9577d988f2e40932af293f0bc102ed5c12107e3",
 }
+
+
+def _openblas_core() -> str | None:
+    """The OpenBLAS core name of the library SciPy loads, or None."""
+    libs = pathlib.Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
+    for path in sorted(libs.glob("libscipy_openblas-*.so")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename", None)
+        if corename is not None:
+            corename.argtypes = []
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def _dot(row, w) -> float:
+    """``row . w`` summed left to right, independent of any BLAS."""
+    total = 0.0
+    for x, c in zip(row, w):
+        total += x * c
+    return total
 
 
 def _fit_digest(n_problems: int = 400) -> str:
@@ -268,9 +307,11 @@ def _fit_digest(n_problems: int = 400) -> str:
         d = int(rng.integers(2, 5))
         bounds = rng.integers(2, 12, size=d)
         X = rng.integers(0, bounds + 1, size=(n + 1, d)) / bounds
-        # libm's sin: NumPy's SIMD sin would key the inputs by host too.
-        u = 4.0 * X @ rng.normal(size=d)
-        y = np.array(list(map(math.sin, u.tolist()))) + 0.05 * rng.normal(size=n + 1)
+        # A fixed-order dot and libm's sin: NumPy's BLAS and SIMD sin would
+        # key the inputs by host too.
+        w = rng.normal(size=d).tolist()
+        u = [4.0 * _dot(row, w) for row in X.tolist()]
+        y = np.array(list(map(math.sin, u))) + 0.05 * rng.normal(size=n + 1)
         gp = GaussianProcessRegressor(
             Matern52(0.3, 1.0, scale=bounds.astype(float)),
             noise=1e-5, seed=problem,
@@ -283,7 +324,9 @@ def _fit_digest(n_problems: int = 400) -> str:
 
 
 def _assert_recorded_digest() -> None:
-    toolchain = (np.__version__, scipy.__version__, platform.machine())
+    toolchain = (
+        np.__version__, scipy.__version__, platform.machine(), _openblas_core()
+    )
     if toolchain not in _FIT_DIGESTS:
         pytest.skip(f"no fit digest recorded for toolchain {toolchain}")
     assert regression._checked_setulb() is not None

@@ -304,22 +304,14 @@ class TestScenarioPlumbing:
         with pytest.raises(ScenarioError, match="batch_size"):
             EvaluationBudget(batch_size=0)
 
-    def test_builder_sets_batch_size(self):
-        from repro.api import Scenario
-
-        scn = Scenario.builder("MT-WND").budget(8, batch_size=4).build()
-        assert scn.budget.max_samples == 8
-        assert scn.budget.batch_size == 4
-
     def test_runner_plumbs_batch_size_to_ribbon(self):
-        from repro.api import Scenario
+        from repro.api import EvaluationBudget, PoolSpec, Scenario, WorkloadSpec
 
-        scn = (
-            Scenario.builder("MT-WND")
-            .workload(n_queries=400, seed=1)
-            .pool("g4dn", "t3", bounds=(4, 6))
-            .budget(8, batch_size=4)
-            .build()
+        scn = Scenario(
+            "MT-WND",
+            workload=WorkloadSpec(n_queries=400, seed=1),
+            pool=PoolSpec(families=("g4dn", "t3"), bounds=(4, 6)),
+            budget=EvaluationBudget(8, batch_size=4),
         )
         res = scn.run("ribbon", seed=0, patience=None)
         # Fewer batches than BO samples (the 3 initial-design samples are
@@ -327,27 +319,25 @@ class TestScenarioPlumbing:
         assert 1 <= res.metadata["proposal_batches"] < len(res.history) - 3
 
     def test_runner_leaves_baselines_alone(self):
-        from repro.api import Scenario
+        from repro.api import EvaluationBudget, PoolSpec, Scenario, WorkloadSpec
 
-        scn = (
-            Scenario.builder("MT-WND")
-            .workload(n_queries=400, seed=1)
-            .pool("g4dn", "t3", bounds=(4, 6))
-            .budget(6, batch_size=4)
-            .build()
+        scn = Scenario(
+            "MT-WND",
+            workload=WorkloadSpec(n_queries=400, seed=1),
+            pool=PoolSpec(families=("g4dn", "t3"), bounds=(4, 6)),
+            budget=EvaluationBudget(6, batch_size=4),
         )
         res = scn.run("random", seed=0)
         assert len(res.history) <= 6
 
     def test_explicit_kwarg_wins_over_scenario(self):
-        from repro.api import Scenario
+        from repro.api import EvaluationBudget, PoolSpec, Scenario, WorkloadSpec
 
-        scn = (
-            Scenario.builder("MT-WND")
-            .workload(n_queries=400, seed=1)
-            .pool("g4dn", "t3", bounds=(4, 6))
-            .budget(6, batch_size=4)
-            .build()
+        scn = Scenario(
+            "MT-WND",
+            workload=WorkloadSpec(n_queries=400, seed=1),
+            pool=PoolSpec(families=("g4dn", "t3"), bounds=(4, 6)),
+            budget=EvaluationBudget(6, batch_size=4),
         )
         res = scn.run("ribbon", seed=0, batch_size=1)
         # One BO sample per batch: the sequential schedule.

@@ -17,7 +17,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api.scenario import Scenario
+from repro.api.scenario import EvaluationBudget, PoolSpec, Scenario, WorkloadSpec
 from repro.service import JobManager
 from repro.simulator import _identity_cache
 from repro.simulator.engine import InferenceServingSimulator
@@ -178,12 +178,11 @@ class TestResultCacheStress:
 # --- job manager under the same assertions --------------------------------
 
 def make_scenario(seed: int) -> Scenario:
-    return (
-        Scenario.builder("MT-WND")
-        .workload(n_queries=300, seed=seed)
-        .pool("g4dn", "t3", bounds=(4, 4))
-        .budget(max_samples=4)
-        .build()
+    return Scenario(
+        "MT-WND",
+        workload=WorkloadSpec(n_queries=300, seed=seed),
+        pool=PoolSpec(families=("g4dn", "t3"), bounds=(4, 4)),
+        budget=EvaluationBudget(max_samples=4),
     )
 
 

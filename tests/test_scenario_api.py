@@ -2,12 +2,12 @@
 
 Covers the redesign contract: registry round-trips for all five built-in
 strategies, front-loaded scenario validation with actionable errors,
-equivalence of ``Scenario.run`` with both :func:`repro.quick_search` and
-the previously hand-wired six-step pipeline, and deterministic multi-seed
-sweeps (sequential == parallel).
+equivalence of ``Scenario.run`` with the previously hand-wired six-step
+pipeline, and deterministic multi-seed sweeps.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,6 @@ from repro import (
     RibbonOptimizer,
     estimate_instance_bounds,
     get_model,
-    quick_search,
     trace_for_model,
 )
 from repro.api import (
@@ -197,36 +196,13 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="max_samples"):
             Scenario("MT-WND", budget=EvaluationBudget(max_samples=0))
 
-    def test_builder_requires_model(self):
-        with pytest.raises(ScenarioError, match="model"):
-            Scenario.builder().build()
-
-    def test_builder_equals_direct_construction(self):
-        built = (
-            Scenario.builder("DIEN")
-            .workload(n_queries=1234, seed=7, load_factor=1.5)
-            .qos(rate_target=0.98)
-            .pool("g4dn", "c5", bounds=(4, 6))
-            .budget(max_samples=21)
-            .build()
-        )
-        direct = Scenario(
-            model="DIEN",
-            workload=WorkloadSpec(n_queries=1234, seed=7, load_factor=1.5),
-            qos=QoSSpec(rate_target=0.98),
-            pool=PoolSpec(families=("g4dn", "c5"), bounds=(4, 6)),
-            budget=EvaluationBudget(max_samples=21),
-        )
-        assert built == direct
-        assert hash(built) == hash(direct)
-
     def test_with_updates_are_validated(self):
         scenario = Scenario("MT-WND")
         assert scenario.with_workload(load_factor=1.5).workload.load_factor == 1.5
         with pytest.raises(ScenarioError):
-            scenario.with_qos(rate_target=2.0)
+            scenario.with_budget(max_samples=0)
         # The original is untouched (frozen value semantics).
-        assert scenario.qos.rate_target == 0.99
+        assert scenario.budget.max_samples == 40
 
 
 SMALL = Scenario(
@@ -246,17 +222,21 @@ class TestScenarioRunner:
         monkeypatch.setattr(ScenarioRunner, "_build", build)
 
     def test_unknown_option_refused_before_materializing(self, no_materializing):
-        with pytest.raises(ScenarioError) as err:
-            Scenario("MT-WND").run("exhaustive", accelerate=True)
-        message = str(err.value)
-        assert "'accelerate'" in message and "stop_at_first" in message
+        # fresh_evaluator is no runner option: it reaches the registry check.
+        for name, value in (("accelerate", True), ("fresh_evaluator", True)):
+            with pytest.raises(ScenarioError) as err:
+                Scenario("MT-WND").run("exhaustive", **{name: value})
+            message = str(err.value)
+            assert f"'{name}'" in message and "stop_at_first" in message
 
     def test_run_many_refuses_unknown_option_before_materializing(
         self, no_materializing
     ):
+        # Sweeps are serial: parallel and max_workers are no options.
         runner = ScenarioRunner(SMALL)
-        with pytest.raises(ScenarioError, match="'bogus'.*accepted options"):
-            runner.run_many("random", bogus=1)
+        for name, value in (("bogus", 1), ("parallel", True), ("max_workers", 2)):
+            with pytest.raises(ScenarioError, match=f"'{name}'.*accepted options"):
+                runner.run_many("random", **{name: value})
         assert not runner._materialized
 
     def test_materialization_is_cached(self):
@@ -316,10 +296,8 @@ class TestScenarioRunner:
 
     def test_strategy_instance_passthrough(self):
         runner = ScenarioRunner(SMALL)
-        by_name = runner.run("random", seed=2, fresh_evaluator=True)
-        by_instance = runner.run(
-            RandomSearch(max_samples=8, seed=2), fresh_evaluator=True
-        )
+        by_name = runner.run("random", seed=2)
+        by_instance = runner.run(RandomSearch(max_samples=8, seed=2))
         assert by_name.best.pool.counts == by_instance.best.pool.counts
         with pytest.raises(ScenarioError, match="kwargs"):
             runner.run(RandomSearch(max_samples=8, seed=2), patience=None)
@@ -335,18 +313,6 @@ def _fingerprint(result):
 
 
 class TestEquivalenceAndSweeps:
-    def test_scenario_run_reproduces_quick_search(self):
-        """The satellite contract: same best pool, same history length."""
-        expected = quick_search("MT-WND", n_queries=1500, seed=0, max_samples=12)
-        got = Scenario(
-            model="MT-WND",
-            workload=WorkloadSpec(n_queries=1500),
-            budget=EvaluationBudget(max_samples=12),
-        ).run("ribbon", seed=0)
-        assert got.best is not None
-        assert got.best.pool == expected.best.pool
-        assert len(got.history) == len(expected.history)
-
     def test_scenario_run_matches_hand_wired_pipeline(self):
         """`Scenario.run` is the old six-step wiring, verbatim."""
         model = get_model("MT-WND")
@@ -376,17 +342,10 @@ class TestEquivalenceAndSweeps:
         # Different seeds explore independently (not one shared trajectory).
         assert len({tuple(_fingerprint(r)[3]) for r in first.values()}) > 1
 
-    def test_run_many_parallel_matches_sequential(self):
-        runner = ScenarioRunner(SMALL)
-        sequential = runner.run_many("random", seeds=(0, 1, 2))
-        parallel = runner.run_many("random", seeds=(0, 1, 2), parallel=True)
-        for seed in sequential:
-            assert _fingerprint(sequential[seed]) == _fingerprint(parallel[seed])
-
     def test_eval_duration_hours_drives_all_cost_accounting(self):
         """Exploration and exhaustive dollars must use the same clock."""
         billed = SMALL.with_budget(eval_duration_hours=10.0)
-        result = billed.run("random", seed=0, fresh_evaluator=True)
+        result = billed.run("random", seed=0)
         spent = sum(r.cost_per_hour for r in result.history)
         assert result.exploration_cost_dollars == pytest.approx(10.0 * spent)
         assert 0.0 < result.exploration_cost_fraction() < 1.0
@@ -421,13 +380,12 @@ class TestSerialization:
     """Scenario <-> dict wire format (the service's submission body)."""
 
     def test_round_trip_is_identity(self):
-        scenario = (
-            Scenario.builder("MT-WND")
-            .workload(n_queries=900, seed=4, load_factor=1.5)
-            .qos(rate_target=0.95)
-            .pool("g4dn", "t3", bounds=(3, 5))
-            .budget(max_samples=12, batch_size=2)
-            .build()
+        scenario = Scenario(
+            "MT-WND",
+            workload=WorkloadSpec(n_queries=900, seed=4, load_factor=1.5),
+            qos=QoSSpec(rate_target=0.95),
+            pool=PoolSpec(families=("g4dn", "t3"), bounds=(3, 5)),
+            budget=EvaluationBudget(max_samples=12, batch_size=2),
         )
         doc = scenario.to_dict()
         # The document is pure JSON: survives an actual encode/decode.
@@ -456,7 +414,7 @@ class TestSerialization:
         changed = [
             a.with_workload(load_factor=1.2),
             a.with_workload(seed=9),
-            a.with_qos(rate_target=0.95),
+            replace(a, qos=QoSSpec(rate_target=0.95)),
             a.with_budget(max_samples=41),
             Scenario("DIEN"),
         ]
@@ -526,20 +484,22 @@ class TestSerialization:
         batch_size,
     ):
         """Any valid scenario survives to_dict -> JSON -> from_dict intact."""
-        builder = (
-            Scenario.builder("MT-WND")
-            .workload(
+        scenario = Scenario(
+            "MT-WND",
+            workload=WorkloadSpec(
                 n_queries=n_queries,
                 seed=seed,
                 load_factor=load_factor,
                 gaussian=gaussian,
-            )
-            .qos(rate_target=rate_target)
-            .budget(max_samples=max_samples, batch_size=batch_size)
+            ),
+            qos=QoSSpec(rate_target=rate_target),
+            pool=(
+                PoolSpec(families=("g4dn", "t3"), bounds=bounds)
+                if bounds is not None
+                else PoolSpec()
+            ),
+            budget=EvaluationBudget(max_samples=max_samples, batch_size=batch_size),
         )
-        if bounds is not None:
-            builder = builder.pool("g4dn", "t3", bounds=bounds)
-        scenario = builder.build()
         wire = json.loads(json.dumps(scenario.to_dict()))
         rebuilt = Scenario.from_dict(wire)
         assert rebuilt == scenario

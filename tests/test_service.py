@@ -15,7 +15,13 @@ import threading
 import pytest
 
 from repro.api.registry import UnknownStrategyError
-from repro.api.scenario import Scenario, ScenarioError
+from repro.api.scenario import (
+    EvaluationBudget,
+    PoolSpec,
+    Scenario,
+    ScenarioError,
+    WorkloadSpec,
+)
 from repro.core.evaluator import EvaluationRecord
 from repro.core.result import SearchResult
 from repro.service import (
@@ -30,12 +36,11 @@ from repro.simulator.pool import PoolConfiguration
 def make_scenario(**workload) -> Scenario:
     workload.setdefault("n_queries", 500)
     workload.setdefault("seed", 1)
-    return (
-        Scenario.builder("MT-WND")
-        .workload(**workload)
-        .pool("g4dn", "t3", bounds=(4, 4))
-        .budget(max_samples=6)
-        .build()
+    return Scenario(
+        "MT-WND",
+        workload=WorkloadSpec(**workload),
+        pool=PoolSpec(families=("g4dn", "t3"), bounds=(4, 4)),
+        budget=EvaluationBudget(max_samples=6),
     )
 
 

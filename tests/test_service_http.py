@@ -25,7 +25,7 @@ from urllib.parse import urlparse
 
 import pytest
 
-from repro.api.scenario import Scenario
+from repro.api.scenario import EvaluationBudget, PoolSpec, Scenario, WorkloadSpec
 from repro.service import (
     JobManager,
     ServiceClient,
@@ -511,12 +511,11 @@ class TestRealRunnerSmoke:
         host, port = server.server_address[:2]
         client = ServiceClient(f"http://{host}:{port}", timeout=60.0)
         try:
-            scenario = (
-                Scenario.builder("MT-WND")
-                .workload(n_queries=300, seed=2)
-                .pool("g4dn", "t3", bounds=(4, 4))
-                .budget(max_samples=5)
-                .build()
+            scenario = Scenario(
+                "MT-WND",
+                workload=WorkloadSpec(n_queries=300, seed=2),
+                pool=PoolSpec(families=("g4dn", "t3"), bounds=(4, 4)),
+                budget=EvaluationBudget(max_samples=5),
             )
             job = client.submit(scenario, "random", seed=0)
             lines = list(client.stream(job["id"]))
@@ -539,9 +538,10 @@ class TestRealRunnerSmoke:
 
 
 class TestServeCommand:
-    def test_sigterm_shuts_down_cleanly(self, tmp_path):
-        """SIGTERM takes the same clean-shutdown path as Ctrl-C: exit 0
-        after the "shutting down" line, not death by the signal."""
+    @staticmethod
+    def _serve_then_signal(tmp_path, sig, preexec_fn=None):
+        """Start ``serve``, read its banner, send ``sig``; return the
+        exit code and the output."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(
             os.environ,
@@ -557,15 +557,34 @@ class TestServeCommand:
             stderr=subprocess.STDOUT,
             text=True,
             env=env,
+            preexec_fn=preexec_fn,
         )
         try:
             banner = proc.stdout.readline()
             assert "listening on http://" in banner, banner
-            proc.send_signal(signal.SIGTERM)
+            proc.send_signal(sig)
             out, _ = proc.communicate(timeout=30)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
-        assert proc.returncode == 0, out
+        return proc.returncode, out
+
+    def test_sigterm_shuts_down_cleanly(self, tmp_path):
+        """SIGTERM takes the same clean-shutdown path as Ctrl-C: exit 0
+        after the "shutting down" line, not death by the signal."""
+        code, out = self._serve_then_signal(tmp_path, signal.SIGTERM)
+        assert code == 0, out
+        assert "shutting down" in out
+
+    def test_sigint_stops_a_daemon_started_with_sigint_ignored(self, tmp_path):
+        """A daemon backgrounded from a non-interactive shell starts with
+        SIGINT ignored, so Python installs no KeyboardInterrupt handler;
+        ``serve`` installs its own, and SIGINT still shuts it down."""
+        code, out = self._serve_then_signal(
+            tmp_path,
+            signal.SIGINT,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        assert code == 0, out
         assert "shutting down" in out
