@@ -1,10 +1,12 @@
-"""Build and load the package's compiled ports of two hot loops.
+"""Build and load the package's compiled ports of its hot loops.
 
-Two loops have C ports with the same float operations as the Python code
-they port: the family dispatch loop (``simulator/_dispatch.c``, bound by
-:func:`repro.simulator.engine._native_loops`) and the GP likelihood
-(``gp/_lml.c``, bound by :func:`repro.gp.regression._compiled_lml`).  Both
-go through this module:
+Two C files port hot loops with the same float operations as the Python
+code they port: the family dispatch loop (``simulator/_dispatch.c``, bound
+by :func:`repro.simulator.engine._native_loops`) and the GP library
+(``gp/_lml.c``), whose likelihood is bound by
+:func:`repro.gp.regression._compiled_lml` and whose candidate scorer by
+:func:`repro.gp.regression._compiled_scorer`, each with its own
+self-check.  All go through this module:
 
 * :func:`build` compiles a source with the system ``cc`` and one recipe,
   :data:`_CFLAGS` (``-O2 -ffp-contract=off``: no fused multiply-adds, so
@@ -40,7 +42,8 @@ T = TypeVar("T")
 
 #: The one compile recipe; -ffp-contract=off forbids fused multiply-adds.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-#: Linked after the source: the likelihood takes ``exp`` and ``log`` from libm.
+#: Linked after the source: the GP library takes ``exp``, ``log`` and
+#: ``sqrt`` from libm.
 _LDLIBS = ("-lm",)
 
 

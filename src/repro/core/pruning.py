@@ -30,8 +30,10 @@ class PruneSet:
         self._prices = np.asarray(prices, dtype=float)
         if self._prices.ndim != 1 or self._prices.size == 0:
             raise ValueError("prices must be a non-empty 1-D sequence")
-        # Ceilings: vectors whose entire dominated-below boxes are pruned.
+        # Ceilings: vectors whose entire dominated-below boxes are pruned,
+        # and the same as int tuples (read on every acquisition step).
         self._ceilings: list[np.ndarray] = []
+        self._ceiling_tuples: tuple[tuple[int, ...], ...] = ()
         # Cost threshold: configurations with cost >= threshold are pruned.
         self._cost_threshold = np.inf
 
@@ -42,7 +44,7 @@ class PruneSet:
     @property
     def ceilings(self) -> tuple[tuple[int, ...], ...]:
         """Current dominance ceilings (maximal violating vectors)."""
-        return tuple(tuple(int(v) for v in c) for c in self._ceilings)
+        return self._ceiling_tuples
 
     @property
     def cost_threshold(self) -> float:
@@ -65,6 +67,7 @@ class PruneSet:
                 kept.append(c)
         kept.append(vec)
         self._ceilings = kept
+        self._ceiling_tuples = tuple(tuple(c.tolist()) for c in kept)
 
     def update_cost_threshold(self, cost: float) -> None:
         """Lower the cost threshold to the cost of a QoS-meeting incumbent."""

@@ -1,4 +1,5 @@
-/* Compiled negative log marginal likelihood of repro.gp.regression.
+/* The compiled GP of repro.gp.regression: the fit's negative log marginal
+ * likelihood and the candidate scorer.
  *
  * lml_eval is GaussianProcessRegressor._make_analytic_objective in one
  * call, with the same float operations in the same order:
@@ -17,7 +18,16 @@
  * Every exp and log is libm's, which the spec takes through math.exp and
  * math.log.  Where r0 is symmetric (checked at a fit's first call) K and G
  * are computed on the lower triangle and mirrored, halving the exp calls.
- * After the last call A holds the factor, which the fit keeps.
+ * lml_factor is lml_eval with the factor's upper triangle zeroed after,
+ * as potrf's clean=1 leaves it: A then holds the factor the fit keeps.
+ *
+ * gp_score is GaussianProcessRegressor._predict_spec and
+ * acquisition.expected_improvement in one pass over the candidates, each
+ * row on its own in the spec's fixed order: the distances to the training
+ * rows with each dot product summed left to right, the Matern 5/2 row
+ * (libm exp), the mean with K* alpha summed over j in order, forward
+ * substitution row by row, sum v^2 in order, the floored variance, and EI
+ * with SciPy's ndtr.
  *
  * dpotrf, dpotrs and ddot are the routines scipy.linalg's cython_lapack
  * and cython_blas export, passed in as function pointers, so this file
@@ -25,12 +35,16 @@
  * fused multiply-add reordering).
  */
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 typedef void potrf_fn(char *uplo, int *n, double *a, int *lda, int *info);
 typedef void potrs_fn(char *uplo, int *n, int *nrhs, double *a, int *lda,
                       double *b, int *ldb, int *info);
 typedef double ddot_fn(int *n, double *x, int *incx, double *y, int *incy);
+/* scipy.special.cython_special's double ndtr; the int is Cython's
+ * skip-dispatch flag, passed as 0. */
+typedef double ndtr_fn(double x, int skip_dispatch);
 
 /* One fit's problem.  work holds, in this order (n x n matrices in C
  * order unless noted):
@@ -156,4 +170,114 @@ double lml_eval(struct lml_fit *f, double log_l, double log_v)
     g[0] = -(0.5 * f->ddot(&mm, W, &one, G, &one));
     g[1] = -(0.5 * f->ddot(&mm, W, &one, K, &one));
     return -lml;
+}
+
+/* lml_eval, then the upper triangle of A zeroed: the fit's factor. */
+double lml_factor(struct lml_fit *f, double log_l, double log_v)
+{
+    double out = lml_eval(f, log_l, log_v);
+    int64_t n = f->n;
+    double *A = f->work + 4 * n * n + 2 * n;
+    for (int64_t j = 1; j < n; j++)
+        for (int64_t i = 0; i < j; i++)
+            A[i + j * n] = 0.0;
+    return out;
+}
+
+/* Candidates are scored this many at a time: their forward substitutions
+ * run side by side, each in its own fixed order, so the CPU overlaps
+ * their dependency chains. */
+#define SCORE_BLOCK 4
+
+/* One GP's posterior at candidate rows.  xt (n x d, C order) and sqt are
+ * the training rows and their squared norms, alpha the weights, L the
+ * training factor (n x n, F order), kss the prior variance k(x, x); xc
+ * (nc x d, C order) and sqc are the candidate rows and their norms, of
+ * which rows[0..m) are scored (all nc of them, m == nc, if rows is NULL).
+ * out_mean gets the posterior mean; unless out_std is NULL, out_std the
+ * posterior std; unless out_ei is NULL, out_ei EI over best.  work holds
+ * 2 SCORE_BLOCK n doubles.  Returns 0, or -1 (nothing written) if a row
+ * is out of range. */
+int gp_score(int64_t m, int64_t n, int64_t d, int64_t nc, const double *xc,
+             const double *sqc, const int64_t *rows, const double *xt,
+             const double *sqt, double length_scale, double variance,
+             double kss, const double *alpha, const double *L, double y_std,
+             double y_mean, double best, ndtr_fn *ndtr, double *out_mean,
+             double *out_std, double *out_ei, double *work)
+{
+    const double sqrt5 = sqrt(5.0), pdf_c = sqrt(2.0 * 3.141592653589793);
+    /* Kernel rows and v, entry j of block lane b at [j * SCORE_BLOCK + b]. */
+    double *k = work, *v = work + SCORE_BLOCK * n;
+    if (rows != NULL)
+        for (int64_t c = 0; c < m; c++)
+            if (rows[c] < 0 || rows[c] >= nc)
+                return -1;
+    for (int64_t c0 = 0; c0 < m; c0 += SCORE_BLOCK) {
+        int lanes = m - c0 < SCORE_BLOCK ? (int)(m - c0) : SCORE_BLOCK;
+        double mean[SCORE_BLOCK], ssq[SCORE_BLOCK], a[SCORE_BLOCK];
+        for (int b = 0; b < SCORE_BLOCK; b++) {
+            if (b >= lanes) { /* a spare lane: zeros, never written out */
+                for (int64_t j = 0; j < n; j++)
+                    k[j * SCORE_BLOCK + b] = 0.0;
+                continue;
+            }
+            int64_t row = rows != NULL ? rows[c0 + b] : c0 + b;
+            const double *x = xc + row * d;
+            double sq = sqc[row], acc = 0.0;
+            for (int64_t j = 0; j < n; j++) {
+                const double *t = xt + j * d;
+                double dot = x[0] * t[0];
+                for (int64_t q = 1; q < d; q++)
+                    dot = dot + x[q] * t[q];
+                double d2 = (sq + sqt[j]) - 2.0 * dot;
+                if (d2 < 0.0)
+                    d2 = 0.0;
+                double r = sqrt(d2 + 1e-12) / length_scale;
+                double s = sqrt5 * r;
+                double kv = variance * ((1.0 + s) + (5.0 * (r * r)) / 3.0);
+                kv = kv * exp(-s);
+                k[j * SCORE_BLOCK + b] = kv;
+                acc = acc + kv * alpha[j];
+            }
+            mean[b] = acc * y_std + y_mean;
+            out_mean[c0 + b] = mean[b];
+        }
+        if (out_std == NULL)
+            continue;
+        for (int b = 0; b < SCORE_BLOCK; b++)
+            ssq[b] = 0.0;
+        for (int64_t i = 0; i < n; i++) {
+            for (int b = 0; b < SCORE_BLOCK; b++)
+                a[b] = 0.0;
+            for (int64_t j = 0; j < i; j++) {
+                double l = L[i + j * n];
+                for (int b = 0; b < SCORE_BLOCK; b++)
+                    a[b] = a[b] + l * v[j * SCORE_BLOCK + b];
+            }
+            for (int b = 0; b < SCORE_BLOCK; b++) {
+                double vi = (k[i * SCORE_BLOCK + b] - a[b]) / L[i + i * n];
+                v[i * SCORE_BLOCK + b] = vi;
+                ssq[b] = ssq[b] + vi * vi;
+            }
+        }
+        for (int b = 0; b < lanes; b++) {
+            double var = kss - ssq[b];
+            if (var < 1e-12)
+                var = 1e-12;
+            double std = sqrt(var) * y_std;
+            out_std[c0 + b] = std;
+            if (out_ei == NULL)
+                continue;
+            double improve = mean[b] - best, ei;
+            if (std > 0.0) {
+                double z = improve / std;
+                ei = improve * ndtr(z, 0) +
+                     std * (exp(-(z * z) / 2.0) / pdf_c);
+            } else {
+                ei = improve < 0.0 ? 0.0 : improve;
+            }
+            out_ei[c0 + b] = ei < 0.0 ? 0.0 : ei;
+        }
+    }
+    return 0;
 }

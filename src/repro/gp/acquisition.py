@@ -11,18 +11,20 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
+from repro.gp.kernels import _libm_exp
+
 _PDF_C = np.sqrt(2.0 * np.pi)
 
 
 def _norm_pdf(z: np.ndarray) -> np.ndarray:
-    """Standard normal density — the exact float ops of ``norm.pdf``.
+    """Standard normal density: the float ops of ``norm.pdf``, with libm's
+    ``exp`` as the compiled scorer (``gp/_lml.c``) takes it.
 
     ``scipy.stats.norm`` routes every call through the generic distribution
     machinery (argument broadcasting, support masks), which costs more than
-    the EI arithmetic itself on BO-grid-sized inputs; ``ndtr`` +- this
-    helper produce bit-identical values without the overhead.
+    the EI arithmetic itself on BO-grid-sized inputs.
     """
-    return np.exp(-(z**2) / 2.0) / _PDF_C
+    return _libm_exp(-(z**2) / 2.0) / _PDF_C
 
 
 def expected_improvement(

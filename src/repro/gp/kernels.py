@@ -9,7 +9,9 @@ fit instead of once per likelihood evaluation:
 * :meth:`Matern52.precompute_input` — per-row data for one input set
   (:class:`PreparedInput`: rounded rows + squared norms);
 * :meth:`Matern52.cross_state` — the pairwise distance matrix between
-  two prepared inputs;
+  two prepared inputs (the training set's, on the fit side), and
+  :meth:`Matern52.ordered_cross_state`, the same distances with each dot
+  product summed left to right over the coordinates (the candidate side);
 * :meth:`Matern52.eval_state` / :meth:`Matern52.eval_and_gradient_state`
   — the covariance matrix, and with it its exact log-space ``theta``
   gradients, under the *current* hyperparameters.
@@ -17,16 +19,17 @@ fit instead of once per likelihood evaluation:
 ``__call__`` routes through the same pipeline, so cached and uncached
 evaluations are bit-identical by construction.
 
-The fit side takes every ``exp`` and ``log`` from libm, through
-:func:`math.exp` and :func:`math.log`: the hyperparameter transforms
-(:meth:`Matern52.set_theta`, :meth:`~Matern52.get_theta`,
-:meth:`~Matern52.theta_bounds`) and the training matrices of
-:meth:`~Matern52.eval_and_gradient_state`.  Those are the calls the
-compiled likelihood (``gp/_lml.c``) makes, and they do not depend on the
-SIMD code NumPy dispatches to (its AVX-512 float64 ``exp`` differs from
-libm in the last bit on some inputs), so fits give the same bits on every
-x86-64 host.  :meth:`~Matern52.eval_state`, which scores candidates, stays
-on NumPy's ``exp``.
+Every ``exp`` and ``log`` is libm's, through :func:`math.exp` and
+:func:`math.log`: the hyperparameter transforms (:meth:`Matern52.set_theta`,
+:meth:`~Matern52.get_theta`, :meth:`~Matern52.theta_bounds`), the training
+matrices of :meth:`~Matern52.eval_and_gradient_state`, and the candidate
+side's :meth:`~Matern52.eval_state` and :meth:`~Matern52.diag`.  Those are
+the calls the compiled likelihood and candidate scorer (``gp/_lml.c``)
+make, and they do not depend on the SIMD code NumPy dispatches to (its
+AVX-512 float64 ``exp`` differs from libm in the last bit on some inputs),
+so fits and proposals give the same bits on every x86-64 host.  The two
+kernel matrices are one formula: :meth:`~Matern52.eval_state` equals the
+``K`` of :meth:`~Matern52.eval_and_gradient_state` bit for bit.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def take_prepared(pi: PreparedInput, idx: np.ndarray) -> PreparedInput:
     selected inputs.  Used to score only the candidate cells of the cached
     lattice preparation.
     """
-    return PreparedInput(pi.x[idx], pi.sq[idx])
+    return PreparedInput(pi.x.take(idx, axis=0), pi.sq.take(idx))
 
 
 class Matern52:
@@ -155,11 +158,28 @@ class Matern52:
         d2 = pi1.sq[:, None] + pi2.sq[None, :] - 2.0 * pi1.x @ pi2.x.T
         return np.sqrt(np.maximum(d2, 0.0) + _JITTER_EPS)
 
+    def ordered_cross_state(
+        self, pi1: PreparedInput, pi2: PreparedInput
+    ) -> np.ndarray:
+        """:meth:`cross_state` with each ``a.b`` summed left to right over
+        the ``d`` coordinates instead of by BLAS, so every entry is one
+        fixed sequence of float operations: the candidate distances the
+        compiled scorer repeats."""
+        x1, x2 = pi1.x, pi2.x
+        dot = x1[:, 0, None] * x2[:, 0]
+        for k in range(1, x1.shape[1]):
+            dot = dot + x1[:, k, None] * x2[:, k]
+        d2 = pi1.sq[:, None] + pi2.sq[None, :] - 2.0 * dot
+        return np.sqrt(np.maximum(d2, 0.0) + _JITTER_EPS)
+
     def eval_state(self, r0: np.ndarray) -> np.ndarray:
-        """Covariance matrix for a :meth:`cross_state` under current theta."""
+        """Covariance matrix for a :meth:`cross_state` under current theta
+        (libm's ``exp``)."""
         r = r0 / self.length_scale
         sqrt5_r = _SQRT5 * r
-        return self.variance * (1.0 + sqrt5_r + 5.0 * r**2 / 3.0) * np.exp(-sqrt5_r)
+        return self.variance * (1.0 + sqrt5_r + 5.0 * r**2 / 3.0) * _libm_exp(
+            -sqrt5_r
+        )
 
     def eval_and_gradient_state(
         self, r0: np.ndarray, workspace: dict
@@ -203,13 +223,16 @@ class Matern52:
         np.multiply(G, E, out=G)
         return K, [G, K]
 
+    def diag_value(self) -> float:
+        """The prior variance ``k(x, x)``: :meth:`eval_state` at the
+        jittered zero distance."""
+        r0 = math.sqrt(_JITTER_EPS) / self.length_scale
+        s = _SQRT5 * r0
+        return self.variance * (1.0 + s + 5.0 * (r0 * r0) / 3.0) * math.exp(-s)
+
     def diag(self, pi: PreparedInput) -> np.ndarray:
         """Diagonal of the covariance matrix of ``pi`` with itself."""
-        r0 = np.sqrt(_JITTER_EPS) / self.length_scale
-        val = self.variance * (1.0 + _SQRT5 * r0 + 5.0 * r0**2 / 3.0) * np.exp(
-            -_SQRT5 * r0
-        )
-        return np.full(pi.x.shape[0], val)
+        return np.full(pi.x.shape[0], self.diag_value())
 
     # Log-space hyperparameters ---------------------------------------------
     def get_theta(self) -> np.ndarray:

@@ -9,23 +9,24 @@
   fits in memory: :class:`~repro.core.search_space.SearchSpace` refuses
   one above :data:`~repro.core.search_space.MAX_LATTICE_CELLS` cells;
 * :class:`SequentialEI` — ``propose(ctx, q)``: one surrogate refit and
-  one (mean + std) candidate predict, then ``q`` picks.  The first pick
-  is the plain EI argmax, with the masking, flat-acquisition fallback and
-  random tie-breaking of the paper's schedule (golden-tested against the
-  recorded search sequences).  Each later pick conditions a *fantasy
-  copy* of the GP on a constant lie at the previous pick through the
-  rank-1 Cholesky
+  one scoring call for the candidates' mean, std and EI
+  (:meth:`~repro.gp.regression.GaussianProcessRegressor.predict_ei`, one
+  call into the compiled scorer where it is bound), then ``q`` picks.
+  The first pick is the plain EI argmax, with the masking,
+  flat-acquisition fallback and random tie-breaking of the paper's
+  schedule (golden-tested against the recorded search sequences).  Each
+  later pick conditions a *fantasy copy* of the GP on a constant lie at
+  the previous pick through the rank-1 Cholesky
   :meth:`~repro.gp.regression.GaussianProcessRegressor.add_observation`
   and refreshes the candidates' *mean* (O(M·n), against the O(M·n^2) std
-  predict paid once per batch).  At ``q=1`` no fantasy runs.
+  paid once per batch).  At ``q=1`` no fantasy runs.
 
-Candidate-only scoring: the acquisition predicts and computes EI on the
-candidate cells alone (unsampled and unpruned; a median of ~13 % of a
-paper model's lattice at proposal time), in ascending lattice order,
-so the argmax sees the tie set a masked whole-lattice sweep would.  Sample
-sequences are unchanged; a cell's mean or std can differ from a
-whole-lattice predict in the last bits, because BLAS blocks a product
-over fewer rows differently.
+Candidate-only scoring: the acquisition scores the candidate cells alone
+(unsampled and unpruned; a median of ~13 % of a paper model's lattice at
+proposal time), in ascending lattice order, so the argmax sees the tie
+set a masked whole-lattice sweep would.  Every candidate row is computed
+on its own in one fixed order, with no BLAS call, so a cell's mean, std
+and EI are the bits a whole-lattice predict gives it, on every host.
 
 Determinism contract: the acquisition draws only from the context's
 generator, in a fixed order (one surrogate seed draw per refit, one
@@ -36,6 +37,7 @@ regardless of how the proposals are evaluated downstream.
 from __future__ import annotations
 
 import copy
+import math
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -80,15 +82,19 @@ class AcquisitionContext:
         self._kernel = make_kernel()
         self._prepared = None
         self._bounds_vec = np.asarray(space.bounds, dtype=float)
-        self.observations_x: list[np.ndarray] = []
-        self.observations_y: list[float] = []
+        # Observations in growing buffers, of which the first _n_obs rows
+        # are filled: every refit reads them as arrays.
+        self._obs_x = np.empty((8, self._bounds_vec.size))
+        self._obs_y = np.empty(8)
+        self._n_obs = 0
         self._sampled: set[int] = set()
         # The kept candidate mask, the cost threshold and the ceilings it
-        # already reflects, and the per-cell costs.
+        # already reflects, the per-cell costs and the lattice's columns.
         self._mask: np.ndarray | None = None
         self._mask_threshold = np.inf
         self._mask_ceilings: set[tuple[int, ...]] = set()
         self._costs: np.ndarray | None = None
+        self._grid_columns: np.ndarray | None = None
 
     # -- lattice preparation ---------------------------------------------------
     def prepared(self):
@@ -102,18 +108,39 @@ class AcquisitionContext:
         """A lattice vector normalized exactly as training inputs are."""
         return np.asarray(counts, dtype=float) / self._bounds_vec
 
+    @property
+    def observations_x(self) -> np.ndarray:
+        """The observed unit-cube rows, oldest first (a read-only view)."""
+        view = self._obs_x[: self._n_obs]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def observations_y(self) -> np.ndarray:
+        """The observed objective values, oldest first (a read-only view)."""
+        view = self._obs_y[: self._n_obs]
+        view.flags.writeable = False
+        return view
+
+    def _append_observation(self, counts, objective: float) -> None:
+        n = self._n_obs
+        if n == self._obs_y.size:
+            self._obs_x = np.concatenate([self._obs_x, np.empty_like(self._obs_x)])
+            self._obs_y = np.concatenate([self._obs_y, np.empty_like(self._obs_y)])
+        self._obs_x[n] = self.unit_row(counts)
+        self._obs_y[n] = float(objective)
+        self._n_obs = n + 1
+
     def add_pseudo_observation(self, counts, objective: float) -> None:
         """Inject an estimated objective value (warm starts); not sampled."""
-        self.observations_x.append(self.unit_row(counts))
-        self.observations_y.append(float(objective))
+        self._append_observation(counts, objective)
 
     def observe(self, counts, objective: float) -> None:
         """Record a measured evaluation and mark its lattice cell sampled."""
         idx = self.space.index_of(counts)
         if idx is not None:
             self.mark_sampled(idx)
-        self.observations_x.append(self.unit_row(counts))
-        self.observations_y.append(float(objective))
+        self._append_observation(counts, objective)
 
     def mark_sampled(self, idx: int) -> None:
         """Exclude lattice cell ``idx`` from every later proposal."""
@@ -127,7 +154,7 @@ class AcquisitionContext:
         return frozenset(self._sampled)
 
     def best_observed(self) -> float:
-        return float(np.max(self.observations_y))
+        return float(self._obs_y[: self._n_obs].max())
 
     # -- candidate masking -----------------------------------------------------
     def _kept_mask(self) -> np.ndarray:
@@ -150,29 +177,36 @@ class AcquisitionContext:
         prune = self.prune
         if prune is None:
             return mask
-        grid = self.space.grid()
         threshold = prune.cost_threshold
         if threshold < self._mask_threshold:
             if self._costs is None:
-                self._costs = prune.costs(grid)
+                self._costs = prune.costs(self.space.grid())
             mask &= ~(self._costs >= threshold)
             self._mask_threshold = threshold
         for ceiling in prune.ceilings:
             if ceiling not in self._mask_ceilings:
-                mask &= ~np.all(grid <= np.asarray(ceiling), axis=1)
+                # ``all(grid <= ceiling, axis=1)`` a column at a time.
+                columns = self._grid_columns
+                if columns is None:
+                    columns = np.ascontiguousarray(self.space.grid().T)
+                    self._grid_columns = columns
+                below = columns[0] <= ceiling[0]
+                for column, bound in zip(columns[1:], ceiling[1:]):
+                    below &= column <= bound
+                mask &= ~below
                 self._mask_ceilings.add(ceiling)
         return mask
 
     def candidate_indices(self) -> np.ndarray:
         """Lattice indices of the candidate cells, ascending."""
-        return np.flatnonzero(self._kept_mask())
+        return self._kept_mask().nonzero()[0]
 
     def random_unsampled(self) -> int | None:
         """A uniformly random candidate cell index (initial design)."""
         idx = self.candidate_indices()
         if idx.size == 0:
             return None
-        return int(self.rng.choice(idx))
+        return int(_draw(idx, self.rng))
 
     # -- surrogate -----------------------------------------------------------
     def surrogate_gp(self) -> GaussianProcessRegressor:
@@ -182,16 +216,15 @@ class AcquisitionContext:
         observations exist; each call draws the seed of the fit's random
         start from ``rng``.
         """
+        n = self._n_obs
         gp = GaussianProcessRegressor(
             self._make_kernel(),
             noise=self.GP_NOISE,
-            optimize_hyperparameters=len(self.observations_y) >= 4,
+            optimize_hyperparameters=n >= 4,
             seed=int(self.rng.integers(2**31 - 1)),
         )
-        return gp.fit(
-            np.vstack(self.observations_x),
-            np.asarray(self.observations_y, dtype=float),
-        )
+        # The fit keeps X as given: a view of rows that are never rewritten.
+        return gp.fit(self._obs_x[:n], self._obs_y[:n])
 
 
 def _candidate_argmax(
@@ -200,17 +233,23 @@ def _candidate_argmax(
     """EI argmax with the optimizer's exact tie rules, as a row position.
 
     ``ei`` and ``std`` hold the candidate cells only, in ascending lattice
-    order, so the tie set — and the ``rng.choice`` draw over it — is the
-    one a masked sweep over the whole lattice would build.
+    order, so the tie set — and the draw over it — is the one a masked
+    sweep over the whole lattice would build.
     """
     best = float(ei.max())
-    if not np.isfinite(best) or best <= 0.0:
+    if not math.isfinite(best) or best <= 0.0:
         # Flat acquisition: fall back to the highest-variance candidate,
         # breaking ties randomly (pure exploration).
-        top = np.flatnonzero(std >= std.max() - 1e-15)
-        return int(rng.choice(top))
-    top = np.flatnonzero(ei >= best * (1.0 - 1e-9))
-    return int(rng.choice(top))
+        top = (std >= std.max() - 1e-15).nonzero()[0]
+    else:
+        top = (ei >= best * (1.0 - 1e-9)).nonzero()[0]
+    return int(_draw(top, rng))
+
+
+def _draw(values: np.ndarray, rng: np.random.Generator):
+    """``rng.choice(values)`` without its argument handling: the same
+    bounded-integer draw, so the same pick and the same generator state."""
+    return values[rng.integers(0, values.size)]
 
 
 class SequentialEI:
@@ -243,25 +282,21 @@ class SequentialEI:
         if idx.size == 0:
             return []
         gp = ctx.surrogate_gp()
-        prepared = take_prepared(ctx.prepared(), idx)
-        mean, std = gp.predict(prepared, return_std=True)
         best_observed = ctx.best_observed()
+        _, std, ei = gp.predict_ei(ctx.prepared(), best_observed, rows=idx)
         selected: list[int] = []
         fantasy = None
-        for j in range(q):
-            if idx.size == 0:
-                break
-            ei = expected_improvement(mean, std, best_observed=best_observed)
+        while True:
             pos = _candidate_argmax(ei, std, ctx.rng)
             selected.append(int(idx[pos]))
-            if j + 1 < q:
-                # Drop the pick's row; the rest keep their ascending order.
-                rest = np.delete(np.arange(idx.size), pos)
-                idx, std = idx[rest], std[rest]
-                prepared = take_prepared(prepared, rest)
-                fantasy = _fantasize(ctx, gp, fantasy, selected[-1])
-                mean = fantasy.predict(prepared)
-        return selected
+            if len(selected) == q or idx.size == 1:
+                return selected
+            # Drop the pick's row; the rest keep their ascending order.
+            rest = np.delete(np.arange(idx.size), pos)
+            idx, std = idx[rest], std[rest]
+            fantasy = _fantasize(ctx, gp, fantasy, selected[-1])
+            mean = fantasy.predict(take_prepared(ctx.prepared(), idx))
+            ei = expected_improvement(mean, std, best_observed=best_observed)
 
 
 def _fantasize(
@@ -274,6 +309,6 @@ def _fantasize(
     CL-min lie at lattice cell ``picked``."""
     if fantasy is None:
         fantasy = copy.deepcopy(gp)
-    lie = float(np.asarray(ctx.observations_y, dtype=float).min())
+    lie = float(np.minimum.reduce(ctx.observations_y))
     fantasy.add_observation(ctx.unit_row(ctx.space.counts_at(picked)), lie)
     return fantasy

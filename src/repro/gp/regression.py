@@ -4,7 +4,9 @@ Standard GP machinery (Rasmussen & Williams ch. 2) implemented directly on
 numpy/scipy:
 
 * posterior mean/variance via a Cholesky factorization of
-  ``K + sigma_n^2 I`` (jitter-stabilized);
+  ``K + sigma_n^2 I`` (jitter-stabilized), and with them Expected
+  Improvement at candidate points
+  (:meth:`GaussianProcessRegressor.predict_ei`);
 * hyperparameter selection by maximizing the log marginal likelihood with
   L-BFGS-B over the kernel's log-space parameter vector from two starts
   (the current theta, then one uniform draw within the bounds), with
@@ -61,6 +63,20 @@ that factor bit-equal to :meth:`~GaussianProcessRegressor._factorize_raw`'s.
 Without a compiler, or on any mismatch, every fit runs the Python
 objective, with identical results (its list-based libm ``exp`` makes it
 slower than NumPy's ufunc would, most at n ≈ 32).
+
+Compiled candidate scorer: the same library holds ``gp_score``, which
+scores every candidate of a proposal in one call (~28 µs for 100
+candidates at n = 10, against ~68 µs for NumPy's ``predict`` and EI).
+Per candidate row it computes the distances to the training rows, the
+Matern 5/2 row with libm ``exp``, the mean, the forward substitution
+against the training factor, the variance and EI with SciPy's ``ndtr``
+(the ``scipy.special.cython_special`` capsule), all in fixed-order loops.
+:meth:`GaussianProcessRegressor._predict_spec` and
+:func:`~repro.gp.acquisition.expected_improvement` are its spec and
+fallback, written in the same order, so a row's bits depend neither on
+BLAS nor on which other rows are scored.  :func:`_compiled_scorer` has its
+own bit-equality self-check, so either half of the library can decline
+alone; the spec costs ~195 µs per such proposal.
 """
 
 from __future__ import annotations
@@ -68,6 +84,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import re
 
 import numpy as np
 from scipy import linalg as sla
@@ -75,11 +92,13 @@ from scipy import optimize
 from scipy.linalg import get_lapack_funcs
 
 from repro import _native
+from repro.gp.acquisition import expected_improvement
 from repro.gp.kernels import (
     Matern52,
     PreparedInput,
     _as_2d,
     concat_prepared,
+    take_prepared,
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -100,6 +119,20 @@ _PGTOL = 1e-5
 _MAXLS = 20
 
 
+@functools.cache
+def _setulb_bounds(lows: tuple, highs: tuple):
+    """``setulb``'s bound arrays ``(nbd, low, high)`` for a box, built once
+    per box: every fit of a kernel passes the same one."""
+    lows, highs = np.array(lows), np.array(highs)
+    lo_ok, hi_ok = np.isfinite(lows), np.isfinite(highs)
+    nbd = np.where(lo_ok, np.where(hi_ok, 2, 1), np.where(hi_ok, 3, 0))
+    nbd = nbd.astype(np.int32)
+    low, high = np.where(lo_ok, lows, 0.0), np.where(hi_ok, highs, 0.0)
+    for a in (nbd, low, high):
+        a.flags.writeable = False
+    return nbd, low, high
+
+
 def _lbfgsb_loop(setulb, fun, x0, lows, highs, maxiter: int):
     """L-BFGS-B on ``fun -> (f, g)`` by reverse communication with ``setulb``.
 
@@ -109,12 +142,9 @@ def _lbfgsb_loop(setulb, fun, x0, lows, highs, maxiter: int):
     request at the last evaluated point reuses its ``(f, g)``, as SciPy's
     ``array_equal`` cache does.  Returns ``(x, f)``.
     """
-    n, m = x0.size, _M
+    n, m = len(x0), _M
     x = np.array(x0, dtype=np.float64)
-    lo_ok, hi_ok = np.isfinite(lows), np.isfinite(highs)
-    nbd = np.where(lo_ok, np.where(hi_ok, 2, 1), np.where(hi_ok, 3, 0))
-    nbd = nbd.astype(np.int32)
-    low, high = np.where(lo_ok, lows, 0.0), np.where(hi_ok, highs, 0.0)
+    nbd, low, high = _setulb_bounds(tuple(lows.tolist()), tuple(highs.tolist()))
     f, g = np.array(0.0), np.zeros(n)
     wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
     iwa = np.zeros(3 * n, dtype=np.int32)
@@ -198,22 +228,22 @@ def _checked_setulb():
     return setulb
 
 
-def _minimize_lbfgsb(fun, x0, bounds, maxiter: int):
-    """L-BFGS-B minimum ``(x, f)`` of ``fun -> (f, g)`` within ``bounds``.
+def _minimize_lbfgsb(fun, x0, lows, highs, maxiter: int):
+    """L-BFGS-B minimum ``(x, f)`` of ``fun -> (f, g)`` within the box
+    ``[lows, highs]``.
 
     Uses :func:`_lbfgsb_loop` once :func:`_checked_setulb` has vouched for
     it, and public ``optimize.minimize`` otherwise, with identical results.
     """
     setulb = _checked_setulb()
     if setulb is not None:
-        lows, highs = np.array(bounds, dtype=float).T
         return _lbfgsb_loop(setulb, fun, x0, lows, highs, maxiter)
     res = optimize.minimize(
         fun,
         x0,
         method="L-BFGS-B",
         jac=True,
-        bounds=bounds,
+        bounds=list(zip(lows.tolist(), highs.tolist())),
         options={"maxiter": maxiter},
     )
     return res.x, res.fun
@@ -232,33 +262,37 @@ class _LmlFit(ctypes.Structure):
     ]
 
 
+def _capsules(module) -> dict[str, tuple[bytes, int]]:
+    """``{name: (signature, address)}`` of a Cython module's C API."""
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api)
+    )
+    get_pointer = ctypes.PYFUNCTYPE(
+        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
+    )(("PyCapsule_GetPointer", api))
+    out = {}
+    for name, capsule in module.__pyx_capi__.items():
+        signature = get_name(capsule)
+        out[name] = (signature, get_pointer(capsule, signature))
+    return out
+
+
 class _CompiledLml:
-    """ctypes binding of ``_lml.c``'s ``lml_eval``, with the addresses of
-    SciPy's ``dpotrf``, ``dpotrs`` and ``ddot``."""
+    """ctypes binding of ``_lml.c``'s ``lml_eval`` and ``lml_factor``, with
+    the addresses of SciPy's ``dpotrf``, ``dpotrs`` and ``ddot``."""
 
     def __init__(self, lib: ctypes.CDLL):
         from scipy.linalg import cython_blas, cython_lapack
 
-        api = ctypes.pythonapi
-        get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-            ("PyCapsule_GetName", api)
-        )
-        get_pointer = ctypes.PYFUNCTYPE(
-            ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
-        )(("PyCapsule_GetPointer", api))
-
-        def routine(module, name: str) -> int:
-            capsule = module.__pyx_capi__[name]
-            return get_pointer(capsule, get_name(capsule))
-
+        lapack, blas = _capsules(cython_lapack), _capsules(cython_blas)
         self.routines = (
-            routine(cython_lapack, "dpotrf"),
-            routine(cython_lapack, "dpotrs"),
-            routine(cython_blas, "ddot"),
+            lapack["dpotrf"][1], lapack["dpotrs"][1], blas["ddot"][1]
         )
-        self.evaluate = lib.lml_eval
-        self.evaluate.argtypes = (ctypes.c_void_p, ctypes.c_double, ctypes.c_double)
-        self.evaluate.restype = ctypes.c_double
+        self.evaluate, self.factor = lib.lml_eval, lib.lml_factor
+        for fn in (self.evaluate, self.factor):
+            fn.argtypes = (ctypes.c_void_p, ctypes.c_double, ctypes.c_double)
+            fn.restype = ctypes.c_double
 
 
 def _self_check_problems():
@@ -324,6 +358,133 @@ def _compiled_lml() -> _CompiledLml | None:
     return _native.load("repro.gp", "_lml.c", _CompiledLml, _compiled_lml_agrees)
 
 
+def _address(a: np.ndarray) -> int:
+    """The data address of the contiguous array ``a``.  A ctypes view of a
+    writable C-contiguous buffer costs a quarter of ``a.ctypes.data``,
+    which serves every other array."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):
+        return a.ctypes.data
+
+
+#: ``cython_special``'s capsule name for a C function ``double f(double)``.
+_NDTR_SIGNATURE = b"double (double, int __pyx_skip_dispatch)"
+
+
+class _CompiledScorer:
+    """ctypes binding of ``_lml.c``'s ``gp_score``, with the address of
+    SciPy's double ``ndtr``.
+
+    ``ndtr`` is a fused function in ``scipy.special.cython_special``, so
+    its double entry is found by name and capsule signature; without it
+    the scorer declines."""
+
+    def __init__(self, lib: ctypes.CDLL):
+        from scipy.special import cython_special
+
+        ndtr = [
+            address
+            for name, (signature, address) in _capsules(cython_special).items()
+            if re.fullmatch(r"(__pyx_fuse_\d+)?ndtr", name)
+            and signature == _NDTR_SIGNATURE
+        ]
+        if len(ndtr) != 1:
+            raise LookupError("scipy.special.cython_special has no double ndtr")
+        self.ndtr = ndtr[0]
+        i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+        self.score = lib.gp_score
+        self.score.argtypes = (
+            (i64,) * 4 + (ptr,) * 5 + (dbl,) * 3 + (ptr,) * 2 + (dbl,) * 3
+            + (ptr,) * 5
+        )
+        self.score.restype = ctypes.c_int
+
+    def __call__(self, gp: "GaussianProcessRegressor", pi: PreparedInput,
+                 want_std: bool, best: float | None, rows=None):
+        """``(mean, std, ei)`` of the fitted ``gp`` at the rows ``rows`` of
+        ``pi`` (all of them if None) in one call; ``std`` is None unless
+        ``want_std``, ``ei`` None unless ``best`` is given (which needs
+        ``want_std``)."""
+        x, sq = np.ascontiguousarray(pi.x), np.ascontiguousarray(pi.sq)
+        train = gp._pi
+        xt, sqt = np.ascontiguousarray(train.x), np.ascontiguousarray(train.sq)
+        # L in F order is L.T in C order: the same bytes.
+        alpha, Lt = np.ascontiguousarray(gp._alpha), np.asfortranarray(gp._L).T
+        kernel = gp.kernel
+        nc, d = x.shape
+        if rows is None:
+            m, rows_address = nc, None
+        else:
+            rows = np.ascontiguousarray(rows, dtype=np.int64)
+            m, rows_address = rows.size, _address(rows)
+        n = xt.shape[0]
+        k = 1 + want_std + (best is not None)
+        # The outputs, one row each, then the scorer's work: two rows of
+        # n doubles per lane of its SCORE_BLOCK (4).
+        out = np.empty(k * m + 8 * n)
+        base = _address(out)
+        status = self.score(
+            m, n, d, nc, _address(x), _address(sq), rows_address, _address(xt),
+            _address(sqt), kernel.length_scale, kernel.variance,
+            kernel.diag_value(), _address(alpha), _address(Lt), gp._y_std,
+            gp._y_mean, 0.0 if best is None else best, self.ndtr,
+            base, base + 8 * m if want_std else None,
+            base + 16 * m if best is not None else None,
+            base + 8 * k * m,
+        )
+        if status != 0:
+            raise IndexError(f"candidate rows out of range for {nc} rows")
+        return (
+            out[:m],
+            out[m : 2 * m] if want_std else None,
+            out[2 * m : 3 * m] if best is not None else None,
+        )
+
+
+def _compiled_scorer_agrees(scorer: _CompiledScorer) -> bool:
+    """Bit-equality of the compiled scorer and
+    :meth:`~GaussianProcessRegressor._predict_spec` plus
+    :func:`~repro.gp.acquisition.expected_improvement` (mean, std and EI,
+    and the mean-only mode) on :func:`_self_check_problems` at the
+    kernel's default theta.  Candidates are random rows around the unit
+    cube and the training rows themselves (floored variance); incumbents
+    are the smallest and the largest target and one above every mean
+    (flat EI)."""
+    rng = np.random.default_rng(11)
+    for gp in _self_check_problems():
+        gp._factorize()
+        X = gp.X_train
+        pi = gp.kernel.precompute_input(
+            np.vstack([rng.uniform(-0.2, 1.2, size=(60, X.shape[1])), X])
+        )
+        mean, std = gp._predict_spec(pi, True)
+        if scorer(gp, pi, False, None)[0].tobytes() != mean.tobytes():
+            return False
+        y = gp.y_train
+        for best in (float(y.min()), float(y.max()), float(y.max()) + 1e3):
+            ei = expected_improvement(mean, std, best)
+            ours = scorer(gp, pi, True, best)
+            if any(a.tobytes() != b.tobytes() for a, b in zip(ours, (mean, std, ei))):
+                return False
+    return True
+
+
+@functools.cache
+def _compiled_scorer() -> _CompiledScorer | None:
+    """The compiled candidate scorer if ``_lml.c`` builds, binds SciPy's
+    ``ndtr`` and reproduces :meth:`GaussianProcessRegressor._predict_spec`
+    and :func:`~repro.gp.acquisition.expected_improvement` bit for bit
+    here, else None (the Python spec runs).  Independent of
+    :func:`_compiled_lml`: either may decline alone.
+
+    Runs once per process, at the first prediction.
+    """
+    return _native.load(
+        "repro.gp", "_lml.c", _CompiledScorer, _compiled_scorer_agrees
+    )
+
+
 class GaussianProcessRegressor:
     """GP regression on normalized targets.
 
@@ -357,7 +518,8 @@ class GaussianProcessRegressor:
         self.kernel = kernel
         self.noise = float(noise)
         self.optimize_hyperparameters = bool(optimize_hyperparameters)
-        self._rng = np.random.default_rng(seed)
+        # default_rng(seed) without its argument dispatch.
+        self._rng = np.random.Generator(np.random.PCG64(seed))
         self._X: np.ndarray | None = None
         self._pi: PreparedInput | None = None
         self._train_state = None
@@ -395,10 +557,14 @@ class GaussianProcessRegressor:
         self._set_targets(y)
 
     def _set_targets(self, y: np.ndarray) -> None:
-        self._y_mean = float(y.mean())
-        std = float(y.std())
+        # y.mean() and y.std() without their Python wrappers: the same
+        # reductions and divisions, so the same bits.
+        n = y.size
+        self._y_mean = float(np.add.reduce(y)) / n
+        dev = y - self._y_mean
+        std = math.sqrt(float(np.add.reduce(dev * dev)) / n)
         self._y_std = std if std > 1e-12 else 1.0
-        self._y = (y - self._y_mean) / self._y_std
+        self._y = dev / self._y_std
 
     def _ensure_train_state(self):
         if self._train_state is None:
@@ -569,7 +735,7 @@ class GaussianProcessRegressor:
             n, -1, self.noise, 0.5 * n * _LOG_2PI, *lml.routines, work.ctypes.data
         )
         address = ctypes.addressof(fit)
-        evaluate = lml.evaluate
+        evaluate, lml_factor = lml.evaluate, lml.factor
         spec = []
 
         def neg_lml_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -584,10 +750,10 @@ class GaussianProcessRegressor:
             """:meth:`_stable_cholesky`'s factor of the training matrix at
             ``theta`` (``dpotrf`` on the same matrix, upper triangle
             zeroed, F order), or None where ``dpotrf`` fails."""
-            f = evaluate(address, *theta.tolist())
+            f = lml_factor(address, *theta.tolist())
             if f != f:
                 return None
-            return np.asfortranarray(np.tril(A))
+            return A.copy(order="F")
 
         # C holds the workspace's address only: keep it alive with the
         # objective.
@@ -599,21 +765,25 @@ class GaussianProcessRegressor:
         """Set the kernel to the likelihood's best theta; return the
         compiled objective's factor of the training matrix there, or None
         (:meth:`_factorize_raw` then factors it)."""
-        bounds = self.kernel.theta_bounds()
+        lows, highs = np.array(self.kernel.theta_bounds()).T
         lml = _compiled_lml()
         if lml is None:
             fun = self._make_analytic_objective()
         else:
             fun = self._make_compiled_objective(lml)
-        lows = np.array([b[0] for b in bounds])
-        highs = np.array([b[1] for b in bounds])
-        starts = [self.kernel.get_theta(), self._rng.uniform(lows, highs)]
+        # rng.uniform(lows, highs) without its argument broadcasting: the
+        # same draws, the same bits and the same generator state.
+        starts = [
+            self.kernel.get_theta(),
+            lows + (highs - lows) * self._rng.random(lows.size),
+        ]
+        box = list(zip(lows.tolist(), highs.tolist()))
 
         best_theta, best_val = None, np.inf
         for x0 in starts:
-            x, f = _minimize_lbfgsb(
-                fun, np.clip(x0, lows, highs), bounds=bounds, maxiter=100
-            )
+            # np.clip(x0, lows, highs) on floats (NaN stays NaN).
+            x0 = [min(max(v, lo), hi) for v, (lo, hi) in zip(x0.tolist(), box)]
+            x, f = _minimize_lbfgsb(fun, x0, lows, highs, maxiter=100)
             if f < best_val:
                 best_val, best_theta = float(f), x
         if best_theta is None or not np.isfinite(best_val):
@@ -622,23 +792,71 @@ class GaussianProcessRegressor:
         return None if lml is None else fun.factor(best_theta)
 
     # -- prediction ------------------------------------------------------------
+    def _prepared(self, X) -> PreparedInput:
+        if self._pi is None or self._alpha is None or self._L is None:
+            raise RuntimeError("call fit() before predict()")
+        return X if isinstance(X, PreparedInput) else self.kernel.precompute_input(X)
+
     def predict(self, X, return_std: bool = False):
         """Posterior mean (and optionally standard deviation) at ``X``.
 
         ``X`` may be a plain ``(m, d)`` array or a :class:`PreparedInput`
         produced by ``kernel.precompute_input`` — callers predicting over
         the same candidate set many times (the BO grid) prepare it once.
+        One call into the compiled scorer where :func:`_compiled_scorer`
+        is bound, else :meth:`_predict_spec`, with the same bits.
         """
-        if self._pi is None or self._alpha is None or self._L is None:
-            raise RuntimeError("call fit() before predict()")
-        pi = X if isinstance(X, PreparedInput) else self.kernel.precompute_input(X)
-        K_star = self.kernel.eval_state(self.kernel.cross_state(pi, self._pi))
-        mean = K_star @ self._alpha * self._y_std + self._y_mean
+        pi = self._prepared(X)
+        scorer = _compiled_scorer()
+        if scorer is None:
+            return self._predict_spec(pi, return_std)
+        mean, std, _ = scorer(self, pi, return_std, None)
+        return (mean, std) if return_std else mean
+
+    def predict_ei(self, X, best_observed: float, rows=None):
+        """Posterior mean, std and EI over ``best_observed`` at the rows
+        ``rows`` of ``X`` (all of them if None): :meth:`predict` with
+        ``return_std=True`` and
+        :func:`~repro.gp.acquisition.expected_improvement`, in one
+        compiled call where the scorer is bound.  ``rows`` lets a caller
+        score part of a prepared lattice without copying it out."""
+        pi = self._prepared(X)
+        scorer = _compiled_scorer()
+        if scorer is None:
+            if rows is not None:
+                pi = take_prepared(pi, np.asarray(rows))
+            mean, std = self._predict_spec(pi, True)
+            return mean, std, expected_improvement(mean, std, best_observed)
+        return scorer(self, pi, True, best_observed, rows)
+
+    def _predict_spec(self, pi: PreparedInput, return_std: bool):
+        """The posterior (R&W Alg. 2.1, lines 4–6) with every candidate
+        row computed on its own in one fixed order, which the compiled
+        scorer repeats: the distances of
+        :meth:`~repro.gp.kernels.Matern52.ordered_cross_state`, the
+        kernel row (libm ``exp``), ``K* alpha`` summed over the training
+        rows in order, forward substitution row by row (each row's sum in
+        order) and ``sum v^2`` in order."""
+        kernel = self.kernel
+        K = kernel.eval_state(kernel.ordered_cross_state(pi, self._pi))
+        m, n = K.shape
+        acc = np.zeros(m)
+        for j, a in enumerate(self._alpha.tolist()):
+            acc += K[:, j] * a
+        mean = acc * self._y_std + self._y_mean
         if not return_std:
             return mean
-        v = sla.solve_triangular(self._L, K_star.T, lower=True, check_finite=False)
-        var = self.kernel.diag(pi) - np.sum(v**2, axis=0)
-        var = np.maximum(var, 1e-12)
+        # v = L^-1 K*^T column by column: once v[i] is known, its terms
+        # join every later row's running sum, so each row sums in order.
+        L = self._L
+        v = K.T.copy()
+        acc = np.zeros((n, m))
+        ssq = np.zeros(m)
+        for i in range(n):
+            v[i] = (v[i] - acc[i]) / L[i, i]
+            acc[i + 1 :] += L[i + 1 :, i, None] * v[i]
+            ssq += v[i] * v[i]
+        var = np.maximum(kernel.diag(pi) - ssq, 1e-12)
         return mean, np.sqrt(var) * self._y_std
 
     @property

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.gp.acquisition import expected_improvement
 from repro.gp.kernels import Matern52, take_prepared
-from repro.gp.proposals import _candidate_argmax
+from repro.gp.proposals import _candidate_argmax, _draw
 from repro.gp.regression import GaussianProcessRegressor
 from repro.simulator.pool import grid_vectors
 
@@ -99,11 +99,6 @@ def test_import_leaves_module_unloaded(module):
     assert proc.returncode == 0, proc.stderr.decode()
 
 
-# Set before the first run: a candidate row may differ from the same row
-# of a whole-lattice predict only in the last bits of BLAS-blocked products.
-SUBSET_RTOL = SUBSET_ATOL = 1e-12
-
-
 def _full_grid_argmax(ei, std, candidates, rng) -> int:
     """The masked whole-lattice argmax that candidate-only scoring replaces."""
     ei = np.where(candidates, ei, -np.inf)
@@ -146,14 +141,12 @@ class TestCandidateOnlyScoring:
             sub = take_prepared(full, idx)
             _assert_same_prepared(sub, kernel.precompute_input(grid_unit[idx]))
 
+            # Each candidate row is computed on its own in one fixed order,
+            # so a subset's rows are the whole lattice's, bit for bit.
             mean_f, std_f = gp.predict(full, return_std=True)
             mean_s, std_s = gp.predict(sub, return_std=True)
-            np.testing.assert_allclose(
-                mean_s, mean_f[idx], rtol=SUBSET_RTOL, atol=SUBSET_ATOL
-            )
-            np.testing.assert_allclose(
-                std_s, std_f[idx], rtol=SUBSET_RTOL, atol=SUBSET_ATOL
-            )
+            np.testing.assert_array_equal(mean_s, mean_f[idx])
+            np.testing.assert_array_equal(std_s, std_f[idx])
             # An informative incumbent and one no cell can beat (flat EI,
             # highest-std fallback) both pick the same cell.
             for best in (float(y.max()), float(y.max()) + 1e3):
@@ -163,3 +156,15 @@ class TestCandidateOnlyScoring:
                 assert idx[pick] == _full_grid_argmax(
                     ei_f, std_f, candidates, np.random.default_rng(seed)
                 )
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 64, 100, 1000, 2**20 + 3])
+def test_draw_is_generator_choice(size):
+    """The tie-break draw picks what ``rng.choice`` picks and leaves the
+    generator in the same state, seed by seed."""
+    values = np.arange(size) * 3 + 1
+    for seed in range(200):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert _draw(values, ours) == theirs.choice(values)
+        assert ours.bit_generator.state == theirs.bit_generator.state

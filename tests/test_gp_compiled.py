@@ -1,14 +1,17 @@
-"""The compiled GP likelihood against the Python objective it ports.
+"""The compiled GP library against the Python code it ports.
 
 ``regression._compiled_lml()`` builds ``gp/_lml.c`` through
 ``repro._native`` at the first hyperparameter fit and binds SciPy's
 ``dpotrf``/``dpotrs``/``ddot`` into it; ``_make_analytic_objective`` is its
-spec, its self-check oracle and its fallback.  These tests pin that the two
-objectives agree bit for bit, that the compiled one engages where a
-compiler exists, and that every way it can be unavailable leaves fits
-bit-identical on the Python objective.
+spec, its self-check oracle and its fallback.  ``regression.
+_compiled_scorer()`` binds the same library's candidate scorer and SciPy's
+``ndtr``; ``_predict_spec`` plus ``expected_improvement`` is its spec.
+These tests pin that each half agrees with its spec bit for bit, that it
+engages where a compiler exists, and that every way it can be unavailable
+leaves fits and proposals bit-identical on the Python code.
 """
 
+import math
 import shutil
 
 import numpy as np
@@ -17,12 +20,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import _native
+from repro.core.search_space import SearchSpace
 from repro.gp import regression
-from repro.gp.kernels import Matern52
+from repro.gp.acquisition import expected_improvement
+from repro.gp.kernels import Matern52, take_prepared
+from repro.gp.proposals import AcquisitionContext, SequentialEI, _candidate_argmax
 from repro.gp.regression import GaussianProcessRegressor
 
 HAS_CC = shutil.which("cc") is not None
 needs_cc = pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+
+
+@pytest.fixture
+def fresh_scorer():
+    """As ``fresh_lml``, for the candidate scorer."""
+    regression._compiled_scorer.cache_clear()
+    yield
+    regression._compiled_scorer.cache_clear()
 
 
 @pytest.fixture
@@ -214,3 +228,187 @@ def test_self_check_rejects_a_drifted_factor(fresh_lml, monkeypatch):
 
     monkeypatch.setattr(GaussianProcessRegressor, "_make_compiled_objective", drifted)
     assert regression._compiled_lml() is None
+
+
+# ---------------------------------------------------------------------------
+# The candidate scorer
+# ---------------------------------------------------------------------------
+#: A paper model's lattice (MT-WND's measured bounds: 719 cells).
+PAPER_SPACE = SearchSpace(("g4dn", "c5", "r5n"), (5, 7, 14))
+
+
+def fitted_lattice_gp(seed: int, n: int, noise: float = 1e-5):
+    """A GP fitted as a search fits it, on ``n`` cells of the paper
+    lattice (cells repeat once ``n`` exceeds it)."""
+    space = PAPER_SPACE
+    rng = np.random.default_rng(seed)
+    grid = space.grid_unit()
+    X = grid[rng.choice(grid.shape[0], n, replace=n > grid.shape[0])]
+    y = np.sin(3.0 * X @ rng.normal(size=X.shape[1])) + 0.05 * rng.normal(size=n)
+    scale = np.asarray(space.bounds, dtype=float)
+    gp = GaussianProcessRegressor(
+        Matern52(0.3, 1.0, scale=scale), noise=noise,
+        optimize_hyperparameters=n >= 4, seed=seed,
+    )
+    return gp.fit(X, y), y
+
+
+def assert_scorer_matches_spec(gp, pi, best: float) -> None:
+    mean, std = gp._predict_spec(pi, True)
+    ei = expected_improvement(mean, std, best)
+    scorer = regression._compiled_scorer()
+    got = scorer(gp, pi, True, best)
+    for name, a, b in zip(("mean", "std", "ei"), got, (mean, std, ei)):
+        assert a.tobytes() == b.tobytes(), name
+    assert scorer(gp, pi, False, None)[0].tobytes() == mean.tobytes()
+    assert gp.predict_ei(pi, best)[2].tobytes() == ei.tobytes()
+
+
+@needs_cc
+def test_compiled_scorer_engages_where_a_compiler_exists(monkeypatch):
+    assert regression._compiled_scorer() is not None
+    gp, y = fitted_lattice_gp(0, 10)
+
+    def boom(self, pi, return_std):  # pragma: no cover - must not run
+        raise AssertionError("the Python spec ran")
+
+    monkeypatch.setattr(GaussianProcessRegressor, "_predict_spec", boom)
+    gp.predict_ei(PAPER_SPACE.grid_unit(), float(y.max()))
+    gp.predict(PAPER_SPACE.grid_unit(), return_std=True)
+
+
+@needs_cc
+@pytest.mark.parametrize("n", [1, 3, 10, 40, 120])
+def test_compiled_scorer_equals_the_spec(n):
+    """One candidate and a full paper lattice, incumbents below, at and
+    above the observations (the last gives flat EI: every cell's EI
+    underflows or rounds to 0)."""
+    gp, y = fitted_lattice_gp(n, n)
+    lattice = gp.kernel.precompute_input(PAPER_SPACE.grid_unit())
+    single = gp.kernel.precompute_input(PAPER_SPACE.grid_unit()[[17]])
+    for best in (float(y.min()), float(y.max()), float(y.max()) + 1e3):
+        assert_scorer_matches_spec(gp, lattice, best)
+        assert_scorer_matches_spec(gp, single, best)
+    _, _, ei = gp.predict_ei(lattice, float(y.max()) + 1e3)
+    assert ei.max() == 0.0
+
+
+@needs_cc
+def test_scored_rows_are_the_taken_rows():
+    """``rows=`` scores lattice rows in place: the bits of scoring the rows
+    taken out, and an index off the lattice is refused, not read."""
+    gp, y = fitted_lattice_gp(8, 10)
+    lattice = gp.kernel.precompute_input(PAPER_SPACE.grid_unit())
+    idx = np.flatnonzero(np.random.default_rng(8).random(719) < 0.15)
+    best = float(y.max())
+    taken = gp.predict_ei(take_prepared(lattice, idx), best)
+    for a, b in zip(gp.predict_ei(lattice, best, rows=idx), taken):
+        assert a.tobytes() == b.tobytes()
+    for bad in ([0, 719], [-1]):
+        with pytest.raises(IndexError):
+            gp.predict_ei(lattice, best, rows=np.array(bad))
+
+
+@needs_cc
+def test_compiled_scorer_floors_the_variance_at_observed_cells():
+    """Under a noise far below the floor, the posterior variance at a
+    sampled cell is below 1e-12, so std is the floor's, the same bits on
+    both sides."""
+    gp, y = fitted_lattice_gp(5, 6, noise=1e-15)
+    pi = gp.kernel.precompute_input(gp.X_train)
+    _, std = gp._predict_spec(pi, True)
+    assert np.all(std == math.sqrt(1e-12) * gp._y_std)
+    assert_scorer_matches_spec(gp, pi, float(y.max()))
+
+
+@needs_cc
+def test_compiled_scorer_keeps_an_exact_tie_set():
+    """Rows that round to one cell are one candidate to the kernel: their
+    mean, std and EI are equal bits, so the tie-break draws over all of
+    them, from the compiled scores as from the spec's."""
+    gp, y = fitted_lattice_gp(6, 10)
+    bounds = np.asarray(PAPER_SPACE.bounds, dtype=float)
+    cell = PAPER_SPACE.grid_unit()[300]
+    rows = np.vstack([cell + k * 0.1 / bounds for k in (-1, 0, 1, 0, -1)])
+    pi = gp.kernel.precompute_input(np.vstack([rows, PAPER_SPACE.grid_unit()]))
+    best = float(y.max())
+    assert_scorer_matches_spec(gp, pi, best)
+    _, std, ei = gp.predict_ei(pi, best)
+    mean_s, std_s = gp._predict_spec(pi, True)
+    ei_s = expected_improvement(mean_s, std_s, best)
+    assert len(set(ei[:5].tolist())) == 1
+    for seed in range(20):
+        assert _candidate_argmax(ei, std, np.random.default_rng(seed)) == (
+            _candidate_argmax(ei_s, std_s, np.random.default_rng(seed))
+        )
+
+
+@needs_cc
+def test_compiled_scorer_serves_fantasy_refreshes():
+    """After ``add_observation`` (a C-order bordered factor) the mean-only
+    mode still equals the spec."""
+    gp, y = fitted_lattice_gp(7, 10)
+    for cell in (3, 400, 650):
+        gp.add_observation(PAPER_SPACE.grid_unit()[cell], float(y.min()))
+        pi = gp.kernel.precompute_input(PAPER_SPACE.grid_unit())
+        assert gp.predict(pi).tobytes() == gp._predict_spec(pi, False).tobytes()
+        assert_scorer_matches_spec(gp, pi, float(y.max()))
+
+
+def proposal_sequence(seed: int, q: int) -> list[int]:
+    """A search's proposals on the paper lattice, observing a smooth
+    objective: the initial design, then ``q``-batches."""
+    rng = np.random.default_rng(seed)
+    scale = np.asarray(PAPER_SPACE.bounds, dtype=float)
+    ctx = AcquisitionContext(
+        PAPER_SPACE, rng=rng, make_kernel=lambda: Matern52(0.3, 1.0, scale=scale)
+    )
+    w = np.array([0.7, -1.3, 0.4])
+    picks = []
+
+    def observe(cell):
+        picks.append(cell)
+        x = PAPER_SPACE.grid_unit()[cell]
+        ctx.observe(PAPER_SPACE.counts_at(cell), math.sin(3.0 * float(x @ w)))
+
+    for _ in range(3):
+        observe(ctx.random_unsampled())
+    while len(picks) < 24:
+        for cell in SequentialEI().propose(ctx, q):
+            observe(cell)
+    return picks
+
+
+@pytest.mark.parametrize("q", [1, 4])
+def test_unavailable_scorer_proposes_identically(q, monkeypatch):
+    expected = proposal_sequence(3, q)
+    monkeypatch.setattr(regression, "_compiled_scorer", lambda: None)
+    assert proposal_sequence(3, q) == expected
+
+
+@pytest.mark.parametrize("failure", ["no-ndtr", "no-compiler", "self-check"])
+def test_scorer_declines_alone(failure, fresh_scorer, fresh_lml, monkeypatch):
+    if failure == "no-ndtr":
+        monkeypatch.setattr(regression, "_NDTR_SIGNATURE", b"no such signature")
+    elif failure == "no-compiler":
+        monkeypatch.setattr(_native.shutil, "which", lambda name: None)
+    else:
+        monkeypatch.setattr(regression, "_compiled_scorer_agrees", lambda s: False)
+    assert regression._compiled_scorer() is None
+    if HAS_CC and failure != "no-compiler":
+        assert regression._compiled_lml() is not None
+
+
+@needs_cc
+def test_self_check_rejects_a_drifted_scorer(fresh_scorer, monkeypatch):
+    """One ulp off in one EI entry is a mismatch."""
+    call = regression._CompiledScorer.__call__
+
+    def drifted(self, gp, pi, want_std, best):
+        mean, std, ei = call(self, gp, pi, want_std, best)
+        if ei is not None:
+            ei[-1] = np.nextafter(ei[-1], np.inf)
+        return mean, std, ei
+
+    monkeypatch.setattr(regression._CompiledScorer, "__call__", drifted)
+    assert regression._compiled_scorer() is None
