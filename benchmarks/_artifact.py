@@ -14,6 +14,11 @@ into one artifact format at the repo root:
 * ``history``: append-only list of every recording, so re-anchors can
   spot drift per bench/figure rather than only against the latest run.
 
+A run records (rewrites ``current`` and appends to ``history``) only when
+it is asked to with ``BENCH_RECORD=1``, as the CI steps that upload the
+artifacts are; a plain local run checks its goldens and leaves the
+committed file untouched.
+
 :class:`BenchArtifact` wraps the read/record/enforce cycle; speedup
 enforcement follows the suite's convention — wall-clock ratios are only
 comparable on the host that recorded the baseline, so targets are asserted
@@ -55,9 +60,10 @@ class BenchArtifact:
         return self.data[key]
 
     def record(self, **fields) -> dict:
-        """Append one recording (stamped with date + host) and write.
+        """One recording, stamped with date + host, written only under
+        ``BENCH_RECORD=1``.
 
-        The recording becomes ``current`` and is appended to the
+        A written recording becomes ``current`` and is appended to the
         append-only ``history`` so every prior measurement stays
         comparable.
         """
@@ -66,9 +72,10 @@ class BenchArtifact:
             "host": platform.node(),
             **fields,
         }
-        self.data["current"] = stamped
-        self.data.setdefault("history", []).append(stamped)
-        self.write()
+        if os.environ.get("BENCH_RECORD") == "1":
+            self.data["current"] = stamped
+            self.data.setdefault("history", []).append(stamped)
+            self.write()
         return stamped
 
     def write(self) -> None:

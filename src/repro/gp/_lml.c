@@ -1,8 +1,9 @@
 /* The compiled GP of repro.gp.regression: the fit's negative log marginal
  * likelihood and the candidate scorer.
  *
- * lml_eval is GaussianProcessRegressor._make_analytic_objective in one
- * call, with the same float operations in the same order:
+ * lml_step is the L-BFGS-B loop's objective: GaussianProcessRegressor.
+ * _make_analytic_objective in one call, with the same float operations in
+ * the same order, behind a repeat cache:
  *
  *   l = exp(theta_0), v = exp(theta_1), as Matern52.set_theta
  *   r = r0 / l, nu = -sqrt(5) r, E = exp(nu), and K and G from them, as
@@ -15,11 +16,23 @@
  *   W = alpha alpha^T - K^-1 in C order, and 0.5 ddot(W, G_j) for each
  *   np.vdot(W, G_j).
  *
+ * It reads theta from the loop's x and writes the gradient into the
+ * loop's g.  The fit keeps its last evaluation (theta, f, g); a request
+ * at an equal theta (by ==, as SciPy's array_equal compares, so a NaN
+ * never matches) is answered from it, as SciPy's loop answers setulb's
+ * repeated requests.  A failed dpotrf is never cached: that call goes
+ * to the Python objective and its jitter path.
+ *
  * Every exp and log is libm's, which the spec takes through math.exp and
  * math.log.  Where r0 is symmetric (checked at a fit's first call) K and G
  * are computed on the lower triangle and mirrored, halving the exp calls.
- * lml_factor is lml_eval with the factor's upper triangle zeroed after,
- * as potrf's clean=1 leaves it: A then holds the factor the fit keeps.
+ * lml_factor is lml_step followed by zeroing the factor's upper
+ * triangle, as potrf's clean=1 leaves it: A then holds the factor the fit
+ * keeps.
+ *
+ * pcg64_uniform draws the fit's random start as NumPy's
+ * Generator(PCG64(seed)).random does, without the ~10 us of seeding a
+ * Generator.
  *
  * gp_score is GaussianProcessRegressor._predict_spec and
  * acquisition.expected_improvement in one pass over the candidates, each
@@ -54,8 +67,7 @@ typedef double ndtr_fn(double x, int skip_dispatch);
  *   K, G, W      n x n each
  *   A    n x n   F order: K + noise I, then L
  *   B    n x (n + 1), F order: [y | I], then solved
- *   d    n       log(diag(L))
- *   g    2       the two gradient entries, negated */
+ *   d    n       log(diag(L)) */
 struct lml_fit {
     int64_t n, sym;     /* sym: -1 until the first call checks r0 == r0^T */
     double noise, cnst; /* sigma_n^2 and 0.5 n log(2 pi) */
@@ -63,6 +75,9 @@ struct lml_fit {
     potrs_fn *potrs;
     ddot_fn *ddot;
     double *work;
+    int64_t evals; /* lml_step calls not answered from the cache */
+    int64_t seen;  /* 1 while last holds an evaluation */
+    double last[5]; /* theta_0, theta_1, f, g_0, g_1 of the last one */
 };
 
 /* NumPy's pairwise summation of a contiguous float64 array (the inner
@@ -96,15 +111,16 @@ static double pairwise_sum(const double *a, int64_t n)
 }
 
 /* The negated lml at theta = (log_l, log_v) and its negated gradient in
- * g; 1e25 and a zero gradient where the lml is not finite.  NaN where
- * K + noise I is not positive definite: the caller takes the jitter
- * path. */
-double lml_eval(struct lml_fit *f, double log_l, double log_v)
+ * g; 1e25 and a zero gradient where the lml is not finite.  NaN, with g
+ * untouched, where K + noise I is not positive definite: the caller takes
+ * the jitter path. */
+static double lml_eval(struct lml_fit *f, double log_l, double log_v,
+                       double *g)
 {
     int64_t n = f->n;
     double *r0 = f->work, *y = r0 + n * n, *ny = y + n, *K = ny + n;
     double *G = K + n * n, *W = G + n * n, *A = W + n * n, *B = A + n * n;
-    double *d = B + n * (n + 1), *g = d + n;
+    double *d = B + n * (n + 1);
     if (f->sym < 0) {
         f->sym = 1;
         for (int64_t i = 0; i < n; i++) {
@@ -172,16 +188,121 @@ double lml_eval(struct lml_fit *f, double log_l, double log_v)
     return -lml;
 }
 
-/* lml_eval, then the upper triangle of A zeroed: the fit's factor. */
+/* The loop's objective at theta = x[0..2): the negated lml, with its
+ * negated gradient written to g, from the cache on a repeated theta. */
+double lml_step(struct lml_fit *f, const double *x, double *g)
+{
+    double *last = f->last;
+    if (f->seen && x[0] == last[0] && x[1] == last[1]) {
+        g[0] = last[3];
+        g[1] = last[4];
+        return last[2];
+    }
+    f->evals++;
+    double out = lml_eval(f, x[0], x[1], g);
+    f->seen = out == out;
+    if (f->seen) {
+        last[0] = x[0];
+        last[1] = x[1];
+        last[2] = out;
+        last[3] = g[0];
+        last[4] = g[1];
+    }
+    return out;
+}
+
+/* lml_step at theta = (log_l, log_v), then the upper triangle of A
+ * zeroed: the fit's factor.  While the cache holds an evaluation, A holds
+ * the factor at its theta, so a theta the loop evaluated last is not
+ * evaluated again. */
 double lml_factor(struct lml_fit *f, double log_l, double log_v)
 {
-    double out = lml_eval(f, log_l, log_v);
+    double x[2] = {log_l, log_v}, g[2];
+    double out = lml_step(f, x, g);
     int64_t n = f->n;
     double *A = f->work + 4 * n * n + 2 * n;
     for (int64_t j = 1; j < n; j++)
         for (int64_t i = 0; i < j; i++)
             A[i + j * n] = 0.0;
     return out;
+}
+
+/* NumPy's SeedSequence and PCG64 (numpy/random/bit_generator.pyx and
+ * pcg64.h, whose streams NumPy keeps fixed), for the fit's random start:
+ * the hash constants of SeedSequence's entropy pool and output, and the
+ * 128-bit LCG multiplier of PCG64 as (high, low) halves. */
+#define SS_INIT_A 0x43b0d7e5u
+#define SS_MULT_A 0x931e8875u
+#define SS_INIT_B 0x8b51f9ddu
+#define SS_MULT_B 0x58f38dedu
+#define SS_MIX_L 0xca01f9ddu
+#define SS_MIX_R 0x4973f715u
+#define PCG_MULT_HI 2549297995355413924ULL
+#define PCG_MULT_LO 4865540595714422341ULL
+
+static uint32_t ss_hashmix(uint32_t v, uint32_t *h)
+{
+    v ^= *h;
+    *h *= SS_MULT_A;
+    v *= *h;
+    return v ^ (v >> 16);
+}
+
+/* s = s * PCG_MULT + inc modulo 2^128, on (high, low) halves. */
+static void pcg_step(uint64_t s[2], const uint64_t inc[2])
+{
+    uint64_t a0 = s[1] & 0xffffffffu, a1 = s[1] >> 32;
+    uint64_t m0 = PCG_MULT_LO & 0xffffffffu, m1 = PCG_MULT_LO >> 32;
+    uint64_t p00 = a0 * m0, p01 = a0 * m1, p10 = a1 * m0;
+    uint64_t mid = (p00 >> 32) + (p01 & 0xffffffffu) + (p10 & 0xffffffffu);
+    uint64_t lo = (p00 & 0xffffffffu) | (mid << 32);
+    uint64_t hi = a1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) +
+                  s[1] * PCG_MULT_HI + s[0] * PCG_MULT_LO;
+    s[1] = lo + inc[1];
+    s[0] = hi + inc[0] + (s[1] < lo);
+}
+
+/* Entry i of Generator(PCG64(seed)).random(i + 1): SeedSequence's pool
+ * of four words mixed from seed's one or two 32-bit words, eight output
+ * words as PCG64's 128-bit seed and increment, then output i + 1 of the
+ * generator as a double, (next64 >> 11) * 2^-53. */
+double pcg64_uniform(uint64_t seed, int64_t i)
+{
+    uint32_t words[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
+    int n_words = seed >> 32 ? 2 : 1;
+    uint32_t pool[4], h = SS_INIT_A;
+    for (int j = 0; j < 4; j++)
+        pool[j] = ss_hashmix(j < n_words ? words[j] : 0, &h);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst) {
+                uint32_t r = SS_MIX_L * pool[dst] -
+                             SS_MIX_R * ss_hashmix(pool[src], &h);
+                pool[dst] = r ^ (r >> 16);
+            }
+    uint64_t st[4] = {0, 0, 0, 0};
+    h = SS_INIT_B;
+    for (int j = 0; j < 8; j++) {
+        uint32_t v = pool[j % 4] ^ h;
+        h *= SS_MULT_B;
+        v *= h;
+        v ^= v >> 16;
+        st[j / 2] |= (uint64_t)v << (32 * (j % 2));
+    }
+    /* pcg64_set_seed: state 0, inc = (st[2], st[3]) << 1 | 1, a step,
+     * the seed (st[0], st[1]) added, another step. */
+    uint64_t inc[2] = {st[2] << 1 | st[3] >> 63, st[3] << 1 | 1};
+    uint64_t s[2] = {0, 0};
+    pcg_step(s, inc);
+    s[1] += st[1];
+    s[0] += st[0] + (s[1] < st[1]);
+    pcg_step(s, inc);
+    for (int64_t j = 0; j <= i; j++)
+        pcg_step(s, inc);
+    uint64_t x = s[0] ^ s[1];
+    unsigned rot = (unsigned)(s[0] >> 58);
+    x = (x >> rot) | (x << ((64 - rot) & 63));
+    return (double)(x >> 11) * (1.0 / 9007199254740992.0);
 }
 
 /* Candidates are scored this many at a time: their forward substitutions

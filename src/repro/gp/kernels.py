@@ -42,6 +42,9 @@ _JITTER_EPS = 1e-12
 
 _SQRT5 = np.sqrt(5.0)
 _NEG_SQRT5 = -_SQRT5
+#: :meth:`Matern52.theta_bounds`: length scale in [1e-2, 1e2], variance in
+#: [1e-4, 1e2], in log space.
+_THETA_BOUNDS = ((math.log(1e-2), math.log(1e2)), (math.log(1e-4), math.log(1e2)))
 
 
 def _libm_exp(x: np.ndarray) -> np.ndarray:
@@ -132,7 +135,8 @@ class Matern52:
         self.variance = float(variance)
         if scale is not None:
             scale = np.asarray(scale, dtype=float)
-            if np.any(scale <= 0):
+            # On floats: a search builds a kernel per refit.
+            if any(v <= 0.0 for v in scale.ravel().tolist()):
                 raise ValueError("scale must be positive")
         self.scale = scale
 
@@ -147,16 +151,22 @@ class Matern52:
         """Theta-independent per-row data for one input set."""
         arr = _as_2d(X)
         if self.scale is not None:
-            arr = np.rint(arr * self.scale) / self.scale
-        return PreparedInput(arr, np.sum(arr**2, axis=1))
+            arr = arr * self.scale
+            np.rint(arr, out=arr)
+            arr /= self.scale
+        # np.sum(arr**2, axis=1) without its wrapper: the same bits.
+        return PreparedInput(arr, np.add.reduce(arr * arr, axis=1))
 
     def cross_state(self, pi1: PreparedInput, pi2: PreparedInput) -> np.ndarray:
         """Theta-independent pairwise structure between two prepared inputs."""
         # ||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b from the cached norms.  The
         # state is sqrt(d^2 + eps): theta-independent, so the O(n^2) sqrt is
         # paid once per fit rather than once per likelihood step.
-        d2 = pi1.sq[:, None] + pi2.sq[None, :] - 2.0 * pi1.x @ pi2.x.T
-        return np.sqrt(np.maximum(d2, 0.0) + _JITTER_EPS)
+        d2 = pi1.sq[:, None] + pi2.sq
+        d2 -= 2.0 * pi1.x @ pi2.x.T
+        np.maximum(d2, 0.0, out=d2)
+        d2 += _JITTER_EPS
+        return np.sqrt(d2, out=d2)
 
     def ordered_cross_state(
         self, pi1: PreparedInput, pi2: PreparedInput
@@ -239,14 +249,17 @@ class Matern52:
         """Current hyperparameters as a flat log-space vector."""
         return np.array([math.log(self.length_scale), math.log(self.variance)])
 
-    def set_theta(self, theta: np.ndarray) -> None:
-        """Set hyperparameters from a flat log-space vector."""
-        log_l, log_v = np.asarray(theta, dtype=float).tolist()
+    def set_theta(self, theta) -> None:
+        """Set hyperparameters from a flat log-space vector (an array or a
+        sequence of floats)."""
+        if isinstance(theta, np.ndarray):
+            theta = theta.tolist()
+        log_l, log_v = map(float, theta)
         self.length_scale, self.variance = math.exp(log_l), math.exp(log_v)
 
     def theta_bounds(self) -> list[tuple[float, float]]:
         """Log-space (low, high) bounds per hyperparameter."""
-        return [(math.log(1e-2), math.log(1e2)), (math.log(1e-4), math.log(1e2))]
+        return list(_THETA_BOUNDS)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         text = f"Matern52(length_scale={self.length_scale:.4g}, variance={self.variance:.4g}"

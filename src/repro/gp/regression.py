@@ -18,13 +18,19 @@ Own L-BFGS-B loop: a fit sees ~10 points, so the per-call layers of
 scalar-function and Jacobian-memo wrappers) cost more than the
 likelihood.  Fits therefore run their own reverse-communication loop
 around SciPy's ``setulb`` kernel with SciPy's exact settings
-(:func:`_lbfgsb_loop`).  ``setulb`` is private SciPy API, so the first
-fit in a process runs a self-check
+(:func:`_lbfgsb_loop`), which allocates nothing per step.  Its objective
+is a ``step(x, g) -> f`` that evaluates at the loop's own ``x``, writes
+the gradient into the loop's own ``g`` and keeps the repeat cache of
+SciPy's ``ScalarFunction`` itself: ``lml_step`` in C, or
+:func:`_spec_step` around the Python likelihood.  The arrays ``setulb``
+works in are allocated once per fit (:class:`_SetulbArrays`).  ``setulb``
+is private SciPy API, so the first fit in a process runs a self-check
 (:func:`_checked_setulb`): a fixed likelihood through the loop and
 through public ``optimize.minimize`` must give bit-equal ``x`` and ``fun``
-with equally many objective calls.  On a mismatch, or if ``setulb`` is
-gone or rejects its arguments, every fit in the process uses the public
-entry point, with identical results at more per-call cost.
+with equally many likelihood evaluations.  On a mismatch, or if
+``setulb`` is gone or rejects its arguments, every fit in the process
+uses the public entry point on the same objective
+(:func:`_public_lbfgsb`), with identical results at more per-call cost.
 
 Hot-path structure: the theta-independent pairwise structure of the
 training set (distances, rounding) is prepared once per ``fit`` and reused
@@ -36,21 +42,26 @@ A fit makes 30–60 likelihood calls of a few tens of µs on ≤ 40 points, so
 the likelihood and the loop around it skip per-call wrappers while
 keeping every floating-point op: LAPACK ``dpotrf``/``dpotrs`` are called
 directly (the routines ``cholesky``/``cho_solve`` dispatch to), the
-log-determinant sums ``log(L.diagonal())``, and the loop's repeat check
-compares ``x.tolist()``.  Fitted thetas and ``alpha`` are bit-identical to
-the wrapped calls (``tests/test_gp_regression.py`` pins a digest).
+log-determinant sums ``log(L.diagonal())``, and the Python objective's
+repeat check compares ``x.tolist()`` (``==`` element-wise, as SciPy's
+``array_equal``).  Fitted thetas and ``alpha`` are bit-identical to the
+wrapped calls (``tests/test_gp_regression.py`` pins a digest).
 
 Compiled likelihood: even unwrapped, a call costs ~40 µs at n = 10, nearly
 all of it NumPy's per-ufunc overhead around a tiny Cholesky.
-:meth:`GaussianProcessRegressor._make_compiled_objective` makes one call
-into ``_lml.c`` per evaluation, which takes ``theta`` and does the whole
-evaluation with the same float operations: ``exp(theta)``, the kernel and
-gradient matrices, ``dpotrf``/``dpotrs``/``ddot`` (SciPy's own routines,
-taken from the public ``cython_lapack``/``cython_blas`` capsules), the
-log-determinant in ``ndarray.sum``'s pairwise order and the gradient
-traces, ~4 µs a call at n = 10.  One more call at the chosen theta leaves
-the training matrix's ``dpotrf`` factor, which the fit keeps instead of
-factoring again.  Every ``exp`` and ``log`` on the fit side
+:meth:`GaussianProcessRegressor._make_compiled_objective` makes one
+``lml_step`` call into ``_lml.c`` per request of the loop.  It reads theta
+from the loop's ``x`` and does the whole evaluation with the same float
+operations: ``exp(theta)``, the kernel and gradient matrices,
+``dpotrf``/``dpotrs``/``ddot`` (SciPy's own routines, taken from the
+public ``cython_lapack``/``cython_blas`` capsules), the log-determinant in
+``ndarray.sum``'s pairwise order and the gradient traces, ~3 µs a call at
+n = 10, writing the gradient into the loop's ``g``.  The fit's workspace
+keeps the last evaluated ``(theta, f, g)``, and a repeated request is
+answered from it; a failed ``dpotrf`` is never cached.  ``lml_factor`` at
+the chosen theta leaves the training matrix's ``dpotrf`` factor, which the
+fit keeps instead of factoring again, without evaluating anew where that
+theta was the last one evaluated.  Every ``exp`` and ``log`` on the fit side
 is libm's, in C and in the Python spec alike (``math.exp``/``math.log``,
 see :mod:`repro.gp.kernels`), so fits do not depend on the SIMD code NumPy
 dispatches to and give the same bits on AVX2 and AVX-512 hosts.
@@ -62,7 +73,11 @@ singular one) give bit-equal ``f`` and ``g`` through both objectives, and
 that factor bit-equal to :meth:`~GaussianProcessRegressor._factorize_raw`'s.
 Without a compiler, or on any mismatch, every fit runs the Python
 objective, with identical results (its list-based libm ``exp`` makes it
-slower than NumPy's ufunc would, most at n ≈ 32).
+slower than NumPy's ufunc would, most at n ≈ 32).  The same library's
+``pcg64_uniform`` draws the fit's random start: NumPy's ``SeedSequence``
+and ``PCG64`` in C, the bits of ``Generator(PCG64(seed)).random`` without
+the ~10 µs of seeding a ``Generator``; the self-check compares it with
+NumPy's, and without it the fit draws from NumPy.
 
 Compiled candidate scorer: the same library holds ``gp_score``, which
 scores every candidate of a proposal in one call (~28 µs for 100
@@ -84,6 +99,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import operator
 import re
 
 import numpy as np
@@ -120,10 +136,11 @@ _MAXLS = 20
 
 
 @functools.cache
-def _setulb_bounds(lows: tuple, highs: tuple):
-    """``setulb``'s bound arrays ``(nbd, low, high)`` for a box, built once
-    per box: every fit of a kernel passes the same one."""
-    lows, highs = np.array(lows), np.array(highs)
+def _setulb_bounds(box: tuple) -> tuple:
+    """``setulb``'s bound arrays ``(nbd, low, high)`` for a box of
+    ``(low, high)`` pairs, built once per box: every fit of a kernel passes
+    the same one."""
+    lows, highs = np.array(box).T
     lo_ok, hi_ok = np.isfinite(lows), np.isfinite(highs)
     nbd = np.where(lo_ok, np.where(hi_ok, 2, 1), np.where(hi_ok, 3, 0))
     nbd = nbd.astype(np.int32)
@@ -133,45 +150,98 @@ def _setulb_bounds(lows: tuple, highs: tuple):
     return nbd, low, high
 
 
-def _lbfgsb_loop(setulb, fun, x0, lows, highs, maxiter: int):
-    """L-BFGS-B on ``fun -> (f, g)`` by reverse communication with ``setulb``.
+def _views(buffer: np.ndarray, sizes: tuple) -> list:
+    """Consecutive views of ``buffer`` of the given sizes."""
+    out, start = [], 0
+    for size in sizes:
+        out.append(buffer[start : start + size])
+        start += size
+    return out
+
+
+class _SetulbArrays:
+    """What ``setulb`` works in for one box: the bound arrays, the iterate
+    ``x``, the gradient ``g`` and the solver's state.
+
+    A fit allocates them once, as views of one float and one int32 buffer,
+    for all its starts; :func:`_lbfgsb_loop` zeroes them at each start, as
+    SciPy allocates them zeroed at each call."""
+
+    __slots__ = (
+        "bounds", "floats", "ints", "x", "g", "wa", "dsave", "iwa", "task",
+        "ln_task", "lsave", "isave",
+    )
+
+    def __init__(self, box: list):
+        n, m = len(box), _M
+        self.bounds = _setulb_bounds(tuple(box))
+        sizes = (n, n, 2 * m * n + 5 * n + 11 * m * m + 8 * m, 29)
+        self.floats = np.zeros(sum(sizes))
+        self.x, self.g, self.wa, self.dsave = _views(self.floats, sizes)
+        sizes = (3 * n, 2, 2, 4, 44)
+        self.ints = np.zeros(sum(sizes), dtype=np.int32)
+        self.iwa, self.task, self.ln_task, self.lsave, self.isave = _views(
+            self.ints, sizes
+        )
+
+
+def _lbfgsb_loop(setulb, step, x0, arrays: _SetulbArrays, maxiter: int):
+    """L-BFGS-B on ``step`` from ``x0`` by reverse communication with
+    ``setulb``, in ``arrays``.
 
     The loop of ``optimize.minimize(method="L-BFGS-B", jac=True)`` without
     its wrapper layers, which cost more than the likelihood on a ~10-point
-    GP.  ``fun`` runs only when ``setulb`` asks (``task == 3``); a repeated
-    request at the last evaluated point reuses its ``(f, g)``, as SciPy's
-    ``array_equal`` cache does.  Returns ``(x, f)``.
+    GP.  ``step(x, g) -> f`` evaluates the objective at the loop's own
+    ``x`` and writes the gradient into the loop's own ``g``; it runs only
+    when ``setulb`` asks (``task == 3``) and answers a repeated request at
+    its last evaluated point from its own cache, as SciPy's
+    ``ScalarFunction`` does.  Nothing is allocated per step: ``setulb``
+    reads and writes the same arrays throughout (SciPy hands it a fresh
+    ``g`` each step, holding the same values).  Returns ``(x, f)`` with
+    ``x`` a list.
     """
-    n, m = len(x0), _M
-    x = np.array(x0, dtype=np.float64)
-    nbd, low, high = _setulb_bounds(tuple(lows.tolist()), tuple(highs.tolist()))
-    f, g = np.array(0.0), np.zeros(n)
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, dtype=np.int32)
-    task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
-    lsave, isave = np.zeros(4, dtype=np.int32), np.zeros(44, dtype=np.int32)
-    dsave = np.zeros(29)
-    x_seen, fg_seen, n_iter = None, None, 0
+    arrays.floats.fill(0.0)
+    arrays.ints.fill(0)
+    x, g, wa, dsave = arrays.x, arrays.g, arrays.wa, arrays.dsave
+    iwa, task, ln_task = arrays.iwa, arrays.task, arrays.ln_task
+    lsave, isave = arrays.lsave, arrays.isave
+    nbd, low, high = arrays.bounds
+    m, factr, pgtol, maxls = _M, _FACTR, _PGTOL, _MAXLS
+    x[:] = x0
+    f, n_iter = 0.0, 0
     while True:
-        # setulb writes into g: hand it a copy so the cached gradient stays
-        # intact (SciPy's loop does the same with a float64 ``astype``).
-        g = g.copy()
-        setulb(m, x, low, high, nbd, f, g, _FACTR, _PGTOL, wa, iwa, task,
-               lsave, isave, dsave, _MAXLS, ln_task)
-        if task[0] == 3:
-            # List equality is array_equal here at a tenth of the cost
-            # (element-wise ``==``, so a NaN never matches).
-            x_list = x.tolist()
-            if x_list != x_seen:
-                x_seen, fg_seen = x_list, fun(x.copy())
-            f, g = fg_seen
-        elif task[0] == 1:
+        setulb(m, x, low, high, nbd, f, g, factr, pgtol, wa, iwa, task,
+               lsave, isave, dsave, maxls, ln_task)
+        request = task.item(0)
+        if request == 3:
+            f = step(x, g)
+        elif request == 1:
             # maxfun (15000) cannot bind: maxiter * maxls caps the calls.
             n_iter += 1
             if n_iter >= maxiter:
                 task[0], task[1] = 5, 504  # STOP: iteration limit
         else:
-            return x, f
+            return x.tolist(), f
+
+
+def _spec_step(fun):
+    """The loop's objective ``step(x, g) -> f`` over ``fun(theta) ->
+    (f, g)``, the Python likelihood: ``fun`` runs at ``x`` and its gradient
+    is written to ``g``, except that a request at the last evaluated point
+    reuses that evaluation.  Points compare as ``x.tolist()`` lists, which
+    is SciPy's ``array_equal`` at a tenth of the cost (element-wise
+    ``==``, so a NaN never matches)."""
+    seen: list = [None, 0.0, None]
+
+    def step(x, g):
+        x_list = x.tolist()
+        if x_list != seen[0]:
+            seen[1], seen[2] = fun(x)
+            seen[0] = x_list
+        g[:] = seen[2]
+        return seen[1]
+
+    return step
 
 
 def _counted(fun):
@@ -190,31 +260,34 @@ def _checked_setulb():
     """SciPy's ``setulb`` if the loop reproduces SciPy here, else None.
 
     Runs once per process, at the first hyperparameter fit: a fixed
-    small GP likelihood goes through :func:`_lbfgsb_loop` and through
-    public ``optimize.minimize`` from three starts (the kernel default and
-    both bound corners).  ``x`` and ``fun`` must be bit-equal and the
-    objective must run equally often; a mismatch, or an import, signature
+    small GP likelihood goes through :func:`_lbfgsb_loop` (as the Python
+    objective, :func:`_spec_step`) and through public
+    ``optimize.minimize`` from four starts (the kernel default, both bound
+    corners and one whose run re-requests evaluated points).  ``x`` and
+    ``fun`` must be bit-equal and the
+    likelihood must run equally often; a mismatch, or an import, signature
     or argument error from SciPy's private module, sends every fit in the
     process through the public entry point instead.
     """
-    # From the default start this problem re-requests an evaluated point
-    # twice, so the check also covers the loop's repeat cache.
     gp = GaussianProcessRegressor(Matern52(0.5))
     X = np.linspace(0.0, 1.0, 9)[:, None]
     gp._set_training_data(X, np.sin(4.0 * X).ravel())
     fun = gp._make_analytic_objective()
-    bounds = gp.kernel.theta_bounds()
-    lows, highs = np.array(bounds).T
+    box = gp.kernel.theta_bounds()
+    lows, highs = np.array(box).T
     try:
         # repro-lint: disable=private-import(this self-check proves the loop bit-equal to public optimize.minimize; any mismatch falls back to it)
         from scipy.optimize._lbfgsb import setulb
 
-        for x0 in (gp.kernel.get_theta(), lows, highs):
+        arrays = _SetulbArrays(box)
+        # From (-1, 4) setulb re-requests evaluated points four times, so
+        # the check also covers the objective's repeat cache.
+        for x0 in (gp.kernel.get_theta(), lows, highs, np.array([-1.0, 4.0])):
             ours, ours_calls = _counted(fun)
-            x, f = _lbfgsb_loop(setulb, ours, x0, lows, highs, 100)
+            x, f = _lbfgsb_loop(setulb, _spec_step(ours), x0, arrays, 100)
             theirs, theirs_calls = _counted(fun)
             res = optimize.minimize(
-                theirs, x0, method="L-BFGS-B", jac=True, bounds=bounds,
+                theirs, x0, method="L-BFGS-B", jac=True, bounds=box,
                 options={"maxiter": 100},
             )
             if not (
@@ -228,25 +301,43 @@ def _checked_setulb():
     return setulb
 
 
-def _minimize_lbfgsb(fun, x0, lows, highs, maxiter: int):
-    """L-BFGS-B minimum ``(x, f)`` of ``fun -> (f, g)`` within the box
-    ``[lows, highs]``.
+def _minimize_lbfgsb(step, starts, box: list, maxiter: int):
+    """L-BFGS-B on the loop objective ``step`` (see :func:`_lbfgsb_loop`)
+    from each of ``starts`` in turn, clipped into the ``box`` of
+    ``(low, high)`` pairs: ``(x, f)`` of the first start whose minimum no
+    later one beats strictly, or ``(None, inf)`` if none is below inf.
 
-    Uses :func:`_lbfgsb_loop` once :func:`_checked_setulb` has vouched for
+    Runs :func:`_lbfgsb_loop` once :func:`_checked_setulb` has vouched for
     it, and public ``optimize.minimize`` otherwise, with identical results.
     """
     setulb = _checked_setulb()
-    if setulb is not None:
-        return _lbfgsb_loop(setulb, fun, x0, lows, highs, maxiter)
+    arrays = None if setulb is None else _SetulbArrays(box)
+    best_x, best_f = None, math.inf
+    for x0 in starts:
+        # np.clip(x0, lows, highs) on floats (NaN stays NaN).
+        x0 = [min(max(v, lo), hi) for v, (lo, hi) in zip(x0, box)]
+        if setulb is not None:
+            x, f = _lbfgsb_loop(setulb, step, x0, arrays, maxiter)
+        else:
+            x, f = _public_lbfgsb(step, x0, box, maxiter)
+        if f < best_f:
+            best_x, best_f = x, float(f)
+    return best_x, best_f
+
+
+def _public_lbfgsb(step, x0, box: list, maxiter: int):
+    """``(x, f)`` of public ``optimize.minimize`` on the loop objective
+    ``step``, handed a fresh gradient array per call."""
+
+    def fun(x):
+        g = np.empty(len(x0))
+        return step(x, g), g
+
     res = optimize.minimize(
-        fun,
-        x0,
-        method="L-BFGS-B",
-        jac=True,
-        bounds=list(zip(lows.tolist(), highs.tolist())),
+        fun, x0, method="L-BFGS-B", jac=True, bounds=box,
         options={"maxiter": maxiter},
     )
-    return res.x, res.fun
+    return res.x.tolist(), res.fun
 
 
 class _LmlFit(ctypes.Structure):
@@ -259,6 +350,10 @@ class _LmlFit(ctypes.Structure):
         ("cnst", ctypes.c_double),
     ] + [
         (name, ctypes.c_void_p) for name in ("potrf", "potrs", "ddot", "work")
+    ] + [
+        ("evals", ctypes.c_int64),
+        ("seen", ctypes.c_int64),
+        ("last", ctypes.c_double * 5),
     ]
 
 
@@ -279,8 +374,9 @@ def _capsules(module) -> dict[str, tuple[bytes, int]]:
 
 
 class _CompiledLml:
-    """ctypes binding of ``_lml.c``'s ``lml_eval`` and ``lml_factor``, with
-    the addresses of SciPy's ``dpotrf``, ``dpotrs`` and ``ddot``."""
+    """ctypes binding of ``_lml.c``'s ``lml_step``, ``lml_factor`` and
+    ``pcg64_uniform``, with the addresses of SciPy's ``dpotrf``, ``dpotrs``
+    and ``ddot``."""
 
     def __init__(self, lib: ctypes.CDLL):
         from scipy.linalg import cython_blas, cython_lapack
@@ -289,9 +385,12 @@ class _CompiledLml:
         self.routines = (
             lapack["dpotrf"][1], lapack["dpotrs"][1], blas["ddot"][1]
         )
-        self.evaluate, self.factor = lib.lml_eval, lib.lml_factor
-        for fn in (self.evaluate, self.factor):
-            fn.argtypes = (ctypes.c_void_p, ctypes.c_double, ctypes.c_double)
+        self.step, self.factor = lib.lml_step, lib.lml_factor
+        self.step.argtypes = (ctypes.c_void_p,) * 3
+        self.factor.argtypes = (ctypes.c_void_p, ctypes.c_double, ctypes.c_double)
+        self.uniform = lib.pcg64_uniform
+        self.uniform.argtypes = (ctypes.c_uint64, ctypes.c_int64)
+        for fn in (self.step, self.factor, self.uniform):
             fn.restype = ctypes.c_double
 
 
@@ -317,28 +416,43 @@ def _self_check_problems():
 
 def _compiled_lml_agrees(lml: _CompiledLml) -> bool:
     """Bit-equality of the compiled and the Python objective, ``f`` and
-    ``g``, and of the compiled objective's ``factor`` and
+    ``g``, evaluated and then answered again from ``lml_step``'s cache,
+    and of the compiled objective's ``factor`` (evaluating, or from the
+    cache) and
     :meth:`~GaussianProcessRegressor._factorize_raw`'s where ``dpotrf``
     succeeds, on :func:`_self_check_problems` at the kernel's default
     theta, the four bound corners and four uniform draws within the
-    bounds."""
+    bounds; and of ``pcg64_uniform`` and NumPy's
+    ``Generator(PCG64(seed)).random`` on the first four draws of seeds of
+    one and two 32-bit words."""
+    for seed in (0, 1, 2**31 - 2, 2**32 - 1, 2**32, 2**64 - 1):
+        draws = np.random.Generator(np.random.PCG64(seed)).random(4).tolist()
+        if [lml.uniform(seed, i) for i in range(4)] != draws:
+            return False
     rng = np.random.default_rng(7)
+    g = np.empty(2)
     for gp in _self_check_problems():
         lows, highs = np.array(gp.kernel.theta_bounds()).T
         thetas = [gp.kernel.get_theta(), lows, highs,
-                  np.array([lows[0], highs[1]]), np.array([highs[0], lows[1]])]
+                  [lows[0], highs[1]], [highs[0], lows[1]]]
         thetas += [rng.uniform(lows, highs) for _ in range(4)]
         spec = gp._make_analytic_objective()
         ours = gp._make_compiled_objective(lml)
-        for theta in thetas:
+        for k, theta in enumerate(thetas):
+            theta = np.array(theta)  # the loop's x is contiguous
             f_spec, g_spec = spec(theta)
-            f_ours, g_ours = ours(theta)
-            if not (
-                np.float64(f_ours).tobytes() == np.float64(f_spec).tobytes()
-                and g_ours.tobytes() == g_spec.tobytes()
-            ):
-                return False
-            L = ours.factor(theta)
+            # Every other theta is evaluated by the factor, whose
+            # evaluation the steps then find in the cache.
+            L = ours.factor(theta) if k % 2 else None
+            for _ in range(2):
+                f_ours = ours(theta, g)
+                if not (
+                    np.float64(f_ours).tobytes() == np.float64(f_spec).tobytes()
+                    and g.tobytes() == g_spec.tobytes()
+                ):
+                    return False
+            if k % 2 == 0:
+                L = ours.factor(theta)
             if L is not None:
                 gp.kernel.set_theta(theta)
                 gp._factorize_raw()
@@ -502,7 +616,8 @@ class GaussianProcessRegressor:
         Maximize the log marginal likelihood on ``fit`` (L-BFGS-B from the
         current theta, then from one uniform draw within the bounds).
     seed:
-        Seed for the drawn start.
+        Seed for the drawn start, a non-negative integer: the fits of one
+        regressor draw ``Generator(PCG64(seed)).random``'s stream in turn.
     """
 
     def __init__(
@@ -518,8 +633,10 @@ class GaussianProcessRegressor:
         self.kernel = kernel
         self.noise = float(noise)
         self.optimize_hyperparameters = bool(optimize_hyperparameters)
-        # default_rng(seed) without its argument dispatch.
-        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self._seed = operator.index(seed)
+        if self._seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed!r}")
+        self._draws = 0  # uniforms drawn from the seed's stream so far
         self._X: np.ndarray | None = None
         self._pi: PreparedInput | None = None
         self._train_state = None
@@ -713,83 +830,105 @@ class GaussianProcessRegressor:
         return neg_lml_and_grad
 
     def _make_compiled_objective(self, lml: _CompiledLml):
-        """:meth:`_make_analytic_objective` in one C call per evaluation.
+        """:meth:`_make_analytic_objective` as the loop's ``step(x, g) ->
+        f`` (see :func:`_lbfgsb_loop`), one ``lml_step`` call per request.
 
-        ``lml.evaluate`` takes ``theta`` and does the whole evaluation with
-        the same float operations.  Where ``dpotrf`` fails it returns NaN
-        and the call returns the Python objective's value, which takes the
-        jitter path.  One workspace is allocated and its address taken once
-        per fit; the first call checks the training distances for symmetry.
+        ``lml_step`` reads theta from ``x``, writes the gradient into ``g``
+        and answers a repeated theta from its cache, with the same float
+        operations as the Python objective.  Where ``dpotrf`` fails it
+        returns NaN, caches nothing, and the call takes the Python
+        objective's value (the jitter path).  One workspace is allocated
+        and its address taken once per fit, and the addresses of ``x`` and
+        ``g`` once per pair of arrays; the first evaluation checks the
+        training distances for symmetry.
         """
         y = self._y
         n = y.size
-        # struct lml_fit's work layout: r0 and y, then C's buffers, the
-        # last two entries the gradient.
-        work = np.empty(6 * n * n + 4 * n + 2)
+        # struct lml_fit's work layout: r0 and y, then C's buffers.
+        work = np.empty(6 * n * n + 4 * n)
         work[: n * n] = self._ensure_train_state().ravel()
         work[n * n : n * n + n] = y
-        g = work[-2:]
-        # The factor, F order: A[i + j n] is L[i, j].
-        A = work[4 * n * n + 2 * n : 5 * n * n + 2 * n].reshape(n, n).T
         fit = _LmlFit(
-            n, -1, self.noise, 0.5 * n * _LOG_2PI, *lml.routines, work.ctypes.data
+            n, -1, self.noise, 0.5 * n * _LOG_2PI, *lml.routines, _address(work)
         )
         address = ctypes.addressof(fit)
-        evaluate, lml_factor = lml.evaluate, lml.factor
+        lml_step, lml_factor = lml.step, lml.factor
         spec = []
+        # The arrays last passed and their addresses.
+        bound_x = bound_g = None
+        x_address = g_address = 0
 
-        def neg_lml_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-            f = evaluate(address, *theta.tolist())
+        def step(x: np.ndarray, g: np.ndarray) -> float:
+            nonlocal bound_x, bound_g, x_address, g_address
+            if x is not bound_x or g is not bound_g:
+                # C reads two doubles at x and writes two at g.
+                if not (
+                    all(a.shape == (2,) and a.dtype == np.float64
+                        and a.flags.c_contiguous for a in (x, g))
+                    and g.flags.writeable
+                ):
+                    raise ValueError("x and g must be contiguous float64 pairs")
+                bound_x, bound_g = x, g
+                x_address, g_address = _address(x), _address(g)
+            f = lml_step(address, x_address, g_address)
             if f != f:  # NaN: K + noise I is not positive definite
                 if not spec:
                     spec.append(self._make_analytic_objective())
-                return spec[0](theta)
-            return f, g.copy()
+                f, g[:] = spec[0](x)
+            return f
 
-        def factor(theta: np.ndarray) -> np.ndarray | None:
+        def factor(theta) -> np.ndarray | None:
             """:meth:`_stable_cholesky`'s factor of the training matrix at
             ``theta`` (``dpotrf`` on the same matrix, upper triangle
-            zeroed, F order), or None where ``dpotrf`` fails."""
-            f = lml_factor(address, *theta.tolist())
+            zeroed, F order), or None where ``dpotrf`` fails.  No
+            evaluation where ``theta`` is the cache's: the workspace
+            still holds its factor."""
+            f = lml_factor(address, *theta)
             if f != f:
                 return None
-            return A.copy(order="F")
+            # The factor, F order: A[i + j n] is L[i, j].
+            A = work[4 * n * n + 2 * n : 5 * n * n + 2 * n]
+            return A.reshape(n, n).T.copy(order="F")
 
         # C holds the workspace's address only: keep it alive with the
         # objective.
-        neg_lml_and_grad.buffers = (fit, work)
-        neg_lml_and_grad.factor = factor
-        return neg_lml_and_grad
+        step.buffers = (fit, work)
+        step.factor = factor
+        return step
 
     def _optimize_theta(self) -> np.ndarray | None:
         """Set the kernel to the likelihood's best theta; return the
         compiled objective's factor of the training matrix there, or None
         (:meth:`_factorize_raw` then factors it)."""
-        lows, highs = np.array(self.kernel.theta_bounds()).T
+        kernel = self.kernel
         lml = _compiled_lml()
         if lml is None:
-            fun = self._make_analytic_objective()
+            step = _spec_step(self._make_analytic_objective())
         else:
-            fun = self._make_compiled_objective(lml)
-        # rng.uniform(lows, highs) without its argument broadcasting: the
-        # same draws, the same bits and the same generator state.
+            step = self._make_compiled_objective(lml)
+        box = kernel.theta_bounds()
+        # rng.uniform(lows, highs) on floats: the same bits.
+        u = self._uniforms(lml, len(box))
         starts = [
-            self.kernel.get_theta(),
-            lows + (highs - lows) * self._rng.random(lows.size),
+            kernel.get_theta().tolist(),
+            [lo + (hi - lo) * v for (lo, hi), v in zip(box, u)],
         ]
-        box = list(zip(lows.tolist(), highs.tolist()))
-
-        best_theta, best_val = None, np.inf
-        for x0 in starts:
-            # np.clip(x0, lows, highs) on floats (NaN stays NaN).
-            x0 = [min(max(v, lo), hi) for v, (lo, hi) in zip(x0.tolist(), box)]
-            x, f = _minimize_lbfgsb(fun, x0, lows, highs, maxiter=100)
-            if f < best_val:
-                best_val, best_theta = float(f), x
-        if best_theta is None or not np.isfinite(best_val):
+        theta, f = _minimize_lbfgsb(step, starts, box, maxiter=100)
+        if theta is None or not math.isfinite(f):
             return None
-        self.kernel.set_theta(best_theta)
-        return None if lml is None else fun.factor(best_theta)
+        kernel.set_theta(theta)
+        return None if lml is None else step.factor(theta)
+
+    def _uniforms(self, lml: _CompiledLml | None, k: int) -> list[float]:
+        """The next ``k`` draws of ``Generator(PCG64(seed)).random``: from
+        ``lml.uniform`` where the compiled likelihood is bound, else from
+        a NumPy generator seeded anew (the same bits either way)."""
+        seed, skip = self._seed, self._draws
+        self._draws += k
+        if lml is not None and seed < 2**64:
+            return [lml.uniform(seed, i) for i in range(skip, skip + k)]
+        draws = np.random.Generator(np.random.PCG64(seed)).random(skip + k)
+        return draws[skip:].tolist()
 
     # -- prediction ------------------------------------------------------------
     def _prepared(self, X) -> PreparedInput:

@@ -131,7 +131,8 @@ class Job:
         self.reused = False  # answered from a prior identical job's result
         self.runner = None  # the runner-like object once assigned
         self.position = -1  # index in the manager's submission order
-        # Keyed once: the scenario identity is a JSON dump plus sha256.
+        # Keyed once: the scenario identity is a JSON dump plus sha256
+        # (snapshots read it from here too).
         self._reuse_key = (
             scenario.identity(),
             self.strategy,
@@ -158,7 +159,7 @@ class Job:
             "state": self.state,
             "strategy": self.strategy,
             "seed": self.seed,
-            "scenario_identity": self.scenario.identity(),
+            "scenario_identity": self._reuse_key[0],
             "model": self.scenario.model,
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,

@@ -107,10 +107,17 @@ class SnapshotStore:
 
     # -- paths ------------------------------------------------------------------
     def scenario_path(self, scenario: Scenario) -> pathlib.Path:
-        return self._scenarios / f"{scenario.identity()}.json"
+        return self._paths(scenario.identity())[0]
 
     def results_path(self, scenario: Scenario) -> pathlib.Path:
-        return self._results / f"{scenario.identity()}.ndjson"
+        return self._paths(scenario.identity())[1]
+
+    def _paths(self, identity: str) -> tuple[pathlib.Path, pathlib.Path]:
+        """The spec and the results file of a scenario identity."""
+        return (
+            self._scenarios / f"{identity}.json",
+            self._results / f"{identity}.ndjson",
+        )
 
     # -- writes -----------------------------------------------------------------
     def save_scenario(self, scenario: Scenario) -> pathlib.Path:
@@ -123,7 +130,9 @@ class SnapshotStore:
         rewritten: :meth:`iter_results` skips every result whose spec does
         not parse.
         """
-        path = self.scenario_path(scenario)
+        return self._save_spec(scenario, self.scenario_path(scenario))
+
+    def _save_spec(self, scenario: Scenario, path: pathlib.Path) -> pathlib.Path:
         with self._lock:
             try:
                 json.loads(path.read_text())
@@ -143,8 +152,8 @@ class SnapshotStore:
         (id, strategy, seed, timestamps, fork lineage, serialized result).
         The scenario spec is saved alongside on first append.
         """
-        self.save_scenario(scenario)
-        path = self.results_path(scenario)
+        spec_path, path = self._paths(scenario.identity())
+        self._save_spec(scenario, spec_path)
         line = json.dumps(job_record, sort_keys=True)
         with self._lock:
             with path.open("a", encoding="utf-8") as fh:

@@ -3,7 +3,10 @@
 ``regression._compiled_lml()`` builds ``gp/_lml.c`` through
 ``repro._native`` at the first hyperparameter fit and binds SciPy's
 ``dpotrf``/``dpotrs``/``ddot`` into it; ``_make_analytic_objective`` is its
-spec, its self-check oracle and its fallback.  ``regression.
+spec, its self-check oracle and its fallback.  Its ``lml_step`` is the
+L-BFGS-B loop's objective, with a repeat cache in the fit's workspace, and
+its ``pcg64_uniform`` draws a fit's random start as NumPy's generator
+does.  ``regression.
 _compiled_scorer()`` binds the same library's candidate scorer and SciPy's
 ``ndtr``; ``_predict_spec`` plus ``expected_improvement`` is its spec.
 These tests pin that each half agrees with its spec bit for bit, that it
@@ -111,13 +114,15 @@ def test_compiled_objective_equals_the_python_objective(
     lows, highs = np.array(gp.kernel.theta_bounds()).T
     spec = gp._make_analytic_objective()
     ours = gp._make_compiled_objective(regression._compiled_lml())
+    g_ours = np.empty(2)
     for unit in unit_thetas:
         theta = lows + np.array(unit) * (highs - lows)
         f_spec, g_spec = spec(theta)
-        f_ours, g_ours = ours(theta)
-        assert type(f_ours) is type(f_spec)
-        assert np.float64(f_ours).tobytes() == np.float64(f_spec).tobytes()
-        assert g_ours.tobytes() == g_spec.tobytes()
+        for _ in range(2):  # evaluated, then answered from the cache
+            f_ours = ours(theta, g_ours)
+            assert type(f_ours) is type(f_spec)
+            assert np.float64(f_ours).tobytes() == np.float64(f_spec).tobytes()
+            assert g_ours.tobytes() == g_spec.tobytes()
         # The factor a fit takes from the compiled objective is
         # _factorize_raw's, wherever dpotrf succeeds without jitter.
         L = ours.factor(theta)
@@ -195,13 +200,14 @@ def test_self_check_rejects_a_drifted_objective(fresh_lml, monkeypatch):
     make = GaussianProcessRegressor._make_compiled_objective
 
     def drifted(self, lml):
-        fun = make(self, lml)
+        step = make(self, lml)
 
-        def wrapped(theta):
-            f, g = fun(theta)
+        def wrapped(x, g):
+            f = step(x, g)
             g[1] = np.nextafter(g[1], np.inf)
-            return f, g
+            return f
 
+        wrapped.factor = step.factor
         return wrapped
 
     monkeypatch.setattr(GaussianProcessRegressor, "_make_compiled_objective", drifted)
@@ -228,6 +234,173 @@ def test_self_check_rejects_a_drifted_factor(fresh_lml, monkeypatch):
 
     monkeypatch.setattr(GaussianProcessRegressor, "_make_compiled_objective", drifted)
     assert regression._compiled_lml() is None
+
+
+def checked_setulb_gp():
+    """The likelihood of ``regression._checked_setulb``'s self-check."""
+    gp = GaussianProcessRegressor(Matern52(0.5))
+    X = np.linspace(0.0, 1.0, 9)[:, None]
+    gp._set_training_data(X, np.sin(4.0 * X).ravel())
+    return gp
+
+
+def bits(x, f):
+    """The loop's ``(x, f)`` as bytes."""
+    return np.array(x).tobytes(), np.float64(f).tobytes()
+
+
+@needs_cc
+def test_repeated_requests_are_answered_from_the_c_cache():
+    """From the start (-1, 4) the self-check's problem re-requests
+    evaluated points four times: ``lml_step`` answers each from its cache
+    with the evaluation's bits, and the loop ends where it ends on the
+    Python objective."""
+    setulb = regression._checked_setulb()
+    gp = checked_setulb_gp()
+    arrays = regression._SetulbArrays(gp.kernel.theta_bounds())
+    x0 = np.array([-1.0, 4.0])
+    step = gp._make_compiled_objective(regression._compiled_lml())
+    answers = []
+
+    def recorded(x, g):
+        f = step(x, g)
+        answers.append((x.tobytes(), np.float64(f).tobytes(), g.tobytes()))
+        return f
+
+    ours = regression._lbfgsb_loop(setulb, recorded, x0, arrays, 100)
+    spec = regression._spec_step(gp._make_analytic_objective())
+    assert bits(*ours) == bits(*regression._lbfgsb_loop(setulb, spec, x0, arrays, 100))
+    # The four requests at the point evaluated last are not evaluated.
+    repeats = sum(a[0] == b[0] for a, b in zip(answers, answers[1:]))
+    assert repeats == len(answers) - step.buffers[0].evals == 4
+    first = {}
+    for x, f, g in answers:
+        assert first.setdefault(x, (f, g)) == (f, g)
+
+
+@needs_cc
+def test_singular_self_check_problem_takes_the_jitter_path_in_a_fit(monkeypatch):
+    """The singular n = 10 problem of the self-check fails ``dpotrf`` at
+    every theta: in a full fit every request goes to the Python objective,
+    none is answered from the cache, and the fit is the Python
+    objective's."""
+    singular = list(regression._self_check_problems())[3]
+    X, y = singular._X, singular._y_raw
+    calls, steps = [], []
+    make = GaussianProcessRegressor._make_compiled_objective
+
+    def counted(self, lml):
+        step = make(self, lml)
+        steps.append(step)
+
+        def wrapped(x, g):
+            calls.append(1)
+            return step(x, g)
+
+        wrapped.factor, wrapped.buffers = step.factor, step.buffers
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GaussianProcessRegressor, "_make_compiled_objective", counted)
+        compiled = fit_outcome(X, y, noise=1e-300)
+    (step,) = steps
+    # Every request and the factor call evaluated: nothing was cached.
+    assert step.buffers[0].evals == len(calls) + 1 > 0
+    assert step.buffers[0].seen == 0
+    monkeypatch.setattr(regression, "_compiled_lml", lambda: None)
+    assert fit_outcome(X, y, noise=1e-300) == compiled
+
+
+@needs_cc
+def test_a_nan_theta_never_hits_the_cache():
+    gp = rounded_gp(3, 10, 2)
+    step = gp._make_compiled_objective(regression._compiled_lml())
+    f_spec, g_spec = gp._make_analytic_objective()(np.array([np.nan, 0.0]))
+    g = np.empty(2)
+    for k in (1, 2):
+        f = step(np.array([np.nan, 0.0]), g)
+        assert step.buffers[0].evals == k
+        assert np.float64(f).tobytes() == np.float64(f_spec).tobytes()
+        assert g.tobytes() == g_spec.tobytes()
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "x, g",
+    [
+        (np.zeros(3), np.empty(2)),
+        (np.zeros(2, dtype=np.float32), np.empty(2)),
+        (np.zeros(4)[::2], np.empty(2)),
+        (np.zeros(2), np.empty(4)[:2].reshape(1, 2)),
+        (np.zeros(2), np.frombuffer(bytes(16))),
+    ],
+)
+def test_compiled_step_refuses_buffers_c_cannot_use(x, g):
+    """C reads two contiguous doubles at x and writes two at g."""
+    step = rounded_gp(2, 6, 2)._make_compiled_objective(regression._compiled_lml())
+    with pytest.raises(ValueError, match="float64 pairs"):
+        step(x, g)
+
+
+@needs_cc
+@pytest.mark.parametrize("fault", ["cached-answer", "start-draw"])
+def test_a_failing_step_declines_the_compiled_likelihood(
+    fault, fresh_lml, monkeypatch
+):
+    """A cache answer or a start draw one ulp off fails the self-check:
+    the whole compiled likelihood declines and fits are the Python
+    objective's, bit for bit."""
+    with monkeypatch.context() as mp:
+        mp.setattr(regression, "_compiled_lml", lambda: None)
+        expected = fit_outcome(X_FIT, Y_FIT)
+    if fault == "cached-answer":
+        make = GaussianProcessRegressor._make_compiled_objective
+
+        def drifted(self, lml):
+            step = make(self, lml)
+            fit = step.buffers[0]
+
+            def wrapped(x, g):
+                evals = fit.evals
+                f = step(x, g)
+                if fit.evals == evals:  # answered from the cache
+                    g[0] = np.nextafter(g[0], np.inf)
+                return f
+
+            wrapped.factor, wrapped.buffers = step.factor, step.buffers
+            return wrapped
+
+        monkeypatch.setattr(
+            GaussianProcessRegressor, "_make_compiled_objective", drifted
+        )
+    else:
+        bind = regression._CompiledLml.__init__
+
+        def drifted(self, lib):
+            bind(self, lib)
+            uniform = self.uniform
+            self.uniform = lambda seed, i: (
+                np.nextafter(uniform(seed, i), 1.0) if i == 3 else uniform(seed, i)
+            )
+
+        monkeypatch.setattr(regression._CompiledLml, "__init__", drifted)
+    assert regression._compiled_lml() is None
+    assert fit_outcome(X_FIT, Y_FIT) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 4, 2**31 - 2, 2**40 + 3, 2**64 + 5])
+def test_fits_draw_numpys_stream_in_turn(seed):
+    """Each optimizing fit of one regressor draws the next two uniforms of
+    ``Generator(PCG64(seed))``: compiled below 2**64, else from NumPy, and
+    from NumPy without the compiled likelihood."""
+    expected = np.random.Generator(np.random.PCG64(seed)).random(6).tolist()
+    lml = regression._compiled_lml()
+    gp = GaussianProcessRegressor(Matern52(), seed=seed)
+    assert gp._uniforms(lml, 2) + gp._uniforms(None, 2) + gp._uniforms(lml, 2) == (
+        expected
+    )
+    with pytest.raises(ValueError, match="non-negative"):
+        GaussianProcessRegressor(Matern52(), seed=-1)
 
 
 # ---------------------------------------------------------------------------

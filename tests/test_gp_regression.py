@@ -140,7 +140,8 @@ class TestNormalization:
 
 
 def _random_likelihood(rng):
-    """A random GP likelihood problem: (objective, bounds, starts).
+    """A random GP likelihood problem: (gp, objective, bounds, starts),
+    the GP holding its training data.
 
     Varies the Matern length scale and variance, the input dimension, the
     noise, and whether (and at what scale) inputs are rounded.
@@ -163,7 +164,7 @@ def _random_likelihood(rng):
         [lows, highs, corner][int(rng.integers(3))],
         rng.uniform(lows, highs),
     ]
-    return gp._make_analytic_objective(), bounds, starts
+    return gp, gp._make_analytic_objective(), bounds, starts
 
 
 @pytest.fixture
@@ -180,16 +181,20 @@ class TestLbfgsbLoop:
         assert regression._checked_setulb() is not None
 
     def test_bit_equal_to_public_minimize_on_random_likelihoods(self):
+        """The Python objective and, where it is bound, the compiled one
+        through the loop give public minimize's ``x`` and ``f`` bit for
+        bit, each evaluating the likelihood as often as minimize does."""
         setulb = regression._checked_setulb()
         assert setulb is not None
+        lml = regression._compiled_lml()
         rng = np.random.default_rng(20211114)
         for problem in range(120):
-            fun, bounds, starts = _random_likelihood(rng)
-            lows, highs = np.array(bounds).T
+            gp, fun, bounds, starts = _random_likelihood(rng)
+            arrays = regression._SetulbArrays(bounds)
             for x0 in starts:
                 ours, ours_calls = regression._counted(fun)
                 x, f = regression._lbfgsb_loop(
-                    setulb, ours, np.asarray(x0), lows, highs, 100
+                    setulb, regression._spec_step(ours), x0, arrays, 100
                 )
                 theirs, theirs_calls = regression._counted(fun)
                 res = optimize.minimize(
@@ -199,13 +204,20 @@ class TestLbfgsbLoop:
                 assert np.array_equal(x, res.x), problem
                 assert f == res.fun, problem
                 assert ours_calls == theirs_calls, problem
+                if lml is None:
+                    continue
+                step = gp._make_compiled_objective(lml)
+                x, f = regression._lbfgsb_loop(setulb, step, x0, arrays, 100)
+                assert np.array_equal(x, res.x), problem
+                assert f == res.fun, problem
+                assert [step.buffers[0].evals] == theirs_calls, problem
 
     def test_iteration_limit_matches_public_minimize(self):
         setulb = regression._checked_setulb()
-        fun, bounds, starts = _random_likelihood(np.random.default_rng(3))
-        lows, highs = np.array(bounds).T
+        _, fun, bounds, starts = _random_likelihood(np.random.default_rng(3))
         x, f = regression._lbfgsb_loop(
-            setulb, fun, np.asarray(starts[2]), lows, highs, 2
+            setulb, regression._spec_step(fun), starts[2],
+            regression._SetulbArrays(bounds), 2,
         )
         res = optimize.minimize(
             fun, starts[2], method="L-BFGS-B", jac=True, bounds=bounds,
@@ -213,6 +225,20 @@ class TestLbfgsbLoop:
         )
         assert res.nit == 2
         assert np.array_equal(x, res.x) and f == res.fun
+
+    def test_public_fallback_takes_the_loop_objective(self):
+        """Without ``setulb`` the loop objective runs under public
+        minimize, with the loop's results."""
+        setulb = regression._checked_setulb()
+        _, fun, bounds, starts = _random_likelihood(np.random.default_rng(5))
+        ours = regression._lbfgsb_loop(
+            setulb, regression._spec_step(fun), starts[1],
+            regression._SetulbArrays(bounds), 100,
+        )
+        theirs = regression._public_lbfgsb(
+            regression._spec_step(fun), starts[1], bounds, 100
+        )
+        assert ours == theirs
 
     @pytest.mark.parametrize(
         "fault", ["setulb-type-error", "setulb-missing", "mismatch"]

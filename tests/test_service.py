@@ -9,6 +9,7 @@ single simulation.
 """
 
 import errno
+import json
 import logging
 import threading
 
@@ -699,3 +700,30 @@ class TestStore:
             "n_scenarios": 1,
             "n_results": 2,
         }
+
+    def test_snapshots_and_appends_hash_the_scenario_once(
+        self, manager, tmp_path, monkeypatch
+    ):
+        """A job keys its scenario once, and its snapshots reuse that
+        identity; an append hashes the scenario once for both files.  The
+        bytes written are the ones the per-call hash gave."""
+        job = manager.submit(make_scenario(), "ribbon", seed=0)
+        manager.wait(job.id, timeout=10)
+        identity = Scenario.identity
+        key = identity(job.scenario)
+        calls = []
+
+        def counted(self):
+            calls.append(1)
+            return identity(self)
+
+        monkeypatch.setattr(Scenario, "identity", counted)
+        assert job.snapshot(full=True)["scenario_identity"] == key
+        assert calls == []
+        store = SnapshotStore(tmp_path)
+        path = store.append_result(job.scenario, {"strategy": "stub", "seed": 0})
+        assert len(calls) == 1
+        assert path == tmp_path / "results" / f"{key}.ndjson"
+        assert path.read_text() == '{"seed": 0, "strategy": "stub"}\n'
+        spec = tmp_path / "scenarios" / f"{key}.json"
+        assert json.loads(spec.read_text()) == job.scenario.to_dict()
